@@ -4,15 +4,15 @@ bound reports, modulation audits, and the bundled worked example.
 Exit codes: 0 for success or a valid set, 1 for an invalid set (witness
 printed) or a failed audit, 2 for usage and file errors.  Reports are
 human-readable tables by default and JSON with --json; output is
-deterministic and independent of the thread count.
+deterministic.  --threads is accepted and ignored.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
+from fractions import Fraction
 
 from . import reference
 from .codes import bounds as bounds_report
@@ -61,6 +61,11 @@ def matrixset_from_text(text: str) -> Udmg:
         field = FieldSpec(data["p"], data["m"], tuple(data["modulus"]))
     else:
         field = FieldSpec(data["p"])
+    for rows in data["matrices"]:
+        for row in rows:
+            for e in row:
+                if type(e) is not int:  # rejects bool (an int subclass) and floats like 2.0
+                    raise ValueError(f"matrix entry {e!r} is not an integer")
     mats = tuple(FqMatrix.from_rows(field, rows) for rows in data["matrices"])
     return Udmg(field, data["K"], data["g"], mats)
 
@@ -124,7 +129,7 @@ def load_construction(path: str):
 def _emit(payload: dict, as_json: bool, out=None) -> None:
     out = out if out is not None else sys.stdout
     if as_json:
-        print(json.dumps(payload, default=_jsonable), file=out)
+        print(json.dumps(payload, default=_plain), file=out)
         return
     for key, value in payload.items():
         if isinstance(value, (list, tuple)) and value and isinstance(value[0], (list, tuple)):
@@ -132,36 +137,16 @@ def _emit(payload: dict, as_json: bool, out=None) -> None:
             for row in value:
                 print(f"  {row if isinstance(row, str) else list(row)}", file=out)
         else:
-            print(f"{key}: {_pretty(value)}", file=out)
+            print(f"{key}: {_plain(value)}", file=out)
 
 
-def _jsonable(x):
-    from fractions import Fraction
-
+def _plain(x):
+    """Fractions as exact 'n' or 'n/d' strings, also inside lists and tuples."""
     if isinstance(x, Fraction):
-        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-    if isinstance(x, tuple):
-        return list(x)
-    return str(x)
-
-
-def _pretty(x):
-    from fractions import Fraction
-
-    if isinstance(x, Fraction):
-        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+        return str(x)
     if isinstance(x, (list, tuple)):
-        return [_pretty(v) for v in x]
+        return [_plain(v) for v in x]
     return x
-
-
-def _threads(args) -> int:
-    env = os.environ.get("UDMG_THREADS")
-    if env is not None:
-        return max(1, int(env))
-    if args.threads is not None:
-        return max(1, args.threads)
-    return os.cpu_count() or 1
 
 
 # -- subcommands -------------------------------------------------------------------
@@ -170,7 +155,7 @@ def _cmd_verify(args) -> int:
     u = load_matrixset(args.matrixset)
     if args.genus is not None:
         u = u.with_genus(args.genus)
-    rep = verify(u, threads=_threads(args))
+    rep = verify(u)
     payload = {
         "valid": rep.valid,
         "genus": u.g,
@@ -235,7 +220,7 @@ def _cmd_quotient(args) -> int:
 
 def _cmd_code(args) -> int:
     u = load_matrixset(args.matrixset)
-    rep = verify(u, threads=_threads(args))
+    rep = verify(u)
     if not rep.valid:
         _emit({"valid": False, "witness": list(rep.witness)}, args.json)
         return 1
@@ -253,6 +238,7 @@ def _cmd_code(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    field_from_order(args.q)  # q must be the order of a supported field
     lengths = tuple(int(x) for x in args.lengths.split(",")) if args.lengths else None
     nks = tuple(int(x) for x in args.nks.split(",")) if args.nks else None
     rep = bounds_report(args.K, args.q, args.g, lengths=lengths, nks=nks)
@@ -315,8 +301,7 @@ def _cmd_example(args) -> int:
     save_matrixset(u, out)
     checks = {}
 
-    rep1 = verify(u, threads=_threads(args))
-    checks["verifies_at_genus_1"] = rep1.valid
+    checks["verifies_at_genus_1"] = verify(u).valid
     rep0 = verify(u.with_genus(0))
     checks["fails_at_genus_0"] = (not rep0.valid
                                   and rep0.witness == reference.WITNESS_GENUS0)
@@ -357,8 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "decodable matrix sets of genus g.")
     parser.add_argument("--json", action="store_true", help="emit JSON reports")
     parser.add_argument("--threads", type=int, default=None,
-                        help="workers for exhaustive enumerations "
-                             "(UDMG_THREADS overrides; output is identical)")
+                        help="accepted and ignored; verification runs in one thread")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="check the defining rank property")
@@ -413,10 +397,7 @@ def run(argv) -> int:
         return 0 if exc.code == 0 else 2
     try:
         return args.func(args)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (UdmgError, ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+    except (OSError, UdmgError, ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,7 +9,6 @@ search, truncation, the subspace-chain realization, and chain quotients.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import (
@@ -107,57 +106,95 @@ def allowable_vectors(lengths, K: int, g: int):
     return rec(0, total, [])
 
 
-def _prefix_rows(u: Udmg, lam) -> list:
-    """Rows of the transposed concatenation of the chosen column prefixes.
-
-    Rank is transpose-invariant, so ranking the chosen columns as rows avoids
-    building column-major intermediates.
-    """
-    rows = []
-    for M, k in zip(u.matrices, lam):
-        for j in range(k):
-            rows.append(list(M.col(j)))
-    return rows
-
-
 def _spans(u: Udmg, lam) -> bool:
-    rows = _prefix_rows(u, lam)
+    """Rank test of one allowable vector; the oracle verify_naive uses it.
+
+    The chosen columns are ranked as rows, since rank is transpose-invariant.
+    """
+    rows = [list(M.col(j)) for M, k in zip(u.matrices, lam) for j in range(k)]
     return rref_rows(u.field, rows)[0] == u.K
 
 
-def verify(u: Udmg, threads: int = 1) -> VerifyReport:
-    """Exhaustive check over allowable vectors.
+def _count_allowable(lengths, total: int) -> int:
+    """Number of allowable vectors, by a DP over capped compositions."""
+    if total < 0:
+        return 0
+    ways = [1] + [0] * total
+    for n in lengths:
+        ways = [sum(ways[t - v] for v in range(min(n, t) + 1)) for t in range(total + 1)]
+    return ways[total]
 
-    Every vector is examined (no short circuit), so the checked count and the
-    reported witness, the lexicographic minimum of all failures, do not depend
-    on the thread count.
+
+def _reduce_into(field: FieldSpec, basis: list, vec) -> None:
+    """Add vec to an echelon basis of (pivot, row) pairs if it is independent.
+
+    Each row has a leading 1 at its pivot and zeros at the pivots of the rows
+    before it, so one forward pass clears every pivot coordinate of vec.
     """
-    lams = list(allowable_vectors(u.lengths, u.K, u.g))
-    if not lams:
+    sub, mul = field.sub, field.mul
+    v = list(vec)
+    for p, row in basis:
+        c = v[p]
+        if c:
+            for j in range(p, len(v)):
+                if row[j]:
+                    v[j] = sub(v[j], mul(c, row[j]))
+    for p, x in enumerate(v):
+        if x:
+            s = field.inv(x)
+            basis.append((p, [mul(s, y) if y else 0 for y in v]))
+            return
+
+
+def _scan(field: FieldSpec, K: int, g: int, steps) -> VerifyReport:
+    """Rank check of every allowable vector, sharing work between prefixes.
+
+    steps[i][k] holds the vectors that enter when member i's prefix grows
+    from k to k + 1 (one column of a matrix, or the basis of V_{k+1} of a
+    nested chain).  Allowable vectors are walked depth-first in lexicographic
+    order with one echelon basis per depth, so each step reduces only the
+    vectors it adds.  A subtree passes as soon as the rank reaches K; the walk
+    stops at the first failing leaf, which is the least failure.
+    """
+    lengths = [len(s) for s in steps]
+    checked = _count_allowable(lengths, K + g)
+    if not checked:
         return VerifyReport(True, None, 0, vacuous=True)
+    L = len(steps)
+    tails = [sum(lengths[i:]) for i in range(L + 1)]
 
-    def scan(chunk):
-        fails = [lam for lam in chunk if not _spans(u, lam)]
-        return fails[0] if fails else None
+    def walk(i, basis, remaining):
+        """Least failing completion from member i on, or None."""
+        if len(basis) == K:
+            return None
+        if remaining == 0:
+            return (0,) * (L - i)
+        cur = list(basis)
+        for v in range(min(lengths[i], remaining) + 1):
+            if v:
+                for vec in steps[i][v - 1]:
+                    _reduce_into(field, cur, vec)
+            if v >= remaining - tails[i + 1]:
+                rest = walk(i + 1, cur, remaining - v)
+                if rest is not None:
+                    return (v,) + rest
+        return None
 
-    if threads > 1 and len(lams) > 64:
-        size = (len(lams) + threads - 1) // threads
-        chunks = [lams[i:i + size] for i in range(0, len(lams), size)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(scan, chunks))
-        failures = [w for w in results if w is not None]
-    else:
-        failures = [lam for lam in lams if not _spans(u, lam)]
-    if failures:
-        return VerifyReport(False, min(failures), len(lams))
-    return VerifyReport(True, None, len(lams))
+    witness = walk(0, [], K + g)
+    return VerifyReport(witness is None, witness, checked)
+
+
+def verify(u: Udmg, threads: int = 1) -> VerifyReport:
+    """Check every allowable vector; the witness is the least failure.
+
+    threads is accepted for compatibility and ignored.
+    """
+    steps = [[(M.col(j),) for j in range(M.cols)] for M in u.matrices]
+    return _scan(u.field, u.K, u.g, steps)
 
 
 def _verify_fast(u: Udmg) -> bool:
-    for lam in allowable_vectors(u.lengths, u.K, u.g):
-        if not _spans(u, lam):
-            return False
-    return True
+    return verify(u).valid
 
 
 def verify_naive(u: Udmg) -> VerifyReport:
@@ -292,20 +329,8 @@ def prune(chain: Chain, mode: str = "reduced") -> Chain:
 
 def verify_chains(v: Udvsg) -> VerifyReport:
     """UDVSG check: allowable partial sums of chain subspaces fill F_q^K."""
-    lams = list(allowable_vectors(v.lengths, v.K, v.g))
-    if not lams:
-        return VerifyReport(True, None, 0, vacuous=True)
-    failures = []
-    for lam in lams:
-        rows = []
-        for chain, k in zip(v.chains, lam):
-            if k > 0:
-                rows.extend(list(r) for r in chain.subspaces[k - 1].vectors)
-        if rref_rows(v.field, rows)[0] != v.K:
-            failures.append(lam)
-    if failures:
-        return VerifyReport(False, min(failures), len(lams))
-    return VerifyReport(True, None, len(lams))
+    steps = [[V.vectors for V in chain.subspaces] for chain in v.chains]
+    return _scan(v.field, v.K, v.g, steps)
 
 
 @dataclass(frozen=True)

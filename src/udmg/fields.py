@@ -109,12 +109,13 @@ class FieldSpec:
     modulus: tuple = None
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise NonPrimeError(f"{self.p} is not prime")
         if self.m < 1:
             raise ValueError("extension degree must be >= 1")
-        if self.p ** self.m > MAX_CARDINALITY:
+        # The cap bounds the primality loop below; m > 20 exceeds it for any p >= 2.
+        if self.p ** min(self.m, 21) > MAX_CARDINALITY:
             raise FieldTooLargeError(f"{self.p}^{self.m} exceeds 2^20")
+        if not is_prime(self.p):
+            raise NonPrimeError(f"{self.p} is not prime")
         if self.m == 1:
             if self.modulus is not None:
                 raise ValueError("prime fields carry no modulus")
@@ -207,6 +208,8 @@ def make_field(p: int, m: int = 1) -> FieldSpec:
 
 def field_from_order(q: int) -> FieldSpec:
     """Factor q = p^m and build the field; q must be a prime power."""
+    if q > MAX_CARDINALITY:
+        raise FieldTooLargeError(f"{q} exceeds 2^20")
     for p in range(2, q + 1):
         if q % p == 0:
             m = 0

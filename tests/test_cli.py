@@ -178,6 +178,23 @@ def test_malformed_inputs_exit_2(tmp_path):
     nodiv.write_text(json.dumps({"q": 5, "genus": 1, "a": 1, "b": 1,
                                  "points": [[0, 1]]}))
     assert run(["construct", str(nodiv), "-o", str(tmp_path / "x.json")]) == 2
+    for entry in (2.0, True):  # once coerced to 2 and 1 and verified
+        odd = tmp_path / "odd.json"
+        odd.write_text(json.dumps({"p": 5, "m": 1, "K": 2, "g": 0,
+                                   "matrices": [[[1, 0], [0, 1]], [[1, 1], [1, entry]]]}))
+        assert run(["verify", str(odd)]) == 2
+    assert run(["bounds", "--K", "4", "--q", "6", "--g", "1"]) == 2  # not a prime power
+
+
+def test_huge_field_orders_fail_fast(tmp_path):
+    # trial division over a 10^24 order used to run without bound
+    huge = 10**24 + 7
+    prime = tmp_path / "huge_p.json"
+    prime.write_text(json.dumps({"p": huge, "m": 1, "K": 1, "g": 0, "matrices": [[[1]]]}))
+    for argv in (["verify", str(prime)], ["bounds", "--K", "4", "--q", str(huge), "--g", "1"]):
+        res = subprocess.run([sys.executable, "-m", "udmg.cli", *argv],
+                             capture_output=True, text=True, timeout=10)
+        assert res.returncode == 2 and "exceeds 2^20" in res.stderr
 
 
 def test_console_module_smoke(tmp_path):

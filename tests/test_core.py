@@ -72,9 +72,9 @@ def test_allowable_count_identity():
 
 
 @given(st.lists(st.integers(1, 5), min_size=1, max_size=5),
-       st.integers(1, 5), st.integers(0, 3))
+       st.integers(1, 5), st.integers(0, 3), st.randoms(use_true_random=False))
 @settings(max_examples=150, deadline=None)
-def test_allowable_vectors_shape(lengths, K, g):
+def test_allowable_vectors_shape(lengths, K, g, rng):
     lengths = tuple(lengths)
     vs = list(allowable_vectors(lengths, K, g))
     assert vs == sorted(vs)  # lexicographic order
@@ -82,6 +82,7 @@ def test_allowable_vectors_shape(lengths, K, g):
     for lam in vs:
         assert sum(lam) == K + g
         assert all(0 <= x <= n for x, n in zip(lam, lengths))
+    assert_agrees_with_oracles(random_udmg(rng, F2, K, lengths, g))
 
 
 # -- verification ----------------------------------------------------------------
@@ -123,6 +124,16 @@ def test_vacuous_verify():
     assert rep.valid and rep.vacuous and rep.checked == 0
 
 
+def assert_agrees_with_oracles(u):
+    rep = verify(u)
+    naive = verify_naive(u)
+    # a failing superset has a failing sub-vector before it in lex order, so
+    # the naive least failure sums to K + g and is verify's witness
+    assert (rep.valid, rep.witness, rep.vacuous) == (naive.valid, naive.witness, naive.vacuous)
+    assert rep.checked == sum(1 for _ in allowable_vectors(u.lengths, u.K, u.g))
+    assert verify_chains(realize(u)) == rep
+
+
 def test_oracle_equivalence_sample():
     rng = random.Random(7)
     for _ in range(120):
@@ -131,8 +142,23 @@ def test_oracle_equivalence_sample():
         L = rng.randint(1, 3)
         lengths = [rng.randint(1, 3) for _ in range(L)]
         g = rng.randint(0, 2)
-        u = random_udmg(rng, field, K, lengths, g)
-        assert verify(u).valid == verify_naive(u).valid
+        assert_agrees_with_oracles(random_udmg(rng, field, K, lengths, g))
+
+
+def test_oracle_equivalence_exhaustive_gf2():
+    # every GF(2) set with K = 2, at most two members of at most two columns
+    seen = 0
+    for L in (1, 2):
+        for lengths in product((1, 2), repeat=L):
+            for entries in product((0, 1), repeat=2 * sum(lengths)):
+                mats, at = [], 0
+                for n in lengths:
+                    mats.append(FqMatrix(F2, 2, n, entries[at:at + 2 * n]))
+                    at += 2 * n
+                for g in (0, 1):
+                    assert_agrees_with_oracles(Udmg(F2, 2, g, tuple(mats)))
+                    seen += 1
+    assert seen == 840
 
 
 def test_monotone_genus():
