@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -83,15 +84,92 @@ def save_matrixset(u: Udmg, path: str) -> None:
 # -- construction file ----------------------------------------------------------
 
 _FN_ALLOWED = set("0123456789rs+-*^() ")
+_FN_TOKEN = re.compile(r"\d+|\*\*|[rs+\-*^()]")
+MAX_EXPONENT = 64  # largest exponent a function string may use
+MAX_SIZE = 512  # largest bit length of an integer, or degree in r of a function, from * or ^
+
+
+def _size(x) -> int:
+    """Bit length of an integer; for (A + s*B)/C a bound that adds under * (s^2 has degree 3)."""
+    if isinstance(x, int):
+        return x.bit_length()
+    return max(x.A.degree, x.B.degree + 2, x.C.degree)
 
 
 def parse_function(curve: WeierstrassCurve, text: str) -> FnElement:
-    """Polynomial in r and s with integer coefficients, e.g. 'r+s' or '2*r^2+1'."""
+    """Polynomial in r and s with integer coefficients, e.g. 'r+s' or '2*r^2+1'.
+
+    Grammar: sum = product (('+' | '-') product)*; product = unary ('*' unary)*;
+    unary = ('+' | '-') unary | atom ('^' unary)?; atom = r | s | integer | '(' sum ')'.
+    '^' (also written '**') is right-associative.  Each exponent must be an integer
+    in [0, MAX_EXPONENT], and a product or power whose size (see _size) would pass
+    MAX_SIZE is refused before it is computed, so no input starts unbounded work.
+    """
     if not set(text) <= _FN_ALLOWED:
         raise ValueError(f"unsupported characters in function string {text!r}")
-    expr = text.replace("^", "**")
-    env = {"r": FnElement.r(curve), "s": FnElement.s(curve), "__builtins__": {}}
-    value = eval(expr, env)  # noqa: S307 - charset restricted above
+    tokens = ["^" if tok == "**" else tok for tok in _FN_TOKEN.findall(text)] + [None]
+    at = 0
+
+    def take():
+        nonlocal at
+        at += 1
+        return tokens[at - 1]
+
+    def capped(size, what):
+        if size > MAX_SIZE:
+            raise ValueError(f"{what} in function string {text!r} exceeds size {MAX_SIZE}")
+
+    def sum_():
+        value = product()
+        while tokens[at] in ("+", "-"):
+            value = value + product() if take() == "+" else value - product()
+        return value
+
+    def product():
+        value = unary()
+        while tokens[at] == "*":
+            take()
+            rhs = unary()
+            if isinstance(value, int) == isinstance(rhs, int):  # int * function: no growth
+                capped(_size(value) + _size(rhs), "product")
+            value = value * rhs
+        return value
+
+    def unary():
+        if tokens[at] in ("+", "-"):
+            return -unary() if take() == "-" else +unary()
+        base = atom()
+        if tokens[at] != "^":
+            return base
+        take()
+        e = unary()
+        if not isinstance(e, int) or not 0 <= e <= MAX_EXPONENT:
+            raise ValueError(f"exponent {e} in function string {text!r} is not an integer "
+                             f"in [0, {MAX_EXPONENT}]")
+        capped(e * _size(base), "power")
+        return base ** e
+
+    def atom():
+        tok = take()
+        if tok == "(":
+            value = sum_()
+            if take() != ")":
+                raise ValueError(f"expected ')' in function string {text!r}")
+            return value
+        if tok == "r":
+            return FnElement.r(curve)
+        if tok == "s":
+            return FnElement.s(curve)
+        if tok is not None and tok.isdigit():
+            return int(tok)
+        raise ValueError(f"unexpected {tok or 'end'} in function string {text!r}")
+
+    try:
+        value = sum_()
+    except RecursionError:
+        raise ValueError(f"function string {text!r} is nested too deeply") from None
+    if tokens[at] is not None:
+        raise ValueError(f"unexpected {tokens[at]} in function string {text!r}")
     if isinstance(value, int):
         value = FnElement.const(curve, value)
     return value

@@ -247,17 +247,29 @@ class SnrReport:
 
 
 def snr(scheme: CodeScheme) -> SnrReport:
-    """Exact average power over the message space, with its sandwich bounds."""
-    q, N, L = scheme.modulator.q, scheme.N, scheme.L
+    """Exact average power over the message space, with its sandwich bounds.
+
+    Channel i adds |U_i| E[(sum_k c_k d(u_k))^2], u uniform on U_i = W M_i, c_k = q^(N-k) W_k,
+    d(x) = 2x - (q-1); columns on one line give u_k = s_k y, y uniform; lines are independent.
+    """
+    f = scheme.udmg.field
+    q, N, L = f.q, scheme.N, scheme.L
     size = q ** scheme.message_space.dim
     if size > MAX_MESSAGES:
         raise TooLargeError("message space too large for the exact sum")
-    mod = scheme.modulator
+    W = scheme.modulator.scaled_weights()
+    images = [scheme.encode(v) for v in scheme.message_space.vectors]
     total = 0  # sum of (2qN mu0)^2 over all rows and channels
-    for v in scheme.messages():
-        for sym in scheme.encode(v):
-            t = mu0_scaled(mod, sym)
-            total += t * t
+    for i in range(L):
+        lines = {}  # normalised column -> [(c_k, s_k)]; zero columns (s_k = 0) share key None
+        for k in range(N):
+            col = [img[i][k] for img in images]
+            lead = next((x for x in col if x), 0)
+            key = tuple(f.div(x, lead) for x in col) if lead else None
+            lines.setdefault(key, []).append((q ** (N - 1 - k) * W[k], lead))
+        for line in lines.values():  # E[d(u_k) d(u_l)] = 0 across lines, as E[d(y)] = 0
+            total += size * sum(sum(c * (2 * f.mul(s, y) - q + 1) for c, s in line) ** 2
+                                for y in range(q)) // q
     value = Fraction(total, size * (2 * q * N) ** 2)
     b = modulation_bounds(q, scheme.udmg.g, L)
     lower = b.alpha * q ** (2 * N) / N ** 2

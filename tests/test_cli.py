@@ -7,12 +7,16 @@ import pytest
 
 from udmg import reference
 from udmg.cli import (
+    MAX_EXPONENT,
     load_matrixset,
     matrixset_from_text,
     matrixset_to_text,
+    parse_function,
     run,
     save_matrixset,
 )
+from udmg.curves import FnElement, WeierstrassCurve
+from udmg.fields import make_field
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "genus1_f5.json"
 
@@ -203,3 +207,48 @@ def test_console_module_smoke(tmp_path):
         capture_output=True, text=True, timeout=60)
     assert res.returncode == 0
     assert "valid: True" in res.stdout
+
+
+SAFE_FUNCTIONS = (
+    "r+s", "2*r^2+1", "r", "s", "-r", "--r", "r-s", "r - -1", "2*-r", "-r^2", "(r+1)^2",
+    "((r+1)^2)^2", "r^2^2", "r**3", "s^3+r*s", "3", "0", "(2+3)*r", "2^3*r", "r^(1+1)",
+    "r^0", "1-r", "7*r+11", "r*s*r*s", "(r+s)*(r-s)", "  r +  s ", "s^2 - r^3",
+    "12345678901234567890*r", "2*(r+1)^3-s", "-(r)", "+2", "(s+1)*(s-1)+r^5", "r^64",
+)
+
+
+def parse_by_eval(curve, text):
+    """Oracle: the former Python-eval reading of a function string."""
+    env = {"r": FnElement.r(curve), "s": FnElement.s(curve), "__builtins__": {}}
+    value = eval(text.replace("^", "**"), env)  # noqa: S307 - fixed safe strings only
+    return FnElement.const(curve, value) if isinstance(value, int) else value
+
+
+@pytest.mark.parametrize("p,a,b", [(5, 1, 1), (7, 3, 2), (11, 1, 3)])
+def test_parse_function_matches_eval(p, a, b):
+    curve = WeierstrassCurve(make_field(p), a, b)
+    for text in SAFE_FUNCTIONS:
+        assert parse_function(curve, text) == parse_by_eval(curve, text), text
+
+
+@pytest.mark.parametrize("text", [
+    "9^9^9^9", f"r^{MAX_EXPONENT + 1}", "r^-1", "(r^64)^64", "(((9^64)^64)^64)^64",
+    "*".join(["r^64"] * 9), "2^r", "r^s", "r r", "2r", "rs", "(", "r)", "r^", "r/2",
+    "(" * 5000 + "r" + ")" * 5000, "-" * 5000 + "r",
+])
+def test_parse_function_rejects(text):
+    curve = WeierstrassCurve(make_field(5), 1, 1)
+    with pytest.raises(ValueError):
+        parse_function(curve, text)
+
+
+def test_exponent_tower_exits_2_fast(tmp_path):
+    # eval() used to compute 9^(9^(9^9)) and hang
+    path = tmp_path / "tower.json"
+    path.write_text(json.dumps({"q": 5, "genus": 1, "a": 1, "b": 1,
+                                "points": [[0, 1], [4, 2], [3, 4], [0, 4], "inf"],
+                                "divisor": {"n": 3, "h": "9^9^9^9"}}))
+    res = subprocess.run([sys.executable, "-m", "udmg.cli", "construct", str(path),
+                          "-o", str(tmp_path / "out.json")],
+                         capture_output=True, text=True, timeout=10)
+    assert res.returncode == 2 and "error:" in res.stderr and "exponent" in res.stderr

@@ -1,7 +1,13 @@
+import json
 import math
+import random
+from itertools import product
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from udmg.cli import run
 from udmg.codes import (
     LinearCode,
     bounds,
@@ -13,10 +19,35 @@ from udmg.codes import (
 from udmg.core import Udmg, verify
 from udmg.curves import INFINITY, genus0_udmg
 from udmg.errors import HypothesisUnmetError, TooShortError
-from udmg.fields import make_field
-from udmg.linalg import FqMatrix
+from udmg.fields import field_from_order, make_field
+from udmg.linalg import FqMatrix, rank
 
 F2, F3, F5 = make_field(2), make_field(3), make_field(5)
+FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "genus1_f5.json"
+
+
+def min_distance_by_vecmat(code):
+    """Oracle: multiply every nonzero message through the generator."""
+    q = code.field.q
+    G = code.generator
+    best = code.n + 1
+    for msg in product(range(q), repeat=code.k):
+        if not any(msg):
+            continue
+        word = G.vecmat(msg)
+        w = sum(1 for e in word if e)
+        if w < best:
+            best = w
+            if best == 1:
+                break
+    return best
+
+
+def random_code(rng, q, n, k):
+    f = field_from_order(q)
+    rows = [[rng.randrange(q) if rng.random() < 0.7 else 0 for _ in range(n)]
+            for _ in range(k)]
+    return LinearCode(f, n, k, FqMatrix.from_rows(f, rows))
 
 
 def test_reference_code(ref_udmg):
@@ -117,3 +148,61 @@ def test_defect_bound_respected_by_fixtures(ref_udmg):
     rep = bounds(ref_udmg.K, 5, ref_udmg.g, lengths=ref_udmg.lengths)
     assert ref_udmg.L <= rep.defect_bound
     assert ref_udmg.L <= rep.class1_bound
+
+
+@given(st.sampled_from([2, 3, 4, 5, 7, 9]), st.integers(1, 7), st.data())
+@settings(max_examples=150, deadline=None)
+def test_min_distance_matches_vecmat_scan(q, n, data):
+    k = data.draw(st.integers(1, n))
+    if q ** k > 4096:
+        k = max(j for j in range(1, k + 1) if q ** j <= 4096)
+    code = random_code(random.Random(data.draw(st.integers(0, 2 ** 32))), q, n, k)
+    if rank(code.generator) == k:
+        assert min_distance(code) == min_distance_by_vecmat(code)
+
+
+def test_min_distance_extreme_dimensions():
+    rng = random.Random(5)
+    for q in (2, 3, 4, 5, 9):
+        for n in range(1, 6):
+            for k in {1, n}:
+                if q ** k > 4096:
+                    continue
+                for _ in range(6):
+                    code = random_code(rng, q, n, k)
+                    if rank(code.generator) == k:
+                        assert min_distance(code) == min_distance_by_vecmat(code), (q, n, k)
+    f9 = make_field(3, 2)
+    assert min_distance(LinearCode(f9, 3, 3, FqMatrix.identity(f9, 3))) == 1
+    assert min_distance(LinearCode(f9, 4, 1, FqMatrix.from_rows(f9, [(5, 1, 8, 3)]))) == 4
+
+
+def test_min_distance_rank_deficient_reads_zero():
+    rng = random.Random(6)
+    seen = 0
+    for q in (2, 3, 4, 9):
+        for _ in range(40):
+            n, k = rng.randint(1, 5), rng.randint(2, 3)
+            code = random_code(rng, q, n, k)
+            rows = [list(code.generator.row(i)) for i in range(k)]
+            c = rng.randrange(q)
+            rows[-1] = [code.field.mul(c, a) for a in rows[0]]
+            code = LinearCode(code.field, n, k, FqMatrix.from_rows(code.field, rows))
+            assert min_distance(code) == 0
+            # The oracle stops at its first weight-1 word, which may come before
+            # its first zero word; otherwise it reads 0 as well.
+            if min_distance_by_vecmat(code) == 0:
+                seen += 1
+            else:
+                assert min_distance_by_vecmat(code) == 1
+    assert seen > 100
+    dup = LinearCode(F2, 2, 2, FqMatrix.from_rows(F2, [(1, 0), (1, 0)]))
+    assert min_distance(dup) == 0 and min_distance_by_vecmat(dup) == 1
+
+
+def test_code_command_pins_distance(capsys):
+    assert run(["code", str(FIXTURE), "--min-distance"]) == 0
+    assert capsys.readouterr().out.endswith("d: 6\ndefect: 1\n")
+    assert run(["--json", "code", str(FIXTURE), "--min-distance"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["n"], payload["k"], payload["d"], payload["defect"]) == (9, 3, 6, 1)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -7,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from udmg.codes import duplicated
 from udmg.core import Udmg
 from udmg.curves import INFINITY, genus0_udmg
-from udmg.errors import EqualInputsError, HypothesisUnmetError, NotSquareError
-from udmg.fields import make_field
+from udmg.errors import EqualInputsError, HypothesisUnmetError, NotSquareError, UdmgError
+from udmg.fields import field_from_order, make_field
 from udmg.linalg import FqMatrix
 from udmg.waveform import (
     Modulator,
@@ -20,6 +21,7 @@ from udmg.waveform import (
     modulation_bounds,
     mu0,
     mu0_scaled,
+    SnrReport,
     snr,
 )
 
@@ -192,3 +194,94 @@ def test_complexify_doubles_all(ref_udmg):
         assert c.snr == 2 * c.base_snr
         assert c.rate_symbols == 2 * scheme.rate_symbols
         assert c.message_count == len(scheme.messages()) ** 2
+
+
+# -- closed-form SNR against the message-by-message sum ----------------------------
+
+def snr_by_enumeration(scheme):
+    """Oracle: the exact average power summed over every message and channel."""
+    q, N, L = scheme.modulator.q, scheme.N, scheme.L
+    size = q ** scheme.message_space.dim
+    total = 0
+    for v in scheme.messages():
+        for sym in scheme.encode(v):
+            t = mu0_scaled(scheme.modulator, sym)
+            total += t * t
+    value = Fraction(total, size * (2 * q * N) ** 2)
+    b = modulation_bounds(q, scheme.udmg.g, L)
+    lower = b.alpha * q ** (2 * N) / N ** 2
+    upper = b.beta * q ** (2 * N)
+    return SnrReport(value, b, lower, upper, lower <= value <= upper)
+
+
+def assert_snr_matches(scheme):
+    want = snr_by_enumeration(scheme)
+    assert snr(scheme) == want
+    c = complexify(scheme)
+    assert c.base_snr == want.snr and c.snr == 2 * want.snr
+
+
+def random_scheme(rng, q, tries=200):
+    """A valid square scheme over GF(q) with random K, g, L, members of any rank."""
+    f = field_from_order(q)
+    for _ in range(tries):
+        K, g, L = rng.randint(1, 3), rng.randint(0, 2), rng.randint(1, 4)
+        mats = []
+        for _ in range(L):
+            rows = [[rng.randrange(q) for _ in range(K)] for _ in range(K)]
+            if K > 1 and rng.random() < 0.4:
+                rows[rng.randrange(K)] = [0] * K  # rank deficient: gives delta > 0
+            mats.append(FqMatrix.from_rows(f, rows))
+        try:
+            scheme = build_scheme(Udmg(f, K, g, tuple(mats)))
+        except UdmgError:
+            continue
+        if q ** scheme.message_space.dim <= 2000:
+            return scheme
+    raise AssertionError("no valid scheme drawn")
+
+
+@given(st.sampled_from([2, 3, 4, 7, 8, 9]), st.integers(0, 2 ** 32))
+@settings(max_examples=60, deadline=None)
+def test_snr_closed_form_property(q, seed):
+    assert_snr_matches(random_scheme(random.Random(seed), q))
+
+
+def test_snr_closed_form_random_corpus():
+    rng = random.Random(87)
+    schemes = [random_scheme(rng, q) for q in (2, 3, 4, 7, 8, 9) for _ in range(15)]
+    assert sum(s.delta > 0 for s in schemes) >= 10
+    for scheme in schemes:
+        assert_snr_matches(scheme)
+
+
+def test_snr_closed_form_exhaustive_small():
+    # every square set over GF(2) with K = 2, L <= 2, and over GF(3) with K = 2, L = 1
+    cases = 0
+    for q, L in ((2, 1), (2, 2), (3, 1)):
+        f = make_field(q)
+        mats = [FqMatrix.from_rows(f, [e[:2], e[2:]]) for e in product(range(q), repeat=4)]
+        for members in product(mats, repeat=L):
+            for g in (0, 1):
+                try:
+                    scheme = build_scheme(Udmg(f, 2, g, members))
+                except UdmgError:
+                    continue
+                assert_snr_matches(scheme)
+                cases += 1
+    assert cases > 100
+
+
+def test_snr_closed_form_corpus_and_kernels(ref_udmg):
+    from test_acceptance import _scheme_corpus
+
+    for _, scheme in _scheme_corpus(ref_udmg):
+        assert_snr_matches(scheme)
+    m1 = FqMatrix.from_rows(F2, [(1, 0), (0, 0)])
+    m2 = FqMatrix.from_rows(F2, [(0, 0), (1, 0)])
+    single = build_scheme(Udmg(F2, 2, 1, (m1, m2)))  # delta = 2: one message
+    assert_snr_matches(single)
+    half = build_scheme(Udmg(F3, 2, 1, (FqMatrix.from_rows(F3, [(1, 2), (0, 0)]),
+                                        FqMatrix.from_rows(F3, [(0, 1), (1, 0)]))))
+    assert half.delta == 1
+    assert_snr_matches(half)
