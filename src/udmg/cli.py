@@ -175,25 +175,42 @@ def parse_function(curve: WeierstrassCurve, text: str) -> FnElement:
     return value
 
 
+def _integer(value, what: str) -> int:
+    """An int or a decimal string such as "3" (point tokens are often written so).
+
+    Floats and bools are refused rather than truncated by int().
+    """
+    if type(value) is int or isinstance(value, str):
+        return int(value)
+    raise ValueError(f"{what} {value!r} is not an integer")
+
+
 def construction_from_data(data: dict):
     q = data["q"]
     field = field_from_order(q)
     genus = data["genus"]
+    if type(genus) is not int:
+        raise ValueError(f"genus {genus!r} is not an integer")
     if genus == 0:
         points = []
         for tok in data["points"]:
-            points.append(INFINITY if tok == "inf" else field.check(int(tok)))
-        return genus0_udmg(field, points, int(data["K"]))
+            points.append(INFINITY if tok == "inf" else field.check(_integer(tok, "point")))
+        return genus0_udmg(field, points, _integer(data["K"], "K"))
     if genus == 1:
-        curve = WeierstrassCurve(field, int(data["a"]) % q, int(data["b"]) % q)
+        curve = WeierstrassCurve(field, _integer(data["a"], "a") % q, _integer(data["b"], "b") % q)
         points = []
         for tok in data["points"]:
-            points.append(INFINITY if tok == "inf" else (int(tok[0]), int(tok[1])))
+            if tok == "inf":
+                points.append(INFINITY)
+            elif isinstance(tok, list) and len(tok) == 2:
+                points.append(tuple(_integer(c, "point coordinate") for c in tok))
+            else:
+                raise ValueError(f"point {tok!r} is not \"inf\" or a pair [r, s]")
         div = data.get("divisor")
         if not isinstance(div, dict) or "n" not in div:
             raise ValueError("genus-1 construction needs divisor: {\"n\": ..., \"h\": ...}")
         h = parse_function(curve, div["h"]) if div.get("h") else None
-        return goppa_udmg(curve, points, DivisorSpec(int(div["n"]), h))
+        return goppa_udmg(curve, points, DivisorSpec(_integer(div["n"], "divisor n"), h))
     raise ValueError("genus must be 0 or 1")
 
 

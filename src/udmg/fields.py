@@ -4,15 +4,29 @@ Elements are stored as integers in [0, q): for m = 1 the residue itself, for
 m > 1 the base-p packing of the residue polynomial (digit i is the
 coefficient of x^i).  All operations are pure and a FieldSpec is immutable,
 so field objects can be shared freely.
+
+Prime fields compute with `%`.  An extension field with q <= TABLE_MAX_ORDER
+computes by table lookup: on its first operation it builds, once per
+(p, m, modulus), the powers of a primitive element alpha (antilog), their
+logarithms, and Zech's logarithms Z(n) with 1 + alpha^n = alpha^Z(n)
+(Lidl & Niederreiter, Finite Fields, ch. 9), so mul, inv, div and pow_ add
+or scale logarithms, and add, sub and neg take one Zech lookup (XOR of the
+packed reps in characteristic 2).  Larger extension fields, where the tables
+would take megabytes each, multiply polynomials modulo the modulus; the
+tables are built with that multiplication, and tests use it as the reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from math import isqrt
+from operator import index
 
 from .errors import FieldMismatchError, FieldTooLargeError, NonPrimeError
 
 MAX_CARDINALITY = 1 << 20
+TABLE_MAX_ORDER = 1 << 12  # largest q given log/antilog/Zech tables (about 5q tuple slots each)
 
 
 def is_prime(n: int) -> bool:
@@ -86,6 +100,43 @@ def _pack(digits, p: int) -> int:
     return rep
 
 
+def _poly_field_mul(a: int, b: int, p: int, m: int, modulus: tuple) -> int:
+    """Product of two nonzero packed reps of GF(p^m), reduced modulo modulus."""
+    red = _poly_mod_p(_poly_mul_p(_digits(a, p, m), _digits(b, p, m), p), modulus, p)
+    return _pack(red + [0] * (m - len(red)), p)
+
+
+@lru_cache(maxsize=64)
+def _log_tables(p: int, m: int, modulus: tuple) -> tuple:
+    """(exp, log, zech, q - 1) for GF(p^m), from its least primitive rep alpha.
+
+    exp, the antilog table, holds exp[i] = alpha^(i mod (q-1)) for i < 2(q-1),
+    so a sum of two logs needs no reduction.  log[a] is in [0, q-1) (log[0] is unused).
+    zech[n] = Z(n mod (q-1)), None where 1 + alpha^n = 0, for n < 2(q-1); a
+    negative index in [-(q-1), 0) wraps to the same value.  Characteristic 2
+    adds by XOR and gets zech = None.
+    """
+    q = p ** m
+    for g in range(2, q):
+        powers, x = [1], g
+        while x != 1:
+            powers.append(x)
+            x = _poly_field_mul(x, g, p, m, modulus)
+        if len(powers) == q - 1:
+            break
+    log = [0] * q
+    for i, x in enumerate(powers):
+        log[x] = i
+    zech = None
+    if p != 2:
+        zech = []
+        for x in powers:
+            y = x + 1 if x % p != p - 1 else x + 1 - p  # 1 + x: constant digit up by one, mod p
+            zech.append(log[y] if y else None)
+        zech = tuple(zech + zech)
+    return tuple(powers + powers), tuple(log), zech, q - 1
+
+
 def smallest_irreducible(p: int, m: int) -> tuple:
     """Monic irreducible of degree m over F_p with smallest packed lower part."""
     for t in range(p ** m):
@@ -129,6 +180,12 @@ class FieldSpec:
                 if not _is_irreducible(mod, self.p):
                     raise ValueError("modulus is reducible")
                 object.__setattr__(self, "modulus", mod)
+        # _log_tables for an extension field with q <= TABLE_MAX_ORDER, () until the
+        # first operation builds them, None for any other field.  A plain attribute
+        # set here, not a cached_property: that writes the instance __dict__, which
+        # on CPython 3.11 slows every later attribute read on the instance.  Not a
+        # dataclass field, so equality, hash and repr ignore it.
+        object.__setattr__(self, "_tables", () if 1 < self.m and self.q <= TABLE_MAX_ORDER else None)
 
     @property
     def q(self) -> int:
@@ -145,45 +202,102 @@ class FieldSpec:
         """Embed an integer constant via the prime subfield (n mod p)."""
         return n % self.p
 
+    def _build_tables(self) -> tuple:
+        tables = _log_tables(self.p, self.m, self.modulus)
+        object.__setattr__(self, "_tables", tables)
+        return tables
+
     def add(self, a: int, b: int) -> int:
         if self.m == 1:
             return (a + b) % self.p
-        p = self.p
-        return _pack([(x + y) % p for x, y in zip(_digits(a, p, self.m), _digits(b, p, self.m))], p)
+        t = self._tables
+        if t is None:
+            p = self.p
+            return _pack([(x + y) % p for x, y in zip(_digits(a, p, self.m), _digits(b, p, self.m))], p)
+        exp, log, zech, _ = t or self._build_tables()
+        if zech is None:
+            return a ^ b
+        if a == 0:
+            return b
+        if b == 0:
+            return a
+        la = log[a]
+        z = zech[log[b] - la]
+        return 0 if z is None else exp[la + z]
 
     def sub(self, a: int, b: int) -> int:
         if self.m == 1:
             return (a - b) % self.p
-        p = self.p
-        return _pack([(x - y) % p for x, y in zip(_digits(a, p, self.m), _digits(b, p, self.m))], p)
+        t = self._tables
+        if t is None:
+            p = self.p
+            return _pack([(x - y) % p for x, y in zip(_digits(a, p, self.m), _digits(b, p, self.m))], p)
+        exp, log, zech, order = t or self._build_tables()
+        if zech is None:
+            return a ^ b
+        if b == 0:
+            return a
+        lb = log[b] + (order >> 1)  # -1 = alpha^((q-1)/2)
+        if a == 0:
+            return exp[lb]
+        la = log[a]
+        z = zech[lb - la]
+        return 0 if z is None else exp[la + z]
 
     def neg(self, a: int) -> int:
         if self.m == 1:
             return (-a) % self.p
-        p = self.p
-        return _pack([(-x) % p for x in _digits(a, p, self.m)], p)
+        t = self._tables
+        if t is None:
+            p = self.p
+            return _pack([(-x) % p for x in _digits(a, p, self.m)], p)
+        exp, log, zech, order = t or self._build_tables()
+        if zech is None or a == 0:
+            return a
+        return exp[log[a] + (order >> 1)]
 
     def mul(self, a: int, b: int) -> int:
         if self.m == 1:
             return (a * b) % self.p
         if a == 0 or b == 0:
             return 0
-        p, m = self.p, self.m
-        prod = _poly_mul_p(_digits(a, p, m), _digits(b, p, m), p)
-        red = _poly_mod_p(prod, self.modulus, p)
-        return _pack(red + [0] * (m - len(red)), p)
+        t = self._tables
+        if t is None:
+            return _poly_field_mul(a, b, self.p, self.m, self.modulus)
+        exp, log, _, _ = t or self._build_tables()
+        return exp[log[a] + log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         if self.m == 1:
             return pow(a, self.p - 2, self.p)
-        return self.pow_(a, self.q - 2)
+        t = self._tables
+        if t is None:
+            return self.pow_(a, self.q - 2)
+        exp, log, _, order = t or self._build_tables()
+        return exp[order - log[a]]
 
     def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
+        t = self._tables
+        if t is None:
+            return self.mul(a, self.inv(b))
+        if b == 0:
+            raise ZeroDivisionError("inverse of zero")
+        if a == 0:
+            return 0
+        exp, log, _, order = t or self._build_tables()
+        return exp[log[a] - log[b] + order]
 
     def pow_(self, a: int, e: int) -> int:
+        t = self._tables
+        if t is not None:
+            if a == 0:
+                if e < 0:
+                    raise ZeroDivisionError("inverse of zero")
+                return 0 if e else 1
+            exp, log, _, order = t or self._build_tables()
+            return exp[e * log[a] % order]
         if e < 0:
             return self.pow_(self.inv(a), -e)
         result, base = 1, a
@@ -210,7 +324,9 @@ def field_from_order(q: int) -> FieldSpec:
     """Factor q = p^m and build the field; q must be a prime power."""
     if q > MAX_CARDINALITY:
         raise FieldTooLargeError(f"{q} exceeds 2^20")
-    for p in range(2, q + 1):
+    if index(q) < 2:  # index() raises TypeError for a non-integer
+        raise NonPrimeError(f"{q} is not a prime power")
+    for p in range(2, isqrt(q) + 1):
         if q % p == 0:
             m = 0
             r = q
@@ -220,7 +336,7 @@ def field_from_order(q: int) -> FieldSpec:
             if r != 1:
                 raise NonPrimeError(f"{q} is not a prime power")
             return make_field(p, m)
-    raise NonPrimeError(f"{q} is not a prime power")
+    return make_field(q, 1)  # no factor up to sqrt(q): q is prime
 
 
 @dataclass(frozen=True)

@@ -252,3 +252,50 @@ def test_exponent_tower_exits_2_fast(tmp_path):
                           "-o", str(tmp_path / "out.json")],
                          capture_output=True, text=True, timeout=10)
     assert res.returncode == 2 and "error:" in res.stderr and "exponent" in res.stderr
+
+
+GENUS0_DESC = {"q": 5, "genus": 0, "K": 2, "points": [0, "1", "inf"]}
+GENUS1_DESC = {"q": 5, "genus": 1, "a": 1, "b": 1,
+               "points": [[0, 1], [4, 2], [3, 4], [0, 4]], "divisor": {"n": 3}}
+
+
+def _replace(desc, path, value):
+    """Copy of desc with the entry at path (a tuple of keys and indexes) set to value."""
+    desc = json.loads(json.dumps(desc))
+    node = desc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return desc
+
+
+@pytest.mark.parametrize("desc,path", [
+    (GENUS0_DESC, ("genus",)),
+    (GENUS0_DESC, ("K",)),
+    (GENUS0_DESC, ("points", 1)),
+    (GENUS1_DESC, ("a",)),
+    (GENUS1_DESC, ("b",)),
+    (GENUS1_DESC, ("points", 0, 0)),
+    (GENUS1_DESC, ("points", 0, 1)),
+    (GENUS1_DESC, ("divisor", "n")),
+], ids=lambda x: ".".join(map(str, x)) if isinstance(x, tuple) else f"genus{x['genus']}")
+def test_construction_rejects_non_integer_fields(tmp_path, desc, path):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(desc))
+    assert run(["construct", str(good), "-o", str(tmp_path / "out.json")]) == 0
+    original = desc
+    for key in path:
+        original = original[key]
+    # int() used to truncate these (K = 2.9 built K = 2, true built 1) and exit 0
+    for value in (float(int(original)) + 0.9, float(int(original)), True, False):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(_replace(desc, path, value)))
+        assert run(["construct", str(bad), "-o", str(tmp_path / "x.json")]) == 2, value
+
+
+@pytest.mark.parametrize("point", ["04", [0, 4, 1], [0], "O"])
+def test_construction_rejects_malformed_genus1_points(tmp_path, point):
+    # a string was split into characters ("04" read as (0, 4)), extra coordinates dropped
+    desc = tmp_path / "bad.json"
+    desc.write_text(json.dumps(_replace(GENUS1_DESC, ("points", 3), point)))
+    assert run(["construct", str(desc), "-o", str(tmp_path / "x.json")]) == 2

@@ -1,8 +1,15 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from udmg.errors import FieldMismatchError, FieldTooLargeError, NonPrimeError
-from udmg.fields import FieldSpec, arith, field_from_order, make_field
+from udmg.fields import (
+    TABLE_MAX_ORDER,
+    FieldSpec,
+    arith,
+    field_from_order,
+    is_prime,
+    make_field,
+)
 
 
 def test_prime_field_basic():
@@ -116,3 +123,139 @@ def test_zero_inverse_raises():
     f = make_field(5)
     with pytest.raises(ZeroDivisionError):
         f.inv(0)
+
+
+def field_from_order_by_trial(q):
+    """Oracle: (p, m) by trial division over every p up to q."""
+    for p in range(2, q + 1):
+        if q % p == 0:
+            m, r = 0, q
+            while r % p == 0:
+                r //= p
+                m += 1
+            if r != 1:
+                raise NonPrimeError(f"{q} is not a prime power")
+            return p, m
+    raise NonPrimeError(f"{q} is not a prime power")
+
+
+def test_field_from_order_matches_trial_division():
+    for q in range(-3, 5001):
+        try:
+            want = field_from_order_by_trial(q)
+        except NonPrimeError:
+            with pytest.raises(NonPrimeError):
+                field_from_order(q)
+            continue
+        f = field_from_order(q)
+        assert (f.p, f.m) == want, q
+    with pytest.raises(TypeError):
+        field_from_order(5.0)
+    assert field_from_order(1048573).m == 1  # prime: stops at isqrt(q)
+
+
+# -- log/antilog/Zech tables against the polynomial path ------------------------
+
+def polynomial_twin(f):
+    """An equal field that never builds tables: the polynomial reference path."""
+    g = FieldSpec(f.p, f.m, f.modulus)
+    object.__setattr__(g, "_tables", None)
+    return g
+
+
+EXPONENTS = (0, 1, -1, -3)
+
+
+def assert_matches_polynomial_unary(f, poly, a):
+    q = f.q
+    assert f.neg(a) == poly.neg(a), a
+    for e in EXPONENTS + (q - 2, q - 1, q):
+        if a == 0 and e < 0:
+            for g in (f, poly):
+                with pytest.raises(ZeroDivisionError):
+                    g.pow_(a, e)
+        else:
+            assert f.pow_(a, e) == poly.pow_(a, e), (a, e)
+    if a == 0:
+        for g in (f, poly):
+            with pytest.raises(ZeroDivisionError):
+                g.inv(0)
+            with pytest.raises(ZeroDivisionError):
+                g.div(1, 0)
+    else:
+        assert f.inv(a) == poly.inv(a), a
+
+
+TABLE_FIELDS = [make_field(p, m) for p in (2, 3, 5, 7, 11, 13) for m in range(2, 9)
+                if p ** m <= 256]
+
+
+@pytest.mark.parametrize("f", TABLE_FIELDS, ids=lambda f: f"q{f.q}")
+def test_tables_match_polynomial_exhaustive(f):
+    q, poly = f.q, polynomial_twin(f)
+    pairs = [(a, b) for a in range(q) for b in range(q)]
+    for op in ("add", "sub", "mul"):
+        fast, slow = getattr(f, op), getattr(poly, op)
+        assert [fast(a, b) for a, b in pairs] == [slow(a, b) for a, b in pairs], op
+    assert all(f.div(a, b) == f.mul(a, f.inv(b)) for a, b in pairs if b)
+    assert f.pow_(0, 0) == 1 == poly.pow_(0, 0)
+    for a in range(q):
+        assert_matches_polynomial_unary(f, poly, a)
+    assert f._tables and poly._tables is None
+
+
+EXTENSIONS = [(p, m) for p in range(2, 64) if is_prime(p) for m in range(2, 13)
+              if p ** m <= TABLE_MAX_ORDER]
+
+
+@settings(deadline=None)  # the first example of a field builds its tables (up to ~0.1 s)
+@given(st.sampled_from(EXTENSIONS), st.data())
+def test_tables_match_polynomial_sampled(pm, data):
+    f = make_field(*pm)
+    poly = polynomial_twin(f)
+    a, b = (data.draw(st.integers(0, f.q - 1)) for _ in range(2))
+    for op in ("add", "sub", "mul"):
+        assert getattr(f, op)(a, b) == getattr(poly, op)(a, b), op
+    if b:
+        assert f.div(a, b) == poly.div(a, b)
+    e = data.draw(st.integers(-f.q, 2 * f.q))
+    if a or e >= 0:
+        assert f.pow_(a, e) == poly.pow_(a, e)
+    assert_matches_polynomial_unary(f, poly, a)
+
+
+@pytest.mark.parametrize("p,m,modulus", [(2, 4, (1, 0, 0, 1, 1)), (3, 2, (2, 1, 1))])
+def test_noncanonical_modulus_gets_its_own_tables(p, m, modulus):
+    f, canonical = FieldSpec(p, m, modulus), make_field(p, m)
+    assert f != canonical
+    f.mul(1, 1), canonical.mul(1, 1)
+    assert f._tables and canonical._tables and f._tables != canonical._tables
+    poly = polynomial_twin(f)
+    for a in range(f.q):
+        for b in range(f.q):
+            assert (f.add(a, b), f.sub(a, b), f.mul(a, b)) == \
+                (poly.add(a, b), poly.sub(a, b), poly.mul(a, b))
+        assert_matches_polynomial_unary(f, poly, a)
+
+
+def test_tables_only_for_small_extension_fields():
+    for f in (make_field(13), make_field(2), field_from_order(1048573),
+              make_field(2, 13), make_field(3, 8), field_from_order(1 << 16),
+              field_from_order(1 << 20)):
+        f.mul(1, 1)
+        f.add(1, 1)
+        assert f._tables is None, f.q
+    assert make_field(2, 13).mul(2, 1 << 12) == 0b11011  # x^13 = x^4 + x^3 + x + 1
+    f = make_field(2, 12)  # q = TABLE_MAX_ORDER
+    assert f._tables == ()  # built on the first operation, not before
+    f.neg(1)
+    assert len(f._tables[0]) == 2 * (f.q - 1)
+
+
+def test_tables_do_not_change_identity():
+    used, fresh = make_field(5, 2), make_field(5, 2)
+    used.mul(2, 3)
+    assert used._tables and fresh._tables == ()
+    assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+    assert repr(used) == "FieldSpec(p=5, m=2, modulus=(2, 0, 1))"
+    assert {used: 1}[fresh] == 1
