@@ -14,12 +14,18 @@ or scale logarithms, and add, sub and neg take one Zech lookup (XOR of the
 packed reps in characteristic 2).  Larger extension fields, where the tables
 would take megabytes each, multiply polynomials modulo the modulus; the
 tables are built with that multiplication, and tests use it as the reference.
+
+A modulus, canonical or given, is tested for irreducibility by trial
+division by monic factors of degree <= 2 and then Rabin's test, with
+x^(p^k) mod f built by the Frobenius map; trial division by every factor of
+degree up to m/2 is the test oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import zip_longest
 from math import isqrt
 from operator import index
 
@@ -71,16 +77,47 @@ def _poly_mod_p(num, den, p):
     return num
 
 
+def _poly_sub_p(a, b, p):
+    out = [(x - y) % p for x, y in zip_longest(a, b, fillvalue=0)]
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _poly_gcd_p(a, b, p):
+    while b != [0]:
+        a, b = b, _poly_mod_p(a, b, p)
+    return a
+
+
 def _is_irreducible(coeffs, p: int) -> bool:
-    """Brute-force test: no monic factor of degree 1..deg/2 divides coeffs."""
+    """Trial division by monic factors of degree <= 2, then Rabin's test.
+
+    Rabin: a monic f of degree m over F_p is irreducible iff x^(p^m) = x mod f
+    and gcd(x^(p^(m/r)) - x, f) = 1 for each prime r dividing m.  The powers
+    come from the Frobenius map, (sum h_i x^i)^p = sum h_i x^(ip) over F_p.
+    Trial division first rejects most reducible candidates cheaply.
+    """
     m = len(coeffs) - 1
     if m < 1 or coeffs[-1] != 1:
         return False
-    for d in range(1, m // 2 + 1):
+    for d in range(1, min(2, m // 2) + 1):
         for t in range(p ** d):
-            div = _digits(t, p, d) + (1,)
-            rem = _poly_mod_p(coeffs, div, p)
-            if len(rem) == 1 and rem[0] == 0:
+            if _poly_mod_p(coeffs, _digits(t, p, d) + (1,), p) == [0]:
+                return False
+    x = _poly_mod_p([0, 1], coeffs, p)
+    frob = [x]  # frob[k] = x^(p^k) mod f
+    for _ in range(m):
+        h = frob[-1]
+        spread = [0] * ((len(h) - 1) * p + 1)
+        spread[::p] = h
+        frob.append(_poly_mod_p(spread, coeffs, p))
+    if frob[m] != x:
+        return False
+    for r in range(2, m + 1):
+        if m % r == 0 and is_prime(r):
+            g = _poly_gcd_p(coeffs, _poly_sub_p(frob[m // r], x, p), p)
+            if len(g) > 1:
                 return False
     return True
 

@@ -224,7 +224,7 @@ class Subspace:
         return rref_rows(self.field, rows)[0] == self.dim
 
     def enumerate_vectors(self):
-        """All q^dim vectors of the subspace (desk scale only)."""
+        """All q^dim vectors of the subspace, zero first (desk scale only)."""
         f = self.field
         vecs = [(0,) * self.ambient_dim]
         for bvec in self.vectors:

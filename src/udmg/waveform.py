@@ -9,7 +9,10 @@ Orientation note: a message row vector v is encoded per subchannel as v * M_i
 encodings agree in long prefixes would exhibit an allowable column set of the
 matrix family that fails to span, so validity of the matrix set caps the
 total agreement sum at N + g - 1.  That cap is what the product-distance
-audit leans on.
+audit leans on.  Encoding is linear, so two messages agree on a channel in
+exactly the leading zeros of their difference's encoding: the audit reads
+every pair's agreement off the nonzero messages' own encodings, and
+certifies every pair's gap floor from neighbours in sorted order.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import mul, sub
 
 from .core import Udmg, verify
 from .errors import (
@@ -294,53 +299,78 @@ def audit_product_distance(scheme: CodeScheme) -> AuditReport:
     For each pair the per-channel agreement lengths must sum to at most
     N + g - 1 (the matrix-set property in row orientation) and the product of
     squared modulated differences must clear q^(2(LN-(N+g-1)-L))/N^(2L).
+
+    Nothing Python-level runs once per pair:
+    - Encoding is linear, so a pair agrees on channel c in exactly the leading
+      zeros of encode(v_j - v_i)[c], and the differences of distinct messages
+      are the nonzero messages: their own encodings give every agreement sum.
+    - Per channel, sorted by symbol vector, the scaled values are certified to
+      step up by more than 2q * q^(N-m-1) between neighbours with common
+      prefix m.  A pair with common prefix m spans a neighbour pair with that
+      prefix, and every step is positive, so it clears that floor too; the
+      pair's floor is the product of the squared channel floors.  Without the
+      certificate every pair is checked.
+    - The minimum product is taken row by row with C-level maps, and the
+      first minimal row's first minimal entry is the first worst pair in
+      (i, j) order.
     """
     q, N, L, g = scheme.modulator.q, scheme.N, scheme.L, scheme.udmg.g
-    msgs = scheme.messages()
-    if len(msgs) ** 2 > MAX_PAIR_SQUARE:
+    if scheme.udmg.field.q ** (2 * scheme.message_space.dim) > MAX_PAIR_SQUARE:
         raise TooLargeError("message pair count exceeds the audit guard")
-    if len(msgs) < 2:
+    msgs = scheme.messages()
+    n = len(msgs)
+    if n < 2:
         return AuditReport(0, Fraction(0), Fraction(0), True, (), 0, True)
     mod = scheme.modulator
-    encoded = []
-    for v in msgs:
-        syms = scheme.encode(v)
-        encoded.append((v, syms, [mu0_scaled(mod, s) for s in syms]))
-    scale = (2 * q * N) ** (2 * L)  # converts scaled integer products to mu0 units
+    syms = [scheme.encode(v) for v in msgs]
+    cols = [[mu0_scaled(mod, s[c]) for s in syms] for c in range(L)]
     agreement_cap = N + g - 1
-    # Integer floors: product over channels of (2qN)^2 q^(2(N-lam_i-1))/N^2.
-    floor_pow = (2 * q) ** (2 * L)
-    ok = True
-    pairs = 0
-    min_scaled = None
-    worst = ()
-    max_agree = 0
-    for i in range(len(encoded)):
-        vi, symi, ti = encoded[i]
-        for j in range(i + 1, len(encoded)):
-            vj, symj, tj = encoded[j]
-            pairs += 1
-            lam_sum = 0
-            prod = 1
-            for c in range(L):
-                lam_sum += _common_prefix(symi[c], symj[c])
-                diff = ti[c] - tj[c]
-                prod *= diff * diff
-            if lam_sum > agreement_cap:
-                raise AssertionError(
-                    f"agreement sum {lam_sum} exceeded N+g-1 for {vi} vs {vj}")
-            if lam_sum > max_agree:
-                max_agree = lam_sum
-            pair_floor = floor_pow * q ** (2 * (L * N - lam_sum - L))
-            if prod < pair_floor:
-                ok = False
-            if min_scaled is None or prod < min_scaled:
-                min_scaled = prod
-                worst = (vi, vj)
+    lam = [sum(_common_prefix(s, (0,) * N) for s in e) for e in syms]
+    max_agree = max(lam[1:])
+    if max_agree > agreement_cap:  # msgs[0] is zero, so row 0 holds the first such pair
+        k = next(k for k in range(1, n) if lam[k] > agreement_cap)
+        raise AssertionError(
+            f"agreement sum {lam[k]} exceeded N+g-1 for {msgs[0]} vs {msgs[k]}")
+    ok = (all(_gaps_certified(q, N, [s[c] for s in syms], cols[c]) for c in range(L))
+          or _pairs_clear_floors(q, N, L, syms, cols))
+    row_min = [min(map(abs, _row_products(cols, i))) for i in range(n - 1)]
+    best = min(row_min)
+    wi = row_min.index(best)
+    wj = wi + 1 + list(map(abs, _row_products(cols, wi))).index(best)
+    scale = (2 * q * N) ** (2 * L)  # converts scaled integer products to mu0 units
     floor = Fraction(q ** (2 * (L * N - (N + g - 1) - L)), N ** (2 * L))
-    min_product = Fraction(min_scaled, scale)
+    min_product = Fraction(best * best, scale)
     passed = ok and min_product >= floor
-    return AuditReport(pairs, min_product, floor, passed, worst, max_agree, False)
+    return AuditReport(n * (n - 1) // 2, min_product, floor, passed,
+                       (msgs[wi], msgs[wj]), max_agree, False)
+
+
+def _row_products(cols, i):
+    """Iterator over prod_c (t_i[c] - t_j[c]) for j > i."""
+    prods = map(sub, repeat(cols[0][i]), cols[0][i + 1:])
+    for col in cols[1:]:
+        prods = map(mul, prods, map(sub, repeat(col[i]), col[i + 1:]))
+    return prods
+
+
+def _gaps_certified(q, N, vecs, scaled) -> bool:
+    """True when, in lex order of vecs, each step of scaled exceeds 2q * q^(N-m-1),
+    m the common prefix of the two neighbours."""
+    order = sorted(range(len(vecs)), key=vecs.__getitem__)
+    return all(scaled[b] - scaled[a] > 2 * q ** (N - _common_prefix(vecs[a], vecs[b]))
+               for a, b in zip(order, order[1:]))
+
+
+def _pairs_clear_floors(q, N, L, syms, cols) -> bool:
+    """Every pair's product of squared differences against its floor, pair by pair."""
+    floor_pow = (2 * q) ** (2 * L)
+    for i in range(len(syms)):
+        for j in range(i + 1, len(syms)):
+            lam_sum = sum(_common_prefix(syms[i][c], syms[j][c]) for c in range(L))
+            prod = math.prod((col[i] - col[j]) ** 2 for col in cols)
+            if prod < floor_pow * q ** (2 * (L * N - lam_sum - L)):
+                return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -201,6 +201,17 @@ def test_huge_field_orders_fail_fast(tmp_path):
         assert res.returncode == 2 and "exceeds 2^20" in res.stderr
 
 
+def test_audit_of_huge_message_space_exits_2_fast(tmp_path):
+    # GF(2^16) with K = 3 has 2^48 messages: the pair guard must come before enumeration
+    modulus = [1, 1, 0, 1, 0, 1] + [0] * 10 + [1]
+    path = tmp_path / "gf65536.json"
+    path.write_text(json.dumps({"p": 2, "m": 16, "modulus": modulus, "K": 3, "g": 0,
+                                "matrices": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]]}))
+    res = subprocess.run([sys.executable, "-m", "udmg.cli", "modulate", str(path), "--audit"],
+                         capture_output=True, text=True, timeout=10)
+    assert res.returncode == 2 and "error:" in res.stderr
+
+
 def test_console_module_smoke(tmp_path):
     res = subprocess.run(
         [sys.executable, "-m", "udmg.cli", "verify", str(FIXTURE)],

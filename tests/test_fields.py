@@ -5,10 +5,14 @@ from udmg.errors import FieldMismatchError, FieldTooLargeError, NonPrimeError
 from udmg.fields import (
     TABLE_MAX_ORDER,
     FieldSpec,
+    _digits,
+    _is_irreducible,
+    _poly_mod_p,
     arith,
     field_from_order,
     is_prime,
     make_field,
+    smallest_irreducible,
 )
 
 
@@ -41,6 +45,39 @@ def test_gf4_canonical_modulus():
 def test_reducible_modulus_rejected():
     with pytest.raises(ValueError):
         FieldSpec(2, 2, (0, 0, 1))  # x^2 has the root 0
+
+
+def irreducible_by_trial_division(coeffs, p):
+    """Oracle: no monic factor of degree 1..deg/2 divides coeffs."""
+    m = len(coeffs) - 1
+    if m < 1 or coeffs[-1] != 1:
+        return False
+    for d in range(1, m // 2 + 1):
+        for t in range(p ** d):
+            if _poly_mod_p(coeffs, _digits(t, p, d) + (1,), p) == [0]:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("p,max_degree", [(2, 8), (3, 5), (5, 3)])
+def test_irreducibility_matches_trial_division(p, max_degree):
+    # every polynomial of degree <= max_degree, monic or not
+    for m in range(0, max_degree + 1):
+        for t in range(p ** (m + 1)):
+            coeffs = _digits(t, p, m + 1)
+            assert _is_irreducible(coeffs, p) == irreducible_by_trial_division(coeffs, p), coeffs
+
+
+def test_smallest_irreducible_unchanged():
+    orders = [(p, m) for p in range(2, 65) if is_prime(p)
+              for m in range(2, 13) if p ** m <= 1 << 12]
+    assert len(orders) == 40
+    for p, m in orders:
+        want = next(c for t in range(p ** m)
+                    if irreducible_by_trial_division(c := _digits(t, p, m) + (1,), p))
+        assert smallest_irreducible(p, m) == want, (p, m)
+    assert smallest_irreducible(2, 16) == (1, 1, 0, 1, 0, 1) + (0,) * 10 + (1,)
+    assert smallest_irreducible(2, 20) == (1, 0, 0, 1) + (0,) * 16 + (1,)
 
 
 def test_arith_dispatch():

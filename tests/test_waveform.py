@@ -8,11 +8,22 @@ from hypothesis import given, settings, strategies as st
 from udmg.codes import duplicated
 from udmg.core import Udmg
 from udmg.curves import INFINITY, genus0_udmg
-from udmg.errors import EqualInputsError, HypothesisUnmetError, NotSquareError, UdmgError
+from udmg.errors import (
+    EqualInputsError,
+    HypothesisUnmetError,
+    NotSquareError,
+    TooLargeError,
+    UdmgError,
+)
 from udmg.fields import field_from_order, make_field
-from udmg.linalg import FqMatrix
+from udmg.linalg import FqMatrix, Subspace
+from udmg import waveform
 from udmg.waveform import (
+    MAX_PAIR_SQUARE,
+    AuditReport,
+    CodeScheme,
     Modulator,
+    _common_prefix,
     audit_product_distance,
     build_scheme,
     complexify,
@@ -221,7 +232,7 @@ def assert_snr_matches(scheme):
     assert c.base_snr == want.snr and c.snr == 2 * want.snr
 
 
-def random_scheme(rng, q, tries=200):
+def random_scheme(rng, q, tries=200, max_messages=2000):
     """A valid square scheme over GF(q) with random K, g, L, members of any rank."""
     f = field_from_order(q)
     for _ in range(tries):
@@ -236,7 +247,7 @@ def random_scheme(rng, q, tries=200):
             scheme = build_scheme(Udmg(f, K, g, tuple(mats)))
         except UdmgError:
             continue
-        if q ** scheme.message_space.dim <= 2000:
+        if q ** scheme.message_space.dim <= max_messages:
             return scheme
     raise AssertionError("no valid scheme drawn")
 
@@ -285,3 +296,185 @@ def test_snr_closed_form_corpus_and_kernels(ref_udmg):
                                         FqMatrix.from_rows(F3, [(0, 1), (1, 0)]))))
     assert half.delta == 1
     assert_snr_matches(half)
+
+
+# -- product-distance audit against the pair-by-pair loop --------------------------
+
+def audit_by_pairs(scheme):
+    """Oracle: the audit with one Python-level pass over every message pair."""
+    q, N, L, g = scheme.modulator.q, scheme.N, scheme.L, scheme.udmg.g
+    msgs = scheme.messages()
+    if len(msgs) ** 2 > MAX_PAIR_SQUARE:
+        raise TooLargeError("message pair count exceeds the audit guard")
+    if len(msgs) < 2:
+        return AuditReport(0, Fraction(0), Fraction(0), True, (), 0, True)
+    mod = scheme.modulator
+    encoded = []
+    for v in msgs:
+        syms = scheme.encode(v)
+        encoded.append((v, syms, [mu0_scaled(mod, s) for s in syms]))
+    scale = (2 * q * N) ** (2 * L)
+    agreement_cap = N + g - 1
+    floor_pow = (2 * q) ** (2 * L)
+    ok = True
+    pairs = 0
+    min_scaled = None
+    worst = ()
+    max_agree = 0
+    for i in range(len(encoded)):
+        vi, symi, ti = encoded[i]
+        for j in range(i + 1, len(encoded)):
+            vj, symj, tj = encoded[j]
+            pairs += 1
+            lam_sum = 0
+            prod = 1
+            for c in range(L):
+                lam_sum += _common_prefix(symi[c], symj[c])
+                diff = ti[c] - tj[c]
+                prod *= diff * diff
+            if lam_sum > agreement_cap:
+                raise AssertionError(
+                    f"agreement sum {lam_sum} exceeded N+g-1 for {vi} vs {vj}")
+            if lam_sum > max_agree:
+                max_agree = lam_sum
+            pair_floor = floor_pow * q ** (2 * (L * N - lam_sum - L))
+            if prod < pair_floor:
+                ok = False
+            if min_scaled is None or prod < min_scaled:
+                min_scaled = prod
+                worst = (vi, vj)
+    floor = Fraction(q ** (2 * (L * N - (N + g - 1) - L)), N ** (2 * L))
+    min_product = Fraction(min_scaled, scale)
+    passed = ok and min_product >= floor
+    return AuditReport(pairs, min_product, floor, passed, worst, max_agree, False)
+
+
+def assert_audit_matches(scheme):
+    """Same report, or the same AssertionError message, as the pair-by-pair loop."""
+    try:
+        want = audit_by_pairs(scheme)
+    except AssertionError as exc:
+        with pytest.raises(AssertionError) as got:
+            audit_product_distance(scheme)
+        assert str(got.value) == str(exc)
+        return None
+    rep = audit_product_distance(scheme)
+    assert rep == want
+    return rep
+
+
+@given(st.sampled_from([2, 3, 4, 5, 7, 8, 9]), st.integers(0, 2 ** 32))
+@settings(max_examples=60, deadline=None)
+def test_audit_matches_pairs_property(q, seed):
+    assert_audit_matches(random_scheme(random.Random(seed), q, max_messages=250))
+
+
+def test_audit_matches_pairs_exhaustive_small():
+    # every square set over GF(2) with K = 2, L <= 2, at genus 0 and 1
+    cases = 0
+    mats = [FqMatrix.from_rows(F2, [e[:2], e[2:]]) for e in product(range(2), repeat=4)]
+    for L in (1, 2):
+        for members in product(mats, repeat=L):
+            for g in (0, 1):
+                try:
+                    scheme = build_scheme(Udmg(F2, 2, g, members))
+                except UdmgError:
+                    continue
+                assert_audit_matches(scheme)
+                cases += 1
+    assert cases > 100
+
+
+def test_audit_matches_pairs_corpus(ref_udmg):
+    from test_acceptance import _scheme_corpus
+
+    for _, scheme in _scheme_corpus(ref_udmg):
+        assert assert_audit_matches(scheme).passed
+
+
+def test_audit_fallback_when_certificate_fails(ref_udmg, monkeypatch):
+    from test_acceptance import _scheme_corpus
+
+    schemes = [s for _, s in _scheme_corpus(ref_udmg)]
+    fallbacks = []
+    pairs_clear_floors = waveform._pairs_clear_floors
+    monkeypatch.setattr(waveform, "_pairs_clear_floors",
+                        lambda *args: fallbacks.append(1) or pairs_clear_floors(*args))
+    assert all(assert_audit_matches(s).passed for s in schemes)
+    assert not fallbacks  # the certificate held everywhere
+    # flat weights: neighbours at prefix N-1 step by 2, under their floor 2q
+    monkeypatch.setattr(Modulator, "scaled_weights", lambda self: (1,) * self.N)
+    reports = [assert_audit_matches(s) for s in schemes]
+    assert len(fallbacks) == len(schemes)
+    assert not all(r.passed for r in reports)
+    # every pair checked where the weights are the real ones
+    monkeypatch.undo()
+    monkeypatch.setattr(waveform, "_gaps_certified", lambda *args: False)
+    assert all(assert_audit_matches(s).passed for s in schemes)
+
+
+def test_audit_fallback_product_on_its_floor(monkeypatch):
+    # W = 2 over GF(2), N = L = 1: the one pair's gap 4 equals its floor 2q, which does not
+    # certify, and its product 16 equals the pair floor, which the exact check lets pass
+    monkeypatch.setattr(Modulator, "scaled_weights", lambda self: (2,))
+    rep = assert_audit_matches(build_scheme(Udmg(F2, 1, 0, (FqMatrix.identity(F2, 1),))))
+    assert rep.passed and rep.min_product == rep.floor == 1
+
+
+@given(st.integers(2, 5), st.integers(1, 3), st.data())
+@settings(max_examples=200, deadline=None)
+def test_gap_certificate_is_sound(q, N, data):
+    # steps near their floors along lex order; a certificate must hold for every pair
+    vecs = sorted(set(data.draw(st.lists(st.tuples(*[st.integers(0, q - 1)] * N),
+                                         min_size=2, max_size=12))))
+    scaled = [0]
+    for a, b in zip(vecs, vecs[1:]):
+        floor = 2 * q ** (N - _common_prefix(a, b))
+        scaled.append(scaled[-1] + data.draw(st.integers(floor // 2, floor + 2)))
+    order = data.draw(st.permutations(range(len(vecs))))
+    vecs, scaled = [vecs[k] for k in order], [scaled[k] for k in order]
+    clears = all(abs(scaled[i] - scaled[j]) > 2 * q ** (N - _common_prefix(vecs[i], vecs[j]))
+                 for i in range(len(vecs)) for j in range(i))
+    if waveform._gaps_certified(q, N, vecs, scaled):
+        assert clears
+
+
+def hand_scheme(field, K, g, rows_list):
+    """A CodeScheme over the whole message space, bypassing build_scheme's checks."""
+    u = Udmg(field, K, g, tuple(FqMatrix.from_rows(field, rows) for rows in rows_list))
+    return CodeScheme(u, Modulator(field.q, K), (), Subspace.trivial(field, K), 0,
+                      Subspace.full(field, K))
+
+
+def test_audit_assertion_names_first_pair():
+    # identical members at genus 0: agreement doubles across the two channels
+    twice = hand_scheme(F2, 2, 0, [[(1, 0), (0, 1)]] * 2)
+    assert_audit_matches(twice)
+    with pytest.raises(AssertionError,
+                       match=r"agreement sum 2 exceeded N\+g-1 for \(0, 0\) vs \(0, 1\)"):
+        audit_product_distance(twice)
+    # over GF(3) only the difference (0, 1) agrees too long; it is the fourth message
+    late = hand_scheme(F3, 2, 0, [[(1, 0), (0, 1)], [(1, 1), (0, 2)]])
+    assert late.messages().index((0, 1)) == 3
+    assert_audit_matches(late)
+    with pytest.raises(AssertionError, match=r"for \(0, 0\) vs \(0, 1\)"):
+        audit_product_distance(late)
+    assert_audit_matches(hand_scheme(F3, 3, 1, [[(1, 0, 0), (0, 1, 0), (0, 0, 1)]] * 3))
+
+
+def test_audit_non_injective_channel_matches():
+    # a rank-1 member sends (0, 1) to zero: equal symbols defeat the certificate
+    rep = assert_audit_matches(hand_scheme(F3, 2, 1, [[(1, 0), (0, 0)], [(0, 1), (1, 0)]]))
+    assert not rep.passed
+
+
+def test_audit_guard_precedes_enumeration(monkeypatch):
+    f = field_from_order(1 << 16)
+    big = hand_scheme(f, 3, 0, [[(1, 0, 0), (0, 1, 0), (0, 0, 1)]])
+
+    def no_enumeration(self):
+        raise AssertionError("messages enumerated before the guard")
+
+    monkeypatch.setattr(CodeScheme, "messages", no_enumeration)
+    with pytest.raises(TooLargeError):
+        audit_product_distance(big)
