@@ -5,6 +5,10 @@ Exit codes: 0 for success or a valid set, 1 for an invalid set (witness
 printed) or a failed audit, 2 for usage and file errors.  Reports are
 human-readable tables by default and JSON with --json; output is
 deterministic.  --threads is accepted and ignored.
+
+Only core, fields, linalg and errors, which any matrix-set file needs, load
+with this module; curves, codes, waveform, reference and fractions load on
+demand in the subcommands that use them.
 """
 
 from __future__ import annotations
@@ -13,24 +17,35 @@ import argparse
 import json
 import re
 import sys
-from fractions import Fraction
+from importlib import import_module
 
-from . import reference
-from .codes import bounds as bounds_report
-from .codes import first_column_code, min_distance
-from .core import Udmg, minimal_genus, quotient, realize, truncate, verify
-from .curves import (
-    INFINITY,
-    DivisorSpec,
-    FnElement,
-    WeierstrassCurve,
-    genus0_udmg,
-    goppa_udmg,
-)
+from .core import Udmg, minimal_genus, quotient, realize, verify
 from .errors import UdmgError
 from .fields import FieldSpec, field_from_order
 from .linalg import FqMatrix, rref
-from .waveform import audit_product_distance, build_scheme, complexify, snr
+
+
+def _deferred(module: str, name: str):
+    """Stand-in for udmg.<module>.<name> that imports the module when first called.
+
+    It stays bound in this module, so a wrapper installed over the name here
+    still sees every call.
+    """
+    def call(*args, **kwargs):
+        return getattr(import_module(f"udmg.{module}"), name)(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+bounds_report = _deferred("codes", "bounds")
+first_column_code = _deferred("codes", "first_column_code")
+genus0_udmg = _deferred("curves", "genus0_udmg")
+goppa_udmg = _deferred("curves", "goppa_udmg")
+audit_product_distance = _deferred("waveform", "audit_product_distance")
+build_scheme = _deferred("waveform", "build_scheme")
+complexify = _deferred("waveform", "complexify")
+snr = _deferred("waveform", "snr")
 
 # -- bit-exact matrix-set file format -----------------------------------------
 
@@ -58,8 +73,15 @@ def matrixset_from_text(text: str) -> Udmg:
     for key in ("p", "m", "K", "g", "matrices"):
         if key not in data:
             raise ValueError(f"matrix-set file missing key {key!r}")
+    for key in ("p", "m", "K", "g"):
+        if type(data[key]) is not int:  # rejects bool and floats like 1.0, as entries do
+            raise ValueError(f"{key} {data[key]!r} is not an integer")
     if data["m"] > 1:
-        field = FieldSpec(data["p"], data["m"], tuple(data["modulus"]))
+        modulus = data.get("modulus")
+        if type(modulus) is not list or any(type(c) is not int or not 0 <= c < data["p"]
+                                            for c in modulus):
+            raise ValueError(f"modulus {modulus!r} is not a list of integers in [0, p)")
+        field = FieldSpec(data["p"], data["m"], tuple(modulus))
     else:
         field = FieldSpec(data["p"])
     for rows in data["matrices"]:
@@ -105,6 +127,8 @@ def parse_function(curve: WeierstrassCurve, text: str) -> FnElement:
     in [0, MAX_EXPONENT], and a product or power whose size (see _size) would pass
     MAX_SIZE is refused before it is computed, so no input starts unbounded work.
     """
+    from .curves import FnElement
+
     if not set(text) <= _FN_ALLOWED:
         raise ValueError(f"unsupported characters in function string {text!r}")
     tokens = ["^" if tok == "**" else tok for tok in _FN_TOKEN.findall(text)] + [None]
@@ -186,6 +210,8 @@ def _integer(value, what: str) -> int:
 
 
 def construction_from_data(data: dict):
+    from .curves import INFINITY, DivisorSpec, WeierstrassCurve
+
     q = data["q"]
     field = field_from_order(q)
     genus = data["genus"]
@@ -237,7 +263,8 @@ def _emit(payload: dict, as_json: bool, out=None) -> None:
 
 def _plain(x):
     """Fractions as exact 'n' or 'n/d' strings, also inside lists and tuples."""
-    if isinstance(x, Fraction):
+    fractions = sys.modules.get("fractions")  # no Fraction exists until it is loaded
+    if fractions is not None and isinstance(x, fractions.Fraction):
         return str(x)
     if isinstance(x, (list, tuple)):
         return [_plain(v) for v in x]
@@ -267,6 +294,8 @@ def _cmd_verify(args) -> int:
 
 
 def _point_token(P):
+    from .curves import INFINITY
+
     if P is INFINITY:
         return "inf"
     return P if isinstance(P, int) else list(P)
@@ -391,6 +420,9 @@ def _cmd_modulate(args) -> int:
 
 def _cmd_example(args) -> int:
     """Emit the bundled genus-1 instance and run the whole pipeline on it."""
+    from . import reference
+    from .curves import INFINITY
+
     out = args.output or "genus1_f5.json"
     u = reference.matrix_set()
     save_matrixset(u, out)

@@ -11,9 +11,14 @@ computes by table lookup: on its first operation it builds, once per
 logarithms, and Zech's logarithms Z(n) with 1 + alpha^n = alpha^Z(n)
 (Lidl & Niederreiter, Finite Fields, ch. 9), so mul, inv, div and pow_ add
 or scale logarithms, and add, sub and neg take one Zech lookup (XOR of the
-packed reps in characteristic 2).  Larger extension fields, where the tables
-would take megabytes each, multiply polynomials modulo the modulus; the
-tables are built with that multiplication, and tests use it as the reference.
+packed reps in characteristic 2).  Above that, where the tables would take
+megabytes each, a characteristic-2 field computes on the packed reps as bit
+patterns: add is XOR, mul a shift/XOR carry-less product reduced by the
+modulus bits, and inv the extended Euclidean algorithm on binary polynomials
+(Hankerson, Menezes & Vanstone, Guide to Elliptic Curve Cryptography,
+Alg. 2.47).  An odd-characteristic field there multiplies digit-list
+polynomials modulo the modulus and inverts by Fermat's a^(q-2); the tables
+are built with that multiplication, and tests use it as the reference.
 
 A modulus, canonical or given, is tested for irreducibility by trial
 division by monic factors of degree <= 2 and then Rabin's test, with
@@ -143,6 +148,35 @@ def _poly_field_mul(a: int, b: int, p: int, m: int, modulus: tuple) -> int:
     return _pack(red + [0] * (m - len(red)), p)
 
 
+def _gf2_mul(a: int, b: int, m: int, modulus: int) -> int:
+    """Product of packed reps of GF(2^m); modulus holds the modulus bits, x^m included."""
+    top, out = 1 << m, 0
+    while b:
+        if b & 1:
+            out ^= a
+        b >>= 1
+        a <<= 1
+        if a & top:
+            a ^= modulus
+    return out
+
+
+def _gf2_inv(a: int, modulus: int) -> int:
+    """Inverse of a nonzero packed rep of GF(2^m) by the extended Euclidean algorithm.
+
+    Invariants a*g1 = u and a*g2 = v modulo the modulus; each step cancels the
+    leading term of the longer of u and v, until u = 1.
+    """
+    u, v, g1, g2 = a, modulus, 1, 0
+    while u != 1:
+        j = u.bit_length() - v.bit_length()
+        if j < 0:
+            u, v, g1, g2, j = v, u, g2, g1, -j
+        u ^= v << j
+        g1 ^= g2 << j
+    return g1
+
+
 @lru_cache(maxsize=64)
 def _log_tables(p: int, m: int, modulus: tuple) -> tuple:
     """(exp, log, zech, q - 1) for GF(p^m), from its least primitive rep alpha.
@@ -223,6 +257,11 @@ class FieldSpec:
         # on CPython 3.11 slows every later attribute read on the instance.  Not a
         # dataclass field, so equality, hash and repr ignore it.
         object.__setattr__(self, "_tables", () if 1 < self.m and self.q <= TABLE_MAX_ORDER else None)
+        # Above the table limit, the modulus bits of a characteristic-2 field (its
+        # packed rep plus x^m), or None for odd p, which computes on digit lists.
+        # Read only where _tables is None, so prime and table fields lack it.
+        if self._tables is None and self.m > 1:
+            object.__setattr__(self, "_mask", _pack(self.modulus, 2) if self.p == 2 else None)
 
     @property
     def q(self) -> int:
@@ -249,6 +288,8 @@ class FieldSpec:
             return (a + b) % self.p
         t = self._tables
         if t is None:
+            if self._mask is not None:
+                return a ^ b
             p = self.p
             return _pack([(x + y) % p for x, y in zip(_digits(a, p, self.m), _digits(b, p, self.m))], p)
         exp, log, zech, _ = t or self._build_tables()
@@ -267,6 +308,8 @@ class FieldSpec:
             return (a - b) % self.p
         t = self._tables
         if t is None:
+            if self._mask is not None:
+                return a ^ b
             p = self.p
             return _pack([(x - y) % p for x, y in zip(_digits(a, p, self.m), _digits(b, p, self.m))], p)
         exp, log, zech, order = t or self._build_tables()
@@ -286,6 +329,8 @@ class FieldSpec:
             return (-a) % self.p
         t = self._tables
         if t is None:
+            if self._mask is not None:
+                return a
             p = self.p
             return _pack([(-x) % p for x in _digits(a, p, self.m)], p)
         exp, log, zech, order = t or self._build_tables()
@@ -300,6 +345,8 @@ class FieldSpec:
             return 0
         t = self._tables
         if t is None:
+            if self._mask is not None:
+                return _gf2_mul(a, b, self.m, self._mask)
             return _poly_field_mul(a, b, self.p, self.m, self.modulus)
         exp, log, _, _ = t or self._build_tables()
         return exp[log[a] + log[b]]
@@ -311,6 +358,8 @@ class FieldSpec:
             return pow(a, self.p - 2, self.p)
         t = self._tables
         if t is None:
+            if self._mask is not None:
+                return _gf2_inv(a, self._mask)
             return self.pow_(a, self.q - 2)
         exp, log, _, order = t or self._build_tables()
         return exp[order - log[a]]

@@ -188,6 +188,17 @@ def test_malformed_inputs_exit_2(tmp_path):
                                    "matrices": [[[1, 0], [0, 1]], [[1, 1], [1, entry]]]}))
         assert run(["verify", str(odd)]) == 2
     assert run(["bounds", "--K", "4", "--q", "6", "--g", "1"]) == 2  # not a prime power
+    # Header values once coerced: g = true verified as genus 1, m = 1.0 read as a
+    # prime field, and each modulus below read as x^4 + x + 1 by int(c) % p.
+    gf16 = {"p": 2, "m": 4, "modulus": [1, 1, 0, 0, 1], "K": 1, "g": 0, "matrices": [[[1]]]}
+    f5 = {"p": 5, "m": 1, "K": 2, "g": 0, "matrices": [[[1, 0], [0, 1]], [[1, 1], [1, 2]]]}
+    for base, key, value in ((f5, "g", True), (f5, "m", 1.0), (gf16, "K", True),
+                             (gf16, "modulus", [1.9, 1, 0, 0, 1]), (gf16, "modulus", "11001"),
+                             (gf16, "modulus", [1, True, 0, 0, 1]),
+                             (gf16, "modulus", [1, 3, 0, 0, 1])):
+        odd = tmp_path / "odd_header.json"
+        odd.write_text(json.dumps({**base, key: value}))
+        assert run(["verify", str(odd)]) == 2, (key, value)
 
 
 def test_huge_field_orders_fail_fast(tmp_path):
@@ -218,6 +229,54 @@ def test_console_module_smoke(tmp_path):
         capture_output=True, text=True, timeout=60)
     assert res.returncode == 0
     assert "valid: True" in res.stdout
+
+
+def loaded_modules(*argv):
+    """Modules a fresh interpreter holds after one udmg command run as __main__."""
+    code = ("import runpy, sys\n"
+            f"sys.argv = ['udmg', *{list(argv)!r}]\n"
+            "try:\n"
+            "    runpy.run_module('udmg.cli', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n"
+            "print(' '.join(sorted(sys.modules)))\n")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    return set(res.stdout.splitlines()[-1].split())
+
+
+def test_verify_loads_only_what_a_matrix_set_needs():
+    mods = loaded_modules("verify", str(FIXTURE))
+    assert {"udmg.core", "udmg.fields", "udmg.linalg"} <= mods
+    assert not mods & {"udmg.curves", "udmg.waveform", "udmg.codes", "udmg.reference",
+                       "fractions"}
+
+
+def test_bounds_loads_codes_but_not_curves_or_waveform():
+    mods = loaded_modules("bounds", "--K", "4", "--q", "5", "--g", "1")
+    assert "udmg.codes" in mods
+    assert not mods & {"udmg.curves", "udmg.waveform"}
+
+
+def test_package_names_resolve_lazily():
+    import importlib
+
+    import udmg
+
+    for name in udmg.__all__:
+        module = importlib.import_module(f"udmg.{udmg._MODULE_OF[name]}")
+        assert getattr(udmg, name) is getattr(module, name), name
+    fresh = subprocess.run([sys.executable, "-c", "import udmg; print(' '.join(dir(udmg)))"],
+                           capture_output=True, text=True, timeout=60)
+    assert set(udmg.__all__) <= set(fresh.stdout.split())  # listed before any is resolved
+    assert len(set(udmg.__all__)) == len(udmg.__all__) == 66
+    namespace = {}
+    exec("from udmg import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(udmg.__all__)
+    with pytest.raises(AttributeError):
+        udmg.no_such_name  # noqa: B018
+    with pytest.raises(ImportError):
+        exec("from udmg import no_such_name", {})
 
 
 SAFE_FUNCTIONS = (

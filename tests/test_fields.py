@@ -6,7 +6,11 @@ from udmg.fields import (
     TABLE_MAX_ORDER,
     FieldSpec,
     _digits,
+    _gf2_inv,
+    _gf2_mul,
     _is_irreducible,
+    _pack,
+    _poly_field_mul,
     _poly_mod_p,
     arith,
     field_from_order,
@@ -194,9 +198,10 @@ def test_field_from_order_matches_trial_division():
 # -- log/antilog/Zech tables against the polynomial path ------------------------
 
 def polynomial_twin(f):
-    """An equal field that never builds tables: the polynomial reference path."""
+    """An equal field on the digit-list polynomial path: no tables, no packed char-2 ops."""
     g = FieldSpec(f.p, f.m, f.modulus)
     object.__setattr__(g, "_tables", None)
+    object.__setattr__(g, "_mask", None)
     return g
 
 
@@ -295,4 +300,101 @@ def test_tables_do_not_change_identity():
     assert used._tables and fresh._tables == ()
     assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
     assert repr(used) == "FieldSpec(p=5, m=2, modulus=(2, 0, 1))"
+    assert {used: 1}[fresh] == 1
+
+
+# -- packed characteristic-2 arithmetic above the table limit ------------------
+
+def modulus_bits(modulus):
+    return _pack(modulus, 2)
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_gf2_helpers_match_polynomial_exhaustive(m):
+    mod = smallest_irreducible(2, m)
+    mask, q = modulus_bits(mod), 1 << m
+    for a in range(1, q):
+        assert [_gf2_mul(a, b, m, mask) for b in range(1, q)] == \
+            [_poly_field_mul(a, b, 2, m, mod) for b in range(1, q)], a
+        assert _gf2_mul(a, 0, m, mask) == 0 == _gf2_mul(0, a, m, mask)
+        inv = _gf2_inv(a, mask)
+        assert 0 < inv < q and _poly_field_mul(a, inv, 2, m, mod) == 1, a
+
+
+def test_gf2_inverse_exhaustive_at_2_13():
+    mod = smallest_irreducible(2, 13)
+    mask = modulus_bits(mod)
+    invs = [_gf2_inv(a, mask) for a in range(1, 1 << 13)]
+    assert all(_poly_field_mul(a, inv, 2, 13, mod) == 1 for a, inv in enumerate(invs, 1))
+    assert sorted(invs) == list(range(1, 1 << 13))  # a bijection of the nonzero reps
+
+
+def large_binary_fields(m):
+    """GF(2^m) with its canonical modulus and with that modulus's reciprocal."""
+    canonical = make_field(2, m)
+    return canonical, FieldSpec(2, m, canonical.modulus[::-1])
+
+
+@settings(deadline=None, max_examples=60)  # a Fermat chain on digit lists takes ~3 ms
+@given(st.integers(13, 20), st.booleans(), st.data())
+def test_gf2_helpers_match_polynomial_sampled(m, reciprocal, data):
+    f = large_binary_fields(m)[reciprocal]
+    assert f.modulus != make_field(2, m).modulus or not reciprocal
+    mask = modulus_bits(f.modulus)
+    a, b = (data.draw(st.integers(1, f.q - 1)) for _ in range(2))
+    assert _gf2_mul(a, b, m, mask) == _poly_field_mul(a, b, 2, m, f.modulus)
+    assert _gf2_inv(a, mask) == polynomial_twin(f).pow_(a, f.q - 2)  # Fermat
+
+
+LARGE_BINARY = [field_from_order(1 << 16), field_from_order(1 << 20), large_binary_fields(16)[1]]
+
+
+def assert_matches_digit_path(f, poly, a, b):
+    for op in ("add", "sub", "mul"):
+        assert getattr(f, op)(a, b) == getattr(poly, op)(a, b), (op, a, b)
+    if b:
+        assert f.div(a, b) == poly.div(a, b), (a, b)
+    assert_matches_polynomial_unary(f, poly, a)
+
+
+@pytest.mark.parametrize("f", LARGE_BINARY, ids=lambda f: f"q{f.q}:{modulus_bits(f.modulus)}")
+def test_packed_field_matches_digit_path_edges(f):
+    poly = polynomial_twin(f)
+    edges = (0, 1, 2, 3, f.q >> 1, f.q - 2, f.q - 1)
+    for a in edges:
+        for b in edges:
+            assert_matches_digit_path(f, poly, a, b)
+    assert f.pow_(0, 0) == 1 == poly.pow_(0, 0)
+    for g in (f, poly):
+        with pytest.raises(ZeroDivisionError):
+            g.div(0, 0)
+
+
+@settings(deadline=None, max_examples=30)  # digit-path pow_ at e ~ q runs ~40 products
+@given(st.sampled_from(LARGE_BINARY), st.data())
+def test_packed_field_matches_digit_path_sampled(f, data):
+    a, b = (data.draw(st.integers(0, f.q - 1)) for _ in range(2))
+    assert_matches_digit_path(f, polynomial_twin(f), a, b)
+    e = data.draw(st.integers(-f.q, 2 * f.q))
+    if a or e >= 0:
+        assert f.pow_(a, e) == polynomial_twin(f).pow_(a, e)
+
+
+def test_packed_path_only_above_the_table_limit():
+    for f in (make_field(2), make_field(13), field_from_order(1048573), make_field(2, 12),
+              make_field(3, 7), make_field(5, 2)):
+        f.mul(1, 1)
+        assert not hasattr(f, "_mask"), f.q
+    assert make_field(2, 13)._mask == (1 << 13) | 0b11011  # x^13 + x^4 + x^3 + x + 1
+    assert field_from_order(1 << 20)._mask == modulus_bits(field_from_order(1 << 20).modulus)
+    assert make_field(3, 8)._mask is None  # odd p keeps the digit path
+
+
+def test_packed_path_does_not_change_identity():
+    used, fresh = field_from_order(1 << 16), field_from_order(1 << 16)
+    used.inv(used.mul(3, 5))
+    twin = polynomial_twin(used)
+    assert used == fresh == twin and hash(used) == hash(fresh) == hash(twin)
+    assert repr(used) == repr(fresh) == repr(twin) == \
+        "FieldSpec(p=2, m=16, modulus=(1, 1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1))"
     assert {used: 1}[fresh] == 1
