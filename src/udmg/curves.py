@@ -4,8 +4,13 @@ Covers short Weierstrass curves s^2 = r^3 + a r + b (characteristic outside
 {2, 3}), exhaustive rational-point enumeration, exact function-field
 arithmetic in the canonical form (A(r) + s B(r)) / C(r), local power-series
 expansions, Riemann-Roch bases for divisors of the shape n*O + (h),
-increasing zero bases, and the evaluation-code matrix construction together
-with its genus-0 (projective line) counterpart.
+increasing zero bases, and the evaluation-code matrix construction.
+
+Both genera run one pipeline: rows of local coefficients at each point
+(Taylor rows on the projective line, local_expand rows on the curve) feed
+one increasing-zero-basis elimination, and one assembly builds, verifies
+and checks the matrices.  Local expansion works at a fixed precision that
+the degree of a principal divisor bounds in advance, so it never retries.
 
 Local uniformizers are fixed once and for all so that independent runs agree:
 t = r - x(P) at an affine point with s(P) != 0, t = s at an affine point with
@@ -218,6 +223,10 @@ class FnElement:
 
     __rmul__ = __mul__
 
+    def scale(self, c: int) -> "FnElement":
+        """c * self for a field constant c, as Poly.scale."""
+        return FnElement(self.curve, self.A.scale(c), self.B.scale(c), self.C)
+
     def inv(self) -> "FnElement":
         if self.is_zero:
             raise ZeroDivisionError("inverse of the zero function")
@@ -308,10 +317,6 @@ class Series:
             if 0 <= k < len(out):
                 out[k] = f.add(out[k], c)
         return Series(f, lo, out)
-
-    def neg(self):
-        f = self.field
-        return Series(f, self.val, [f.neg(c) for c in self.coef])
 
     def scale(self, c):
         f = self.field
@@ -439,8 +444,14 @@ class LocalExpansion:
 def local_expand(curve: WeierstrassCurve, fn: FnElement, P, prec: int) -> LocalExpansion:
     """Expand fn at P to relative precision prec in the fixed uniformizer.
 
-    Raises PrecisionExhausted when fn vanishes to order >= the working
-    precision, including the case fn = 0 exactly.
+    One expansion at the fixed working length L = prec + 4*maxd + 12 (maxd the
+    largest degree of A, B, C, at least 1) always suffices, so nothing is
+    retried.  A principal divisor has degree 0: A + s*B has its only pole at
+    O, of order max(2 deg A, 2 deg B + 3) (the orders 2i of r^i and 2j + 3 of
+    s*r^j differ in parity, so they never cancel), hence at most that many
+    zeros, while C(r) vanishes to order at most 2 deg C at an affine point.
+    The quotient therefore keeps at least L - 2*maxd - 3 > prec coefficients
+    (L - 2 at O), and PrecisionExhausted is raised only for fn = 0.
     """
     if prec < 1:
         raise ValueError("prec must be >= 1")
@@ -448,36 +459,24 @@ def local_expand(curve: WeierstrassCurve, fn: FnElement, P, prec: int) -> LocalE
         raise PrecisionExhaustedError("the zero function has no finite order")
     maxd = max(fn.A.degree, fn.B.degree, fn.C.degree, 1)
     length = prec + 4 * maxd + 12
-    for _ in range(3):  # regrow if cancellations ate into the target window
-        r, s = _expand_coordinates(curve, P, length)
-        num = r.poly_eval(fn.A, length).add(s.mul(r.poly_eval(fn.B, length)))
-        den = r.poly_eval(fn.C, length)
-        if den.is_zero_to_prec:
-            raise PrecisionExhaustedError("denominator vanishes to working precision")
-        out = num.mul(den.inv())
-        if not out.is_zero_to_prec and len(out.coef) >= prec:
-            return LocalExpansion(out.val, tuple(out.coef[:prec]))
-        length *= 2
-    if out.is_zero_to_prec:
-        raise PrecisionExhaustedError(
-            f"function vanishes at {P!r} to order >= {out.abs_prec}")
+    r, s = _expand_coordinates(curve, P, length)
+    num = r.poly_eval(fn.A, length).add(s.mul(r.poly_eval(fn.B, length)))
+    out = num.mul(r.poly_eval(fn.C, length).inv())
+    if len(out.coef) < prec:
+        raise AssertionError(f"expansion at {P!r} kept {len(out.coef)} < {prec} coefficients")
     return LocalExpansion(out.val, tuple(out.coef[:prec]))
 
 
 def function_valuation(curve: WeierstrassCurve, fn: FnElement, P, prec: int = 8) -> int:
-    """Order of fn at P, growing the precision up to 8x before giving up."""
-    attempt = prec
-    while True:
-        try:
-            return local_expand(curve, fn, P, attempt).valuation
-        except PrecisionExhaustedError:
-            if fn.is_zero or attempt >= 8 * prec:
-                raise
-            attempt *= 2
+    """Order of fn at P from one expansion (see local_expand); prec sets only its length."""
+    return local_expand(curve, fn, P, prec).valuation
 
 
 def evaluate(curve: WeierstrassCurve, fn: FnElement, P) -> int:
-    """Finite value of fn at P; PoleAtSupport if fn has a pole there."""
+    """Finite value of fn at P; PoleAtSupport if fn has a pole there.
+
+    Where C(x0) = 0, or at O, one expansion to precision 1 gives order and value.
+    """
     f = curve.field
     if fn.is_zero:
         return 0
@@ -487,15 +486,10 @@ def evaluate(curve: WeierstrassCurve, fn: FnElement, P) -> int:
         if c != 0:
             num = f.add(fn.A(x0), f.mul(y0, fn.B(x0)))
             return f.mul(num, f.inv(c))
-    try:
-        v = function_valuation(curve, fn, P, prec=4)
-    except PrecisionExhaustedError:
-        return 0  # vanishing certified to an order far beyond any pole bound
-    if v < 0:
-        raise PoleAtSupportError(f"pole of order {-v} at {P!r}")
-    if v > 0:
-        return 0
-    return local_expand(curve, fn, P, 1).coeffs[0]
+    exp = local_expand(curve, fn, P, 1)
+    if exp.valuation < 0:
+        raise PoleAtSupportError(f"pole of order {-exp.valuation} at {P!r}")
+    return exp.coeffs[0] if exp.valuation == 0 else 0
 
 
 # -- divisors and Riemann-Roch bases -------------------------------------------
@@ -517,7 +511,7 @@ def divisor_coefficient(curve: WeierstrassCurve, D: DivisorSpec, P) -> int:
     base = D.n if P is INFINITY else 0
     if D.h is None or D.h.is_zero:
         return base
-    return base + function_valuation(curve, D.h, P, prec=max(D.n + 3, 8))
+    return base + function_valuation(curve, D.h, P)
 
 
 def rr_basis(curve: WeierstrassCurve, D: DivisorSpec):
@@ -597,64 +591,29 @@ def _eliminate_increasing(field, rows, width, k):
     return used, pivots, remaining
 
 
-def increasing_zero_basis(curve, basis, P, prec: int = None) -> IzbResult:
-    """Reorder/combine basis so valuations at P strictly increase from 0.
+def _izb_from_rows(field, basis, coeff_rows, width, zero) -> IzbResult:
+    """Increasing zero basis from one row of local coefficients per basis element.
 
-    Works for function-field elements on a genus-1 curve (curve given) and for
-    polynomials on the line (curve = None, P a field element).  Every output
-    element is normalized to leading local coefficient 1.
+    Row i lists the coefficients of t^0, ..., t^(width-1) of basis[i]; each is
+    extended by the identity and eliminated forward by leading position, so a
+    pivot column is a valuation and the identity part the combination, built
+    as a sum of basis[t].scale(c).  A leftover row is a dependency if its
+    combination is zero, and otherwise a valuation beyond the window.
     """
-    if curve is None:
-        return _increasing_zero_basis_poly(basis, P)
     k = len(basis)
-    base = prec if prec is not None else k + 4
-    attempt = base
-    while True:
-        try:
-            return _izb_once(curve, basis, P, attempt)
-        except PrecisionExhaustedError:
-            if attempt >= 8 * base:
-                raise
-            attempt *= 2
+    rows = [list(row) + [1 if t == i else 0 for t in range(k)] for i, row in enumerate(coeff_rows)]
+    used, pivots, remaining = _eliminate_increasing(field, rows, width, k)
 
+    def combine(coords):
+        return sum((basis[t].scale(c) for t, c in enumerate(coords) if c), zero)
 
-def _izb_once(curve, basis, P, prec) -> IzbResult:
-    field = curve.field
-    k = len(basis)
-    rows = []
-    for i, fn in enumerate(basis):
-        exp = local_expand(curve, fn, P, prec)
-        if exp.valuation < 0:
-            raise PointInSupportError(f"basis element {i} has a pole at {P!r}")
-        coeffs = [0] * prec
-        for j, c in enumerate(exp.coeffs):
-            pos = exp.valuation + j
-            if pos < prec:
-                coeffs[pos] = c
-        rows.append(coeffs + [1 if t == i else 0 for t in range(k)])
-    used, pivots, remaining = _eliminate_increasing(field, rows, prec, k)
     if remaining:
-        for idx in remaining:
-            combo = FnElement.zero(curve)
-            for t in range(k):
-                c = rows[idx][prec + t]
-                if c:
-                    combo = combo + FnElement.const(curve, c) * basis[t]
-            if combo.is_zero:
-                raise DependentBasisError("input functions are linearly dependent")
+        if any(combine(rows[idx][width:]).is_zero for idx in remaining):
+            raise DependentBasisError("input functions are linearly dependent")
         raise PrecisionExhaustedError("valuations not separated at this precision")
-    elements = []
-    transform_rows = []
-    for idx in used:
-        coords = rows[idx][prec:]
-        combo = FnElement.zero(curve)
-        for t in range(k):
-            if coords[t]:
-                combo = combo + FnElement.const(curve, coords[t]) * basis[t]
-        elements.append(combo)
-        transform_rows.append(coords)
-    return IzbResult(tuple(elements), tuple(pivots),
-                     FqMatrix.from_rows(field, transform_rows))
+    transform = [rows[idx][width:] for idx in used]
+    return IzbResult(tuple(combine(coords) for coords in transform), tuple(pivots),
+                     FqMatrix.from_rows(field, transform))
 
 
 def _taylor_coeffs(poly: Poly, x0: int, width: int):
@@ -667,29 +626,38 @@ def _taylor_coeffs(poly: Poly, x0: int, width: int):
     return [shifted.coeff(i) for i in range(width)]
 
 
-def _increasing_zero_basis_poly(basis, x0) -> IzbResult:
-    if x0 is INFINITY:
-        raise PointInSupportError("the point at infinity supports the line divisor")
-    field = basis[0].field
-    k = len(basis)
-    width = max(p.degree for p in basis) + 1
-    rows = [_taylor_coeffs(p, x0, width) + [1 if t == i else 0 for t in range(k)]
-            for i, p in enumerate(basis)]
-    used, pivots, remaining = _eliminate_increasing(field, rows, width, k)
-    if remaining:
-        raise DependentBasisError("input polynomials are linearly dependent")
-    elements = []
-    transform_rows = []
-    for idx in used:
-        coords = rows[idx][width:]
-        combo = Poly.zero(field)
-        for t in range(k):
-            if coords[t]:
-                combo = combo + basis[t].scale(coords[t])
-        elements.append(combo)
-        transform_rows.append(coords)
-    return IzbResult(tuple(elements), tuple(pivots),
-                     FqMatrix.from_rows(field, transform_rows))
+def increasing_zero_basis(curve, basis, P, prec: int = None) -> IzbResult:
+    """Reorder/combine basis so valuations at P strictly increase from 0.
+
+    Works for function-field elements on a genus-1 curve (curve given) and for
+    polynomials on the line (curve = None, P a field element).  Every output
+    element is normalized to leading local coefficient 1.  Both feed the
+    same elimination: exact Taylor rows on the line, local_expand rows to
+    precision prec (default len(basis) + 4) on the curve.  A caller's basis
+    may have valuations beyond that window, so on the curve the precision
+    doubles, up to 8x, while valuations are not separated.
+    """
+    if curve is None:
+        if P is INFINITY:
+            raise PointInSupportError("the point at infinity supports the line divisor")
+        field = basis[0].field
+        width = max(p.degree for p in basis) + 1
+        return _izb_from_rows(field, basis, [_taylor_coeffs(p, P, width) for p in basis], width,
+                              Poly.zero(field))
+    base = attempt = prec if prec is not None else len(basis) + 4
+    while True:
+        try:
+            rows = []
+            for i, fn in enumerate(basis):
+                exp = local_expand(curve, fn, P, attempt)
+                if exp.valuation < 0:
+                    raise PointInSupportError(f"basis element {i} has a pole at {P!r}")
+                rows.append(([0] * exp.valuation + list(exp.coeffs))[:attempt])
+            return _izb_from_rows(curve.field, basis, rows, attempt, FnElement.zero(curve))
+        except PrecisionExhaustedError:
+            if attempt >= 8 * base:
+                raise
+            attempt *= 2
 
 
 # -- the Goppa matrix-set construction ------------------------------------------
@@ -723,24 +691,16 @@ def _point_key(P):
     return (P,) if isinstance(P, int) else tuple(P)
 
 
-def _eval_element(curve, K: int, element, P) -> int:
-    if curve is not None:
-        return evaluate(curve, element, P)
-    if P is INFINITY:
-        # Standard extension of polynomial evaluation to infinity.
-        return element.coeff(K - 1)
-    return element(P)
-
-
 def _build_generator(field, curve, K, points, basis0, matrices) -> FqMatrix:
-    cols = [M.col(0) for M in matrices]
     for j, P in enumerate(points):
-        evals = tuple(_eval_element(curve, K, basis0[i], P) for i in range(K))
-        if evals != cols[j]:
+        if curve is not None:
+            evals = tuple(evaluate(curve, b, P) for b in basis0)
+        else:  # at infinity, the standard extension of polynomial evaluation
+            evals = tuple(b.coeff(K - 1) if P is INFINITY else b(P) for b in basis0)
+        if evals != matrices[j].col(0):
             raise AssertionError(
                 f"first column of matrix {j} disagrees with basis evaluation at {P!r}")
-    return FqMatrix.from_rows(field, [[cols[j][i] for j in range(len(cols))]
-                                      for i in range(K)])
+    return FqMatrix.from_rows(field, [[M[i, 0] for M in matrices] for i in range(K)])
 
 
 def goppa_generator(gc: GoppaConstruction) -> FqMatrix:
@@ -751,6 +711,27 @@ def goppa_generator(gc: GoppaConstruction) -> FqMatrix:
     """
     return _build_generator(gc.field, gc.curve, gc.udmg.K, gc.points,
                             gc.basis0, gc.matrices)
+
+
+def _assemble(field, curve, points, divisor, K, results) -> GoppaConstruction:
+    """The construction from the increasing zero bases results[i] at points[i].
+
+    For both genera matrices[i] = T_0 T_i^-1 (T the transforms), so matrices[i]
+    B_i = B_0; the set is verified and the generator checked before returning.
+    """
+    genus = 0 if curve is None else 1
+    t0 = results[0].transform
+    matrices = tuple(t0.matmul(inverse(res.transform)) for res in results)
+    u = Udmg(field, K, genus, matrices)
+    if not _verify_fast(u):
+        raise AssertionError("construction output failed verification")
+    basis0 = results[0].elements
+    generator = _build_generator(field, curve, K, points, basis0, matrices)
+    return GoppaConstruction(
+        field=field, curve=curve, genus=genus, points=points, divisor=divisor, basis0=basis0,
+        point_bases=tuple(res.elements for res in results),
+        point_valuations=tuple(res.valuations for res in results),
+        matrices=matrices, udmg=u, generator=generator)
 
 
 def goppa_udmg(curve: WeierstrassCurve, points, D: DivisorSpec) -> GoppaConstruction:
@@ -768,21 +749,8 @@ def goppa_udmg(curve: WeierstrassCurve, points, D: DivisorSpec) -> GoppaConstruc
         if divisor_coefficient(curve, D, P) != 0:
             raise SupportCollisionError(f"{P!r} lies in the support of the divisor")
     canonical = rr_basis(curve, D)
-    prec = K + 1 + 2
-    results = [increasing_zero_basis(curve, canonical, P, prec=prec) for P in points]
-    t0 = results[0].transform
-    matrices = tuple(t0.matmul(inverse(res.transform)) for res in results)
-    u = Udmg(curve.field, K, 1, matrices)
-    if not _verify_fast(u):
-        raise AssertionError("construction output failed verification")
-    generator = _build_generator(curve.field, curve, K, points,
-                                 results[0].elements, matrices)
-    return GoppaConstruction(
-        field=curve.field, curve=curve, genus=1, points=points, divisor=D,
-        basis0=results[0].elements,
-        point_bases=tuple(res.elements for res in results),
-        point_valuations=tuple(res.valuations for res in results),
-        matrices=matrices, udmg=u, generator=generator)
+    results = [increasing_zero_basis(curve, canonical, P, prec=K + 3) for P in points]
+    return _assemble(curve.field, curve, points, D, K, results)
 
 
 def genus0_udmg(field: FieldSpec, points, K: int) -> GoppaConstruction:
@@ -802,25 +770,11 @@ def genus0_udmg(field: FieldSpec, points, K: int) -> GoppaConstruction:
     monomials = [Poly.const(field, 1).shift(j) for j in range(K)]
 
     def izb_at(P):
-        if P is INFINITY:
-            elements = tuple(monomials[K - 1 - j] for j in range(K))
-            vals = tuple(range(-(K - 1), 1))
-            rows = [[1 if t == K - 1 - j else 0 for t in range(K)] for j in range(K)]
-            return IzbResult(elements, vals, FqMatrix.from_rows(field, rows))
+        if P is INFINITY:  # in u = 1/x, x^t = u^(1-K) * u^(K-1-t): reversed rows, orders shifted
+            rows = [[m.coeff(K - 1 - c) for c in range(K)] for m in monomials]
+            res = _izb_from_rows(field, monomials, rows, K, Poly.zero(field))
+            return res._replace(valuations=tuple(v - (K - 1) for v in res.valuations))
         field.check(P)
         return increasing_zero_basis(None, monomials, P)
 
-    results = [izb_at(P) for P in points]
-    t0 = results[0].transform
-    matrices = tuple(t0.matmul(inverse(res.transform)) for res in results)
-    u = Udmg(field, K, 0, matrices)
-    if not _verify_fast(u):
-        raise AssertionError("construction output failed verification")
-    generator = _build_generator(field, None, K, points, results[0].elements, matrices)
-    return GoppaConstruction(
-        field=field, curve=None, genus=0, points=points,
-        divisor=DivisorSpec(K - 1, None),
-        basis0=results[0].elements,
-        point_bases=tuple(res.elements for res in results),
-        point_valuations=tuple(res.valuations for res in results),
-        matrices=matrices, udmg=u, generator=generator)
+    return _assemble(field, None, points, DivisorSpec(K - 1, None), K, [izb_at(P) for P in points])

@@ -231,6 +231,8 @@ class FieldSpec:
     modulus: tuple = None
 
     def __post_init__(self):
+        if type(self.p) is not int or type(self.m) is not int:  # refuses bool and 5.0, not coerced
+            raise TypeError(f"p {self.p!r} and m {self.m!r} must be integers")
         if self.m < 1:
             raise ValueError("extension degree must be >= 1")
         # The cap bounds the primality loop below; m > 20 exceeds it for any p >= 2.
@@ -245,7 +247,11 @@ class FieldSpec:
             if self.modulus is None:
                 object.__setattr__(self, "modulus", smallest_irreducible(self.p, self.m))
             else:
-                mod = tuple(int(c) % self.p for c in self.modulus)
+                mod = tuple(self.modulus)
+                if any(type(c) is not int for c in mod):
+                    raise TypeError(f"modulus {self.modulus!r} has a non-integer coefficient")
+                if any(not 0 <= c < self.p for c in mod):
+                    raise ValueError(f"modulus coefficients must lie in [0, {self.p})")
                 if len(mod) != self.m + 1 or mod[-1] != 1:
                     raise ValueError("modulus must be monic of degree m")
                 if not _is_irreducible(mod, self.p):

@@ -29,12 +29,14 @@ class FqMatrix:
             raise ValueError("entry count does not match shape")
         q = self.field.q
         for e in self.entries:
+            if type(e) is not int:  # bool and 2.0 are refused, not coerced
+                raise TypeError(f"entry {e!r} is not an integer")
             if not 0 <= e < q:
                 raise FieldMismatchError(f"entry {e} outside field of order {q}")
 
     @classmethod
     def from_rows(cls, field: FieldSpec, rows) -> "FqMatrix":
-        rows = [tuple(int(e) for e in r) for r in rows]
+        rows = [tuple(r) for r in rows]
         ncols = len(rows[0]) if rows else 0
         if any(len(r) != ncols for r in rows):
             raise ValueError("ragged rows")

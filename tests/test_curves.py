@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from udmg import reference
 from udmg.core import verify
@@ -26,6 +27,7 @@ from udmg.errors import (
     DuplicatePointsError,
     PointInSupportError,
     PoleAtSupportError,
+    PrecisionExhaustedError,
     SingularCurveError,
     SupportCollisionError,
 )
@@ -202,6 +204,10 @@ def test_izb_polynomials_on_line():
     res = increasing_zero_basis(None, basis, 3)
     assert res.valuations == (0, 1)
     assert res.elements[1].coeffs == (2, 1)  # x - 3
+    with pytest.raises(DependentBasisError):
+        increasing_zero_basis(None, [basis[1], basis[1].scale(2)], 3)
+    with pytest.raises(PointInSupportError):
+        increasing_zero_basis(None, basis, INFINITY)
 
 
 def test_goppa_reference_inputs(ref_curve, ref_udmg):
@@ -301,3 +307,145 @@ def test_genus0_extension_field():
     f4 = make_field(2, 2)
     gc = genus0_udmg(f4, [0, 1, 2, 3, INFINITY], 2)
     assert gc.udmg.L == 5 and verify(gc.udmg).valid
+
+
+# -- the working-precision bound of local_expand ---------------------------------
+#
+# One expansion at the working length must keep exactly prec coefficients and
+# the true valuation, at O, at flexes and at 2-torsion points alike.
+
+BOUND_CURVES = [(F5, 1, 1), (F7, 3, 0), (make_field(11), 2, 0), (make_field(5, 2), 1, 1)]
+
+
+def uniformizer(curve, P):
+    r, s = FnElement.r(curve), FnElement.s(curve)
+    if P is INFINITY:
+        return r / s
+    return s if P[1] == 0 else r - P[0]
+
+
+def assert_expansion(curve, fn, P, valuation, prec):
+    exp = local_expand(curve, fn, P, prec)
+    assert (exp.valuation, len(exp.coeffs)) == (valuation, prec), (str(fn), P)
+    assert exp.coeffs[0] != 0
+    return exp
+
+
+@pytest.mark.parametrize("field,a,b", BOUND_CURVES[:3])
+def test_uniformizer_powers_expand_exactly(field, a, b):
+    curve = curve_new(field, a, b)
+    for P in enumerate_points(curve):
+        t = uniformizer(curve, P)
+        for k in range(1, 7):
+            for fn, v in ((t ** k, k), (t ** -k, -k)):
+                for prec in (1, 6):
+                    exp = assert_expansion(curve, fn, P, v, prec)
+                    assert exp.coeffs == (1,) + (0,) * (prec - 1)  # t^k is exactly t^k
+
+
+@pytest.mark.parametrize("field,a,b", BOUND_CURVES[1:3])
+def test_vertical_line_powers_at_two_torsion(field, a, b):
+    curve = curve_new(field, a, b)
+    r = FnElement.r(curve)
+    for P in enumerate_points(curve):
+        if P is not INFINITY and P[1] == 0:
+            for d in range(1, 7):
+                for prec in (1, 5):
+                    assert_expansion(curve, (r - P[0]) ** d, P, 2 * d, prec)
+                    assert_expansion(curve, (r - P[0]) ** -d, P, -2 * d, prec)
+
+
+def test_tangent_powers_at_flexes(ref_curve):
+    # (2, 1) and (2, 4) are 3-torsion: the tangent line meets the curve there
+    # with multiplicity 3 and nowhere else in the affine plane.
+    f = ref_curve.field
+    r, s = FnElement.r(ref_curve), FnElement.s(ref_curve)
+    for x0, y0 in [(2, 1), (2, 4)]:
+        slope = f.div(f.add(f.mul(3, f.mul(x0, x0)), ref_curve.a), f.mul(2, y0))
+        tangent = s - y0 - slope * (r - x0)
+        for k in range(1, 7):
+            for prec in (1, 4, 8):
+                assert_expansion(ref_curve, tangent ** k, (x0, y0), 3 * k, prec)
+                assert_expansion(ref_curve, tangent ** -k, (x0, y0), -3 * k, prec)
+
+
+def root_multiplicity(poly, x0):
+    lin = Poly.make(poly.field, (poly.field.neg(x0), 1))
+    k = 0
+    while poly(x0) == 0:
+        poly, k = poly // lin, k + 1
+    return k
+
+
+def valuation_oracle(curve, fn, P):
+    """Order of (A + s*B)/C at P from polynomial root multiplicities alone."""
+    f = curve.field
+    A, B, C = fn.A, fn.B, fn.C
+    if P is INFINITY:  # r has a pole of order 2 and s of order 3, of different parity
+        num = max(2 * A.degree if not A.is_zero else -1, 2 * B.degree + 3 if not B.is_zero else -1)
+        return 2 * C.degree - num
+    x0, y0 = P
+    if y0 == 0:  # r - x0 has order 2 and s order 1: again no cancellation
+        orders = [2 * root_multiplicity(A, x0)] if not A.is_zero else []
+        orders += [1 + 2 * root_multiplicity(B, x0)] if not B.is_zero else []
+        return min(orders) - 2 * root_multiplicity(C, x0)
+    # r - x0 has order 1; split off common factors (r - x0) of A and B, then
+    # either A + sB is a unit at P or its conjugate A - sB is, and the norm
+    # A^2 - (r^3 + ar + b) B^2 = (A + sB)(A - sB) carries the whole order.
+    lin, k = Poly.make(f, (f.neg(x0), 1)), 0
+    while A(x0) == 0 and B(x0) == 0:
+        A, B, k = A // lin, B // lin, k + 1
+    if f.add(A(x0), f.mul(y0, B(x0))) != 0:
+        num = k
+    else:
+        num = k + root_multiplicity(A * A - curve.relation_poly() * (B * B), x0)
+    return num - root_multiplicity(C, x0)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_random_functions_expand_to_the_oracle_valuation(data):
+    field, a, b = data.draw(st.sampled_from(BOUND_CURVES))
+    curve = curve_new(field, a, b)
+    P = data.draw(st.sampled_from(enumerate_points(curve)))
+    coeffs = st.lists(st.integers(0, field.q - 1), max_size=5)
+    A, B = (Poly.make(field, data.draw(coeffs)) for _ in range(2))
+    C = Poly.make(field, data.draw(coeffs))
+    assume(not (A.is_zero and B.is_zero) and not C.is_zero)
+    fn = FnElement(curve, A, B, C)
+    prec = data.draw(st.integers(1, 8))
+    v = valuation_oracle(curve, fn, P)
+    assert_expansion(curve, fn, P, v, prec)
+    assert function_valuation(curve, fn, P) == v
+    assert_expansion(curve, fn.inv(), P, -v, prec)
+
+
+def test_zero_function_is_the_only_precision_failure(ref_curve):
+    for P in enumerate_points(ref_curve):
+        with pytest.raises(PrecisionExhaustedError):
+            local_expand(ref_curve, FnElement.zero(ref_curve), P, 1)
+        assert evaluate(ref_curve, FnElement.zero(ref_curve), P) == 0
+
+
+# -- increasing_zero_basis: the precision retry ------------------------------------
+
+def test_izb_retries_until_valuations_separate(ref_curve, monkeypatch):
+    import udmg.curves as curves
+
+    precs = []
+
+    def recording(curve, fn, P, prec):
+        precs.append(prec)
+        return local_expand(curve, fn, P, prec)
+
+    monkeypatch.setattr(curves, "local_expand", recording)
+    # r is the uniformizer at (0, 1); the default window is len(basis) + 4 = 6
+    one, r = FnElement.const(ref_curve, 1), FnElement.r(ref_curve)
+    res = increasing_zero_basis(ref_curve, [one, r ** 8], (0, 1))
+    assert res.valuations == (0, 8) and sorted(set(precs)) == [6, 12]  # one retry
+    precs.clear()
+    res = increasing_zero_basis(ref_curve, [one, r ** 30 + r ** 31], (0, 1))
+    assert res.valuations == (0, 30) and sorted(set(precs)) == [6, 12, 24, 48]  # the last attempt
+    assert str(res.elements[1]) == "r^30 + r^31"
+    with pytest.raises(PrecisionExhaustedError):
+        increasing_zero_basis(ref_curve, [one, r ** 60], (0, 1))

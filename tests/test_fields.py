@@ -51,6 +51,21 @@ def test_reducible_modulus_rejected():
         FieldSpec(2, 2, (0, 0, 1))  # x^2 has the root 0
 
 
+def test_non_integer_input_refused_not_coerced():
+    # Each of these was once accepted: the moduli read as x^4 + x + 1 by
+    # int(c) % p, and p = 5.0 built a field with a float characteristic.
+    for modulus in ((1.9, 1, 0, 0, 1), (True, 1, 0, 0, 1), "11001"):
+        with pytest.raises(TypeError):
+            FieldSpec(2, 4, modulus)
+    for modulus in ((1, 3, 0, 0, 1), (1, -1, 0, 0, 1)):
+        with pytest.raises(ValueError):
+            FieldSpec(2, 4, modulus)
+    for p, m in ((5.0, 1), (True, 1), (2, 4.0), (2, True)):
+        with pytest.raises(TypeError):
+            FieldSpec(p, m)
+    assert FieldSpec(2, 4, [1, 1, 0, 0, 1]).modulus == (1, 1, 0, 0, 1)
+
+
 def irreducible_by_trial_division(coeffs, p):
     """Oracle: no monic factor of degree 1..deg/2 divides coeffs."""
     m = len(coeffs) - 1

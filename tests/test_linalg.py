@@ -123,6 +123,16 @@ def test_inverse_rejects_singular():
         inverse(M)
 
 
+def test_non_integer_entries_refused_not_coerced():
+    # from_rows once truncated 2.9 to 2 and True to 1; the constructor kept 2.5
+    with pytest.raises(TypeError):
+        FqMatrix(F5, 1, 2, (1, 2.5))
+    for entry in (2.9, 2.0, True):
+        with pytest.raises(TypeError):
+            mat(F5, [(1, entry)])
+    assert mat(F5, [(1, 4)]).entries == (1, 4)
+
+
 def test_hstack_and_prefix():
     A = mat(F3, [(1, 2), (0, 1)])
     B = mat(F3, [(2,), (2,)])
