@@ -280,7 +280,8 @@ def _cmd_verify(args) -> int:
         "witness": list(rep.witness) if rep.witness else None,
     }
     if args.min_genus:
-        g_min, vac = minimal_genus(u)
+        known = {"valid_at": u.g} if rep.valid else {"start": u.g + 1}
+        g_min, vac = minimal_genus(u, **known)
         payload["minimal_genus"] = g_min
         payload["minimal_genus_vacuous"] = vac
     _emit(payload, args.json)

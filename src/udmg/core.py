@@ -5,6 +5,8 @@ genus g when every allowable choice of initial-column prefixes (lambda_i
 columns from matrix i, 0 <= lambda_i <= N_i, sum = K + g) spans F_q^K.
 This module holds the data model, exhaustive verification, minimal-genus
 search, truncation, the subspace-chain realization, and chain quotients.
+Rank is tested in annihilator form: the span of the chosen columns is F_q^K
+once no functional vanishing on it is left.
 """
 
 from __future__ import annotations
@@ -125,25 +127,26 @@ def _count_allowable(lengths, total: int) -> int:
     return ways[total]
 
 
-def _reduce_into(field: FieldSpec, basis: list, vec) -> None:
-    """Add vec to an echelon basis of (pivot, row) pairs if it is independent.
+def _annihilate(field: FieldSpec, ann: list, vec) -> list:
+    """Basis of the annihilator of W + <vec>, given one (ann) of W's.
 
-    Each row has a leading 1 at its pivot and zeros at the pivots of the rows
-    before it, so one forward pass clears every pivot coordinate of vec.
+    vec in W leaves ann as is.  Else the first phi with c = phi(vec) != 0 is
+    dropped, and each later psi becomes psi - (psi(vec) / c) * phi.
     """
-    sub, mul = field.sub, field.mul
-    v = list(vec)
-    for p, row in basis:
-        c = v[p]
+    dots = [field.dot(phi, vec) for phi in ann]
+    for k, c in enumerate(dots):
         if c:
-            for j in range(p, len(v)):
-                if row[j]:
-                    v[j] = sub(v[j], mul(c, row[j]))
-    for p, x in enumerate(v):
-        if x:
-            s = field.inv(x)
-            basis.append((p, [mul(s, y) if y else 0 for y in v]))
-            return
+            break
+    else:
+        return ann
+    sub, mul, pivot = field.sub, field.mul, ann[k]
+    out = ann[:k]
+    for phi, d in zip(ann[k + 1:], dots[k + 1:]):
+        if d:
+            t = field.div(d, c)
+            phi = [sub(x, mul(t, y)) if y else x for x, y in zip(phi, pivot)]
+        out.append(phi)
+    return out
 
 
 def _scan(field: FieldSpec, K: int, g: int, steps) -> VerifyReport:
@@ -152,9 +155,11 @@ def _scan(field: FieldSpec, K: int, g: int, steps) -> VerifyReport:
     steps[i][k] holds the vectors that enter when member i's prefix grows
     from k to k + 1 (one column of a matrix, or the basis of V_{k+1} of a
     nested chain).  Allowable vectors are walked depth-first in lexicographic
-    order with one echelon basis per depth, so each step reduces only the
-    vectors it adds.  A subtree passes as soon as the rank reaches K; the walk
-    stops at the first failing leaf, which is the least failure.
+    order.  Each depth keeps K - rank functionals vanishing on the span so
+    far (at first the coordinate functionals), so a step costs a dot product
+    per functional, and a dependent vector no row operation.  A subtree passes
+    once no functional is left (rank K), with no further vector reduced; the
+    walk stops at the first failing leaf, which is the least failure.
     """
     lengths = [len(s) for s in steps]
     checked = _count_allowable(lengths, K + g)
@@ -163,24 +168,25 @@ def _scan(field: FieldSpec, K: int, g: int, steps) -> VerifyReport:
     L = len(steps)
     tails = [sum(lengths[i:]) for i in range(L + 1)]
 
-    def walk(i, basis, remaining):
+    def walk(i, ann, remaining):
         """Least failing completion from member i on, or None."""
-        if len(basis) == K:
+        if not ann:
             return None
         if remaining == 0:
             return (0,) * (L - i)
-        cur = list(basis)
         for v in range(min(lengths[i], remaining) + 1):
             if v:
                 for vec in steps[i][v - 1]:
-                    _reduce_into(field, cur, vec)
+                    ann = _annihilate(field, ann, vec)
+                if not ann:
+                    return None
             if v >= remaining - tails[i + 1]:
-                rest = walk(i + 1, cur, remaining - v)
+                rest = walk(i + 1, ann, remaining - v)
                 if rest is not None:
                     return (v,) + rest
         return None
 
-    witness = walk(0, [], K + g)
+    witness = walk(0, [[int(r == c) for c in range(K)] for r in range(K)], K + g)
     return VerifyReport(witness is None, witness, checked)
 
 
@@ -220,19 +226,20 @@ def verify_naive(u: Udmg) -> VerifyReport:
     return VerifyReport(True, None, checked)
 
 
-def minimal_genus(u: Udmg) -> tuple:
+def minimal_genus(u: Udmg, valid_at: int | None = None, start: int = 0) -> tuple:
     """Least genus at which the matrices verify, plus a vacuity flag.
 
     The declared genus of u is ignored.  Validity is monotone in the genus,
     and once K + g exceeds the total length the check is vacuous, so the scan
-    terminates.
+    terminates.  A caller that already knows a genus valid_at to verify, or
+    every genus below start to fail, passes it, and those genera are not
+    scanned again.
     """
     total = u.total_length
-    g = 0
-    while True:
-        if _verify_fast(u.with_genus(g)):
-            return g, u.K + g > total
+    g = start
+    while g != valid_at and not _verify_fast(u.with_genus(g)):
         g += 1
+    return g, u.K + g > total
 
 
 def truncate(u: Udmg, new_lengths) -> Udmg:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 from .core import Udmg, _verify_fast
@@ -367,9 +366,28 @@ class Series:
         return acc
 
 
-@lru_cache(maxsize=None)
+_COORDINATES = {}  # (curve, P) -> (length, r, s): the longest expansion made so far
+_COORDINATES_MAX = 1024  # (curve, point) pairs kept; the oldest goes first
+
+
 def _expand_coordinates(curve: WeierstrassCurve, P, length: int):
-    """Series for (r, s) in the fixed uniformizer at P, to relative length."""
+    """Series for (r, s) in the fixed uniformizer at P, to relative length.
+
+    Each coefficient depends only on the ones before it, so a shorter
+    expansion is a prefix of a longer one: one expansion per (curve, point),
+    the longest asked for, is kept and cut to length.
+    """
+    key = (curve, P)
+    hit = _COORDINATES.get(key)
+    if hit is None or hit[0] < length:
+        if hit is None and len(_COORDINATES) >= _COORDINATES_MAX:
+            del _COORDINATES[next(iter(_COORDINATES))]
+        hit = _COORDINATES[key] = (length, *_coordinate_series(curve, P, length))
+    cut = hit[0] - length
+    return tuple(Series(x.field, x.val, x.coef[:len(x.coef) - cut]) for x in hit[1:])
+
+
+def _coordinate_series(curve: WeierstrassCurve, P, length: int):
     f = curve.field
     if P is INFINITY:
         # z = r/s, w = 1/s solve w = z^3 + a z w^2 + b w^3.

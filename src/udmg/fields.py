@@ -17,8 +17,9 @@ patterns: add is XOR, mul a shift/XOR carry-less product reduced by the
 modulus bits, and inv the extended Euclidean algorithm on binary polynomials
 (Hankerson, Menezes & Vanstone, Guide to Elliptic Curve Cryptography,
 Alg. 2.47).  An odd-characteristic field there multiplies digit-list
-polynomials modulo the modulus and inverts by Fermat's a^(q-2); the tables
-are built with that multiplication, and tests use it as the reference.
+polynomials modulo the modulus and inverts by the extended Euclidean
+algorithm over F_p[x]; the tables are built with that multiplication, and
+tests use it, and Fermat's a^(q-2) for the inverse, as the reference.
 
 A modulus, canonical or given, is tested for irreducibility by trial
 division by monic factors of degree <= 2 and then Rabin's test, with
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import zip_longest
 from math import isqrt
-from operator import index
+from operator import index, mul as _int_mul
 
 from .errors import FieldMismatchError, FieldTooLargeError, NonPrimeError
 
@@ -93,6 +94,27 @@ def _poly_gcd_p(a, b, p):
     while b != [0]:
         a, b = b, _poly_mod_p(a, b, p)
     return a
+
+
+def _poly_inv_p(a, modulus, p):
+    """Inverse of a nonzero polynomial a modulo an irreducible modulus over F_p.
+
+    The extended Euclidean algorithm in the form of _gf2_inv: invariants
+    a*g1 = u and a*g2 = v modulo the modulus; each step cancels the leading
+    term of the longer of u and v, until u is a nonzero constant.
+    """
+    u, v, g1, g2 = list(a), list(modulus), [1], [0]
+    while not u[-1]:
+        u.pop()
+    while len(u) > 1:
+        j = len(u) - len(v)
+        if j < 0:
+            u, v, g1, g2, j = v, u, g2, g1, -j
+        c = u[-1] * pow(v[-1], p - 2, p) % p
+        u = _poly_sub_p(u, [0] * j + [c * x for x in v], p)
+        g1 = _poly_sub_p(g1, [0] * j + [c * x for x in g2], p)
+    s = pow(u[0], p - 2, p)
+    return _poly_mod_p([s * x % p for x in g1], modulus, p)
 
 
 def _is_irreducible(coeffs, p: int) -> bool:
@@ -366,7 +388,7 @@ class FieldSpec:
         if t is None:
             if self._mask is not None:
                 return _gf2_inv(a, self._mask)
-            return self.pow_(a, self.q - 2)
+            return _pack(_poly_inv_p(_digits(a, self.p, self.m), self.modulus, self.p), self.p)
         exp, log, _, order = t or self._build_tables()
         return exp[order - log[a]]
 
@@ -380,6 +402,16 @@ class FieldSpec:
             return 0
         exp, log, _, order = t or self._build_tables()
         return exp[log[a] - log[b] + order]
+
+    def dot(self, xs, ys) -> int:
+        """Sum of xs[i] * ys[i]; a prime field sums exact integers in C and reduces once."""
+        if self.m == 1:
+            return sum(map(_int_mul, xs, ys)) % self.p
+        acc = 0
+        for a, b in zip(xs, ys):
+            if a and b:
+                acc = self.add(acc, self.mul(a, b))
+        return acc
 
     def pow_(self, a: int, e: int) -> int:
         t = self._tables

@@ -74,30 +74,18 @@ class FqMatrix:
             raise FieldMismatchError("matrices over different fields")
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        f = self.field
-        add, mul = f.add, f.mul
-        out = []
+        dot = self.field.dot
         ocols = [other.col(j) for j in range(other.cols)]
-        for i in range(self.rows):
-            r = self.row(i)
-            out.append([_dot(add, mul, r, c) for c in ocols])
-        return FqMatrix.from_rows(f, out)
+        out = [[dot(r, c) for c in ocols] for r in map(self.row, range(self.rows))]
+        return FqMatrix.from_rows(self.field, out)
 
     def matvec(self, v) -> tuple:
-        f = self.field
-        return tuple(_dot(f.add, f.mul, self.row(i), v) for i in range(self.rows))
+        dot = self.field.dot
+        return tuple(dot(self.row(i), v) for i in range(self.rows))
 
     def vecmat(self, v) -> tuple:
-        f = self.field
-        return tuple(_dot(f.add, f.mul, v, self.col(j)) for j in range(self.cols))
-
-
-def _dot(add, mul, u, v):
-    acc = 0
-    for a, b in zip(u, v):
-        if a and b:
-            acc = add(acc, mul(a, b))
-    return acc
+        dot = self.field.dot
+        return tuple(dot(v, self.col(j)) for j in range(self.cols))
 
 
 def hstack(blocks) -> FqMatrix:

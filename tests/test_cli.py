@@ -91,6 +91,35 @@ def test_verify_min_genus(fixture_path, capsys):
     assert data["valid"] is True
 
 
+@pytest.mark.parametrize("genus_args,scanned", [
+    ((), [1, 0]),                   # valid at its genus: only genus 0 is left below
+    (("--genus", "2"), [2, 0, 1]),
+    (("--genus", "0"), [0, 1]),     # invalid at 0: the search starts at 1
+])
+def test_verify_min_genus_scans_each_genus_once(fixture_path, capsys, monkeypatch, genus_args,
+                                                scanned):
+    from udmg import core
+
+    def run_both():
+        outs = []
+        for fmt in ([], ["--json"]):
+            code = run(fmt + ["verify", fixture_path, *genus_args, "--min-genus"])
+            outs.append((code, capsys.readouterr().out))
+        return outs
+
+    # the same answer from a search that scans every genus from 0 again
+    search = core.minimal_genus
+    monkeypatch.setattr("udmg.cli.minimal_genus", lambda u, **known: search(u))
+    want = run_both()
+    monkeypatch.undo()
+    genera, scan = [], core._scan
+    monkeypatch.setattr(core, "_scan", lambda field, K, g, steps: genera.append(g) or
+                        scan(field, K, g, steps))
+    assert run_both() == want
+    assert genera == scanned * 2
+    assert json.loads(want[1][1])["minimal_genus"] == 1
+
+
 def test_verify_threads_equivalent(fixture_path, capsys, monkeypatch):
     run(["--json", "verify", fixture_path, "--genus", "0", "--threads", "1"])
     one = capsys.readouterr().out

@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from udmg import reference
 from udmg.core import (
+    Chain,
     Udmg,
+    Udvsg,
     allowable_vectors,
     matrices_from_chains,
     minimal_genus,
@@ -21,7 +23,7 @@ from udmg.core import (
 )
 from udmg.errors import InvalidInputError, LengthMismatchError, NotProperSubError
 from udmg.fields import make_field
-from udmg.linalg import FqMatrix
+from udmg.linalg import FqMatrix, Subspace, rref_rows
 
 F2, F3, F5 = make_field(2), make_field(3), make_field(5)
 
@@ -145,20 +147,50 @@ def test_oracle_equivalence_sample():
         assert_agrees_with_oracles(random_udmg(rng, field, K, lengths, g))
 
 
-def test_oracle_equivalence_exhaustive_gf2():
-    # every GF(2) set with K = 2, at most two members of at most two columns
+def assert_agreement_exhaustive(field):
+    """Every set over field with K = 2, at most two members of at most two columns."""
     seen = 0
     for L in (1, 2):
         for lengths in product((1, 2), repeat=L):
-            for entries in product((0, 1), repeat=2 * sum(lengths)):
+            for entries in product(range(field.q), repeat=2 * sum(lengths)):
                 mats, at = [], 0
                 for n in lengths:
-                    mats.append(FqMatrix(F2, 2, n, entries[at:at + 2 * n]))
+                    mats.append(FqMatrix(field, 2, n, entries[at:at + 2 * n]))
                     at += 2 * n
                 for g in (0, 1):
-                    assert_agrees_with_oracles(Udmg(F2, 2, g, tuple(mats)))
+                    assert_agrees_with_oracles(Udmg(field, 2, g, tuple(mats)))
                     seen += 1
-    assert seen == 840
+    return seen
+
+
+def test_oracle_equivalence_exhaustive_gf2():
+    assert assert_agreement_exhaustive(F2) == 840
+
+
+def test_oracle_equivalence_exhaustive_gf3():
+    assert assert_agreement_exhaustive(F3) == 2 * (3 ** 2 + 2 * 3 ** 4 + 2 * 3 ** 6 + 3 ** 8)
+
+
+def test_oracle_equivalence_height_zero():
+    # F_q^0 is spanned by nothing, so every set of height 0 is valid
+    for lengths in ((), (1,), (2, 1)):
+        mats = tuple(FqMatrix(F3, 0, n, ()) for n in lengths)
+        for g in (0, 1, 3):
+            assert_agrees_with_oracles(Udmg(F3, 0, g, mats))
+            assert verify(Udmg(F3, 0, g, mats)).valid
+
+
+def test_no_vector_is_reduced_once_the_span_is_full(monkeypatch):
+    from udmg import core
+
+    reduced, annihilate = [], core._annihilate
+    monkeypatch.setattr(core, "_annihilate", lambda field, ann, vec: reduced.append(vec) or
+                        annihilate(field, ann, vec))
+    e1, e2, x = (1, 0), (0, 1), (1, 1)
+    cols = (e1, e2, x, x)
+    M = FqMatrix(F5, 2, 4, tuple(c[i] for i in range(2) for c in cols))
+    assert verify(Udmg(F5, 2, 2, (M,))).valid
+    assert reduced == [e1, e2]
 
 
 def test_monotone_genus():
@@ -178,6 +210,20 @@ def test_minimal_genus_cases(ref_udmg):
     assert minimal_genus(ref_udmg) == (1, False)
     assert minimal_genus(identity_udmg(F5, 3)) == (0, False)
     assert minimal_genus(identity_udmg(F2, 2, copies=2)) == (1, False)
+
+
+def test_minimal_genus_from_known_genera():
+    rng = random.Random(5)
+    for _ in range(60):
+        field = rng.choice([F2, F3])
+        K = rng.randint(1, 3)
+        lengths = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
+        u = random_udmg(rng, field, K, lengths, 0)
+        want = minimal_genus(u)
+        for g in range(want[0], want[0] + 3):
+            assert minimal_genus(u, valid_at=g) == want
+        for g in range(want[0] + 1):
+            assert minimal_genus(u, start=g) == want
 
 
 def test_nondegeneracy_predicate(ref_udmg):
@@ -320,3 +366,62 @@ def test_quotient_law_sampled():
         assert all(c.is_closely_nested() for c in res.quotient.chains)
         assert verify_chains(res.quotient).valid
         done += 1
+
+
+def with_genus(v, g):
+    return Udvsg(v.field, v.K, g, v.chains)
+
+
+def test_verify_chains_of_quotients_matches_naive():
+    # quotient chains take every basis vector of V_{k+1} at step k, most of
+    # them already in the span, so the dependent path is exercised too
+    rng = random.Random(41)
+    done = multi = 0
+    while done < 25:
+        field = rng.choice([F3, F5])
+        K = rng.randint(2, 4)
+        lengths = [rng.randint(2, 4) for _ in range(rng.randint(2, 3))]
+        u = random_udmg(rng, field, K, lengths, 0)
+        g_min, vac = minimal_genus(u)
+        if vac or g_min > 2:
+            continue
+        res = quotient(realize(u.with_genus(g_min)), tuple(rng.randrange(n) for n in lengths))
+        if res.quotient.K < 2:
+            continue
+        for g in range(res.quotient.g + 1):
+            v = with_genus(res.quotient, g)
+            multi += any(V.dim > 1 for c in v.chains for V in c.subspaces)
+            rep, naive = verify_chains(v), verify_naive(matrices_from_chains(v))
+            assert (rep.valid, rep.witness, rep.vacuous) == (naive.valid, naive.witness, naive.vacuous)
+            assert rep.checked == sum(1 for _ in allowable_vectors(v.lengths, v.K, v.g))
+        done += 1
+    assert multi > 20
+
+
+def least_failure_by_rref(v):
+    """Oracle: the first allowable vector whose chosen chain entries miss F_q^K."""
+    for lam in allowable_vectors(v.lengths, v.K, v.g):
+        rows = [list(x) for c, k in zip(v.chains, lam) for V in c.subspaces[:k] for x in V.vectors]
+        if rref_rows(v.field, rows)[0] < v.K:
+            return lam
+    return None
+
+
+def test_verify_chains_with_jumps_of_several_dimensions():
+    rng = random.Random(43)
+    outcomes, jumps = set(), 0
+    for _ in range(80):
+        field = rng.choice([F2, F3, F5])
+        K = rng.randint(2, 4)
+        chains = []
+        for _ in range(rng.randint(1, 3)):
+            dims = sorted(rng.sample(range(K + 1), rng.randint(1, min(3, K + 1))))
+            vecs = [tuple(rng.randrange(field.q) for _ in range(K)) for _ in range(dims[-1])]
+            chains.append(Chain(tuple(Subspace.from_vectors(field, K, vecs[:d]) for d in dims)))
+        v = Udvsg(field, K, 0, tuple(chains))
+        jumps += any(b - a > 1 for c in chains for a, b in zip((0,) + c.dims, c.dims))
+        for g in range(3):
+            rep, want = verify_chains(with_genus(v, g)), least_failure_by_rref(with_genus(v, g))
+            assert (rep.valid, rep.witness) == (want is None, want)
+            outcomes.add((rep.valid, rep.vacuous))
+    assert jumps > 40 and outcomes == {(True, True), (True, False), (False, False)}

@@ -449,3 +449,58 @@ def test_izb_retries_until_valuations_separate(ref_curve, monkeypatch):
     assert str(res.elements[1]) == "r^30 + r^31"
     with pytest.raises(PrecisionExhaustedError):
         increasing_zero_basis(ref_curve, [one, r ** 60], (0, 1))
+
+
+# -- the coordinate-series cache ------------------------------------------------------
+
+def test_coordinate_cache_cuts_the_longest_expansion(monkeypatch):
+    import udmg.curves as curves
+
+    monkeypatch.setattr(curves, "_COORDINATES", {})
+    rng = random.Random(3)
+    lengths = list(range(17, 45))
+    for field, a, b in BOUND_CURVES:
+        curve = curve_new(field, a, b)
+        points = enumerate_points(curve)  # affine (0, y), two-torsion and O among them
+        rng.shuffle(lengths)
+        for n in lengths:
+            for P in points:
+                got = curves._expand_coordinates(curve, P, n)
+                want = curves._coordinate_series(curve, P, n)
+                assert [(x.val, x.coef) for x in got] == [(x.val, x.coef) for x in want], (P, n)
+    # one entry per (curve, point), however many lengths were asked for
+    assert len(curves._COORDINATES) == sum(len(enumerate_points(curve_new(*c))) for c in BOUND_CURVES)
+
+
+def test_coordinate_cache_is_bounded(monkeypatch):
+    import udmg.curves as curves
+
+    monkeypatch.setattr(curves, "_COORDINATES", {})
+    monkeypatch.setattr(curves, "_COORDINATES_MAX", 5)
+    curve = curve_new(make_field(11), 2, 0)
+    points = enumerate_points(curve)
+    fn = FnElement.r(curve) + FnElement.s(curve)
+    want = [local_expand(curve, fn, P, 3) for P in points]
+    for prec in range(1, 60):
+        for P in points:
+            local_expand(curve, fn, P, prec)
+            assert len(curves._COORDINATES) <= 5
+    assert [local_expand(curve, fn, P, 3) for P in points] == want
+
+
+def test_cached_expansions_equal_fresh_ones(monkeypatch):
+    import udmg.curves as curves
+
+    rng = random.Random(8)
+    cases = []
+    for field, a, b in BOUND_CURVES:
+        curve = curve_new(field, a, b)
+        for P in enumerate_points(curve):
+            for _ in range(4):
+                A, B, C = (Poly.make(field, [rng.randrange(field.q) for _ in range(rng.randint(1, 5))])
+                           for _ in range(3))
+                if not (A.is_zero and B.is_zero) and not C.is_zero:
+                    cases.append((curve, FnElement(curve, A, B, C), P, rng.randint(1, 12)))
+    cached = [(local_expand(*c), function_valuation(*c[:3])) for c in cases]
+    monkeypatch.setattr(curves, "_expand_coordinates", curves._coordinate_series)
+    assert cached == [(local_expand(*c), function_valuation(*c[:3])) for c in cases]

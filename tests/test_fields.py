@@ -413,3 +413,76 @@ def test_packed_path_does_not_change_identity():
     assert repr(used) == repr(fresh) == repr(twin) == \
         "FieldSpec(p=2, m=16, modulus=(1, 1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1))"
     assert {used: 1}[fresh] == 1
+
+
+# -- extended-Euclidean inverse in large odd-characteristic fields ------------
+
+def reciprocal_modulus(f):
+    """The monic reciprocal of f's modulus: irreducible too, and a different field."""
+    rev = f.modulus[::-1]
+    s = pow(rev[-1], f.p - 2, f.p)
+    return FieldSpec(f.p, f.m, tuple(c * s % f.p for c in rev))
+
+
+LARGE_ODD = [make_field(3, 12), make_field(5, 8), make_field(7, 7)]
+LARGE_ODD += [reciprocal_modulus(f) for f in LARGE_ODD]
+
+
+def test_large_odd_fields_take_the_digit_path():
+    for f in LARGE_ODD:
+        assert f._tables is None and f._mask is None
+    for f, g in zip(LARGE_ODD[:3], LARGE_ODD[3:]):
+        assert f.modulus != g.modulus
+
+
+@settings(deadline=None, max_examples=40)  # each Fermat chain takes about 1 ms
+@given(st.sampled_from(LARGE_ODD), st.data())
+def test_odd_inverse_matches_fermat(f, data):
+    a = data.draw(st.one_of(st.integers(1, f.q - 1), st.sampled_from([1, 2, f.p, f.q - 1])))
+    inv = f.inv(a)
+    assert inv == f.pow_(a, f.q - 2)  # pow_ with e >= 0 multiplies only
+    assert 0 < inv < f.q and f.mul(a, inv) == 1
+
+
+@pytest.mark.parametrize("f", LARGE_ODD, ids=lambda f: f"q{f.q}:{f.modulus}")
+def test_odd_inverse_of_zero_raises(f):
+    with pytest.raises(ZeroDivisionError):
+        f.inv(0)
+    with pytest.raises(ZeroDivisionError):
+        f.div(1, 0)
+
+
+# -- dot products ----------------------------------------------------------------
+
+def dot_by_loop(f, xs, ys):
+    acc = 0
+    for a, b in zip(xs, ys):
+        acc = f.add(acc, f.mul(a, b))
+    return acc
+
+
+DOT_FIELDS = [make_field(2), make_field(13), field_from_order(1048573),  # prime
+              make_field(2, 4), make_field(2, 8),                        # tables, p = 2
+              make_field(3, 4), make_field(5, 2),                        # tables, odd p
+              field_from_order(1 << 16), large_binary_fields(13)[1],     # packed GF(2^m)
+              make_field(3, 12), make_field(7, 7)]                       # odd digit path
+
+
+@pytest.mark.parametrize("f", DOT_FIELDS, ids=lambda f: f"q{f.q}")
+def test_dot_edges(f):
+    top = f.q - 1
+    for xs, ys in [((), ()), ((0,), (0,)), ((0, 0, 0), (top, 1, 2)), ((top,), (top,)),
+                   ((1,), (top,)), ((top, top), (top, 1)), ((1, 2), (3,))]:
+        xs, ys = (tuple(x % f.q for x in v) for v in (xs, ys))
+        assert f.dot(xs, ys) == dot_by_loop(f, xs, ys), (xs, ys)
+    assert f.dot((), ()) == 0
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(DOT_FIELDS), st.data())
+def test_dot_matches_loop(f, data):
+    n = data.draw(st.integers(0, 8))
+    xs, ys = (data.draw(st.lists(st.integers(0, f.q - 1), min_size=n, max_size=n))
+              for _ in range(2))
+    got = f.dot(xs, ys)
+    assert got == dot_by_loop(f, xs, ys) and 0 <= got < f.q
