@@ -4,7 +4,8 @@
 Starting from the full projective-line family with K = 2 (q+1 matrices of
 size 2x2, genus 0), repeating every matrix g+1 times yields a verified
 genus-g family of exactly (g+1)(q+1) members.  The script also runs the
-modulation audits on each duplicated family that admits a scheme.
+modulation audits on each duplicated family that admits a scheme, and exits
+1 if any family misses the cap, fails verification or fails an audit.
 """
 
 import argparse
@@ -23,6 +24,7 @@ def main():
     ap.add_argument("--g", type=int, nargs="+", default=[0, 1, 2])
     args = ap.parse_args()
 
+    ok = True
     for q in args.q:
         field = make_field(q)
         base = genus0_udmg(field, list(range(q)) + [INFINITY], 2).udmg
@@ -33,8 +35,9 @@ def main():
             status = "valid" if rep.valid else f"INVALID witness={rep.witness}"
             print(f"q={q} g={g}: L={dup.L} cap={cap} "
                   f"meets_cap={dup.L == cap} {status}")
+            ok &= rep.valid and dup.L == cap
             try:
-                scheme = build_scheme(dup)
+                scheme = build_scheme(dup, verified=rep.valid)
             except HypothesisUnmetError as exc:
                 print(f"  scheme skipped: {exc}")
                 continue
@@ -43,7 +46,9 @@ def main():
             print(f"  snr={srep.snr} within_bounds={srep.within} "
                   f"audit={'pass' if arep.passed else 'FAIL'} "
                   f"pairs={arep.pairs_checked}")
+            ok &= srep.within and arep.passed
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

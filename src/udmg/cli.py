@@ -343,7 +343,7 @@ def _cmd_code(args) -> int:
     if not rep.valid:
         _emit({"valid": False, "witness": list(rep.witness)}, args.json)
         return 1
-    code = first_column_code(u, compute_distance=args.min_distance)
+    code = first_column_code(u, compute_distance=args.min_distance, verified=True)
     payload = {
         "n": code.n,
         "k": code.k,
@@ -423,7 +423,7 @@ def _cmd_example(args) -> int:
     save_matrixset(u, out)
     checks = {}
 
-    checks["verifies_at_genus_1"] = verify(u).valid
+    valid = checks["verifies_at_genus_1"] = verify(u).valid
     rep0 = verify(u.with_genus(0))
     checks["fails_at_genus_0"] = (not rep0.valid
                                   and rep0.witness == reference.WITNESS_GENUS0)
@@ -438,11 +438,11 @@ def _cmd_example(args) -> int:
                      == rref(reference.evaluation_generator()).matrix)
     checks["generator_rowspace_matches_hand_evaluation"] = same_rowspace
 
-    code = first_column_code(u)
+    code = first_column_code(u, verified=valid)
     checks["code_is_9_3_with_d_in_6_7"] = (code.n, code.k) == (9, 3) and 6 <= code.d <= 7
     checks["defect_at_most_genus"] = code.defect <= u.g
 
-    scheme = build_scheme(u)
+    scheme = build_scheme(u, verified=valid)
     srep = snr(scheme)
     checks["snr_within_bounds"] = srep.within
     arep = audit_product_distance(scheme)

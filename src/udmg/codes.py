@@ -71,15 +71,17 @@ def min_distance(code: LinearCode) -> int:
     return best
 
 
-def first_column_code(u: Udmg, compute_distance: bool = True) -> LinearCode:
+def first_column_code(u: Udmg, compute_distance: bool = True,
+                      verified: bool = False) -> LinearCode:
     """[L, K] code generated by the first columns of a valid matrix set.
 
     Requires L >= K + g; the generator then has rank K and the Singleton
-    defect is at most g, both of which are asserted.
+    defect is at most g, both of which are asserted.  verified=True skips
+    the scan of a set the caller has already verified at its genus.
     """
     if u.L < u.K + u.g:
         raise TooShortError(f"need L >= K + g = {u.K + u.g}, have {u.L}")
-    if not _verify_fast(u):
+    if not (verified or _verify_fast(u)):
         raise RankDeficientError("matrix set fails verification at its genus")
     G = FqMatrix.from_rows(
         u.field, [[M.col(0)[i] for M in u.matrices] for i in range(u.K)])

@@ -149,6 +149,34 @@ def _annihilate(field: FieldSpec, ann: list, vec) -> list:
     return out
 
 
+def _profile(field: FieldSpec, ann: list, steps) -> tuple:
+    """(a, e, slope) of one member's steps mapped to F_q^k by k <= 2 functionals.
+
+    a counts the leading steps whose image is zero.  When k = 2 the first
+    nonzero image fixes the one line of F_q^2 the member can stay on, keyed by
+    slope (-1 if vertical, None if none), and e counts the steps on it.
+    """
+    dot, mul = field.dot, field.mul
+    a, e, slope = 0, 0, None
+    for step in steps:
+        for vec in step:
+            img = [dot(phi, vec) for phi in ann]
+            if not any(img):
+                continue
+            if len(img) == 1:
+                return a, e, slope
+            x, y = img
+            if slope is None:
+                slope, x0, y0 = (field.div(y, x) if x else -1), x, y
+            elif mul(x, y0) != mul(y, x0):
+                return a, e, slope
+        if slope is None:
+            a += 1
+        else:
+            e += 1
+    return a, e, slope
+
+
 def _scan(field: FieldSpec, K: int, g: int, steps) -> VerifyReport:
     """Rank check of every allowable vector, sharing work between prefixes.
 
@@ -157,9 +185,12 @@ def _scan(field: FieldSpec, K: int, g: int, steps) -> VerifyReport:
     nested chain).  Allowable vectors are walked depth-first in lexicographic
     order.  Each depth keeps K - rank functionals vanishing on the span so
     far (at first the coordinate functionals), so a step costs a dot product
-    per functional, and a dependent vector no row operation.  A subtree passes
-    once no functional is left (rank K), with no further vector reduced; the
-    walk stops at the first failing leaf, which is the least failure.
+    per functional, and a dependent vector no row operation.  Once k <= 2
+    functionals are left, the subtree is decided in one pass: a completion
+    fails iff its images lie on one line of F_q^k (k = 1: are all zero), so
+    with _profile's (a, e, slope) per member, capped at the budget R left, it
+    fails iff sum(a) plus the e on some line reaches R.  The least failure,
+    over such lines, takes from each member only what later ones cannot cover.
     """
     lengths = [len(s) for s in steps]
     checked = _count_allowable(lengths, K + g)
@@ -168,25 +199,48 @@ def _scan(field: FieldSpec, K: int, g: int, steps) -> VerifyReport:
     L = len(steps)
     tails = [sum(lengths[i:]) for i in range(L + 1)]
 
-    def walk(i, ann, remaining):
-        """Least failing completion from member i on, or None."""
+    def tail(i, v, ann, remaining):
+        """Least failing completion with member i at offset v, given k <= 2."""
         if not ann:
             return None
+        budget = remaining - v
+        starts = [v] + [0] * (L - i - 1)
+        prof = [_profile(field, ann, s[o:o + budget]) for s, o in zip(steps[i:], starts)]
+        zeros, along = sum(a for a, _, _ in prof), {}
+        for _, e, slope in prof:
+            along[slope] = along.get(slope, 0) + e
+        best = None
+        for slope, run in along.items():
+            if zeros + run < budget:
+                continue
+            z = [a + (e if s == slope else 0) for a, e, s in prof]
+            rest, room, lam = budget, sum(z), []
+            for zj, o in zip(z, starts):
+                room -= zj
+                x = max(0, rest - room)
+                rest -= x
+                lam.append(o + x)
+            best = min(best or lam, lam)
+        return None if best is None else tuple(best)
+
+    def walk(i, ann, remaining):
+        """Least failing completion from member i on, or None, given k >= 3."""
         if remaining == 0:
             return (0,) * (L - i)
         for v in range(min(lengths[i], remaining) + 1):
             if v:
                 for vec in steps[i][v - 1]:
                     ann = _annihilate(field, ann, vec)
-                if not ann:
-                    return None
+                if len(ann) <= 2:
+                    return tail(i, v, ann, remaining)
             if v >= remaining - tails[i + 1]:
                 rest = walk(i + 1, ann, remaining - v)
                 if rest is not None:
                     return (v,) + rest
         return None
 
-    witness = walk(0, [[int(r == c) for c in range(K)] for r in range(K)], K + g)
+    ann = [[int(r == c) for c in range(K)] for r in range(K)]
+    witness = tail(0, 0, ann, K + g) if K <= 2 else walk(0, ann, K + g)
     return VerifyReport(witness is None, witness, checked)
 
 

@@ -207,15 +207,18 @@ class CodeScheme:
         return [M.vecmat(v) for M in self.udmg.matrices]
 
 
-def build_scheme(u: Udmg) -> CodeScheme:
-    """Check the square hypotheses, split off the kernel span, fix messages."""
+def build_scheme(u: Udmg, verified: bool = False) -> CodeScheme:
+    """Check the square hypotheses, split off the kernel span, fix messages.
+
+    verified=True skips the scan of a set already verified at its genus.
+    """
     if not u.is_square:
         raise NotSquareError("scheme needs eta-regular square matrices with eta = K")
     N = u.K
     if u.L * (N - u.g) < N:
         raise HypothesisUnmetError(
             f"need L(N - g) >= N, have {u.L}*({N}-{u.g}) < {N}")
-    if not verify(u).valid:
+    if not (verified or verify(u).valid):
         raise InvalidInputError("matrix set fails verification at its genus")
     kernels = tuple(kernel_basis(M.transpose()) for M in u.matrices)
     for ker in kernels:

@@ -120,6 +120,40 @@ def test_verify_min_genus_scans_each_genus_once(fixture_path, capsys, monkeypatc
     assert json.loads(want[1][1])["minimal_genus"] == 1
 
 
+@pytest.mark.parametrize("argv,rescanned,scanned", [
+    (["code", "{fixture}", "--min-distance"], [1, 1], [1]),
+    # the construction keeps its self-check, the third genus-1 scan
+    (["example-paper", "-o", "{out}"], [1, 0, 1, 1, 1], [1, 0, 1]),
+])
+def test_commands_scan_each_genus_once(fixture_path, tmp_path, capsys, monkeypatch, argv,
+                                       rescanned, scanned):
+    from udmg import codes, core, waveform
+
+    argv = [a.format(fixture=fixture_path, out=tmp_path / "out.json") for a in argv]
+    genera, scan = [], core._scan
+    monkeypatch.setattr(core, "_scan", lambda field, K, g, steps: genera.append(g) or
+                        scan(field, K, g, steps))
+
+    def run_both():
+        genera.clear()
+        outs = []
+        for fmt in ([], ["--json"]):
+            code = run(fmt + argv)
+            outs.append((code, capsys.readouterr().out))
+        return outs
+
+    got = run_both()
+    assert genera == scanned * 2
+    assert all(code == 0 for code, _ in got)
+    # the same answers when the code and the scheme verify the set again themselves
+    for name, fn in (("first_column_code", codes.first_column_code),
+                     ("build_scheme", waveform.build_scheme)):
+        monkeypatch.setattr(f"udmg.cli.{name}",
+                            lambda u, verified=False, _fn=fn, **kw: _fn(u, **kw))
+    assert run_both() == got
+    assert genera == rescanned * 2
+
+
 def test_verify_threads_equivalent(fixture_path, capsys, monkeypatch):
     run(["--json", "verify", fixture_path, "--genus", "0", "--threads", "1"])
     one = capsys.readouterr().out

@@ -25,7 +25,7 @@ from udmg.errors import InvalidInputError, LengthMismatchError, NotProperSubErro
 from udmg.fields import make_field
 from udmg.linalg import FqMatrix, Subspace, rref_rows
 
-F2, F3, F5 = make_field(2), make_field(3), make_field(5)
+F2, F3, F4, F5 = make_field(2), make_field(3), make_field(2, 2), make_field(5)
 
 
 def identity_udmg(field, K, g=0, copies=1):
@@ -182,15 +182,166 @@ def test_oracle_equivalence_height_zero():
 
 def test_no_vector_is_reduced_once_the_span_is_full(monkeypatch):
     from udmg import core
+    from udmg.fields import FieldSpec
 
-    reduced, annihilate = [], core._annihilate
-    monkeypatch.setattr(core, "_annihilate", lambda field, ann, vec: reduced.append(vec) or
+    touched, annihilate, dot = [], core._annihilate, FieldSpec.dot
+    monkeypatch.setattr(core, "_annihilate", lambda field, ann, vec: touched.append(vec) or
                         annihilate(field, ann, vec))
-    e1, e2, x = (1, 0), (0, 1), (1, 1)
-    cols = (e1, e2, x, x)
-    M = FqMatrix(F5, 2, 4, tuple(c[i] for i in range(2) for c in cols))
-    assert verify(Udmg(F5, 2, 2, (M,))).valid
-    assert reduced == [e1, e2]
+    monkeypatch.setattr(FieldSpec, "dot", lambda field, xs, ys: touched.append(ys) or
+                        dot(field, xs, ys))
+    # K = 2 is decided by the closed-form tail alone, K = 3 walks one column first
+    for K in (2, 3):
+        eye = [tuple(int(r == c) for r in range(K)) for c in range(K)]
+        x = (1,) * K
+        cols = (*eye, x, x)
+        M = FqMatrix(F5, K, K + 2, tuple(c[i] for i in range(K) for c in cols))
+        touched.clear()
+        assert verify(Udmg(F5, K, 2, (M,))).valid
+        assert set(eye) <= set(map(tuple, touched))
+        assert x not in set(map(tuple, touched))
+
+
+# -- the closed-form tail: subtrees with at most two functionals left ----------
+
+def columns_matrix(field, K, cols):
+    return FqMatrix(field, K, len(cols), tuple(c[i] for i in range(K) for c in cols))
+
+
+def canonical_column_runs(n, K):
+    """Column sequences over GF(2) in which each new independent column is the
+    next unit vector: one per orbit of GL_K(F_2), which keeps every rank."""
+    def rec(n, r):
+        if n == 0:
+            yield ()
+            return
+        for coeffs in product((0, 1), repeat=r):
+            for rest in rec(n - 1, r):
+                yield (coeffs + (0,) * (K - r),) + rest
+        if r < K:
+            unit = tuple(int(i == r) for i in range(K))
+            for rest in rec(n - 1, r + 1):
+                yield (unit,) + rest
+    return rec(n, 0)
+
+
+def test_tail_agrees_exhaustive_gf2_k3():
+    # every set of members of at most two columns, four or five in all and at
+    # most three members, up to a change of basis of F_2^3 (which keeps every
+    # verdict and witness)
+    seen = 0
+    for n in (4, 5):
+        shapes = [c for L in (2, 3) for c in product((1, 2), repeat=L) if sum(c) == n]
+        for cols in canonical_column_runs(n, 3):
+            for shape in shapes:
+                at = [sum(shape[:i]) for i in range(len(shape) + 1)]
+                mats = tuple(columns_matrix(F2, 3, cols[a:b]) for a, b in zip(at, at[1:]))
+                for g in (0, 1):
+                    assert_agrees_with_oracles(Udmg(F2, 3, g, mats))
+                    seen += 1
+    assert seen == 2 * (4 * 66 + 3 * 342)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_tail_agrees_on_sets_with_shared_lines(data):
+    # columns are multiples of a few drawn vectors, so members share lines,
+    # start with zero images and stay on a line for several columns
+    field = data.draw(st.sampled_from([F2, F3, F4]))
+    K = data.draw(st.integers(1, 4))
+    elem = st.integers(0, field.q - 1)
+    palette = data.draw(st.lists(st.tuples(*[elem] * K), min_size=1, max_size=K + 1))
+    mats = []
+    for n in data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)):
+        scales = data.draw(st.lists(elem, min_size=n, max_size=n))
+        cols = [tuple(field.mul(c, x) for x in data.draw(st.sampled_from(palette)))
+                for c in scales]
+        mats.append(columns_matrix(field, K, cols))
+    assert_agrees_with_oracles(Udmg(field, K, data.draw(st.integers(0, 2)), tuple(mats)))
+
+
+def perturbed(rng, u, count):
+    mats = list(u.matrices)
+    for _ in range(count):
+        i = rng.randrange(len(mats))
+        M = mats[i]
+        entries = list(M.entries)
+        entries[rng.randrange(len(entries))] = rng.randrange(u.field.q)
+        mats[i] = FqMatrix(u.field, M.rows, M.cols, tuple(entries))
+    return Udmg(u.field, u.K, u.g, tuple(mats))
+
+
+def test_tail_agrees_on_perturbed_line_constructions():
+    # random sets are mostly invalid and fail early; constructions pass, so
+    # the tail must decide (and usually clear) whole subtrees
+    from udmg.curves import INFINITY, genus0_udmg
+
+    rng = random.Random(53)
+    outcomes = set()
+    for K in range(3, 7):
+        for field in (F3, F4, F5):
+            for _ in range(3):
+                points = rng.sample(list(range(field.q)) + [INFINITY], rng.randint(2, 3))
+                u = perturbed(rng, genus0_udmg(field, points, K).udmg, rng.randint(0, 2))
+                for g in (0, 1):
+                    assert_agrees_with_oracles(u.with_genus(g))
+                    outcomes.add(verify(u.with_genus(g)).valid)
+    assert outcomes == {True, False}
+
+
+def test_tail_agrees_on_duplicated_families():
+    # members repeated g + 1 times share every line; below genus g they fail
+    from udmg.codes import duplicated
+    from udmg.curves import INFINITY, genus0_udmg
+
+    rng = random.Random(59)
+    for field, g, count in ((F3, 1, 4), (F4, 1, 4), (F5, 1, 4), (F3, 2, 2)):
+        points = rng.sample(list(range(field.q)) + [INFINITY], count)
+        dup = duplicated(genus0_udmg(field, points, 2).udmg, g)
+        for h in range(g + 1):
+            assert_agrees_with_oracles(dup.with_genus(h))
+        assert verify(dup).valid and not verify(dup.with_genus(g - 1)).valid
+        assert_agrees_with_oracles(perturbed(rng, dup, 1))
+
+
+E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+
+
+@pytest.mark.parametrize("K,g,members,witness", [
+    # K = 2: the tail at the root decides; member 0 alone stays on the line <e1>
+    (2, 1, (((1, 0), (2, 0), (3, 0)), ((0, 1), (1, 0))), (3, 0)),
+    # K = 3: e1 leaves two functionals, so the tail starts at member 0's
+    # second column; e2, 2e2 and e1 + e2 lie on one line mod e1
+    (3, 1, ((E1, E2, (0, 2, 0), E3), ((1, 1, 0), E3), (E3,)), (3, 1, 0)),
+    # members 1 and 2 on the line <(1, 1)>, member 0 on another
+    (2, 0, (((1, 0), (0, 1)), ((1, 1), (0, 1)), ((2, 2), (1, 0))), (0, 1, 1)),
+    # K = 1 has no lines: only leading zero images can fail
+    (1, 1, (((0,), (0,), (1,)), ((0,), (2,))), (1, 1)),
+])
+def test_tail_pinned_least_failures(K, g, members, witness):
+    u = Udmg(F5, K, g, tuple(columns_matrix(F5, K, cols) for cols in members))
+    assert verify(u).witness == witness
+    assert_agrees_with_oracles(u)
+
+
+def test_tail_entered_partway_through_a_member(monkeypatch):
+    from udmg import core
+
+    profiled, profile = [], core._profile
+    monkeypatch.setattr(core, "_profile", lambda field, ann, steps: profiled.append(
+        (len(ann), [s[0] for s in steps])) or profile(field, ann, steps))
+    members = ((E1, E2, (0, 2, 0), E3), ((1, 1, 0), E3), (E3,))
+    u = Udmg(F5, 3, 1, tuple(columns_matrix(F5, 3, cols) for cols in members))
+    assert verify(u).witness == (3, 1, 0)
+    # one tail, at offset 1 of member 0, with budget 3 and two functionals
+    assert profiled == [(2, [E2, (0, 2, 0), E3]), (2, [(1, 1, 0), E3]), (2, [E3])]
+
+
+def test_tail_decides_by_leading_zeros_when_no_member_has_a_line():
+    # each chain's first nonzero entry is all of F_5^2, so no member can stay
+    # on a line and the two leading zero entries of chain 0 decide
+    zero, full = Subspace.trivial(F5, 2), Subspace.full(F5, 2)
+    v = Udvsg(F5, 2, 1, (Chain((zero, zero, full)), Chain((zero, full))))
+    assert verify_chains(v).witness == least_failure_by_rref(v) == (2, 1)
 
 
 def test_monotone_genus():
