@@ -215,16 +215,20 @@ class Subspace:
 
     def enumerate_vectors(self):
         """All q^dim vectors of the subspace, zero first (desk scale only)."""
-        f = self.field
-        vecs = [(0,) * self.ambient_dim]
-        for bvec in self.vectors:
-            ext = []
-            for c in range(1, f.q):
-                scaled = tuple(f.mul(c, x) for x in bvec)
-                for v in vecs:
-                    ext.append(tuple(f.add(a, b) for a, b in zip(v, scaled)))
-            vecs.extend(ext)
-        return vecs
+        return span_vectors(self.field, self.vectors, self.ambient_dim)
+
+
+def span_vectors(field: FieldSpec, basis, length: int) -> list:
+    """Every sum_k c_k basis[k], at index sum_k c_k q^k (c_k a rep): the order depends
+    only on the coefficients, so the basis's images under a linear map give theirs."""
+    vecs = [(0,) * length]
+    for bvec in basis:
+        ext = []
+        for c in range(1, field.q):
+            scaled = tuple(field.mul(c, x) for x in bvec)
+            ext.extend(tuple(map(field.add, v, scaled)) for v in vecs)
+        vecs.extend(ext)
+    return vecs
 
 
 def subspace_sum(spaces) -> Subspace:

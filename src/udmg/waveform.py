@@ -11,8 +11,9 @@ matrix family that fails to span, so validity of the matrix set caps the
 total agreement sum at N + g - 1.  That cap is what the product-distance
 audit leans on.  Encoding is linear, so two messages agree on a channel in
 exactly the leading zeros of their difference's encoding: the audit reads
-every pair's agreement off the nonzero messages' own encodings, and
-certifies every pair's gap floor from neighbours in sorted order.
+every pair's agreement off the nonzero messages' own encodings, certifies
+every pair's gap floor from neighbours in sorted order, and seeks the least
+product one difference class at a time.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from functools import cache, partial, reduce
+from itertools import compress
 from operator import mul, sub
 
 from .core import Udmg, verify
@@ -32,7 +34,7 @@ from .errors import (
     SymbolOutOfRangeError,
     TooLargeError,
 )
-from .linalg import Subspace, complement, kernel_basis, subspace_sum
+from .linalg import Subspace, complement, kernel_basis, span_vectors, subspace_sum
 
 MAX_MESSAGES = 1 << 22
 MAX_PAIR_SQUARE = 1 << 24
@@ -91,13 +93,16 @@ def mu0(mod: Modulator, a) -> Fraction:
 
 
 def mu0_scaled(mod: Modulator, a) -> int:
-    """2qN * mu0(a), always an integer; used by the exhaustive audits."""
+    """2qN * mu0(a), always an integer; the audits' scaled value."""
+    C, offset = _scaled_form(mod)
+    return 2 * sum(map(mul, C, a)) - offset
+
+
+def _scaled_form(mod: Modulator) -> tuple:
+    """(C, offset) with 2qN * mu0(a) = 2 sum_k C_k a_k - offset: C_k = q^(N-1-k) W_k."""
     q, N = mod.q, mod.N
-    W = mod.scaled_weights()
-    total = 0
-    for i, ai in enumerate(a, start=1):
-        total += (2 * ai - (q - 1)) * q ** (N - i) * W[i - 1]
-    return total
+    C = tuple(q ** (N - 1 - k) * w for k, w in enumerate(mod.scaled_weights()))
+    return C, (q - 1) * sum(C)
 
 
 @dataclass(frozen=True)
@@ -138,30 +143,32 @@ class GapAudit:
 
 
 def gap_audit_exhaustive(mod: Modulator) -> GapAudit:
-    """Check every unordered pair of symbol vectors, in scaled integers."""
+    """Every unordered pair of symbol vectors, decided from lex-order neighbour steps.
+
+    The scaled values rise strictly in lex order (checked), so a pair with common
+    prefix m spans a neighbour step with that prefix, which bounds its gap from
+    below: the least gap at prefix m is the least such step, and every pair clears
+    its floor iff every step does.
+    """
     from itertools import product
 
     q, N = mod.q, mod.N
     if q ** (2 * N) > MAX_PAIR_SQUARE:
         raise TooLargeError("symbol space too large for the exhaustive audit")
+    C, offset = _scaled_form(mod)
     vecs = list(product(range(q), repeat=N))
-    scaled = [mu0_scaled(mod, v) for v in vecs]
+    scaled = [2 * sum(map(mul, C, v)) - offset for v in vecs]
     floors = [2 * q * q ** (N - m - 1) for m in range(N)]  # 2qN * q^(N-m-1)/N
     min_by_m = {}
     ok = True
-    pairs = 0
-    for i in range(len(vecs)):
-        vi, si = vecs[i], scaled[i]
-        for j in range(i + 1, len(vecs)):
-            pairs += 1
-            m = _common_prefix(vi, vecs[j])
-            diff = abs(si - scaled[j])
-            if diff <= floors[m]:
-                ok = False
-            if m not in min_by_m or diff < min_by_m[m]:
-                min_by_m[m] = diff
+    for a, b, sa, sb in zip(vecs, vecs[1:], scaled, scaled[1:]):
+        m, step = _common_prefix(a, b), sb - sa
+        if step <= 0:
+            raise AssertionError(f"scaled values fail to rise from {a} to {b}")
+        ok = ok and step > floors[m]
+        min_by_m[m] = min(step, min_by_m.get(m, step))
     denom = 2 * q * N
-    return GapAudit(pairs, ok,
+    return GapAudit(len(vecs) * (len(vecs) - 1) // 2, ok,
                     {m: Fraction(v, denom) for m, v in sorted(min_by_m.items())})
 
 
@@ -304,42 +311,41 @@ def audit_product_distance(scheme: CodeScheme) -> AuditReport:
     squared modulated differences must clear q^(2(LN-(N+g-1)-L))/N^(2L).
 
     Nothing Python-level runs once per pair:
-    - Encoding is linear, so a pair agrees on channel c in exactly the leading
-      zeros of encode(v_j - v_i)[c], and the differences of distinct messages
-      are the nonzero messages: their own encodings give every agreement sum.
+    - Encoding is linear, so only the basis messages are encoded, and a pair
+      agrees on channel c in exactly the leading zeros of encode(v_j - v_i)[c]:
+      the nonzero messages' own encodings give every agreement sum.
     - Per channel, sorted by symbol vector, the scaled values are certified to
       step up by more than 2q * q^(N-m-1) between neighbours with common
       prefix m.  A pair with common prefix m spans a neighbour pair with that
       prefix, and every step is positive, so it clears that floor too; the
       pair's floor is the product of the squared channel floors.  Without the
       certificate every pair is checked.
-    - The minimum product is taken row by row with C-level maps, and the
-      first minimal row's first minimal entry is the first worst pair in
-      (i, j) order.
+    - The minimum product is found by difference class, in ascending order of
+      a bound per class (_least_product); the least worst pair (i, j) is first.
     """
     q, N, L, g = scheme.modulator.q, scheme.N, scheme.L, scheme.udmg.g
-    if scheme.udmg.field.q ** (2 * scheme.message_space.dim) > MAX_PAIR_SQUARE:
+    f = scheme.udmg.field
+    if f.q ** (2 * scheme.message_space.dim) > MAX_PAIR_SQUARE:
         raise TooLargeError("message pair count exceeds the audit guard")
     msgs = scheme.messages()
     n = len(msgs)
     if n < 2:
         return AuditReport(0, Fraction(0), Fraction(0), True, (), 0, True)
-    mod = scheme.modulator
-    syms = [scheme.encode(v) for v in msgs]
-    cols = [[mu0_scaled(mod, s[c]) for s in syms] for c in range(L)]
+    C, offset = _scaled_form(scheme.modulator)
+    images = [scheme.encode(b) for b in scheme.message_space.vectors]
+    syms = [span_vectors(f, [im[c] for im in images], N) for c in range(L)]  # encode(msgs[i])[c]
+    cols = [[2 * sum(map(mul, C, s)) - offset for s in ch] for ch in syms]
     agreement_cap = N + g - 1
-    lam = [sum(_common_prefix(s, (0,) * N) for s in e) for e in syms]
+    leading_zeros = cache(partial(_common_prefix, (0,) * N))
+    lam = list(map(sum, zip(*[map(leading_zeros, ch) for ch in syms])))
     max_agree = max(lam[1:])
     if max_agree > agreement_cap:  # msgs[0] is zero, so row 0 holds the first such pair
         k = next(k for k in range(1, n) if lam[k] > agreement_cap)
         raise AssertionError(
             f"agreement sum {lam[k]} exceeded N+g-1 for {msgs[0]} vs {msgs[k]}")
-    ok = (all(_gaps_certified(q, N, [s[c] for s in syms], cols[c]) for c in range(L))
-          or _pairs_clear_floors(q, N, L, syms, cols))
-    row_min = [min(map(abs, _row_products(cols, i))) for i in range(n - 1)]
-    best = min(row_min)
-    wi = row_min.index(best)
-    wj = wi + 1 + list(map(abs, _row_products(cols, wi))).index(best)
+    ok = (all(_gaps_certified(q, N, syms[c], cols[c]) for c in range(L))
+          or _pairs_clear_floors(q, N, L, list(zip(*syms)), cols))
+    best, (wi, wj) = _least_product(f, scheme.message_space.dim, C, syms, cols)
     scale = (2 * q * N) ** (2 * L)  # converts scaled integer products to mu0 units
     floor = Fraction(q ** (2 * (L * N - (N + g - 1) - L)), N ** (2 * L))
     min_product = Fraction(best * best, scale)
@@ -348,12 +354,75 @@ def audit_product_distance(scheme: CodeScheme) -> AuditReport:
                        (msgs[wi], msgs[wj]), max_agree, False)
 
 
-def _row_products(cols, i):
-    """Iterator over prod_c (t_i[c] - t_j[c]) for j > i."""
-    prods = map(sub, repeat(cols[0][i]), cols[0][i + 1:])
-    for col in cols[1:]:
-        prods = map(mul, prods, map(sub, repeat(col[i]), col[i + 1:]))
-    return prods
+def _least_product(field, dim, C, syms, cols) -> tuple:
+    """(least |prod_c (t_i[c] - t_j[c])| over message pairs, least such (i, j), i < j).
+
+    The pairs {v, v + d} of a nonzero message d form a class whose channel-c symbols
+    differ by e = syms[c][d]; with m the first nonzero entry of e, |t(a + e) - t(a)| >=
+    2 (C_m lo(e_m) - sum_{k>m} C_k hi(e_k)).  Classes (d and -d as one) are scanned in
+    ascending product of these channel bounds until it exceeds the least product.
+    """
+    q, n = field.q, len(cols[0])
+    lo, hi = _step_bounds(field)
+
+    @cache
+    def channel_bound(e):
+        m = next((k for k, x in enumerate(e) if x), None)
+        if m is None:  # the class's symbols agree on this channel
+            return 0
+        return max(0, 2 * (C[m] * lo[e[m]] - sum(C[k] * hi[e[k]] for k in range(m + 1, len(e)))))
+
+    bounds = [1] * n
+    for ch in syms:
+        bounds = list(map(mul, bounds, map(channel_bound, ch)))
+    negs = _digit_map(q, [[field.neg(c) for c in range(q)]] * dim)
+    best = pair = None
+    for d in sorted((d for d in range(1, n) if d <= negs[d]), key=bounds.__getitem__):
+        if best is not None and bounds[d] > best:
+            break
+        digits = [d // q ** k % q for k in range(dim)]
+        shift = _digit_map(q, [[field.add(c, x) for c in range(q)] for x in digits])  # v -> v + d
+        least, key = _scan_class(cols, shift)
+        if best is None or (least, key) < (best, pair):
+            best, pair = least, key
+    return best, pair
+
+
+def _step_bounds(field) -> tuple:
+    """Tables lo, hi: the least and greatest |int(y + x) - int(y)| over y, for each x.
+
+    Reps pack base-p digits added digit by digit, so the difference is sum_i p^i d_i,
+    y picking each d_i in {x_i, x_i - p} (x_i != 0).  The greatest has one sign
+    throughout (y = 0, -x); the least gives the top digit p^h the other sign from
+    the rest (y = p^h - 1, (p - 1) p^h).
+    """
+    p = field.p
+    lo, hi, top = [0], [0], 1
+    for x in range(1, field.q):
+        if x == top * p:  # top = p^h <= x < p^(h+1)
+            top = x
+        steps = [abs(field.add(y, x) - y) for y in (top - 1, (p - 1) * top, 0, field.neg(x))]
+        lo.append(min(steps[:2]))
+        hi.append(max(steps[2:]))
+    return lo, hi
+
+
+def _digit_map(q, tables) -> list:
+    """[sum_k tables[k][c_k] q^k for each index sum_k c_k q^k], in index order."""
+    out = [0]
+    for k, table in enumerate(tables):
+        step = q ** k
+        out = [table[c] * step + p for c in range(q) for p in out]
+    return out
+
+
+def _scan_class(cols, shift) -> tuple:
+    """Least |prod_c (t_v[c] - t_shift[v][c])| over v, with its least pair (min, max)."""
+    diffs = (map(sub, map(col.__getitem__, shift), col) for col in cols)
+    vals = list(map(abs, reduce(partial(map, mul), diffs)))
+    least = min(vals)
+    ties = compress(range(len(vals)), map(least.__eq__, vals))
+    return least, min((min(v, shift[v]), max(v, shift[v])) for v in ties)
 
 
 def _gaps_certified(q, N, vecs, scaled) -> bool:

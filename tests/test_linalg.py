@@ -13,6 +13,7 @@ from udmg.linalg import (
     quotient_map,
     rank,
     rref,
+    span_vectors,
     subspace_sum,
 )
 
@@ -183,3 +184,12 @@ def test_enumerate_vectors_counts():
     vecs = S.enumerate_vectors()
     assert len(vecs) == 9 and len(set(vecs)) == 9
     assert all(S.contains_vector(v) for v in vecs)
+
+
+def test_span_vectors_commutes_with_a_linear_map():
+    F9 = make_field(3, 2)
+    S = Subspace.from_vectors(F9, 3, [(1, 4, 0), (0, 7, 2)])
+    M = FqMatrix.from_rows(F9, [(1, 2, 3, 0), (5, 0, 8, 1), (0, 6, 4, 7)])
+    images = span_vectors(F9, [M.vecmat(b) for b in S.vectors], 4)
+    assert images == [M.vecmat(v) for v in S.enumerate_vectors()]
+    assert len(set(S.enumerate_vectors())) == 81

@@ -1,13 +1,14 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import product, repeat
+from operator import mul, sub
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from udmg.codes import duplicated
 from udmg.core import Udmg
-from udmg.curves import INFINITY, genus0_udmg
+from udmg.curves import DivisorSpec, INFINITY, curve_new, enumerate_points, genus0_udmg, goppa_udmg
 from udmg.errors import (
     EqualInputsError,
     HypothesisUnmetError,
@@ -118,6 +119,61 @@ def test_gap_audit_exhaustive(q, N):
     # the proof's minimizer is exact: min gap at prefix m is 1 + q^(N-m-1)/N
     for m, gap in audit.min_gap_by_prefix.items():
         assert gap == 1 + Fraction(q ** (N - m - 1), N)
+
+
+def gap_audit_by_pairs(mod):
+    """Oracle: the gap audit with one Python-level pass over every pair of symbol vectors."""
+    q, N = mod.q, mod.N
+    vecs = list(product(range(q), repeat=N))
+    scaled = [mu0_scaled(mod, v) for v in vecs]
+    floors = [2 * q * q ** (N - m - 1) for m in range(N)]  # 2qN * q^(N-m-1)/N
+    min_by_m = {}
+    ok = True
+    pairs = 0
+    for i in range(len(vecs)):
+        vi, si = vecs[i], scaled[i]
+        for j in range(i + 1, len(vecs)):
+            pairs += 1
+            m = _common_prefix(vi, vecs[j])
+            diff = abs(si - scaled[j])
+            if diff <= floors[m]:
+                ok = False
+            if m not in min_by_m or diff < min_by_m[m]:
+                min_by_m[m] = diff
+    denom = 2 * q * N
+    return waveform.GapAudit(pairs, ok,
+                             {m: Fraction(v, denom) for m, v in sorted(min_by_m.items())})
+
+
+@pytest.mark.parametrize("q,N", [(2, 1), (2, 5), (3, 1), (3, 4), (4, 2), (4, 3), (5, 3),
+                                 (7, 2), (8, 2), (9, 2), (11, 2), (13, 2)])
+def test_gap_audit_matches_pairs(q, N):
+    mod = Modulator(q, N)
+    assert gap_audit_exhaustive(mod) == gap_audit_by_pairs(mod)
+
+
+def test_gap_audit_flat_weights_match_pairs(monkeypatch):
+    # flat weights still rise in lex order, by 2 per step: every step misses its floor
+    monkeypatch.setattr(Modulator, "scaled_weights", lambda self: (1,) * self.N)
+    for q, N in [(2, 3), (3, 2), (5, 2)]:
+        audit = gap_audit_exhaustive(Modulator(q, N))
+        assert audit == gap_audit_by_pairs(Modulator(q, N))
+        assert not audit.all_passed
+
+
+def test_gap_audit_step_on_its_floor(monkeypatch):
+    # W = 2 over GF(2), N = 1: the one scaled step, 4, equals its floor 2q and does not clear it
+    monkeypatch.setattr(Modulator, "scaled_weights", lambda self: (2,))
+    audit = gap_audit_exhaustive(Modulator(2, 1))
+    assert audit == gap_audit_by_pairs(Modulator(2, 1))
+    assert not audit.all_passed and audit.min_gap_by_prefix == {0: 1}
+
+
+def test_gap_audit_rejects_values_that_fail_to_rise(monkeypatch):
+    # W = (1, 2) at q = 2: (0, 1) and (1, 0) scale to the same value
+    monkeypatch.setattr(Modulator, "scaled_weights", lambda self: (1, 2))
+    with pytest.raises(AssertionError, match=r"fail to rise from \(0, 1\) to \(1, 0\)"):
+        gap_audit_exhaustive(Modulator(2, 2))
 
 
 def scheme_f2():
@@ -478,3 +534,173 @@ def test_audit_guard_precedes_enumeration(monkeypatch):
     monkeypatch.setattr(CodeScheme, "messages", no_enumeration)
     with pytest.raises(TooLargeError):
         audit_product_distance(big)
+
+
+# -- product-distance audit against the row-by-row minimum ----------------------------
+
+def row_products(cols, i):
+    """Iterator over prod_c (t_i[c] - t_j[c]) for j > i."""
+    prods = map(sub, repeat(cols[0][i]), cols[0][i + 1:])
+    for col in cols[1:]:
+        prods = map(mul, prods, map(sub, repeat(col[i]), col[i + 1:]))
+    return prods
+
+
+def audit_by_rows(scheme):
+    """Oracle: every message encoded, the least product taken row by row at C speed."""
+    q, N, L, g = scheme.modulator.q, scheme.N, scheme.L, scheme.udmg.g
+    msgs = scheme.messages()
+    n = len(msgs)
+    syms = [scheme.encode(v) for v in msgs]
+    cols = [[mu0_scaled(scheme.modulator, s[c]) for s in syms] for c in range(L)]
+    max_agree = max(sum(_common_prefix(s, (0,) * N) for s in e) for e in syms[1:])
+    assert max_agree <= N + g - 1
+    ok = (all(waveform._gaps_certified(q, N, [s[c] for s in syms], cols[c]) for c in range(L))
+          or waveform._pairs_clear_floors(q, N, L, syms, cols))
+    row_min = [min(map(abs, row_products(cols, i))) for i in range(n - 1)]
+    best = min(row_min)
+    wi = row_min.index(best)
+    wj = wi + 1 + list(map(abs, row_products(cols, wi))).index(best)
+    floor = Fraction(q ** (2 * (L * N - (N + g - 1) - L)), N ** (2 * L))
+    min_product = Fraction(best * best, (2 * q * N) ** (2 * L))
+    return AuditReport(n * (n - 1) // 2, min_product, floor, ok and min_product >= floor,
+                       (msgs[wi], msgs[wj]), max_agree, False)
+
+
+@pytest.fixture
+def classes_scanned(monkeypatch):
+    """A list that gains one entry per difference class the audit scans."""
+    scanned = []
+    scan_class = waveform._scan_class
+    monkeypatch.setattr(waveform, "_scan_class",
+                        lambda cols, shift: scanned.append(1) or scan_class(cols, shift))
+    return scanned
+
+
+F11 = field_from_order(11)
+CURVE11 = curve_new(F11, 1, 3)  # s^2 = r^3 + r + 3 over GF(11)
+POINTS11 = [P for P in enumerate_points(CURVE11) if P is not INFINITY]
+
+
+def genus1_scheme(points):
+    return build_scheme(goppa_udmg(CURVE11, points, DivisorSpec(3, None)).udmg)
+
+
+def line_scheme(q, K, count):
+    return build_scheme(genus0_udmg(field_from_order(q), list(range(count - 1)) + [INFINITY], K).udmg)
+
+
+def delta_scheme():
+    """GF(9), K = 4, genus 2, a member of rank 3: delta = 1, 729 messages."""
+    f = field_from_order(9)
+    rows = [[(3, 5, 7, 8), (5, 5, 5, 5), (5, 4, 4, 4), (2, 1, 8, 3)],
+            [(5, 3, 4, 6), (4, 7, 2, 7), (0, 0, 0, 0), (8, 7, 0, 1)]]
+    return build_scheme(Udmg(f, 4, 2, tuple(FqMatrix.from_rows(f, r) for r in rows)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: genus1_scheme(POINTS11[:3]),
+    lambda: genus1_scheme(POINTS11[:4]),
+    lambda: line_scheme(11, 3, 5),
+    lambda: line_scheme(8, 3, 5),   # characteristic 2: d = -d
+    lambda: line_scheme(9, 3, 5),   # an extension field with d != -d
+    delta_scheme,
+], ids=["genus1-q11-3pts", "genus1-q11-4pts", "line-q11-K3", "line-q8-K3", "line-q9-K3",
+        "delta1-q9-K4"])
+def test_audit_matches_rows_where_classes_are_pruned(make, classes_scanned):
+    scheme = make()
+    n = len(scheme.messages())
+    assert n >= 500 and (scheme.delta > 0) == (make is delta_scheme)
+    rep = audit_product_distance(scheme)
+    assert rep == audit_by_rows(scheme)
+    assert rep.passed
+    assert 0 < len(classes_scanned) < (n - 1) // 2  # d and -d share a class
+
+
+@pytest.mark.parametrize("weights", [
+    lambda self: (1,) * self.N,                            # flat: the certificate fails
+    lambda self: tuple(self.q ** k for k in range(self.N)),  # later symbols outweigh the first
+], ids=["flat", "rising"])
+def test_audit_matches_rows_under_other_weights(weights, monkeypatch):
+    # channel bounds go negative here, so the clamp at zero is what keeps them sound
+    monkeypatch.setattr(Modulator, "scaled_weights", weights)
+    for scheme in (line_scheme(5, 3, 6), line_scheme(7, 3, 5), line_scheme(8, 3, 4),
+                   line_scheme(9, 3, 4)):
+        assert audit_product_distance(scheme) == audit_by_rows(scheme)
+
+
+def test_audit_matches_rows_with_a_zero_channel():
+    # the first member sends (0, 0, 1) to zero: that class's product is 0 on every pair
+    scheme = hand_scheme(F11, 3, 1, [[(1, 0, 0), (0, 1, 0), (0, 0, 0)],
+                                     [(0, 1, 2), (1, 0, 3), (4, 5, 1)]])
+    rep = audit_product_distance(scheme)
+    assert rep == audit_by_rows(scheme)
+    assert rep.min_product == 0 and not rep.passed
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 11, 16, 25, 27, 32, 49, 64, 81, 125, 243, 256])
+def test_step_bounds_are_the_extremes_over_every_y(q):
+    f = field_from_order(q)
+    steps = [[abs(f.add(y, x) - y) for y in range(q)] for x in range(q)]
+    assert waveform._step_bounds(f) == (list(map(min, steps)), list(map(max, steps)))
+
+
+@pytest.mark.parametrize("q", [1021, 2048, 2187, 4096])
+def test_step_bounds_at_sampled_entries_of_large_fields(q):
+    f = field_from_order(q)
+    lo, hi = waveform._step_bounds(f)
+    for x in random.Random(q).sample(range(1, q), 12) + [1, q - 1]:
+        steps = [abs(f.add(y, x) - y) for y in range(q)]
+        assert (lo[x], hi[x]) == (min(steps), max(steps))
+
+
+def test_audit_prune_scans_under_one_percent(classes_scanned):
+    scheme = genus1_scheme(POINTS11[:3])
+    assert len(scheme.messages()) == 1331
+    audit_product_distance(scheme)
+    assert 0 < len(classes_scanned) < 0.01 * 1330
+
+
+def test_audit_encodes_only_the_basis(monkeypatch):
+    scheme = genus1_scheme(POINTS11[:3])
+    encoded = []
+    encode = CodeScheme.encode
+    monkeypatch.setattr(CodeScheme, "encode", lambda self, v: encoded.append(v) or encode(self, v))
+    audit_product_distance(scheme)
+    assert encoded == list(scheme.message_space.vectors)
+
+
+def least_pairs(scheme):
+    """Every pair (i, j), i < j, at the least |product|, in (i, j) order."""
+    msgs = scheme.messages()
+    cols = [[mu0_scaled(scheme.modulator, scheme.encode(v)[c]) for v in msgs]
+            for c in range(scheme.L)]
+    rows = [list(map(abs, row_products(cols, i))) for i in range(len(msgs) - 1)]
+    best = min(map(min, rows))
+    return [(i, i + 1 + k) for i, row in enumerate(rows) for k, x in enumerate(row) if x == best]
+
+
+@pytest.mark.parametrize("make,classes", [
+    (lambda: build_scheme(duplicated(genus0_udmg(F5, [0, 1, 2, 3, 4, INFINITY], 2).udmg, 1)), 1),
+    (lambda: hand_scheme(F3, 2, 1, [[(1, 0), (0, 1)]] * 2), 1),
+    (lambda: hand_scheme(F5, 3, 0, [[(1, 0, 0), (0, 1, 0), (0, 0, 1)]]), 1),
+    (lambda: hand_scheme(field_from_order(9), 2, 0, [[(1, 0), (0, 1)]]), 2),
+    (lambda: hand_scheme(field_from_order(8), 2, 0, [[(1, 0), (0, 1)]]), 3),
+    # the class's first tied message pairs upward, (1, 4); an earlier one lies below, (0, 4)
+    (lambda: hand_scheme(field_from_order(7), 1, 0, [[(2,)]]), 1),
+    (lambda: hand_scheme(field_from_order(7), 2, 0, [[(4, 4), (2, 4)]]), 1),
+], ids=["dup-q5", "identity-q3-K2", "identity-q5-K3", "identity-q9-K2", "identity-q8-K2",
+        "double-q7-K1", "q7-K2"])
+def test_audit_worst_pair_is_first_of_many_ties(make, classes):
+    scheme = make()
+    ties = least_pairs(scheme)
+    msgs = scheme.messages()
+    assert len(ties) >= 4
+    # differences of the tied pairs, up to sign: the classes the ties lie in
+    f = scheme.udmg.field
+    diffs = {min(d, tuple(map(f.neg, d)))
+             for d in (tuple(map(f.sub, msgs[j], msgs[i])) for i, j in ties)}
+    assert len(diffs) == classes
+    rep = assert_audit_matches(scheme)
+    i, j = ties[0]
+    assert rep.worst_pair == (msgs[i], msgs[j])
