@@ -8,9 +8,11 @@ increasing zero bases, and the evaluation-code matrix construction.
 
 Both genera run one pipeline: rows of local coefficients at each point
 (Taylor rows on the projective line, local_expand rows on the curve) feed
-one increasing-zero-basis elimination, and one assembly builds, verifies
-and checks the matrices.  Local expansion works at a fixed precision that
-the degree of a principal divisor bounds in advance, so it never retries.
+one increasing-zero-basis elimination, and one assembly builds the
+matrices, certifies them valid by a valuation check that the degree of D
+justifies (no scan of allowable vectors), and checks the generator.  Local
+expansion works at a fixed precision that the degree of a principal divisor
+bounds in advance, so it never retries.
 
 Local uniformizers are fixed once and for all so that independent runs agree:
 t = r - x(P) at an affine point with s(P) != 0, t = s at an affine point with
@@ -21,9 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
-from .core import Udmg, _verify_fast
+# _verify_fast is unused here since the construction certifies itself; it stays
+# bound because perfbench/tracer.py wraps curves._verify_fast.
+from .core import Udmg, _verify_fast  # noqa: F401
 from .errors import (
     BadCharacteristicError,
     DependentBasisError,
@@ -40,7 +45,7 @@ from .errors import (
     UnsupportedDivisorError,
 )
 from .fields import FieldSpec
-from .linalg import FqMatrix, inverse
+from .linalg import FqMatrix, inverse, rank
 from .polys import Poly
 
 
@@ -609,29 +614,31 @@ def _eliminate_increasing(field, rows, width, k):
     return used, pivots, remaining
 
 
-def _izb_from_rows(field, basis, coeff_rows, width, zero) -> IzbResult:
+def _combine(basis, coords, zero):
+    """sum(coords[t] * basis[t]), built from basis[t].scale(c)."""
+    return sum((basis[t].scale(c) for t, c in enumerate(coords) if c), zero)
+
+
+def _izb_from_rows(field, basis, coeff_rows, width, zero, elements=True) -> IzbResult:
     """Increasing zero basis from one row of local coefficients per basis element.
 
     Row i lists the coefficients of t^0, ..., t^(width-1) of basis[i]; each is
     extended by the identity and eliminated forward by leading position, so a
     pivot column is a valuation and the identity part the combination, built
-    as a sum of basis[t].scale(c).  A leftover row is a dependency if its
-    combination is zero, and otherwise a valuation beyond the window.
+    as a sum of basis[t].scale(c) unless elements is false (then the result's
+    elements are None).  A leftover row is a dependency if its combination is
+    zero, and otherwise a valuation beyond the window.
     """
     k = len(basis)
     rows = [list(row) + [1 if t == i else 0 for t in range(k)] for i, row in enumerate(coeff_rows)]
     used, pivots, remaining = _eliminate_increasing(field, rows, width, k)
-
-    def combine(coords):
-        return sum((basis[t].scale(c) for t, c in enumerate(coords) if c), zero)
-
     if remaining:
-        if any(combine(rows[idx][width:]).is_zero for idx in remaining):
+        if any(_combine(basis, rows[idx][width:], zero).is_zero for idx in remaining):
             raise DependentBasisError("input functions are linearly dependent")
         raise PrecisionExhaustedError("valuations not separated at this precision")
     transform = [rows[idx][width:] for idx in used]
-    return IzbResult(tuple(combine(coords) for coords in transform), tuple(pivots),
-                     FqMatrix.from_rows(field, transform))
+    built = tuple(_combine(basis, coords, zero) for coords in transform) if elements else None
+    return IzbResult(built, tuple(pivots), FqMatrix.from_rows(field, transform))
 
 
 def _taylor_coeffs(poly: Poly, x0: int, width: int):
@@ -642,6 +649,17 @@ def _taylor_coeffs(poly: Poly, x0: int, width: int):
     for c in reversed(poly.coeffs):
         shifted = shifted * lin + Poly.const(f, c)
     return [shifted.coeff(i) for i in range(width)]
+
+
+def _expansion_rows(curve, basis, P, width: int):
+    """Coefficients of t^0, ..., t^(width-1) of each basis element at P (local_expand)."""
+    rows = []
+    for i, fn in enumerate(basis):
+        exp = local_expand(curve, fn, P, width)
+        if exp.valuation < 0:
+            raise PointInSupportError(f"basis element {i} has a pole at {P!r}")
+        rows.append(([0] * exp.valuation + list(exp.coeffs))[:width])
+    return rows
 
 
 def increasing_zero_basis(curve, basis, P, prec: int = None) -> IzbResult:
@@ -665,12 +683,7 @@ def increasing_zero_basis(curve, basis, P, prec: int = None) -> IzbResult:
     base = attempt = prec if prec is not None else len(basis) + 4
     while True:
         try:
-            rows = []
-            for i, fn in enumerate(basis):
-                exp = local_expand(curve, fn, P, attempt)
-                if exp.valuation < 0:
-                    raise PointInSupportError(f"basis element {i} has a pole at {P!r}")
-                rows.append(([0] * exp.valuation + list(exp.coeffs))[:attempt])
+            rows = _expansion_rows(curve, basis, P, attempt)
             return _izb_from_rows(curve.field, basis, rows, attempt, FnElement.zero(curve))
         except PrecisionExhaustedError:
             if attempt >= 8 * base:
@@ -684,10 +697,14 @@ def increasing_zero_basis(curve, basis, P, prec: int = None) -> IzbResult:
 class GoppaConstruction:
     """All artifacts of one construction run.
 
-    basis0 is the reference ordered basis of L(D) (the increasing zero basis
-    at the first point); point_bases[i] is the increasing zero basis at point
-    i with valuations point_valuations[i]; matrices[i] is the change of basis
-    with matrices[i] * B_i = B_0 in L(D) coordinates.
+    canonical is the ordered basis of L(D) the run starts from (rr_basis on
+    the curve, 1, x, ..., x^(K-1) on the line); transforms[i] expresses the
+    increasing zero basis B_i at point i in it, with valuations
+    point_valuations[i].  basis0 = B_0, the increasing zero basis at the
+    first point, is the reference ordered basis, and matrices[i] is the
+    change of basis with matrices[i] * B_i = B_0 in L(D) coordinates.  Only
+    B_0 is built as function elements during the run; point_bases builds
+    every B_i from its transform when first read.
     """
 
     field: FieldSpec
@@ -695,12 +712,19 @@ class GoppaConstruction:
     genus: int
     points: tuple
     divisor: DivisorSpec
+    canonical: tuple
     basis0: tuple
-    point_bases: tuple
+    transforms: tuple
     point_valuations: tuple
     matrices: tuple
     udmg: Udmg
     generator: FqMatrix
+
+    @cached_property
+    def point_bases(self) -> tuple:
+        zero = Poly.zero(self.field) if self.curve is None else FnElement.zero(self.curve)
+        return tuple(tuple(_combine(self.canonical, coords, zero) for coords in T.to_rows())
+                     for T in self.transforms)
 
 
 def _point_key(P):
@@ -731,30 +755,75 @@ def goppa_generator(gc: GoppaConstruction) -> FqMatrix:
                             gc.basis0, gc.matrices)
 
 
-def _assemble(field, curve, points, divisor, K, results) -> GoppaConstruction:
+def _certify(field, genus, degree, points, t0, matrices, rows) -> None:
+    """Prove a constructed set valid from the degree of D, without a scan.
+
+    rows[i] lists the local coefficients at points[i] of the canonical basis
+    of L(D), column c holding the coefficient of t^(c - D(P_i)); t0 expresses
+    the reference basis B_0 in the canonical one, and matrices[i] B_i = B_0.
+    Row j of M_i^-1 t0 rows[i] is then the expansion of B_ij, which must
+    vanish in every column < j: v_Pi(B_ij) + D(P_i) >= j.  If a nonzero y
+    were orthogonal to the first lam_i columns of every M_i, with
+    sum(lam) = K + g, then f = sum_k y_k B_0k = sum_j (y^T M_i)_j B_ij would
+    have v_Pi(f) + D(P_i) >= lam_i at every point, so f in L(D) would have
+    K + g > deg D zeros counted against D, which no nonzero f allows.
+
+    Sufficient, not necessary.  It reads no transform but t0 and no
+    valuation, and raises AssertionError if the check or a side condition
+    fails: deg D = K + g - 1, distinct points, t0 of rank K, every M_i
+    invertible.
+    """
+    K = t0.rows
+    if degree != K + genus - 1:
+        raise AssertionError(f"deg D = {degree} is not K + g - 1 = {K + genus - 1}")
+    if len(set(map(_point_key, points))) != len(points):
+        raise AssertionError("points are not distinct")
+    if rank(t0) != K:
+        raise AssertionError("the reference basis is dependent")
+    dot = field.dot
+    for i, (M, R) in enumerate(zip(matrices, rows)):
+        try:
+            C = inverse(M).matmul(t0)
+        except ZeroDivisionError:
+            raise AssertionError(f"matrix {i} is singular") from None
+        cols = [tuple(r[c] for r in R) for c in range(K - 1)]
+        for j in range(K):
+            row = C.row(j)
+            if any(dot(row, cols[c]) for c in range(j)):
+                raise AssertionError(
+                    f"basis element {j} at {points[i]!r} has v + D(P) below {j}")
+
+
+def _assemble(field, curve, points, divisor, canonical, rows, results) -> GoppaConstruction:
     """The construction from the increasing zero bases results[i] at points[i].
 
-    For both genera matrices[i] = T_0 T_i^-1 (T the transforms), so matrices[i]
-    B_i = B_0; the set is verified and the generator checked before returning.
+    results[i] was eliminated from rows[i], the local coefficient rows of
+    canonical at points[i]; only results[0], the reference basis, carries
+    elements.  For both genera matrices[i] = T_0 T_i^-1 (T the transforms),
+    so matrices[i] B_i = B_0.  Before returning, _certify proves the set
+    valid from the degree of D, and the generator is checked against
+    evaluations of the reference basis.
     """
     genus = 0 if curve is None else 1
+    K = len(canonical)
     t0 = results[0].transform
     matrices = tuple(t0.matmul(inverse(res.transform)) for res in results)
-    u = Udmg(field, K, genus, matrices)
-    if not _verify_fast(u):
-        raise AssertionError("construction output failed verification")
+    _certify(field, genus, divisor.n, points, t0, matrices, rows)
     basis0 = results[0].elements
     generator = _build_generator(field, curve, K, points, basis0, matrices)
     return GoppaConstruction(
-        field=field, curve=curve, genus=genus, points=points, divisor=divisor, basis0=basis0,
-        point_bases=tuple(res.elements for res in results),
+        field=field, curve=curve, genus=genus, points=points, divisor=divisor,
+        canonical=tuple(canonical), basis0=basis0,
+        transforms=tuple(res.transform for res in results),
         point_valuations=tuple(res.valuations for res in results),
-        matrices=matrices, udmg=u, generator=generator)
+        matrices=matrices, udmg=Udmg(field, K, genus, matrices), generator=generator)
 
 
 def goppa_udmg(curve: WeierstrassCurve, points, D: DivisorSpec) -> GoppaConstruction:
     """Genus-1 construction: one K x K matrix per point, K = deg D."""
     points = tuple(points)
+    if not points:
+        raise InvalidInputError("the construction needs at least one point")
     if len(set(map(_point_key, points))) != len(points):
         raise DuplicatePointsError("points must be pairwise distinct")
     for P in points:
@@ -767,8 +836,12 @@ def goppa_udmg(curve: WeierstrassCurve, points, D: DivisorSpec) -> GoppaConstruc
         if divisor_coefficient(curve, D, P) != 0:
             raise SupportCollisionError(f"{P!r} lies in the support of the divisor")
     canonical = rr_basis(curve, D)
-    results = [increasing_zero_basis(curve, canonical, P, prec=K + 3) for P in points]
-    return _assemble(curve.field, curve, points, D, K, results)
+    # Valuations of L(D) at a point outside its support are at most deg D = K.
+    width, zero = K + 3, FnElement.zero(curve)
+    rows = [_expansion_rows(curve, canonical, P, width) for P in points]
+    results = [_izb_from_rows(curve.field, canonical, R, width, zero, elements=not i)
+               for i, R in enumerate(rows)]
+    return _assemble(curve.field, curve, points, D, canonical, rows, results)
 
 
 def genus0_udmg(field: FieldSpec, points, K: int) -> GoppaConstruction:
@@ -781,18 +854,26 @@ def genus0_udmg(field: FieldSpec, points, K: int) -> GoppaConstruction:
     if K < 1:
         raise ValueError("K must be >= 1")
     points = tuple(points)
+    if not points:
+        raise InvalidInputError("the construction needs at least one point")
     if len(points) > field.q + 1:
         raise TooManyPointsError(f"at most {field.q + 1} points on the line")
     if len(set(map(_point_key, points))) != len(points):
         raise DuplicatePointsError("points must be pairwise distinct")
     monomials = [Poly.const(field, 1).shift(j) for j in range(K)]
+    shift = K - 1  # D(infinity)
 
-    def izb_at(P):
-        if P is INFINITY:  # in u = 1/x, x^t = u^(1-K) * u^(K-1-t): reversed rows, orders shifted
-            rows = [[m.coeff(K - 1 - c) for c in range(K)] for m in monomials]
-            res = _izb_from_rows(field, monomials, rows, K, Poly.zero(field))
-            return res._replace(valuations=tuple(v - (K - 1) for v in res.valuations))
+    def rows_at(P):
+        if P is INFINITY:  # in u = 1/x, x^e = u^(c - shift) with c = shift - e: reversed rows
+            return [[m.coeff(shift - c) for c in range(K)] for m in monomials]
         field.check(P)
-        return increasing_zero_basis(None, monomials, P)
+        return [_taylor_coeffs(m, P, K) for m in monomials]
 
-    return _assemble(field, None, points, DivisorSpec(K - 1, None), K, [izb_at(P) for P in points])
+    rows = [rows_at(P) for P in points]
+    results = []
+    for i, (P, R) in enumerate(zip(points, rows)):
+        res = _izb_from_rows(field, monomials, R, K, Poly.zero(field), elements=not i)
+        if P is INFINITY:  # column c is the order c - shift
+            res = res._replace(valuations=tuple(v - shift for v in res.valuations))
+        results.append(res)
+    return _assemble(field, None, points, DivisorSpec(K - 1, None), monomials, rows, results)

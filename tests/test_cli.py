@@ -122,8 +122,10 @@ def test_verify_min_genus_scans_each_genus_once(fixture_path, capsys, monkeypatc
 
 @pytest.mark.parametrize("argv,rescanned,scanned", [
     (["code", "{fixture}", "--min-distance"], [1, 1], [1]),
-    # the construction keeps its self-check, the third genus-1 scan
-    (["example-paper", "-o", "{out}"], [1, 0, 1, 1, 1], [1, 0, 1]),
+    # the construction certifies itself by valuations, with no scan
+    (["example-paper", "-o", "{out}"], [1, 0, 1, 1], [1, 0]),
+    # a set read from a file is scanned at its own genus (verify: see above)
+    (["modulate", "{fixture}", "--snr"], [1], [1]),
 ])
 def test_commands_scan_each_genus_once(fixture_path, tmp_path, capsys, monkeypatch, argv,
                                        rescanned, scanned):
@@ -432,3 +434,15 @@ def test_construction_rejects_malformed_genus1_points(tmp_path, point):
     desc = tmp_path / "bad.json"
     desc.write_text(json.dumps(_replace(GENUS1_DESC, ("points", 3), point)))
     assert run(["construct", str(desc), "-o", str(tmp_path / "x.json")]) == 2
+
+
+@pytest.mark.parametrize("desc", [GENUS0_DESC, GENUS1_DESC], ids=["genus0", "genus1"])
+def test_construction_rejects_an_empty_point_list(tmp_path, capsys, desc):
+    # an empty list used to reach the assembly and die with an IndexError (exit 1)
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(_replace(desc, ("points",), [])))
+    out = tmp_path / "x.json"
+    assert run(["construct", str(path), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "point" in err
+    assert not out.exists()

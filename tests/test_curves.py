@@ -3,8 +3,8 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from udmg import reference
-from udmg.core import verify
+from udmg import core, curves, reference
+from udmg.core import Udmg, verify, verify_naive
 from udmg.curves import (
     INFINITY,
     DivisorSpec,
@@ -25,6 +25,7 @@ from udmg.errors import (
     BadCharacteristicError,
     DependentBasisError,
     DuplicatePointsError,
+    InvalidInputError,
     PointInSupportError,
     PoleAtSupportError,
     PrecisionExhaustedError,
@@ -32,6 +33,7 @@ from udmg.errors import (
     SupportCollisionError,
 )
 from udmg.fields import make_field
+from udmg.linalg import FqMatrix, inverse
 from udmg.polys import Poly
 
 F5, F7 = make_field(5), make_field(7)
@@ -290,6 +292,13 @@ def test_genus0_rejections():
         genus0_udmg(F5, [1, 1], 2)
 
 
+def test_constructions_refuse_an_empty_point_list(ref_curve):
+    with pytest.raises(InvalidInputError):
+        genus0_udmg(F5, [], 2)
+    with pytest.raises(InvalidInputError):
+        goppa_udmg(ref_curve, [], reference.divisor())
+
+
 def test_extension_field_curve():
     f25 = make_field(5, 2)
     curve = curve_new(f25, 1, 1)
@@ -504,3 +513,190 @@ def test_cached_expansions_equal_fresh_ones(monkeypatch):
     cached = [(local_expand(*c), function_valuation(*c[:3])) for c in cases]
     monkeypatch.setattr(curves, "_expand_coordinates", curves._coordinate_series)
     assert cached == [(local_expand(*c), function_valuation(*c[:3])) for c in cases]
+
+
+# -- the construction's valuation certificate -----------------------------------------
+#
+# The construction proves its output valid by _certify, not by a scan.  The
+# certificate is sufficient, not necessary, so the tests hold it to soundness:
+# whatever it accepts, the full scan must find valid.
+
+def constructed(build):
+    """Run a construction; return it with the arguments it handed to _assemble."""
+    seen = []
+    assemble = curves._assemble
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(curves, "_assemble", lambda *args: seen.append(args) or assemble(*args))
+        gc = build()
+    return gc, seen[0]
+
+
+def certify(gc, args, matrices=None, t0=None):
+    field, _, points, divisor, _, rows, results = args
+    curves._certify(field, gc.genus, divisor.n, points,
+                    results[0].transform if t0 is None else t0,
+                    gc.matrices if matrices is None else matrices, rows)
+
+
+def replaced(matrices, i, M):
+    return matrices[:i] + (M,) + matrices[i + 1:]
+
+
+def lowered(gc, i, j):
+    """matrices[i] with B_ij replaced by B_ij + B_i,j-1, so v(B_ij) + D(P_i) = j - 1."""
+    K = gc.udmg.K
+    E = FqMatrix.from_rows(gc.field, [[1 if r == c else gc.field.neg(1) if (r, c) == (j, j - 1)
+                                       else 0 for c in range(K)] for r in range(K)])
+    return gc.matrices[i].matmul(E)  # M_i E B'_i = B_0 where B'_i = E^-1 B_i
+
+
+F9 = make_field(3, 2)
+CERTIFIED = {
+    "line5": lambda: genus0_udmg(F5, [0, 1, 2, 3, 4, INFINITY], 3),
+    "line7": lambda: genus0_udmg(F7, list(range(7)) + [INFINITY], 4),
+    "line9": lambda: genus0_udmg(F9, list(range(9)) + [INFINITY], 3),
+    "fixture": lambda: goppa_udmg(reference.curve(), reference.POINTS, reference.divisor()),
+    "curve7": lambda: goppa_udmg(curve_new(F7, 1, 1), enumerate_points(curve_new(F7, 1, 1))[1:],
+                                 DivisorSpec(4, None)),
+    "curve7_small": lambda: goppa_udmg(curve_new(F7, 1, 1),
+                                       enumerate_points(curve_new(F7, 1, 1))[1:5],
+                                       DivisorSpec(3, None)),
+}
+NAIVE = ("line5", "curve7_small")  # verify_naive's capped enumeration is small here
+
+
+@pytest.fixture(scope="module")
+def certified():
+    return {name: constructed(build) for name, build in CERTIFIED.items()}
+
+
+def test_constructions_pass_the_certificate_and_the_scan(certified):
+    for name, (gc, args) in certified.items():
+        certify(gc, args)
+        assert verify(gc.udmg).valid, name
+        if name in NAIVE:
+            assert verify_naive(gc.udmg).valid, name
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_certified_single_entry_corruptions_verify(certified, data):
+    gc, args = certified[data.draw(st.sampled_from(sorted(certified)))]
+    field, K = gc.field, gc.udmg.K
+    i = data.draw(st.integers(0, gc.udmg.L - 1))
+    r, c = data.draw(st.integers(0, K - 1)), data.draw(st.integers(0, K - 1))
+    rows = gc.matrices[i].to_rows()
+    rows[r][c] = field.add(rows[r][c], data.draw(st.integers(1, field.q - 1)))
+    mats = replaced(gc.matrices, i, FqMatrix.from_rows(field, rows))
+    try:
+        certify(gc, args, matrices=mats)
+    except AssertionError:
+        return
+    assert verify(Udmg(field, K, gc.genus, mats)).valid
+
+
+def test_every_single_entry_corruption_of_a_small_line(certified):
+    gc, args = certified["line5"]
+    field, K = gc.field, gc.udmg.K
+    outcomes = set()
+    for i in range(gc.udmg.L):
+        for r in range(K):
+            for c in range(K):
+                for delta in range(1, field.q):
+                    rows = gc.matrices[i].to_rows()
+                    rows[r][c] = field.add(rows[r][c], delta)
+                    mats = replaced(gc.matrices, i, FqMatrix.from_rows(field, rows))
+                    try:
+                        certify(gc, args, matrices=mats)
+                    except AssertionError:
+                        outcomes.add(False)
+                        continue
+                    outcomes.add(True)
+                    assert verify(Udmg(field, K, 0, mats)).valid, (i, r, c, delta)
+    assert outcomes == {True, False}  # neither vacuous nor rejecting everything
+
+
+def test_assemble_raises_on_a_corrupted_matrix(certified):
+    for name in ("line5", "fixture"):  # the last point is infinity in both
+        gc, (field, curve, points, divisor, canonical, rows, results) = certified[name]
+        i = len(points) - 1
+        M = lowered(gc, i, gc.udmg.K - 1)
+        assert not verify(Udmg(field, gc.udmg.K, gc.genus, replaced(gc.matrices, i, M))).valid
+        t0 = results[0].transform
+        bad = replaced(tuple(results), i, results[i]._replace(transform=inverse(M).matmul(t0)))
+        with pytest.raises(AssertionError):
+            curves._assemble(field, curve, points, divisor, canonical, rows, bad)
+
+
+def test_certificate_needs_order_j_not_j_minus_1(certified):
+    # A check of columns < j - 1 only would accept each of these invalid sets.
+    for name in ("line5", "fixture"):
+        gc, args = certified[name]
+        for i in range(gc.udmg.L):
+            for j in range(1, gc.udmg.K):
+                mats = replaced(gc.matrices, i, lowered(gc, i, j))
+                assert not verify(Udmg(gc.field, gc.udmg.K, gc.genus, mats)).valid
+                with pytest.raises(AssertionError, match="below"):
+                    certify(gc, args, matrices=mats)
+
+
+def test_certificate_checks_the_reference_rank(certified):
+    # With t0 = 0 every expansion vanishes, so only the rank test refuses it.
+    for gc, args in certified.values():
+        K = gc.udmg.K
+        with pytest.raises(AssertionError, match="dependent"):
+            certify(gc, args, t0=FqMatrix.zeros(gc.field, K, K))
+
+
+def test_certificate_side_conditions(certified):
+    gc, args = certified["fixture"]
+    field, _, points, divisor, _, rows, results = args
+    t0 = results[0].transform
+    with pytest.raises(AssertionError, match="deg D"):
+        curves._certify(field, 1, divisor.n + 1, points, t0, gc.matrices, rows)
+    with pytest.raises(AssertionError, match="distinct"):
+        curves._certify(field, 1, divisor.n, points[:1] * len(points), t0, gc.matrices, rows)
+    with pytest.raises(AssertionError, match="singular"):
+        certify(gc, args, matrices=replaced(gc.matrices, 2, FqMatrix.zeros(field, 3, 3)))
+
+
+def test_certificate_at_infinity_on_the_line(certified):
+    # The rows at infinity are shifted by D(inf) = K - 1: the valuations there
+    # run from -(K - 1), and a corrupted matrix at infinity is still caught.
+    gc, args = certified["line7"]
+    K = gc.udmg.K
+    assert gc.points[-1] is INFINITY
+    assert gc.point_valuations[-1] == tuple(range(1 - K, 1))
+    certify(gc, args)
+    last = len(gc.points) - 1
+    for j in range(1, K):
+        with pytest.raises(AssertionError):
+            certify(gc, args, matrices=replaced(gc.matrices, last, lowered(gc, last, j)))
+
+
+def test_point_bases_equal_increasing_zero_bases(certified):
+    gc, _ = certified["fixture"]
+    assert gc.point_bases[0] == gc.basis0
+    for i, P in enumerate(gc.points):
+        res = increasing_zero_basis(gc.curve, list(gc.canonical), P, prec=gc.udmg.K + 3)
+        assert gc.point_bases[i] == res.elements
+        assert gc.point_valuations[i] == res.valuations
+    gc, _ = certified["line7"]
+    K = gc.udmg.K
+    for i, P in enumerate(gc.points):
+        if P is INFINITY:  # the reversed monomials, which the public routine refuses here
+            want = tuple(Poly.const(gc.field, 1).shift(K - 1 - j) for j in range(K))
+        else:
+            want = increasing_zero_basis(None, list(gc.canonical), P).elements
+        assert gc.point_bases[i] == want
+
+
+def test_constructions_make_no_scan(monkeypatch):
+    scans = []
+    monkeypatch.setattr(core, "_scan", lambda *args: scans.append(args))
+    genus0_udmg(make_field(13), list(range(13)) + [INFINITY], 5)
+    curve = curve_new(make_field(23), 1, 1)
+    affine = [P for P in enumerate_points(curve) if P is not INFINITY]
+    gc = goppa_udmg(curve, affine, DivisorSpec(7, None))
+    assert (gc.udmg.L, gc.udmg.K) == (27, 7)
+    assert scans == []
