@@ -51,20 +51,14 @@ snr = _deferred("waveform", "snr")
 
 def matrixset_to_text(u: Udmg) -> str:
     """Canonical serialization: fixed key order, one matrix per line, LF EOF."""
-    lines = ["{"]
-    lines.append(f'  "p": {u.field.p},')
-    lines.append(f'  "m": {u.field.m},')
+    if any(M.cols and not M.rows for M in u.matrices):  # [] would read back with no columns
+        raise ValueError(f"height {u.K} with lengths {list(u.lengths)} has no row-major form")
+    lines = ["{", f'  "p": {u.field.p},', f'  "m": {u.field.m},']
     if u.field.m > 1:
         lines.append(f'  "modulus": {json.dumps(list(u.field.modulus))},')
-    lines.append(f'  "K": {u.K},')
-    lines.append(f'  "g": {u.g},')
-    mats = [json.dumps([list(M.row(i)) for i in range(M.rows)]) for M in u.matrices]
-    lines.append('  "matrices": [')
-    for i, m in enumerate(mats):
-        comma = "," if i + 1 < len(mats) else ""
-        lines.append(f"    {m}{comma}")
-    lines.append("  ]")
-    lines.append("}")
+    lines += [f'  "K": {u.K},', f'  "g": {u.g},', '  "matrices": [']
+    mats = [f"    {json.dumps([list(M.row(i)) for i in range(M.rows)])}" for M in u.matrices]
+    lines += [m + "," for m in mats[:-1]] + mats[-1:] + ["  ]", "}"]
     return "\n".join(lines) + "\n"
 
 
@@ -93,8 +87,9 @@ def load_matrixset(path: str) -> Udmg:
 
 
 def save_matrixset(u: Udmg, path: str) -> None:
+    text = matrixset_to_text(u)  # before the file opens: a refused set leaves no file
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(matrixset_to_text(u))
+        fh.write(text)
 
 
 # -- construction file ----------------------------------------------------------

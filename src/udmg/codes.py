@@ -79,6 +79,8 @@ def first_column_code(u: Udmg, compute_distance: bool = True,
     defect is at most g, both of which are asserted.  verified=True skips
     the scan of a set the caller has already verified at its genus.
     """
+    if u.K < 1:
+        raise HypothesisUnmetError("a code needs K >= 1")
     if u.L < u.K + u.g:
         raise TooShortError(f"need L >= K + g = {u.K + u.g}, have {u.L}")
     if not (verified or _verify_fast(u)):

@@ -44,6 +44,8 @@ class Udmg:
     def __post_init__(self):
         if self.g < 0:
             raise ValueError("genus must be non-negative")
+        if self.K < 0:
+            raise ValueError("height K must be non-negative")
         for M in self.matrices:
             if M.rows != self.K:
                 raise LengthMismatchError("matrix height differs from K")

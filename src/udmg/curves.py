@@ -619,14 +619,14 @@ def _combine(basis, coords, zero):
     return sum((basis[t].scale(c) for t, c in enumerate(coords) if c), zero)
 
 
-def _izb_from_rows(field, basis, coeff_rows, width, zero, elements=True) -> IzbResult:
-    """Increasing zero basis from one row of local coefficients per basis element.
+def _izb_from_rows(field, basis, coeff_rows, width, zero) -> tuple:
+    """(valuations, transform) of the increasing zero basis, from one row of local
+    coefficients per basis element.
 
     Row i lists the coefficients of t^0, ..., t^(width-1) of basis[i]; each is
     extended by the identity and eliminated forward by leading position, so a
-    pivot column is a valuation and the identity part the combination, built
-    as a sum of basis[t].scale(c) unless elements is false (then the result's
-    elements are None).  A leftover row is a dependency if its combination is
+    pivot column is a valuation and the identity part the combination, a row
+    of the transform.  A leftover row is a dependency if its combination is
     zero, and otherwise a valuation beyond the window.
     """
     k = len(basis)
@@ -636,9 +636,7 @@ def _izb_from_rows(field, basis, coeff_rows, width, zero, elements=True) -> IzbR
         if any(_combine(basis, rows[idx][width:], zero).is_zero for idx in remaining):
             raise DependentBasisError("input functions are linearly dependent")
         raise PrecisionExhaustedError("valuations not separated at this precision")
-    transform = [rows[idx][width:] for idx in used]
-    built = tuple(_combine(basis, coords, zero) for coords in transform) if elements else None
-    return IzbResult(built, tuple(pivots), FqMatrix.from_rows(field, transform))
+    return tuple(pivots), FqMatrix.from_rows(field, [rows[idx][width:] for idx in used])
 
 
 def _taylor_coeffs(poly: Poly, x0: int, width: int):
@@ -676,15 +674,18 @@ def increasing_zero_basis(curve, basis, P, prec: int = None) -> IzbResult:
     if curve is None:
         if P is INFINITY:
             raise PointInSupportError("the point at infinity supports the line divisor")
-        field = basis[0].field
+        field, zero = basis[0].field, Poly.zero(basis[0].field)
         width = max(p.degree for p in basis) + 1
-        return _izb_from_rows(field, basis, [_taylor_coeffs(p, P, width) for p in basis], width,
-                              Poly.zero(field))
+        vals, T = _izb_from_rows(field, basis, [_taylor_coeffs(p, P, width) for p in basis],
+                                 width, zero)
+        return IzbResult(tuple(_combine(basis, c, zero) for c in T.to_rows()), vals, T)
     base = attempt = prec if prec is not None else len(basis) + 4
+    zero = FnElement.zero(curve)
     while True:
         try:
             rows = _expansion_rows(curve, basis, P, attempt)
-            return _izb_from_rows(curve.field, basis, rows, attempt, FnElement.zero(curve))
+            vals, T = _izb_from_rows(curve.field, basis, rows, attempt, zero)
+            return IzbResult(tuple(_combine(basis, c, zero) for c in T.to_rows()), vals, T)
         except PrecisionExhaustedError:
             if attempt >= 8 * base:
                 raise
@@ -797,25 +798,26 @@ def _certify(field, genus, degree, points, t0, matrices, rows) -> None:
 def _assemble(field, curve, points, divisor, canonical, rows, results) -> GoppaConstruction:
     """The construction from the increasing zero bases results[i] at points[i].
 
-    results[i] was eliminated from rows[i], the local coefficient rows of
-    canonical at points[i]; only results[0], the reference basis, carries
-    elements.  For both genera matrices[i] = T_0 T_i^-1 (T the transforms),
-    so matrices[i] B_i = B_0.  Before returning, _certify proves the set
-    valid from the degree of D, and the generator is checked against
+    results[i] = (valuations, transform) was eliminated from rows[i], the local
+    coefficient rows of canonical at points[i]; only the reference basis B_0
+    is built as elements.  For both genera matrices[i] = T_0 T_i^-1 (T the
+    transforms), so matrices[i] B_i = B_0.  Before returning, _certify proves
+    the set valid from the degree of D, and the generator is checked against
     evaluations of the reference basis.
     """
     genus = 0 if curve is None else 1
     K = len(canonical)
-    t0 = results[0].transform
-    matrices = tuple(t0.matmul(inverse(res.transform)) for res in results)
+    t0 = results[0][1]
+    matrices = tuple(t0.matmul(inverse(T)) for _, T in results)
     _certify(field, genus, divisor.n, points, t0, matrices, rows)
-    basis0 = results[0].elements
+    zero = Poly.zero(field) if curve is None else FnElement.zero(curve)
+    basis0 = tuple(_combine(canonical, coords, zero) for coords in t0.to_rows())
     generator = _build_generator(field, curve, K, points, basis0, matrices)
     return GoppaConstruction(
         field=field, curve=curve, genus=genus, points=points, divisor=divisor,
         canonical=tuple(canonical), basis0=basis0,
-        transforms=tuple(res.transform for res in results),
-        point_valuations=tuple(res.valuations for res in results),
+        transforms=tuple(T for _, T in results),
+        point_valuations=tuple(vals for vals, _ in results),
         matrices=matrices, udmg=Udmg(field, K, genus, matrices), generator=generator)
 
 
@@ -839,8 +841,7 @@ def goppa_udmg(curve: WeierstrassCurve, points, D: DivisorSpec) -> GoppaConstruc
     # Valuations of L(D) at a point outside its support are at most deg D = K.
     width, zero = K + 3, FnElement.zero(curve)
     rows = [_expansion_rows(curve, canonical, P, width) for P in points]
-    results = [_izb_from_rows(curve.field, canonical, R, width, zero, elements=not i)
-               for i, R in enumerate(rows)]
+    results = [_izb_from_rows(curve.field, canonical, R, width, zero) for R in rows]
     return _assemble(curve.field, curve, points, D, canonical, rows, results)
 
 
@@ -871,9 +872,9 @@ def genus0_udmg(field: FieldSpec, points, K: int) -> GoppaConstruction:
 
     rows = [rows_at(P) for P in points]
     results = []
-    for i, (P, R) in enumerate(zip(points, rows)):
-        res = _izb_from_rows(field, monomials, R, K, Poly.zero(field), elements=not i)
+    for P, R in zip(points, rows):
+        vals, T = _izb_from_rows(field, monomials, R, K, Poly.zero(field))
         if P is INFINITY:  # column c is the order c - shift
-            res = res._replace(valuations=tuple(v - shift for v in res.valuations))
-        results.append(res)
+            vals = tuple(v - shift for v in vals)
+        results.append((vals, T))
     return _assemble(field, None, points, DivisorSpec(K - 1, None), monomials, rows, results)

@@ -12,8 +12,8 @@ total agreement sum at N + g - 1.  That cap is what the product-distance
 audit leans on.  Encoding is linear, so two messages agree on a channel in
 exactly the leading zeros of their difference's encoding: the audit reads
 every pair's agreement off the nonzero messages' own encodings, certifies
-every pair's gap floor from neighbours in sorted order, and seeks the least
-product one difference class at a time.
+every pair's gap floor from the modulator's N lex-neighbour steps in closed
+form, and seeks the least product one difference class at a time.
 """
 
 from __future__ import annotations
@@ -142,34 +142,35 @@ class GapAudit:
     min_gap_by_prefix: dict  # m -> exact minimum gap over pairs agreeing in m
 
 
+def _lex_steps(mod: Modulator) -> list:
+    """[(step_m, step_m > 2q * q^(N-m-1)) for m < N]: step_m is the scaled rise from any
+    (p, x, (q-1)^(N-m-1)) to its lex successor (p, x + 1, 0^(N-m-1)), 2 (C_m - (q-1)
+    sum_{k>m} C_k) with C from _scaled_form, and 2q * q^(N-m-1) the scaled gap floor."""
+    q, N = mod.q, mod.N
+    C, _ = _scaled_form(mod)
+    steps = [2 * (C[m] - (q - 1) * sum(C[m + 1:])) for m in range(N)]
+    return [(step, step > 2 * q ** (N - m)) for m, step in enumerate(steps)]
+
+
 def gap_audit_exhaustive(mod: Modulator) -> GapAudit:
-    """Every unordered pair of symbol vectors, decided from lex-order neighbour steps.
+    """Every unordered pair of symbol vectors, decided in closed form from the N lex steps.
 
-    The scaled values rise strictly in lex order (checked), so a pair with common
-    prefix m spans a neighbour step with that prefix, which bounds its gap from
-    below: the least gap at prefix m is the least such step, and every pair clears
-    its floor iff every step does.
+    If every step is positive the values rise in lex order, so a pair with common prefix m
+    spans a neighbour step with that prefix: the least gap at prefix m is step_m, and every
+    pair clears its floor iff every step does.  Otherwise the first neighbour pair in lex
+    order that fails to rise is named; it has the largest such m.
     """
-    from itertools import product
-
     q, N = mod.q, mod.N
     if q ** (2 * N) > MAX_PAIR_SQUARE:
         raise TooLargeError("symbol space too large for the exhaustive audit")
-    C, offset = _scaled_form(mod)
-    vecs = list(product(range(q), repeat=N))
-    scaled = [2 * sum(map(mul, C, v)) - offset for v in vecs]
-    floors = [2 * q * q ** (N - m - 1) for m in range(N)]  # 2qN * q^(N-m-1)/N
-    min_by_m = {}
-    ok = True
-    for a, b, sa, sb in zip(vecs, vecs[1:], scaled, scaled[1:]):
-        m, step = _common_prefix(a, b), sb - sa
-        if step <= 0:
+    steps = _lex_steps(mod)
+    for m in reversed(range(N)):
+        if steps[m][0] <= 0:
+            a, b = (0,) * (m + 1) + (q - 1,) * (N - m - 1), (0,) * m + (1,) + (0,) * (N - m - 1)
             raise AssertionError(f"scaled values fail to rise from {a} to {b}")
-        ok = ok and step > floors[m]
-        min_by_m[m] = min(step, min_by_m.get(m, step))
-    denom = 2 * q * N
-    return GapAudit(len(vecs) * (len(vecs) - 1) // 2, ok,
-                    {m: Fraction(v, denom) for m, v in sorted(min_by_m.items())})
+    n = q ** N
+    return GapAudit(n * (n - 1) // 2, all(clears for _, clears in steps),
+                    {m: Fraction(step, 2 * q * N) for m, (step, _) in enumerate(steps)})
 
 
 # -- coding schemes --------------------------------------------------------------
@@ -219,6 +220,8 @@ def build_scheme(u: Udmg, verified: bool = False) -> CodeScheme:
 
     verified=True skips the scan of a set already verified at its genus.
     """
+    if u.K < 1:
+        raise HypothesisUnmetError("scheme needs N = K >= 1")
     if not u.is_square:
         raise NotSquareError("scheme needs eta-regular square matrices with eta = K")
     N = u.K
@@ -314,12 +317,11 @@ def audit_product_distance(scheme: CodeScheme) -> AuditReport:
     - Encoding is linear, so only the basis messages are encoded, and a pair
       agrees on channel c in exactly the leading zeros of encode(v_j - v_i)[c]:
       the nonzero messages' own encodings give every agreement sum.
-    - Per channel, sorted by symbol vector, the scaled values are certified to
-      step up by more than 2q * q^(N-m-1) between neighbours with common
-      prefix m.  A pair with common prefix m spans a neighbour pair with that
-      prefix, and every step is positive, so it clears that floor too; the
-      pair's floor is the product of the squared channel floors.  Without the
-      certificate every pair is checked.
+    - Every pair clears its floor, the product of squared channel floors, if
+      no nonzero message encodes to zero on a channel and every lex step of
+      the modulator clears its floor (_lex_steps): distinct symbol vectors
+      with common prefix m then differ by more than 2q * q^(N-m-1).  Without
+      this certificate every pair is checked.
     - The minimum product is found by difference class, in ascending order of
       a bound per class (_least_product); the least worst pair (i, j) is first.
     """
@@ -336,14 +338,16 @@ def audit_product_distance(scheme: CodeScheme) -> AuditReport:
     syms = [span_vectors(f, [im[c] for im in images], N) for c in range(L)]  # encode(msgs[i])[c]
     cols = [[2 * sum(map(mul, C, s)) - offset for s in ch] for ch in syms]
     agreement_cap = N + g - 1
-    leading_zeros = cache(partial(_common_prefix, (0,) * N))
+    zero = (0,) * N
+    leading_zeros = cache(partial(_common_prefix, zero))
     lam = list(map(sum, zip(*[map(leading_zeros, ch) for ch in syms])))
     max_agree = max(lam[1:])
     if max_agree > agreement_cap:  # msgs[0] is zero, so row 0 holds the first such pair
         k = next(k for k in range(1, n) if lam[k] > agreement_cap)
         raise AssertionError(
             f"agreement sum {lam[k]} exceeded N+g-1 for {msgs[0]} vs {msgs[k]}")
-    ok = (all(_gaps_certified(q, N, syms[c], cols[c]) for c in range(L))
+    ok = ((all(zero not in ch[1:] for ch in syms)
+           and all(clears for _, clears in _lex_steps(scheme.modulator)))
           or _pairs_clear_floors(q, N, L, list(zip(*syms)), cols))
     best, (wi, wj) = _least_product(f, scheme.message_space.dim, C, syms, cols)
     scale = (2 * q * N) ** (2 * L)  # converts scaled integer products to mu0 units
@@ -423,14 +427,6 @@ def _scan_class(cols, shift) -> tuple:
     least = min(vals)
     ties = compress(range(len(vals)), map(least.__eq__, vals))
     return least, min((min(v, shift[v]), max(v, shift[v])) for v in ties)
-
-
-def _gaps_certified(q, N, vecs, scaled) -> bool:
-    """True when, in lex order of vecs, each step of scaled exceeds 2q * q^(N-m-1),
-    m the common prefix of the two neighbours."""
-    order = sorted(range(len(vecs)), key=vecs.__getitem__)
-    return all(scaled[b] - scaled[a] > 2 * q ** (N - _common_prefix(vecs[a], vecs[b]))
-               for a, b in zip(order, order[1:]))
 
 
 def _pairs_clear_floors(q, N, L, syms, cols) -> bool:

@@ -446,3 +446,47 @@ def test_construction_rejects_an_empty_point_list(tmp_path, capsys, desc):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "point" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("K,argv,want", [
+    (-1, ["verify"], "non-negative"),
+    (-1, ["modulate"], "non-negative"),
+    (-1, ["code", "--min-distance"], "non-negative"),
+    (0, ["modulate", "--snr", "--audit"], "K >= 1"),
+    (0, ["code", "--min-distance"], "K >= 1"),
+    (0, ["code"], "K >= 1"),
+])
+def test_heights_below_one_exit_2(tmp_path, capsys, K, argv, want):
+    # K = -1 verified as valid, and both heights crashed modulate with an IndexError (exit 1);
+    # K = 0 gave an empty [0, 0] code with d = 1
+    path = tmp_path / "height.json"
+    path.write_text(json.dumps({"p": 5, "m": 1, "K": K, "g": 0, "matrices": []}))
+    assert run([argv[0], str(path), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:") and want in captured.err
+
+
+def test_height_zero_sets_stay_valid(tmp_path, capsys):
+    from udmg import Udmg
+
+    u = Udmg(make_field(5), 0, 0, ())
+    path = tmp_path / "height0.json"
+    save_matrixset(u, str(path))
+    assert load_matrixset(str(path)) == u
+    assert run(["--json", "verify", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["valid"] is True
+
+
+def test_quotient_to_height_zero_refuses_a_lossy_file(fixture_path, tmp_path, capsys):
+    # the quotient's nine matrices have no rows but 2 or 3 columns; written as [] they read
+    # back with every length 0
+    argv = ["--json", "quotient", fixture_path, "--truncate", "1,1,1,0,0,0,0,0,0"]
+    assert run(argv) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["height"] == 0 and data["lengths"] == [2, 2, 2] + [3] * 6 and data["valid"]
+    out = tmp_path / "q.json"
+    assert run(argv + ["-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+    assert "row-major" in captured.err
+    assert not out.exists()

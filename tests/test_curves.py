@@ -532,9 +532,9 @@ def constructed(build):
 
 
 def certify(gc, args, matrices=None, t0=None):
-    field, _, points, divisor, _, rows, results = args
+    field, _, points, divisor, _, rows, _ = args
     curves._certify(field, gc.genus, divisor.n, points,
-                    results[0].transform if t0 is None else t0,
+                    gc.transforms[0] if t0 is None else t0,
                     gc.matrices if matrices is None else matrices, rows)
 
 
@@ -622,8 +622,8 @@ def test_assemble_raises_on_a_corrupted_matrix(certified):
         i = len(points) - 1
         M = lowered(gc, i, gc.udmg.K - 1)
         assert not verify(Udmg(field, gc.udmg.K, gc.genus, replaced(gc.matrices, i, M))).valid
-        t0 = results[0].transform
-        bad = replaced(tuple(results), i, results[i]._replace(transform=inverse(M).matmul(t0)))
+        t0 = gc.transforms[0]
+        bad = replaced(tuple(results), i, (results[i][0], inverse(M).matmul(t0)))
         with pytest.raises(AssertionError):
             curves._assemble(field, curve, points, divisor, canonical, rows, bad)
 
@@ -650,8 +650,8 @@ def test_certificate_checks_the_reference_rank(certified):
 
 def test_certificate_side_conditions(certified):
     gc, args = certified["fixture"]
-    field, _, points, divisor, _, rows, results = args
-    t0 = results[0].transform
+    field, _, points, divisor, _, rows, _ = args
+    t0 = gc.transforms[0]
     with pytest.raises(AssertionError, match="deg D"):
         curves._certify(field, 1, divisor.n + 1, points, t0, gc.matrices, rows)
     with pytest.raises(AssertionError, match="distinct"):

@@ -122,10 +122,14 @@ def test_gap_audit_exhaustive(q, N):
 
 
 def gap_audit_by_pairs(mod):
-    """Oracle: the gap audit with one Python-level pass over every pair of symbol vectors."""
+    """Oracle: the gap audit with one Python-level pass over every pair of symbol vectors,
+    after a pass over lex neighbours that names the first pair failing to rise."""
     q, N = mod.q, mod.N
     vecs = list(product(range(q), repeat=N))
     scaled = [mu0_scaled(mod, v) for v in vecs]
+    for a, b, sa, sb in zip(vecs, vecs[1:], scaled, scaled[1:]):
+        if sb <= sa:
+            raise AssertionError(f"scaled values fail to rise from {a} to {b}")
     floors = [2 * q * q ** (N - m - 1) for m in range(N)]  # 2qN * q^(N-m-1)/N
     min_by_m = {}
     ok = True
@@ -174,6 +178,41 @@ def test_gap_audit_rejects_values_that_fail_to_rise(monkeypatch):
     monkeypatch.setattr(Modulator, "scaled_weights", lambda self: (1, 2))
     with pytest.raises(AssertionError, match=r"fail to rise from \(0, 1\) to \(1, 0\)"):
         gap_audit_exhaustive(Modulator(2, 2))
+
+
+@given(st.sampled_from([(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3),
+                        (4, 2), (5, 1), (5, 2), (7, 2), (8, 2)]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_gap_audit_closed_form_matches_pairs_under_random_weights(qN, data):
+    # weights near the real ones, some far off: values that rise and clear their floors,
+    # rise and miss them, or fail to rise; the closed form must agree with the pair loop
+    q, N = qN
+    real = Modulator(q, N).scaled_weights()
+    spread = data.draw(st.sampled_from([2, q * N, 4 * q * N]))
+    weights = tuple(w + data.draw(st.integers(-spread, spread)) for w in real)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Modulator, "scaled_weights", lambda self: weights)
+        try:
+            want = gap_audit_by_pairs(Modulator(q, N))
+        except AssertionError as exc:
+            with pytest.raises(AssertionError) as got:
+                gap_audit_exhaustive(Modulator(q, N))
+            assert str(got.value) == str(exc)
+            return
+        assert gap_audit_exhaustive(Modulator(q, N)) == want
+
+
+@pytest.mark.parametrize("q,N", [(2, 12), (16, 3), (64, 2), (4096, 1)])
+def test_gap_audit_exhaustive_enumerates_no_vector(q, N, monkeypatch):
+    def per_vector(*args):
+        raise AssertionError("symbol vectors enumerated")
+
+    for name in ("_common_prefix", "mu0", "mu0_scaled"):
+        monkeypatch.setattr(waveform, name, per_vector)
+    monkeypatch.setattr(Modulator, "check_symbols", per_vector)
+    audit = gap_audit_exhaustive(Modulator(q, N))
+    assert audit.all_passed and audit.pairs_checked == q ** N * (q ** N - 1) // 2
+    assert audit.min_gap_by_prefix == {m: 1 + Fraction(q ** (N - m - 1), N) for m in range(N)}
 
 
 def scheme_f2():
@@ -465,8 +504,11 @@ def test_audit_fallback_when_certificate_fails(ref_udmg, monkeypatch):
     assert not all(r.passed for r in reports)
     # every pair checked where the weights are the real ones
     monkeypatch.undo()
-    monkeypatch.setattr(waveform, "_gaps_certified", lambda *args: False)
+    monkeypatch.setattr(waveform, "_pairs_clear_floors",
+                        lambda *args: fallbacks.append(1) or pairs_clear_floors(*args))
+    monkeypatch.setattr(waveform, "_lex_steps", lambda mod: [(1, False)] * mod.N)
     assert all(assert_audit_matches(s).passed for s in schemes)
+    assert len(fallbacks) == 2 * len(schemes)
 
 
 def test_audit_fallback_product_on_its_floor(monkeypatch):
@@ -475,24 +517,6 @@ def test_audit_fallback_product_on_its_floor(monkeypatch):
     monkeypatch.setattr(Modulator, "scaled_weights", lambda self: (2,))
     rep = assert_audit_matches(build_scheme(Udmg(F2, 1, 0, (FqMatrix.identity(F2, 1),))))
     assert rep.passed and rep.min_product == rep.floor == 1
-
-
-@given(st.integers(2, 5), st.integers(1, 3), st.data())
-@settings(max_examples=200, deadline=None)
-def test_gap_certificate_is_sound(q, N, data):
-    # steps near their floors along lex order; a certificate must hold for every pair
-    vecs = sorted(set(data.draw(st.lists(st.tuples(*[st.integers(0, q - 1)] * N),
-                                         min_size=2, max_size=12))))
-    scaled = [0]
-    for a, b in zip(vecs, vecs[1:]):
-        floor = 2 * q ** (N - _common_prefix(a, b))
-        scaled.append(scaled[-1] + data.draw(st.integers(floor // 2, floor + 2)))
-    order = data.draw(st.permutations(range(len(vecs))))
-    vecs, scaled = [vecs[k] for k in order], [scaled[k] for k in order]
-    clears = all(abs(scaled[i] - scaled[j]) > 2 * q ** (N - _common_prefix(vecs[i], vecs[j]))
-                 for i in range(len(vecs)) for j in range(i))
-    if waveform._gaps_certified(q, N, vecs, scaled):
-        assert clears
 
 
 def hand_scheme(field, K, g, rows_list):
@@ -522,6 +546,22 @@ def test_audit_non_injective_channel_matches():
     # a rank-1 member sends (0, 1) to zero: equal symbols defeat the certificate
     rep = assert_audit_matches(hand_scheme(F3, 2, 1, [[(1, 0), (0, 0)], [(0, 1), (1, 0)]]))
     assert not rep.passed
+
+
+def test_audit_repeated_channel_symbol_runs_the_fallback(monkeypatch):
+    # the first member has rank 1, so messages (x, 2x) repeat its symbols; the modulator's
+    # steps all clear their floors, and only the injectivity clause sends the audit to the
+    # pair-by-pair check
+    scheme = hand_scheme(F5, 2, 1, [[(1, 2), (2, 4)], [(1, 0), (0, 1)]])
+    assert all(clears for _, clears in waveform._lex_steps(scheme.modulator))
+    fallbacks = []
+    pairs_clear_floors = waveform._pairs_clear_floors
+    monkeypatch.setattr(waveform, "_pairs_clear_floors",
+                        lambda *args: fallbacks.append(1) or pairs_clear_floors(*args))
+    rep = audit_product_distance(scheme)
+    assert fallbacks == [1]
+    assert rep == audit_by_rows(scheme) == assert_audit_matches(scheme)
+    assert rep.min_product == 0 and not rep.passed
 
 
 def test_audit_guard_precedes_enumeration(monkeypatch):
@@ -555,8 +595,7 @@ def audit_by_rows(scheme):
     cols = [[mu0_scaled(scheme.modulator, s[c]) for s in syms] for c in range(L)]
     max_agree = max(sum(_common_prefix(s, (0,) * N) for s in e) for e in syms[1:])
     assert max_agree <= N + g - 1
-    ok = (all(waveform._gaps_certified(q, N, [s[c] for s in syms], cols[c]) for c in range(L))
-          or waveform._pairs_clear_floors(q, N, L, syms, cols))
+    ok = waveform._pairs_clear_floors(q, N, L, syms, cols)
     row_min = [min(map(abs, row_products(cols, i))) for i in range(n - 1)]
     best = min(row_min)
     wi = row_min.index(best)
