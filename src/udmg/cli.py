@@ -38,13 +38,11 @@ def _deferred(module: str, name: str):
     return call
 
 
-bounds_report = _deferred("codes", "bounds")
 first_column_code = _deferred("codes", "first_column_code")
 genus0_udmg = _deferred("curves", "genus0_udmg")
 goppa_udmg = _deferred("curves", "goppa_udmg")
 audit_product_distance = _deferred("waveform", "audit_product_distance")
 build_scheme = _deferred("waveform", "build_scheme")
-complexify = _deferred("waveform", "complexify")
 snr = _deferred("waveform", "snr")
 
 # -- bit-exact matrix-set file format -----------------------------------------
@@ -352,6 +350,8 @@ def _cmd_code(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from .codes import bounds as bounds_report
+
     field_from_order(args.q)  # q must be the order of a supported field
     lengths = tuple(int(x) for x in args.lengths.split(",")) if args.lengths else None
     nks = tuple(int(x) for x in args.nks.split(",")) if args.nks else None
@@ -412,6 +412,7 @@ def _cmd_example(args) -> int:
     """Emit the bundled genus-1 instance and run the whole pipeline on it."""
     from . import reference
     from .curves import INFINITY
+    from .waveform import complexify
 
     out = args.output or "genus1_f5.json"
     u = reference.matrix_set()

@@ -94,9 +94,5 @@ def matrix_set(genus: int = 1) -> Udmg:
     return Udmg(f, 3, genus, mats)
 
 
-def generator_matrix() -> FqMatrix:
-    return FqMatrix.from_rows(field(), GENERATOR)
-
-
 def evaluation_generator() -> FqMatrix:
     return FqMatrix.from_rows(field(), GENERATOR_BY_EVALUATION)

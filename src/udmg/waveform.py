@@ -11,9 +11,9 @@ matrix family that fails to span, so validity of the matrix set caps the
 total agreement sum at N + g - 1.  That cap is what the product-distance
 audit leans on.  Encoding is linear, so two messages agree on a channel in
 exactly the leading zeros of their difference's encoding: the audit reads
-every pair's agreement off the nonzero messages' own encodings, certifies
-every pair's gap floor from the modulator's N lex-neighbour steps in closed
-form, and seeks the least product one difference class at a time.
+every pair's agreement off the nonzero messages' own encodings and seeks the
+least product one difference class at a time.  The gap lemma it rests on is
+an exact identity in the weights, checked once per modulator (_lex_steps).
 """
 
 from __future__ import annotations
@@ -46,7 +46,8 @@ class Modulator:
 
     Weight i (1-based symbol position) is 1 + ((q-1)(N+1-i)+1)/(qN), which
     always lies in [1, 2]; the weights open a gap of more than q^(N-m-1)/N
-    between modulated vectors that agree in exactly their first m symbols.
+    between modulated vectors that agree in exactly their first m symbols
+    (the gap lemma, _lex_steps).
     """
 
     q: int
@@ -143,34 +144,38 @@ class GapAudit:
 
 
 def _lex_steps(mod: Modulator) -> list:
-    """[(step_m, step_m > 2q * q^(N-m-1)) for m < N]: step_m is the scaled rise from any
+    """[step_m for m < N], the gap lemma checked: step_m is the scaled rise from any
     (p, x, (q-1)^(N-m-1)) to its lex successor (p, x + 1, 0^(N-m-1)), 2 (C_m - (q-1)
-    sum_{k>m} C_k) with C from _scaled_form, and 2q * q^(N-m-1) the scaled gap floor."""
+    sum_{k>m} C_k) with C from _scaled_form, and it must clear the scaled floor 2q^(N-m).
+
+    With j = N-1-m and W_m = qN + (q-1)(j+1) + 1, C_m - (q-1) sum_{k>m} C_k =
+    W_m + q^(j+1) - (j+1)q + j = q^(N-m) + qN, so step_m = 2q^(N-m) + 2qN always clears
+    it.  A step that does not names its first neighbour pair in lex order (largest m).
+    """
     q, N = mod.q, mod.N
     C, _ = _scaled_form(mod)
     steps = [2 * (C[m] - (q - 1) * sum(C[m + 1:])) for m in range(N)]
-    return [(step, step > 2 * q ** (N - m)) for m, step in enumerate(steps)]
+    for m in reversed(range(N)):
+        if steps[m] <= 2 * q ** (N - m):
+            a, b = (0,) * (m + 1) + (q - 1,) * (N - m - 1), (0,) * m + (1,) + (0,) * (N - m - 1)
+            raise AssertionError(
+                f"scaled step {steps[m]} from {a} to {b} misses its floor {2 * q ** (N - m)}")
+    return steps
 
 
 def gap_audit_exhaustive(mod: Modulator) -> GapAudit:
     """Every unordered pair of symbol vectors, decided in closed form from the N lex steps.
 
-    If every step is positive the values rise in lex order, so a pair with common prefix m
-    spans a neighbour step with that prefix: the least gap at prefix m is step_m, and every
-    pair clears its floor iff every step does.  Otherwise the first neighbour pair in lex
-    order that fails to rise is named; it has the largest such m.
+    Every step is positive, so the values rise in lex order and a pair with common prefix m
+    spans a neighbour step with that prefix: the least gap at prefix m is step_m, which
+    clears its floor (_lex_steps).
     """
     q, N = mod.q, mod.N
     if q ** (2 * N) > MAX_PAIR_SQUARE:
         raise TooLargeError("symbol space too large for the exhaustive audit")
-    steps = _lex_steps(mod)
-    for m in reversed(range(N)):
-        if steps[m][0] <= 0:
-            a, b = (0,) * (m + 1) + (q - 1,) * (N - m - 1), (0,) * m + (1,) + (0,) * (N - m - 1)
-            raise AssertionError(f"scaled values fail to rise from {a} to {b}")
     n = q ** N
-    return GapAudit(n * (n - 1) // 2, all(clears for _, clears in steps),
-                    {m: Fraction(step, 2 * q * N) for m, (step, _) in enumerate(steps)})
+    return GapAudit(n * (n - 1) // 2, True,
+                    {m: Fraction(step, 2 * q * N) for m, step in enumerate(_lex_steps(mod))})
 
 
 # -- coding schemes --------------------------------------------------------------
@@ -317,11 +322,11 @@ def audit_product_distance(scheme: CodeScheme) -> AuditReport:
     - Encoding is linear, so only the basis messages are encoded, and a pair
       agrees on channel c in exactly the leading zeros of encode(v_j - v_i)[c]:
       the nonzero messages' own encodings give every agreement sum.
-    - Every pair clears its floor, the product of squared channel floors, if
-      no nonzero message encodes to zero on a channel and every lex step of
-      the modulator clears its floor (_lex_steps): distinct symbol vectors
-      with common prefix m then differ by more than 2q * q^(N-m-1).  Without
-      this certificate every pair is checked.
+    - By the gap lemma, an identity (_lex_steps), distinct symbol vectors with
+      common prefix m differ by more than q^(N-m-1)/N, so a pair with no equal
+      channel symbols clears its own floor, the product of squared channel
+      floors; one with equal symbols has product 0.  The audit passes iff the
+      least product clears the floor.
     - The minimum product is found by difference class, in ascending order of
       a bound per class (_least_product); the least worst pair (i, j) is first.
     """
@@ -333,28 +338,24 @@ def audit_product_distance(scheme: CodeScheme) -> AuditReport:
     n = len(msgs)
     if n < 2:
         return AuditReport(0, Fraction(0), Fraction(0), True, (), 0, True)
+    _lex_steps(scheme.modulator)
     C, offset = _scaled_form(scheme.modulator)
     images = [scheme.encode(b) for b in scheme.message_space.vectors]
     syms = [span_vectors(f, [im[c] for im in images], N) for c in range(L)]  # encode(msgs[i])[c]
     cols = [[2 * sum(map(mul, C, s)) - offset for s in ch] for ch in syms]
     agreement_cap = N + g - 1
-    zero = (0,) * N
-    leading_zeros = cache(partial(_common_prefix, zero))
+    leading_zeros = cache(partial(_common_prefix, (0,) * N))
     lam = list(map(sum, zip(*[map(leading_zeros, ch) for ch in syms])))
     max_agree = max(lam[1:])
     if max_agree > agreement_cap:  # msgs[0] is zero, so row 0 holds the first such pair
         k = next(k for k in range(1, n) if lam[k] > agreement_cap)
         raise AssertionError(
             f"agreement sum {lam[k]} exceeded N+g-1 for {msgs[0]} vs {msgs[k]}")
-    ok = ((all(zero not in ch[1:] for ch in syms)
-           and all(clears for _, clears in _lex_steps(scheme.modulator)))
-          or _pairs_clear_floors(q, N, L, list(zip(*syms)), cols))
     best, (wi, wj) = _least_product(f, scheme.message_space.dim, C, syms, cols)
     scale = (2 * q * N) ** (2 * L)  # converts scaled integer products to mu0 units
-    floor = Fraction(q ** (2 * (L * N - (N + g - 1) - L)), N ** (2 * L))
+    floor = Fraction(q) ** (2 * (L * N - (N + g - 1) - L)) / N ** (2 * L)
     min_product = Fraction(best * best, scale)
-    passed = ok and min_product >= floor
-    return AuditReport(n * (n - 1) // 2, min_product, floor, passed,
+    return AuditReport(n * (n - 1) // 2, min_product, floor, min_product >= floor,
                        (msgs[wi], msgs[wj]), max_agree, False)
 
 
@@ -363,8 +364,9 @@ def _least_product(field, dim, C, syms, cols) -> tuple:
 
     The pairs {v, v + d} of a nonzero message d form a class whose channel-c symbols
     differ by e = syms[c][d]; with m the first nonzero entry of e, |t(a + e) - t(a)| >=
-    2 (C_m lo(e_m) - sum_{k>m} C_k hi(e_k)).  Classes (d and -d as one) are scanned in
-    ascending product of these channel bounds until it exceeds the least product.
+    2 (C_m lo(e_m) - sum_{k>m} C_k hi(e_k)), at least step_m > 0 as lo(x) >= 1 and
+    hi(x) <= q - 1.  Classes (d and -d as one) are scanned in ascending product of these
+    channel bounds until it exceeds the least product.
     """
     q, n = field.q, len(cols[0])
     lo, hi = _step_bounds(field)
@@ -374,7 +376,7 @@ def _least_product(field, dim, C, syms, cols) -> tuple:
         m = next((k for k, x in enumerate(e) if x), None)
         if m is None:  # the class's symbols agree on this channel
             return 0
-        return max(0, 2 * (C[m] * lo[e[m]] - sum(C[k] * hi[e[k]] for k in range(m + 1, len(e)))))
+        return 2 * (C[m] * lo[e[m]] - sum(C[k] * hi[e[k]] for k in range(m + 1, len(e))))
 
     bounds = [1] * n
     for ch in syms:
@@ -427,18 +429,6 @@ def _scan_class(cols, shift) -> tuple:
     least = min(vals)
     ties = compress(range(len(vals)), map(least.__eq__, vals))
     return least, min((min(v, shift[v]), max(v, shift[v])) for v in ties)
-
-
-def _pairs_clear_floors(q, N, L, syms, cols) -> bool:
-    """Every pair's product of squared differences against its floor, pair by pair."""
-    floor_pow = (2 * q) ** (2 * L)
-    for i in range(len(syms)):
-        for j in range(i + 1, len(syms)):
-            lam_sum = sum(_common_prefix(syms[i][c], syms[j][c]) for c in range(L))
-            prod = math.prod((col[i] - col[j]) ** 2 for col in cols)
-            if prod < floor_pow * q ** (2 * (L * N - lam_sum - L)):
-                return False
-    return True
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import product, repeat
+from itertools import compress, product, repeat
 from operator import mul, sub
 
 import pytest
@@ -122,30 +122,31 @@ def test_gap_audit_exhaustive(q, N):
 
 
 def gap_audit_by_pairs(mod):
-    """Oracle: the gap audit with one Python-level pass over every pair of symbol vectors,
-    after a pass over lex neighbours that names the first pair failing to rise."""
+    """Oracle: the gap audit with one Python-level pass over every pair a < b of symbol
+    vectors in lex order, after a pass over lex neighbours that names the first whose scaled
+    value does not rise by more than its floor; a pair that does not raises too."""
     q, N = mod.q, mod.N
     vecs = list(product(range(q), repeat=N))
     scaled = [mu0_scaled(mod, v) for v in vecs]
-    for a, b, sa, sb in zip(vecs, vecs[1:], scaled, scaled[1:]):
-        if sb <= sa:
-            raise AssertionError(f"scaled values fail to rise from {a} to {b}")
     floors = [2 * q * q ** (N - m - 1) for m in range(N)]  # 2qN * q^(N-m-1)/N
+    for a, b, sa, sb in zip(vecs, vecs[1:], scaled, scaled[1:]):
+        floor = floors[_common_prefix(a, b)]
+        if sb - sa <= floor:
+            raise AssertionError(f"scaled step {sb - sa} from {a} to {b} misses its floor {floor}")
     min_by_m = {}
-    ok = True
     pairs = 0
     for i in range(len(vecs)):
         vi, si = vecs[i], scaled[i]
         for j in range(i + 1, len(vecs)):
             pairs += 1
             m = _common_prefix(vi, vecs[j])
-            diff = abs(si - scaled[j])
+            diff = scaled[j] - si
             if diff <= floors[m]:
-                ok = False
+                raise AssertionError(f"{vi} to {vecs[j]} rises by {diff}, not above {floors[m]}")
             if m not in min_by_m or diff < min_by_m[m]:
                 min_by_m[m] = diff
     denom = 2 * q * N
-    return waveform.GapAudit(pairs, ok,
+    return waveform.GapAudit(pairs, True,
                              {m: Fraction(v, denom) for m, v in sorted(min_by_m.items())})
 
 
@@ -156,28 +157,40 @@ def test_gap_audit_matches_pairs(q, N):
     assert gap_audit_exhaustive(mod) == gap_audit_by_pairs(mod)
 
 
+def test_lex_steps_are_the_gap_identity():
+    for q in range(2, 65):
+        for N in range(1, 13):
+            assert waveform._lex_steps(Modulator(q, N)) == [2 * q ** (N - m) + 2 * q * N
+                                                            for m in range(N)]
+
+
+def assert_gap_lemma_fails(mod, match=None):
+    """_lex_steps and gap_audit_exhaustive raise the pair oracle's AssertionError text."""
+    with pytest.raises(AssertionError, match=match) as want:
+        gap_audit_by_pairs(mod)
+    for check in (waveform._lex_steps, gap_audit_exhaustive):
+        with pytest.raises(AssertionError) as got:
+            check(mod)
+        assert str(got.value) == str(want.value)
+
+
 def test_gap_audit_flat_weights_match_pairs(monkeypatch):
-    # flat weights still rise in lex order, by 2 per step: every step misses its floor
+    # flat weights still rise in lex order, by 2 per step: every step misses its floor 2q
     monkeypatch.setattr(Modulator, "scaled_weights", lambda self: (1,) * self.N)
     for q, N in [(2, 3), (3, 2), (5, 2)]:
-        audit = gap_audit_exhaustive(Modulator(q, N))
-        assert audit == gap_audit_by_pairs(Modulator(q, N))
-        assert not audit.all_passed
+        assert_gap_lemma_fails(Modulator(q, N), r"scaled step 2 from .* misses its floor")
 
 
 def test_gap_audit_step_on_its_floor(monkeypatch):
     # W = 2 over GF(2), N = 1: the one scaled step, 4, equals its floor 2q and does not clear it
     monkeypatch.setattr(Modulator, "scaled_weights", lambda self: (2,))
-    audit = gap_audit_exhaustive(Modulator(2, 1))
-    assert audit == gap_audit_by_pairs(Modulator(2, 1))
-    assert not audit.all_passed and audit.min_gap_by_prefix == {0: 1}
+    assert_gap_lemma_fails(Modulator(2, 1), r"^scaled step 4 from \(0,\) to \(1,\) misses its floor 4$")
 
 
 def test_gap_audit_rejects_values_that_fail_to_rise(monkeypatch):
-    # W = (1, 2) at q = 2: (0, 1) and (1, 0) scale to the same value
-    monkeypatch.setattr(Modulator, "scaled_weights", lambda self: (1, 2))
-    with pytest.raises(AssertionError, match=r"fail to rise from \(0, 1\) to \(1, 0\)"):
-        gap_audit_exhaustive(Modulator(2, 2))
+    # W = (1, 3) at q = 2: C = (2, 3), so (0, 1) scales above (1, 0); the last step clears
+    monkeypatch.setattr(Modulator, "scaled_weights", lambda self: (1, 3))
+    assert_gap_lemma_fails(Modulator(2, 2), r"step -2 from \(0, 1\) to \(1, 0\)")
 
 
 @given(st.sampled_from([(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3),
@@ -185,7 +198,8 @@ def test_gap_audit_rejects_values_that_fail_to_rise(monkeypatch):
 @settings(max_examples=150, deadline=None)
 def test_gap_audit_closed_form_matches_pairs_under_random_weights(qN, data):
     # weights near the real ones, some far off: values that rise and clear their floors,
-    # rise and miss them, or fail to rise; the closed form must agree with the pair loop
+    # rise and miss them, or fail to rise; _lex_steps raises iff the pair loop finds a pair
+    # at or under its floor, with the same text
     q, N = qN
     real = Modulator(q, N).scaled_weights()
     spread = data.draw(st.sampled_from([2, q * N, 4 * q * N]))
@@ -194,10 +208,8 @@ def test_gap_audit_closed_form_matches_pairs_under_random_weights(qN, data):
         mp.setattr(Modulator, "scaled_weights", lambda self: weights)
         try:
             want = gap_audit_by_pairs(Modulator(q, N))
-        except AssertionError as exc:
-            with pytest.raises(AssertionError) as got:
-                gap_audit_exhaustive(Modulator(q, N))
-            assert str(got.value) == str(exc)
+        except AssertionError:
+            assert_gap_lemma_fails(Modulator(q, N))
             return
         assert gap_audit_exhaustive(Modulator(q, N)) == want
 
@@ -432,13 +444,12 @@ def audit_by_pairs(scheme):
                     f"agreement sum {lam_sum} exceeded N+g-1 for {vi} vs {vj}")
             if lam_sum > max_agree:
                 max_agree = lam_sum
-            pair_floor = floor_pow * q ** (2 * (L * N - lam_sum - L))
-            if prod < pair_floor:
+            if prod < floor_pow * Fraction(q) ** (2 * (L * N - lam_sum - L)):
                 ok = False
             if min_scaled is None or prod < min_scaled:
                 min_scaled = prod
                 worst = (vi, vj)
-    floor = Fraction(q ** (2 * (L * N - (N + g - 1) - L)), N ** (2 * L))
+    floor = Fraction(q) ** (2 * (L * N - (N + g - 1) - L)) / N ** (2 * L)
     min_product = Fraction(min_scaled, scale)
     passed = ok and min_product >= floor
     return AuditReport(pairs, min_product, floor, passed, worst, max_agree, False)
@@ -487,38 +498,6 @@ def test_audit_matches_pairs_corpus(ref_udmg):
         assert assert_audit_matches(scheme).passed
 
 
-def test_audit_fallback_when_certificate_fails(ref_udmg, monkeypatch):
-    from test_acceptance import _scheme_corpus
-
-    schemes = [s for _, s in _scheme_corpus(ref_udmg)]
-    fallbacks = []
-    pairs_clear_floors = waveform._pairs_clear_floors
-    monkeypatch.setattr(waveform, "_pairs_clear_floors",
-                        lambda *args: fallbacks.append(1) or pairs_clear_floors(*args))
-    assert all(assert_audit_matches(s).passed for s in schemes)
-    assert not fallbacks  # the certificate held everywhere
-    # flat weights: neighbours at prefix N-1 step by 2, under their floor 2q
-    monkeypatch.setattr(Modulator, "scaled_weights", lambda self: (1,) * self.N)
-    reports = [assert_audit_matches(s) for s in schemes]
-    assert len(fallbacks) == len(schemes)
-    assert not all(r.passed for r in reports)
-    # every pair checked where the weights are the real ones
-    monkeypatch.undo()
-    monkeypatch.setattr(waveform, "_pairs_clear_floors",
-                        lambda *args: fallbacks.append(1) or pairs_clear_floors(*args))
-    monkeypatch.setattr(waveform, "_lex_steps", lambda mod: [(1, False)] * mod.N)
-    assert all(assert_audit_matches(s).passed for s in schemes)
-    assert len(fallbacks) == 2 * len(schemes)
-
-
-def test_audit_fallback_product_on_its_floor(monkeypatch):
-    # W = 2 over GF(2), N = L = 1: the one pair's gap 4 equals its floor 2q, which does not
-    # certify, and its product 16 equals the pair floor, which the exact check lets pass
-    monkeypatch.setattr(Modulator, "scaled_weights", lambda self: (2,))
-    rep = assert_audit_matches(build_scheme(Udmg(F2, 1, 0, (FqMatrix.identity(F2, 1),))))
-    assert rep.passed and rep.min_product == rep.floor == 1
-
-
 def hand_scheme(field, K, g, rows_list):
     """A CodeScheme over the whole message space, bypassing build_scheme's checks."""
     u = Udmg(field, K, g, tuple(FqMatrix.from_rows(field, rows) for rows in rows_list))
@@ -543,25 +522,50 @@ def test_audit_assertion_names_first_pair():
 
 
 def test_audit_non_injective_channel_matches():
-    # a rank-1 member sends (0, 1) to zero: equal symbols defeat the certificate
+    # a rank-1 member sends (0, 1) to zero: equal symbols give product 0
     rep = assert_audit_matches(hand_scheme(F3, 2, 1, [[(1, 0), (0, 0)], [(0, 1), (1, 0)]]))
     assert not rep.passed
 
 
-def test_audit_repeated_channel_symbol_runs_the_fallback(monkeypatch):
-    # the first member has rank 1, so messages (x, 2x) repeat its symbols; the modulator's
-    # steps all clear their floors, and only the injectivity clause sends the audit to the
-    # pair-by-pair check
+def test_audit_repeated_channel_symbol_fails_at_zero():
+    # the first member has rank 1, so messages (x, 2x) repeat its symbols: product 0
     scheme = hand_scheme(F5, 2, 1, [[(1, 2), (2, 4)], [(1, 0), (0, 1)]])
-    assert all(clears for _, clears in waveform._lex_steps(scheme.modulator))
-    fallbacks = []
-    pairs_clear_floors = waveform._pairs_clear_floors
-    monkeypatch.setattr(waveform, "_pairs_clear_floors",
-                        lambda *args: fallbacks.append(1) or pairs_clear_floors(*args))
     rep = audit_product_distance(scheme)
-    assert fallbacks == [1]
     assert rep == audit_by_rows(scheme) == assert_audit_matches(scheme)
     assert rep.min_product == 0 and not rep.passed
+
+
+@pytest.mark.parametrize("g,rows_list,passed", [
+    (2, [[(0, 0), (0, 0)], [(0, 1), (1, 0)]], False),  # a zero member: every product is 0
+    (1, [[(1, 0), (0, 1)]], True),
+], ids=["zero-member-L2", "identity-L1"])
+def test_audit_floor_below_one_is_exact(g, rows_list, passed):
+    # (L-1)(N-1) < g: the floor's power of q is negative, and the floor stays a Fraction
+    scheme = hand_scheme(F3, 2, g, rows_list)
+    assert (scheme.L - 1) * (scheme.N - 1) < scheme.udmg.g
+    rep = audit_product_distance(scheme)
+    assert rep == audit_by_rows(scheme) == assert_audit_matches(scheme)
+    assert type(rep.floor) is Fraction and 0 < rep.floor < 1
+    assert type(rep.min_product) is Fraction and rep.passed is passed
+
+
+@pytest.mark.parametrize("weights", [
+    lambda self: (1,) * self.N,                              # flat: every step is 2
+    lambda self: tuple(self.q ** k for k in range(self.N)),  # later symbols outweigh the first
+    lambda self: (2,) * self.N,                              # last step 4, at most its floor 2q
+], ids=["flat", "rising", "on-floor"])
+def test_audit_rejects_weights_off_the_gap_lemma(weights, ref_udmg, monkeypatch):
+    from test_acceptance import _scheme_corpus
+
+    schemes = [s for _, s in _scheme_corpus(ref_udmg)]
+    schemes += [build_scheme(Udmg(F2, 1, 0, (FqMatrix.identity(F2, 1),))), line_scheme(5, 3, 6)]
+    monkeypatch.setattr(Modulator, "scaled_weights", weights)
+    for scheme in schemes:
+        with pytest.raises(AssertionError) as want:
+            waveform._lex_steps(scheme.modulator)
+        with pytest.raises(AssertionError) as got:
+            audit_product_distance(scheme)
+        assert str(got.value) == str(want.value)
 
 
 def test_audit_guard_precedes_enumeration(monkeypatch):
@@ -586,8 +590,26 @@ def row_products(cols, i):
     return prods
 
 
+def rows_clear_floors(q, N, L, syms, cols):
+    """Every pair's product of squared differences against its own floor
+    (2q)^(2L) q^(2(LN - lam - L)), lam the pair's agreement sum, row by row at C speed.
+
+    A product that clears the agreement-0 floor clears every floor, so only the pairs
+    below it have their agreement summed.
+    """
+    root0 = (2 * q) ** L * q ** (L * (N - 1))  # |product| at the agreement-0 floor
+    for i in range(len(syms) - 1):
+        prods = list(map(abs, row_products(cols, i)))
+        for k in compress(range(len(prods)), map(root0.__gt__, prods)):
+            lam = sum(map(_common_prefix, syms[i], syms[i + 1 + k]))
+            if prods[k] ** 2 < (2 * q) ** (2 * L) * Fraction(q) ** (2 * (L * N - lam - L)):
+                return False
+    return True
+
+
 def audit_by_rows(scheme):
-    """Oracle: every message encoded, the least product taken row by row at C speed."""
+    """Oracle: every message encoded, the least product and every pair's floor taken row
+    by row at C speed."""
     q, N, L, g = scheme.modulator.q, scheme.N, scheme.L, scheme.udmg.g
     msgs = scheme.messages()
     n = len(msgs)
@@ -595,12 +617,12 @@ def audit_by_rows(scheme):
     cols = [[mu0_scaled(scheme.modulator, s[c]) for s in syms] for c in range(L)]
     max_agree = max(sum(_common_prefix(s, (0,) * N) for s in e) for e in syms[1:])
     assert max_agree <= N + g - 1
-    ok = waveform._pairs_clear_floors(q, N, L, syms, cols)
+    ok = rows_clear_floors(q, N, L, syms, cols)
     row_min = [min(map(abs, row_products(cols, i))) for i in range(n - 1)]
     best = min(row_min)
     wi = row_min.index(best)
     wj = wi + 1 + list(map(abs, row_products(cols, wi))).index(best)
-    floor = Fraction(q ** (2 * (L * N - (N + g - 1) - L)), N ** (2 * L))
+    floor = Fraction(q) ** (2 * (L * N - (N + g - 1) - L)) / N ** (2 * L)
     min_product = Fraction(best * best, (2 * q * N) ** (2 * L))
     return AuditReport(n * (n - 1) // 2, min_product, floor, ok and min_product >= floor,
                        (msgs[wi], msgs[wj]), max_agree, False)
@@ -654,18 +676,6 @@ def test_audit_matches_rows_where_classes_are_pruned(make, classes_scanned):
     assert rep == audit_by_rows(scheme)
     assert rep.passed
     assert 0 < len(classes_scanned) < (n - 1) // 2  # d and -d share a class
-
-
-@pytest.mark.parametrize("weights", [
-    lambda self: (1,) * self.N,                            # flat: the certificate fails
-    lambda self: tuple(self.q ** k for k in range(self.N)),  # later symbols outweigh the first
-], ids=["flat", "rising"])
-def test_audit_matches_rows_under_other_weights(weights, monkeypatch):
-    # channel bounds go negative here, so the clamp at zero is what keeps them sound
-    monkeypatch.setattr(Modulator, "scaled_weights", weights)
-    for scheme in (line_scheme(5, 3, 6), line_scheme(7, 3, 5), line_scheme(8, 3, 4),
-                   line_scheme(9, 3, 4)):
-        assert audit_product_distance(scheme) == audit_by_rows(scheme)
 
 
 def test_audit_matches_rows_with_a_zero_channel():
