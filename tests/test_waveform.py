@@ -568,6 +568,28 @@ def test_audit_rejects_weights_off_the_gap_lemma(weights, ref_udmg, monkeypatch)
         assert str(got.value) == str(want.value)
 
 
+def test_audit_fallback_when_certificate_fails(ref_udmg, monkeypatch):
+    # the corpus clears the gap lemma with the real weights; when its check fails the audit
+    # has no pair-by-pair fallback: it raises that check's error before encoding a message
+    from test_acceptance import _scheme_corpus
+
+    schemes = [s for _, s in _scheme_corpus(ref_udmg)]
+    assert all(len(s.messages()) >= 2 for s in schemes)
+    assert all(assert_audit_matches(s).passed for s in schemes)
+
+    def certificate_fails(mod):
+        raise AssertionError(f"no certificate for q={mod.q}, N={mod.N}")
+
+    encoded = []
+    monkeypatch.setattr(waveform, "_lex_steps", certificate_fails)
+    monkeypatch.setattr(CodeScheme, "encode", lambda self, v: encoded.append(v))
+    for scheme in schemes:
+        mod = scheme.modulator
+        with pytest.raises(AssertionError, match=f"^no certificate for q={mod.q}, N={mod.N}$"):
+            audit_product_distance(scheme)
+    assert not encoded
+
+
 def test_audit_guard_precedes_enumeration(monkeypatch):
     f = field_from_order(1 << 16)
     big = hand_scheme(f, 3, 0, [[(1, 0, 0), (0, 1, 0), (0, 0, 1)]])
@@ -676,6 +698,28 @@ def test_audit_matches_rows_where_classes_are_pruned(make, classes_scanned):
     assert rep == audit_by_rows(scheme)
     assert rep.passed
     assert 0 < len(classes_scanned) < (n - 1) // 2  # d and -d share a class
+
+
+_REAL_WEIGHTS = Modulator.scaled_weights
+
+
+@pytest.mark.parametrize("weights", [
+    lambda self: (self.q ** self.N + 1,) * self.N,             # flat: every step 2(q^N + 1)
+    lambda self: tuple(2 * w for w in _REAL_WEIGHTS(self)),  # every step doubled
+], ids=["flat", "doubled"])
+def test_audit_matches_rows_under_other_weights(weights, monkeypatch):
+    # weights other than the real ones whose lex steps still clear every floor 2q^(N-m):
+    # the audit runs, its channel bounds stay sound, and every pair clears its floor
+    monkeypatch.setattr(Modulator, "scaled_weights", weights)
+    for scheme in (line_scheme(5, 3, 6), line_scheme(7, 3, 5), line_scheme(8, 3, 4),
+                   line_scheme(9, 3, 4)):
+        q, N = scheme.modulator.q, scheme.N
+        assert weights(scheme.modulator) != _REAL_WEIGHTS(scheme.modulator)
+        steps = waveform._lex_steps(scheme.modulator)
+        assert all(step > 2 * q ** (N - m) for m, step in enumerate(steps))
+        rep = audit_product_distance(scheme)
+        assert rep == audit_by_rows(scheme)
+        assert rep.passed
 
 
 def test_audit_matches_rows_with_a_zero_channel():
