@@ -3,14 +3,17 @@
 
 Starting from the full projective-line family with K = 2 (q+1 matrices of
 size 2x2, genus 0), repeating every matrix g+1 times yields a verified
-genus-g family of exactly (g+1)(q+1) members.  The script also runs the
-modulation audits on each duplicated family that admits a scheme, and exits
-1 if any family misses the cap, fails verification or fails an audit.
+genus-g family of exactly (g+1)(q+1) members.  At the code level its
+first-column code has d = (g+1)q, so its Singleton defect n - k + 1 - d is
+exactly g: each unit of genus costs one unit of distance.  The script also
+runs the modulation audits on each duplicated family that admits a scheme,
+and exits 1 if any family misses the cap, fails verification, has a defect
+other than g or fails an audit.
 """
 
 import argparse
 
-from udmg.codes import bounds, duplicated
+from udmg.codes import bounds, duplicated, first_column_code
 from udmg.core import verify
 from udmg.curves import INFINITY, genus0_udmg
 from udmg.errors import HypothesisUnmetError
@@ -36,6 +39,11 @@ def main():
             print(f"q={q} g={g}: L={dup.L} cap={cap} "
                   f"meets_cap={dup.L == cap} {status}")
             ok &= rep.valid and dup.L == cap
+            if rep.valid:
+                code = first_column_code(dup, verified=True)
+                print(f"  first-column code [{code.n},{code.k}] d={code.d} "
+                      f"defect={code.defect}")
+                ok &= code.defect == g
             try:
                 scheme = build_scheme(dup, verified=rep.valid)
             except HypothesisUnmetError as exc:

@@ -1,9 +1,13 @@
 """Linear vector codes attached to decodable matrix sets, plus size bounds.
 
 The first-column code of a valid matrix set with L >= K + g members is an
-[L, K] code of Singleton defect at most g; its minimum distance comes from a
-Gray-code scan of one codeword per projective point.  The bounds report
-collects all the arithmetic caps on L in terms of (K, q, g) and the lengths.
+[L, K] code of Singleton defect at most g.  Its n columns, read as one-column
+matrices, verify at genus g' exactly when d >= n - k + 1 - g', so the least
+such g' (at most g) gives d = n - k + 1 - g'; one codeword read off the
+failing witness at g' - 1 certifies that d is attained.  A code with no known
+valid genus is scanned by a Gray code over one codeword per projective point,
+guarded by MAX_CODEWORDS.  The bounds report collects all the arithmetic caps
+on L in terms of (K, q, g) and the lengths.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import Udmg, _verify_fast
+from .core import Udmg, _annihilate, _verify_fast, verify
 from .errors import (
     HypothesisUnmetError,
     RankDeficientError,
@@ -20,7 +24,8 @@ from .errors import (
 )
 from .linalg import FqMatrix, rank
 
-MAX_CODEWORDS = 1 << 22
+MAX_CODEWORDS = 1 << 22  # guards the Gray scan only
+MAX_PARTITION_BITS = 100_000  # cap on the bits of the partition bound's right-hand side
 
 
 @dataclass(frozen=True)
@@ -44,12 +49,23 @@ class LinearCode:
         return self.n + 1 - self.d - self.k
 
 
-def min_distance(code: LinearCode) -> int:
+def min_distance(code: LinearCode, valid_at: int | None = None) -> int:
     """Minimum Hamming weight over the nonzero codewords; 0 if G is rank deficient.
 
-    Block i scans the messages led by a 1 at position i (weight ignores scaling); their
-    trailing F_p digits run in modular Gray order, so each step adds one row x^d * G_j.
+    valid_at, when given, is a genus at which the columns of G, read as n
+    one-column matrices, are known to verify.  Genera 0, 1, ... below it are
+    scanned up to the first valid one, g', and d = n - k + 1 - g'.  The scan's
+    failing witness at g' - 1 (any k - 1 columns when g' = 0) leaves one
+    message y up to scale whose codeword vanishes on it; AssertionError is
+    raised unless y*G has weight d, which proves d attained, while validity at
+    g' bounds every weight below.
+
+    Without valid_at, block i scans the messages led by a 1 at position i (weight
+    ignores scaling); their trailing F_p digits run in modular Gray order, so each
+    step adds one row x^d * G_j.
     """
+    if valid_at is not None:
+        return _distance_by_columns(code, valid_at)
     f, n, k = code.field, code.n, code.k
     if f.q ** k > MAX_CODEWORDS:
         raise TooLargeError(f"{f.q}^{k} codewords exceed the scan guard")
@@ -71,13 +87,39 @@ def min_distance(code: LinearCode) -> int:
     return best
 
 
+def _distance_by_columns(code: LinearCode, valid_at: int) -> int:
+    """min_distance's route for a code whose columns verify at genus valid_at."""
+    f, n, k, G = code.field, code.n, code.k, code.generator
+    if valid_at < 0:
+        raise ValueError("valid_at must be a non-negative genus")
+    if rank(G) < k:
+        return 0
+    cols = [G.col(j) for j in range(n)]
+    ones = Udmg(f, k, 0, tuple(FqMatrix(f, k, 1, c) for c in cols))
+    g, zeros = 0, range(k - 1)
+    while g < valid_at:
+        rep = verify(ones.with_genus(g))
+        if rep.valid:
+            break
+        g, zeros = g + 1, [j for j, v in enumerate(rep.witness) if v]
+    d = n - k + 1 - g
+    ann = [[int(r == c) for c in range(k)] for r in range(k)]
+    for j in zeros:
+        ann = _annihilate(f, ann, cols[j])
+    weight = n - G.vecmat(ann[0]).count(0)
+    if weight != d:
+        raise AssertionError(f"certificate codeword has weight {weight}, not d = {d}")
+    return d
+
+
 def first_column_code(u: Udmg, compute_distance: bool = True,
                       verified: bool = False) -> LinearCode:
     """[L, K] code generated by the first columns of a valid matrix set.
 
-    Requires L >= K + g; the generator then has rank K and the Singleton
-    defect is at most g, both of which are asserted.  verified=True skips
-    the scan of a set the caller has already verified at its genus.
+    Requires L >= K + g; the generator then has rank K, which is asserted.
+    The first columns verify at genus g too, so min_distance takes the column
+    route with valid_at=g and the Singleton defect is at most g.  verified=True
+    skips the scan of a set the caller has already verified at its genus.
     """
     if u.K < 1:
         raise HypothesisUnmetError("a code needs K >= 1")
@@ -91,10 +133,8 @@ def first_column_code(u: Udmg, compute_distance: bool = True,
         raise RankDeficientError("first-column generator is rank deficient")
     code = LinearCode(u.field, u.L, u.K, G)
     if compute_distance:
-        d = min_distance(code)
-        code = LinearCode(u.field, u.L, u.K, G, d)
-        if code.defect > u.g:
-            raise AssertionError("Singleton defect exceeded the genus")
+        # every allowable choice of first columns is one of the set's own
+        code = LinearCode(u.field, u.L, u.K, G, min_distance(code, valid_at=u.g))
     return code
 
 
@@ -140,13 +180,68 @@ class BoundReport:
     notes: tuple
 
 
+def _iroot(n: int, m: int) -> int:
+    """Largest x with x^m <= n, for n >= 0 and m >= 1.
+
+    A root of at most 64 bits is bisected.  A longer one starts Newton's step
+    from above, at the root of n's top half shifted back, so a few steps end it.
+    """
+    b = -(-n.bit_length() // m)  # the root is below 2^b
+    if b <= 64:
+        lo, hi = 0, 1 << b
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if mid ** m <= n else (lo, mid)
+        return lo
+    t = b // 2
+    x = (_iroot(n >> (m * t), m) + 1) << t
+    while True:
+        y = ((m - 1) * x + n // x ** (m - 1)) // m
+        if y >= x:
+            return x
+        x = y
+
+
 def partition_bound(K: int, q: int, g: int) -> int:
-    """Largest L passing the partition-count inequality (monotone scan)."""
-    rhs = math.comb(K + g - 1, K - 1) * (q ** K - 1) // (q - 1)
-    L = 0
-    while math.comb(K - 2 + (L + 1), K - 1) <= rhs:
-        L += 1
-    return L
+    """Largest L with C(K-2+L, K-1) <= rhs = C(K+g-1, K-1)(q^K-1)/(q-1).
+
+    The count rises with L, and L = 1 always passes, so L is bracketed between
+    one L that passes and one that fails.  With m = K - 1, m! C(K-2+L, m) is
+    L (L+1) ... (L+m-1), between L^m and (L+m-1)^m, so L <= rhs^(1/m) m has
+    at most 64 + log2(m) + 1 bits when rhs has at most 64 m; there doubling
+    brackets it.  Else the integer m-th root r of m! rhs brackets it: L lies in
+    [r - m + 1, r].  Bisection narrows the bracket to 1024, and the count is
+    then stepped up one L at a time, C(K-1+L, m) = C(K-2+L, m) (K-1+L) / L.
+    Inputs whose rhs could pass MAX_PARTITION_BITS bits are refused.
+    """
+    if K < 2 or q < 2 or g < 0:
+        raise HypothesisUnmetError("the partition bound needs K >= 2, q >= 2, g >= 0")
+    m = K - 1
+    if min(m, g) * (K + g - 1).bit_length() + K * (q - 1).bit_length() > MAX_PARTITION_BITS:
+        raise TooLargeError("the partition bound's right-hand side may pass "
+                            f"MAX_PARTITION_BITS = {MAX_PARTITION_BITS} bits")
+    rhs = math.comb(K + g - 1, m) * (q ** K - 1) // (q - 1)
+
+    def fits(L):
+        return math.comb(K - 2 + L, m) <= rhs
+
+    if rhs.bit_length() <= 64 * m:
+        lo, hi = 1, 2
+        while fits(hi):
+            lo, hi = hi, 2 * hi
+    else:
+        r = _iroot(math.factorial(m) * rhs, m)
+        lo, hi = max(1, r - m + 1), r + 1
+    while hi - lo > 1024:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if fits(mid) else (lo, mid)
+    count = math.comb(K - 2 + lo, m)
+    while lo + 1 < hi:
+        count = count * (K - 1 + lo) // lo
+        if count > rhs:
+            break
+        lo += 1
+    return lo
 
 
 def bounds(K: int, q: int, g: int, lengths=None, nks=None) -> BoundReport:

@@ -120,24 +120,30 @@ def test_verify_min_genus_scans_each_genus_once(fixture_path, capsys, monkeypatc
     assert json.loads(want[1][1])["minimal_genus"] == 1
 
 
+SET, COLS = (3, (3,) * 9), (3, (1,) * 9)  # (K, lengths): the bundled set, its first columns
+
+
 @pytest.mark.parametrize("argv,rescanned,scanned", [
-    (["code", "{fixture}", "--min-distance"], [1, 1], [1]),
+    # the distance scans the first columns, a set of its own, below the set's genus
+    (["code", "{fixture}", "--min-distance"], [(SET, 1), (SET, 1), (COLS, 0)],
+     [(SET, 1), (COLS, 0)]),
     # the construction certifies itself by valuations, with no scan
-    (["example-paper", "-o", "{out}"], [1, 0, 1, 1], [1, 0]),
+    (["example-paper", "-o", "{out}"], [(SET, 1), (SET, 0), (SET, 1), (COLS, 0), (SET, 1)],
+     [(SET, 1), (SET, 0), (COLS, 0)]),
     # a set read from a file is scanned at its own genus (verify: see above)
-    (["modulate", "{fixture}", "--snr"], [1], [1]),
+    (["modulate", "{fixture}", "--snr"], [(SET, 1)], [(SET, 1)]),
 ])
 def test_commands_scan_each_genus_once(fixture_path, tmp_path, capsys, monkeypatch, argv,
                                        rescanned, scanned):
     from udmg import codes, core, waveform
 
     argv = [a.format(fixture=fixture_path, out=tmp_path / "out.json") for a in argv]
-    genera, scan = [], core._scan
-    monkeypatch.setattr(core, "_scan", lambda field, K, g, steps: genera.append(g) or
-                        scan(field, K, g, steps))
+    scans, scan = [], core._scan
+    monkeypatch.setattr(core, "_scan", lambda field, K, g, steps: scans.append(
+        ((K, tuple(map(len, steps))), g)) or scan(field, K, g, steps))
 
     def run_both():
-        genera.clear()
+        scans.clear()
         outs = []
         for fmt in ([], ["--json"]):
             code = run(fmt + argv)
@@ -145,7 +151,8 @@ def test_commands_scan_each_genus_once(fixture_path, tmp_path, capsys, monkeypat
         return outs
 
     got = run_both()
-    assert genera == scanned * 2
+    assert len(set(scanned)) == len(scanned)  # no (set, genus) pair twice in one run
+    assert scans == scanned * 2
     assert all(code == 0 for code, _ in got)
     # the same answers when the code and the scheme verify the set again themselves
     for name, fn in (("first_column_code", codes.first_column_code),
@@ -153,7 +160,7 @@ def test_commands_scan_each_genus_once(fixture_path, tmp_path, capsys, monkeypat
         monkeypatch.setattr(f"udmg.cli.{name}",
                             lambda u, verified=False, _fn=fn, **kw: _fn(u, **kw))
     assert run_both() == got
-    assert genera == rescanned * 2
+    assert scans == rescanned * 2
 
 
 def test_verify_threads_equivalent(fixture_path, capsys, monkeypatch):

@@ -1,24 +1,36 @@
 import json
 import math
 import random
+import subprocess
+import sys
 from itertools import product
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from udmg.cli import run
+from udmg import reference
+from udmg.cli import construction_from_data, run, save_matrixset
 from udmg.codes import (
+    MAX_CODEWORDS,
     LinearCode,
+    _iroot,
     bounds,
     duplicated,
     first_column_code,
     min_distance,
     partition_bound,
 )
-from udmg.core import Udmg, verify
-from udmg.curves import INFINITY, genus0_udmg
-from udmg.errors import HypothesisUnmetError, TooShortError
+from udmg.core import Udmg, minimal_genus, verify
+from udmg.curves import (
+    INFINITY,
+    DivisorSpec,
+    WeierstrassCurve,
+    enumerate_points,
+    genus0_udmg,
+    goppa_udmg,
+)
+from udmg.errors import HypothesisUnmetError, TooLargeError, TooShortError
 from udmg.fields import field_from_order, make_field
 from udmg.linalg import FqMatrix, rank
 
@@ -98,6 +110,8 @@ def test_duplication_sharpness_spot():
         assert dup.g == g
         assert verify(dup).valid
         assert dup.L == bounds(2, 3, g, lengths=(2,) * dup.L).class1_bound
+        code = first_column_code(dup, verified=True)
+        assert (code.d, code.defect) == ((g + 1) * 3, g)  # each unit of genus costs one of d
 
 
 def test_bounds_worked_example():
@@ -144,6 +158,69 @@ def test_partition_bound_monotone():
     assert partition_bound(2, 5, 0) >= 1
 
 
+def partition_bound_by_scan(K, q, g):
+    """Oracle: count L up while C(K-2+L, K-1) stays within the right-hand side."""
+    rhs = math.comb(K + g - 1, K - 1) * (q ** K - 1) // (q - 1)
+    L = 0
+    while math.comb(K - 2 + (L + 1), K - 1) <= rhs:
+        L += 1
+    return L
+
+
+def test_partition_bound_matches_scan():
+    for K, q, g in product(range(2, 7), range(2, 10), range(5)):
+        assert partition_bound(K, q, g) == partition_bound_by_scan(K, q, g), (K, q, g)
+
+
+@given(st.integers(2, 40), st.integers(2, 64), st.integers(0, 60))
+@settings(max_examples=200, deadline=None)
+def test_partition_bound_matches_scan_drawn(K, q, g):
+    assert partition_bound(K, q, g) == partition_bound_by_scan(K, q, g)
+
+
+@given(st.integers(2, 3), st.integers(2, 2 ** 70), st.integers(0, 2 ** 200))
+@settings(max_examples=200, deadline=None)
+def test_partition_bound_closed_forms_past_2_64(K, q, g):
+    """K = 2 and 3 have closed forms; large q or g takes the root bracket."""
+    rhs = math.comb(K + g - 1, K - 1) * (q ** K - 1) // (q - 1)
+    want = rhs if K == 2 else (math.isqrt(8 * rhs + 1) - 1) // 2  # L (L+1) / 2 <= rhs
+    assert partition_bound(K, q, g) == want
+
+
+@given(st.integers(0, 2 ** 4000), st.integers(1, 70))
+@settings(max_examples=300, deadline=None)
+def test_iroot_is_the_floor_root(n, m):
+    x = _iroot(n, m)
+    assert x ** m <= n < (x + 1) ** m
+
+
+def test_partition_bound_refuses_past_its_cap():
+    with pytest.raises(TooLargeError):
+        partition_bound(100001, 2, 0)
+    with pytest.raises(TooLargeError):
+        partition_bound(3, 2, 2 ** 60000)
+    with pytest.raises(HypothesisUnmetError):
+        partition_bound(1, 2, 0)
+
+
+@pytest.mark.parametrize("argv,want", [
+    (["--K", "2", "--q", "1048573", "--g", "100000", "--lengths", "2,2"], 104858448574),
+    (["--K", "3", "--q", "2", "--g", "1000000000", "--lengths", "3,3"], 2645751314),
+    (["--K", "100000", "--q", "2", "--g", "0", "--lengths", "100000"], 29386),
+])
+def test_bounds_command_finishes_on_large_parameters(argv, want):
+    """Each of these ran past 20 s while the bound counted L up one at a time."""
+    res = subprocess.run([sys.executable, "-m", "udmg.cli", "--json", "bounds", *argv],
+                         capture_output=True, text=True, timeout=20)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["partition_bound"] == want
+
+
+def test_bounds_command_refuses_past_the_cap(capsys):
+    assert run(["bounds", "--K", "100001", "--q", "2", "--g", "0", "--lengths", "100001"]) == 2
+    assert "MAX_PARTITION_BITS" in capsys.readouterr().err
+
+
 def test_defect_bound_respected_by_fixtures(ref_udmg):
     rep = bounds(ref_udmg.K, 5, ref_udmg.g, lengths=ref_udmg.lengths)
     assert ref_udmg.L <= rep.defect_bound
@@ -188,7 +265,7 @@ def test_min_distance_rank_deficient_reads_zero():
             c = rng.randrange(q)
             rows[-1] = [code.field.mul(c, a) for a in rows[0]]
             code = LinearCode(code.field, n, k, FqMatrix.from_rows(code.field, rows))
-            assert min_distance(code) == 0
+            assert min_distance(code) == min_distance(code, valid_at=n) == 0
             # The oracle stops at its first weight-1 word, which may come before
             # its first zero word; otherwise it reads 0 as well.
             if min_distance_by_vecmat(code) == 0:
@@ -206,3 +283,113 @@ def test_code_command_pins_distance(capsys):
     assert run(["--json", "code", str(FIXTURE), "--min-distance"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert (payload["n"], payload["k"], payload["d"], payload["defect"]) == (9, 3, 6, 1)
+
+
+# -- the column route: d = n - k + 1 - g' ---------------------------------------
+
+def column_route_sets():
+    """Constructed genus-0 and genus-1 sets, and duplicated genus-0 sets."""
+    F4, F7 = field_from_order(4), make_field(7)
+    line = [genus0_udmg(F5, [0, 1, 2, 3, 4, INFINITY], 3).udmg,
+            genus0_udmg(F3, [0, 1, 2, INFINITY], 2).udmg,
+            genus0_udmg(F4, [0, 1, 2, 3, INFINITY], 3).udmg,
+            genus0_udmg(F7, [0, 2, 3, 5, 6], 4).udmg]
+    genus1 = [reference.matrix_set()]
+    for q, degrees in ((7, (2, 3)), (11, (3, 4))):
+        curve = WeierstrassCurve(make_field(q), 1, 1)
+        genus1 += [goppa_udmg(curve, enumerate_points(curve)[1:], DivisorSpec(n, None)).udmg
+                for n in degrees]
+    pair4 = genus0_udmg(F4, [0, 1, 2, 3, INFINITY], 2).udmg
+    dup = [duplicated(line[1], g) for g in (1, 2)] + [duplicated(pair4, 1)]
+    return line + genus1 + dup
+
+
+def test_column_route_matches_gray_scan_and_vecmat():
+    for u in column_route_sets():
+        assert verify(u).valid
+        code = first_column_code(u, compute_distance=False)
+        d = min_distance(code, valid_at=u.g)
+        assert d == min_distance(code) == min_distance_by_vecmat(code), (u.field.q, u.K, u.g)
+        assert first_column_code(u).d == d
+        # any genus at which the columns verify gives the same d
+        assert min_distance(code, valid_at=code.n - code.k) == d
+
+
+def all_full_rank_codes(q, n, k):
+    f = field_from_order(q)
+    for entries in product(range(q), repeat=n * k):
+        G = FqMatrix(f, k, n, entries)
+        if rank(G) == k:
+            yield LinearCode(f, n, k, G)
+
+
+def one_column_set(code):
+    f, G = code.field, code.generator
+    return Udmg(f, code.k, 0, tuple(FqMatrix(f, code.k, 1, G.col(j)) for j in range(code.n)))
+
+
+def check_column_route(code):
+    g, _ = minimal_genus(one_column_set(code))
+    d = min_distance(code, valid_at=g)
+    assert d == code.n - code.k + 1 - g
+    assert d == min_distance(code) == min_distance_by_vecmat(code)
+    for h in range(g, code.n - code.k + 1):
+        assert min_distance(code, valid_at=h) == d
+
+
+@pytest.mark.parametrize("q,n,k", [(2, 3, 1), (2, 4, 2), (2, 5, 2), (2, 4, 3), (3, 3, 2),
+                                   (3, 4, 1)])
+def test_column_route_exhaustive_small(q, n, k):
+    for code in all_full_rank_codes(q, n, k):
+        check_column_route(code)
+
+
+@given(st.sampled_from([2, 3, 4, 5, 7]), st.integers(1, 8), st.data())
+@settings(max_examples=120, deadline=None)
+def test_column_route_matches_gray_scan_drawn(q, n, data):
+    k = data.draw(st.integers(1, n))
+    if q ** k > 4096:
+        k = max(j for j in range(1, k + 1) if q ** j <= 4096)
+    code = random_code(random.Random(data.draw(st.integers(0, 2 ** 32))), q, n, k)
+    if rank(code.generator) == k:
+        check_column_route(code)
+
+
+def test_column_route_certificate_rejects_a_low_genus():
+    # the bundled [9, 3] code has d = 6, so its columns first verify at genus 1
+    code = first_column_code(reference.matrix_set(), compute_distance=False)
+    with pytest.raises(AssertionError, match="certificate"):
+        min_distance(code, valid_at=0)
+    # a duplicated line's code has every codeword zero on both copies of a column
+    dup = first_column_code(duplicated(genus0_udmg(F3, [0, 1, 2, INFINITY], 2).udmg, 1),
+                            compute_distance=False)
+    assert min_distance(dup, valid_at=1) == 6
+    with pytest.raises(AssertionError, match="certificate"):
+        min_distance(dup, valid_at=0)
+    with pytest.raises(ValueError):
+        min_distance(dup, valid_at=-1)
+
+
+def test_column_route_needs_no_scan_at_genus_0(monkeypatch):
+    from udmg import core
+
+    monkeypatch.setattr(core, "_scan", None)
+    code = first_column_code(genus0_udmg(F5, [0, 1, 2, 3, 4, INFINITY], 3).udmg, verified=True)
+    assert code.d == 4
+
+
+@pytest.mark.parametrize("q,L,K,d", [(23, 27, 5, 22), (17, 17, 6, 11)])
+def test_code_command_past_the_codeword_guard(tmp_path, capsys, q, L, K, d):
+    """Genus-1 s^2 = r^3 + r + 1 on all affine points: refused by the Gray scan's guard."""
+    points = [list(P) for P in enumerate_points(WeierstrassCurve(field_from_order(q), 1, 1))
+              if P is not INFINITY]
+    u = construction_from_data({"q": q, "genus": 1, "a": 1, "b": 1, "points": points,
+                                "divisor": {"n": K}}).udmg
+    path = tmp_path / "set.json"
+    save_matrixset(u, str(path))
+    assert q ** K > MAX_CODEWORDS
+    with pytest.raises(TooLargeError):
+        min_distance(first_column_code(u, compute_distance=False))
+    assert run(["--json", "code", str(path), "--min-distance"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["n"], payload["k"], payload["d"], payload["defect"]) == (L, K, d, 1)
