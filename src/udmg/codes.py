@@ -4,10 +4,10 @@ The first-column code of a valid matrix set with L >= K + g members is an
 [L, K] code of Singleton defect at most g.  Its n columns, read as one-column
 matrices, verify at genus g' exactly when d >= n - k + 1 - g', so the least
 such g' (at most g) gives d = n - k + 1 - g'; one codeword read off the
-failing witness at g' - 1 certifies that d is attained.  A code with no known
-valid genus is scanned by a Gray code over one codeword per projective point,
-guarded by MAX_CODEWORDS.  The bounds report collects all the arithmetic caps
-on L in terms of (K, q, g) and the lengths.
+failing witness at g' - 1 certifies that d is attained.  Any other full-rank
+code is valid at genus n - k, so min_distance reads every code this way.  The
+bounds report collects all the arithmetic caps on L in terms of (K, q, g) and
+the lengths.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .errors import (
 )
 from .linalg import FqMatrix, rank
 
-MAX_CODEWORDS = 1 << 22  # guards the Gray scan only
 MAX_PARTITION_BITS = 100_000  # cap on the bits of the partition bound's right-hand side
 
 
@@ -52,52 +51,27 @@ class LinearCode:
 def min_distance(code: LinearCode, valid_at: int | None = None) -> int:
     """Minimum Hamming weight over the nonzero codewords; 0 if G is rank deficient.
 
-    valid_at, when given, is a genus at which the columns of G, read as n
-    one-column matrices, are known to verify.  Genera 0, 1, ... below it are
-    scanned up to the first valid one, g', and d = n - k + 1 - g'.  The scan's
-    failing witness at g' - 1 (any k - 1 columns when g' = 0) leaves one
-    message y up to scale whose codeword vanishes on it; AssertionError is
-    raised unless y*G has weight d, which proves d attained, while validity at
-    g' bounds every weight below.
-
-    Without valid_at, block i scans the messages led by a 1 at position i (weight
-    ignores scaling); their trailing F_p digits run in modular Gray order, so each
-    step adds one row x^d * G_j.
+    The columns of G, read as n one-column matrices, verify at genus g' exactly
+    when d >= n - k + 1 - g'.  valid_at is a genus at which they are known to
+    verify (the convention of core.minimal_genus); it defaults to n - k, where
+    every full-rank G does.  Genera 0, 1, ... below it are scanned up to the
+    first valid one, g', and d = n - k + 1 - g'.  The scan's failing witness at
+    g' - 1 (any k - 1 columns when g' = 0) leaves one message y up to scale
+    whose codeword vanishes on it; AssertionError is raised unless y*G has
+    weight d, which proves d attained, while validity at g' bounds every
+    weight below.  The zero code (k = 0) reads n + 1.
     """
-    if valid_at is not None:
-        return _distance_by_columns(code, valid_at)
-    f, n, k = code.field, code.n, code.k
-    if f.q ** k > MAX_CODEWORDS:
-        raise TooLargeError(f"{f.q}^{k} codewords exceed the scan guard")
-    G = code.generator
-    if rank(G) < k:
-        return 0
-    best = n + 1
-    for i in range(k):
-        steps = [tuple(f.mul(f.p ** d, e) for e in G.row(j))
-                 for j in range(i + 1, k) for d in range(f.m)]
-        word = G.vecmat([0] * i + [1] + [0] * (k - 1 - i))
-        for s in range(f.p ** len(steps)):  # step s changes digit v_p(s) by +1
-            if s:
-                j = next(j for j in range(len(steps)) if s % f.p ** (j + 1))
-                word = tuple(map(f.add, word, steps[j]))
-            best = min(best, n - word.count(0))
-            if best == 1:
-                return best
-    return best
-
-
-def _distance_by_columns(code: LinearCode, valid_at: int) -> int:
-    """min_distance's route for a code whose columns verify at genus valid_at."""
     f, n, k, G = code.field, code.n, code.k, code.generator
-    if valid_at < 0:
+    if valid_at is not None and valid_at < 0:
         raise ValueError("valid_at must be a non-negative genus")
     if rank(G) < k:
         return 0
+    if k == 0:
+        return n + 1
     cols = [G.col(j) for j in range(n)]
     ones = Udmg(f, k, 0, tuple(FqMatrix(f, k, 1, c) for c in cols))
     g, zeros = 0, range(k - 1)
-    while g < valid_at:
+    while g < (n - k if valid_at is None else valid_at):
         rep = verify(ones.with_genus(g))
         if rep.valid:
             break
@@ -117,8 +91,8 @@ def first_column_code(u: Udmg, compute_distance: bool = True,
     """[L, K] code generated by the first columns of a valid matrix set.
 
     Requires L >= K + g; the generator then has rank K, which is asserted.
-    The first columns verify at genus g too, so min_distance takes the column
-    route with valid_at=g and the Singleton defect is at most g.  verified=True
+    The first columns verify at genus g too, so min_distance scans only the
+    genera below g and the Singleton defect is at most g.  verified=True
     skips the scan of a set the caller has already verified at its genus.
     """
     if u.K < 1:

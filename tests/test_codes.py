@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from udmg import reference
 from udmg.cli import construction_from_data, run, save_matrixset
 from udmg.codes import (
-    MAX_CODEWORDS,
     LinearCode,
     _iroot,
     bounds,
@@ -52,6 +51,29 @@ def min_distance_by_vecmat(code):
             best = w
             if best == 1:
                 break
+    return best
+
+
+def min_distance_by_gray(code):
+    """Oracle: one codeword per projective point, in modular Gray order.
+
+    Block i scans the messages led by a 1 at position i (weight ignores
+    scaling); their trailing F_p digits run in modular Gray order, so each step
+    adds one row x^d * G_j.  A rank-deficient G reads 0.
+    """
+    f, n, k, G = code.field, code.n, code.k, code.generator
+    if rank(G) < k:
+        return 0
+    best = n + 1
+    for i in range(k):
+        steps = [tuple(f.mul(f.p ** d, e) for e in G.row(j))
+                 for j in range(i + 1, k) for d in range(f.m)]
+        word = G.vecmat([0] * i + [1] + [0] * (k - 1 - i))
+        for s in range(f.p ** len(steps)):  # step s changes digit v_p(s) by +1
+            if s:
+                j = next(j for j in range(len(steps)) if s % f.p ** (j + 1))
+                word = tuple(map(f.add, word, steps[j]))
+            best = min(best, n - word.count(0))
     return best
 
 
@@ -252,6 +274,7 @@ def test_min_distance_extreme_dimensions():
     f9 = make_field(3, 2)
     assert min_distance(LinearCode(f9, 3, 3, FqMatrix.identity(f9, 3))) == 1
     assert min_distance(LinearCode(f9, 4, 1, FqMatrix.from_rows(f9, [(5, 1, 8, 3)]))) == 4
+    assert min_distance(LinearCode(F3, 4, 0, FqMatrix(F3, 0, 4, ()))) == 5  # the zero code
 
 
 def test_min_distance_rank_deficient_reads_zero():
@@ -266,6 +289,7 @@ def test_min_distance_rank_deficient_reads_zero():
             rows[-1] = [code.field.mul(c, a) for a in rows[0]]
             code = LinearCode(code.field, n, k, FqMatrix.from_rows(code.field, rows))
             assert min_distance(code) == min_distance(code, valid_at=n) == 0
+            assert min_distance_by_gray(code) == 0
             # The oracle stops at its first weight-1 word, which may come before
             # its first zero word; otherwise it reads 0 as well.
             if min_distance_by_vecmat(code) == 0:
@@ -309,10 +333,10 @@ def test_column_route_matches_gray_scan_and_vecmat():
         assert verify(u).valid
         code = first_column_code(u, compute_distance=False)
         d = min_distance(code, valid_at=u.g)
-        assert d == min_distance(code) == min_distance_by_vecmat(code), (u.field.q, u.K, u.g)
+        assert d == min_distance_by_gray(code) == min_distance_by_vecmat(code), (u.field.q, u.K, u.g)
         assert first_column_code(u).d == d
-        # any genus at which the columns verify gives the same d
-        assert min_distance(code, valid_at=code.n - code.k) == d
+        # any genus at which the columns verify gives the same d, n - k by default
+        assert min_distance(code) == min_distance(code, valid_at=code.n - code.k) == d
 
 
 def all_full_rank_codes(q, n, k):
@@ -332,7 +356,7 @@ def check_column_route(code):
     g, _ = minimal_genus(one_column_set(code))
     d = min_distance(code, valid_at=g)
     assert d == code.n - code.k + 1 - g
-    assert d == min_distance(code) == min_distance_by_vecmat(code)
+    assert d == min_distance(code) == min_distance_by_gray(code) == min_distance_by_vecmat(code)
     for h in range(g, code.n - code.k + 1):
         assert min_distance(code, valid_at=h) == d
 
@@ -379,17 +403,14 @@ def test_column_route_needs_no_scan_at_genus_0(monkeypatch):
 
 
 @pytest.mark.parametrize("q,L,K,d", [(23, 27, 5, 22), (17, 17, 6, 11)])
-def test_code_command_past_the_codeword_guard(tmp_path, capsys, q, L, K, d):
-    """Genus-1 s^2 = r^3 + r + 1 on all affine points: refused by the Gray scan's guard."""
+def test_code_command_past_2_22_codewords(tmp_path, capsys, q, L, K, d):
+    """Genus-1 s^2 = r^3 + r + 1 on all affine points, with q^K > 2^22 codewords."""
     points = [list(P) for P in enumerate_points(WeierstrassCurve(field_from_order(q), 1, 1))
               if P is not INFINITY]
     u = construction_from_data({"q": q, "genus": 1, "a": 1, "b": 1, "points": points,
                                 "divisor": {"n": K}}).udmg
     path = tmp_path / "set.json"
     save_matrixset(u, str(path))
-    assert q ** K > MAX_CODEWORDS
-    with pytest.raises(TooLargeError):
-        min_distance(first_column_code(u, compute_distance=False))
     assert run(["--json", "code", str(path), "--min-distance"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert (payload["n"], payload["k"], payload["d"], payload["defect"]) == (L, K, d, 1)
