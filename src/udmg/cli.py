@@ -4,7 +4,8 @@ bound reports, modulation audits, and the bundled worked example.
 Exit codes: 0 for success or a valid set, 1 for an invalid set (witness
 printed) or a failed audit, 2 for usage and file errors.  Reports are
 human-readable tables by default and JSON with --json; output is
-deterministic.  --threads is accepted and ignored.
+deterministic.  --threads is accepted and ignored.  The parser is built once
+per process, on the first run(); callers must not mutate build_parser()'s result.
 
 Only core, fields, linalg and errors, which any matrix-set file needs, load
 with this module; curves, codes, waveform, reference and fractions load on
@@ -17,6 +18,7 @@ import argparse
 import json
 import re
 import sys
+from functools import cache
 from importlib import import_module
 
 from .core import Udmg, minimal_genus, quotient, realize, verify
@@ -453,6 +455,7 @@ def _cmd_example(args) -> int:
     return 0 if payload["all_passed"] else 1
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="udmg",
@@ -508,9 +511,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 2
     try:

@@ -19,7 +19,10 @@ modulus bits, and inv the extended Euclidean algorithm on binary polynomials
 Alg. 2.47).  An odd-characteristic field there multiplies digit-list
 polynomials modulo the modulus and inverts by the extended Euclidean
 algorithm over F_p[x]; the tables are built with that multiplication, and
-tests use it, and Fermat's a^(q-2) for the inverse, as the reference.
+tests use it, and Fermat's a^(q-2) for the inverse, as the reference.  dot
+reads the tables once per sum: it XORs antilogs for p = 2 and takes one Zech
+step per nonzero term for odd p; a prime field sums integers and reduces
+once, and a field above the table limit adds its products one at a time.
 
 A modulus, canonical or given, is tested for irreducibility by trial
 division by monic factors of degree <= 2 and then Rabin's test, with
@@ -30,7 +33,7 @@ degree up to m/2 is the test oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import zip_longest
 from math import isqrt
 from operator import index, mul as _int_mul
@@ -407,11 +410,22 @@ class FieldSpec:
         """Sum of xs[i] * ys[i]; a prime field sums exact integers in C and reduces once."""
         if self.m == 1:
             return sum(map(_int_mul, xs, ys)) % self.p
-        acc = 0
+        if self._tables is None:
+            return reduce(self.add, (self.mul(a, b) for a, b in zip(xs, ys) if a and b), 0)
+        exp, log, zech, order = self._tables or self._build_tables()
+        acc = 0 if zech is None else None  # the sum for p = 2; for odd p its log, None while 0
         for a, b in zip(xs, ys):
             if a and b:
-                acc = self.add(acc, self.mul(a, b))
-        return acc
+                n = log[a] + log[b]
+                if zech is None:
+                    acc ^= exp[n]
+                elif acc is None:
+                    acc = n
+                elif (z := zech[n - acc]) is None:  # alpha^acc + alpha^n = alpha^(acc + Z(n - acc))
+                    acc = None
+                else:
+                    acc = (acc + z) % order
+        return acc if zech is None else 0 if acc is None else exp[acc]
 
     def pow_(self, a: int, e: int) -> int:
         t = self._tables

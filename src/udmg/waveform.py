@@ -36,7 +36,6 @@ from .errors import (
 )
 from .linalg import Subspace, complement, kernel_basis, span_vectors, subspace_sum
 
-MAX_MESSAGES = 1 << 22
 MAX_PAIR_SQUARE = 1 << 24
 
 
@@ -171,8 +170,6 @@ def gap_audit_exhaustive(mod: Modulator) -> GapAudit:
     clears its floor (_lex_steps).
     """
     q, N = mod.q, mod.N
-    if q ** (2 * N) > MAX_PAIR_SQUARE:
-        raise TooLargeError("symbol space too large for the exhaustive audit")
     n = q ** N
     return GapAudit(n * (n - 1) // 2, True,
                     {m: Fraction(step, 2 * q * N) for m, step in enumerate(_lex_steps(mod))})
@@ -272,17 +269,14 @@ class SnrReport:
 def snr(scheme: CodeScheme) -> SnrReport:
     """Exact average power over the message space, with its sandwich bounds.
 
-    Channel i adds |U_i| E[(sum_k c_k d(u_k))^2], u uniform on U_i = W M_i, c_k = q^(N-k) W_k,
+    Channel i adds E[(sum_k c_k d(u_k))^2], u uniform on U_i = W M_i, c_k = q^(N-k) W_k,
     d(x) = 2x - (q-1); columns on one line give u_k = s_k y, y uniform; lines are independent.
     """
     f = scheme.udmg.field
     q, N, L = f.q, scheme.N, scheme.L
-    size = q ** scheme.message_space.dim
-    if size > MAX_MESSAGES:
-        raise TooLargeError("message space too large for the exact sum")
     W = scheme.modulator.scaled_weights()
     images = [scheme.encode(v) for v in scheme.message_space.vectors]
-    total = 0  # sum of (2qN mu0)^2 over all rows and channels
+    total = 0  # q times the mean of (2qN mu0)^2 over the messages, summed over channels
     for i in range(L):
         lines = {}  # normalised column -> [(c_k, s_k)]; zero columns (s_k = 0) share key None
         for k in range(N):
@@ -291,9 +285,8 @@ def snr(scheme: CodeScheme) -> SnrReport:
             key = tuple(f.div(x, lead) for x in col) if lead else None
             lines.setdefault(key, []).append((q ** (N - 1 - k) * W[k], lead))
         for line in lines.values():  # E[d(u_k) d(u_l)] = 0 across lines, as E[d(y)] = 0
-            total += size * sum(sum(c * (2 * f.mul(s, y) - q + 1) for c, s in line) ** 2
-                                for y in range(q)) // q
-    value = Fraction(total, size * (2 * q * N) ** 2)
+            total += sum(sum(c * (2 * f.mul(s, y) - q + 1) for c, s in line) ** 2 for y in range(q))
+    value = Fraction(total, q * (2 * q * N) ** 2)
     b = modulation_bounds(q, scheme.udmg.g, L)
     lower = b.alpha * q ** (2 * N) / N ** 2
     upper = b.beta * q ** (2 * N)
@@ -334,29 +327,35 @@ def audit_product_distance(scheme: CodeScheme) -> AuditReport:
     f = scheme.udmg.field
     if f.q ** (2 * scheme.message_space.dim) > MAX_PAIR_SQUARE:
         raise TooLargeError("message pair count exceeds the audit guard")
-    msgs = scheme.messages()
-    n = len(msgs)
+    n = f.q ** scheme.message_space.dim
     if n < 2:
         return AuditReport(0, Fraction(0), Fraction(0), True, (), 0, True)
     _lex_steps(scheme.modulator)
     C, offset = _scaled_form(scheme.modulator)
     images = [scheme.encode(b) for b in scheme.message_space.vectors]
-    syms = [span_vectors(f, [im[c] for im in images], N) for c in range(L)]  # encode(msgs[i])[c]
+    syms = [span_vectors(f, [im[c] for im in images], N) for c in range(L)]  # encode(message i)[c]
     cols = [[2 * sum(map(mul, C, s)) - offset for s in ch] for ch in syms]
     agreement_cap = N + g - 1
     leading_zeros = cache(partial(_common_prefix, (0,) * N))
     lam = list(map(sum, zip(*[map(leading_zeros, ch) for ch in syms])))
     max_agree = max(lam[1:])
-    if max_agree > agreement_cap:  # msgs[0] is zero, so row 0 holds the first such pair
+    if max_agree > agreement_cap:  # message 0 is zero, so row 0 holds the first such pair
         k = next(k for k in range(1, n) if lam[k] > agreement_cap)
-        raise AssertionError(
-            f"agreement sum {lam[k]} exceeded N+g-1 for {msgs[0]} vs {msgs[k]}")
+        raise AssertionError(f"agreement sum {lam[k]} exceeded N+g-1 for "
+                             f"{_message(scheme, 0)} vs {_message(scheme, k)}")
     best, (wi, wj) = _least_product(f, scheme.message_space.dim, C, syms, cols)
     scale = (2 * q * N) ** (2 * L)  # converts scaled integer products to mu0 units
     floor = Fraction(q) ** (2 * (L * N - (N + g - 1) - L)) / N ** (2 * L)
     min_product = Fraction(best * best, scale)
     return AuditReport(n * (n - 1) // 2, min_product, floor, min_product >= floor,
-                       (msgs[wi], msgs[wj]), max_agree, False)
+                       (_message(scheme, wi), _message(scheme, wj)), max_agree, False)
+
+
+def _message(scheme, index) -> tuple:
+    """scheme.messages()[index] without the list: sum_k c_k basis[k] for index sum_k c_k q^k."""
+    space, q = scheme.message_space, scheme.modulator.q
+    coeffs = [index // q ** k % q for k in range(space.dim)]
+    return tuple(space.field.dot(coeffs, col) for col in zip(*space.vectors))
 
 
 def _least_product(field, dim, C, syms, cols) -> tuple:

@@ -497,3 +497,37 @@ def test_quotient_to_height_zero_refuses_a_lossy_file(fixture_path, tmp_path, ca
     assert captured.out == "" and captured.err.startswith("error:")
     assert "row-major" in captured.err
     assert not out.exists()
+
+
+def test_snr_of_a_message_space_past_2_to_the_22(tmp_path, capsys):
+    # s^2 = r^3 + r + 1 over GF(23), all 27 affine points, D = 5*O: 23^5 messages, which a
+    # message-count guard once refused with exit 2; snr encodes only the basis messages
+    from udmg.curves import DivisorSpec, INFINITY, curve_new, enumerate_points, goppa_udmg
+
+    curve = curve_new(make_field(23), 1, 1)
+    points = [P for P in enumerate_points(curve) if P is not INFINITY]
+    path = tmp_path / "d5.json"
+    save_matrixset(goppa_udmg(curve, points, DivisorSpec(5, None)).udmg, str(path))
+    assert run(["--json", "modulate", str(path), "--snr"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert 23 ** data["rate_symbols"] > 1 << 22
+    assert data["snr"] == "8996420439688176/25" and data["snr_within_bounds"] is True
+
+
+def test_reused_parser_answers_as_a_fresh_one(fixture_path, capsys, monkeypatch):
+    from udmg import cli
+
+    assert cli.build_parser() is cli.build_parser()
+    argvs = [["verify"],                                # usage error: no matrix-set file
+             ["--help"],
+             ["verify", fixture_path, "--genus", "0"],  # an invalid set: exit 1
+             ["--json", "verify", fixture_path]]
+
+    def answers():
+        return [(run(argv), *capsys.readouterr()) for argv in argvs]
+
+    reused = answers()
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)  # fresh per run
+    assert reused == answers()
+    assert [code for code, _, _ in reused] == [2, 0, 1, 0]
+    assert "usage: udmg" in reused[0][2] and reused[1][1].startswith("usage: udmg")

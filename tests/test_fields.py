@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -462,8 +464,8 @@ def dot_by_loop(f, xs, ys):
 
 
 DOT_FIELDS = [make_field(2), make_field(13), field_from_order(1048573),  # prime
-              make_field(2, 4), make_field(2, 8),                        # tables, p = 2
-              make_field(3, 4), make_field(5, 2),                        # tables, odd p
+              make_field(2, 2), make_field(2, 4), make_field(2, 8),      # tables, p = 2
+              make_field(3, 2), make_field(3, 4), make_field(5, 2),      # tables, odd p
               field_from_order(1 << 16), large_binary_fields(13)[1],     # packed GF(2^m)
               make_field(3, 12), make_field(7, 7)]                       # odd digit path
 
@@ -472,10 +474,17 @@ DOT_FIELDS = [make_field(2), make_field(13), field_from_order(1048573),  # prime
 def test_dot_edges(f):
     top = f.q - 1
     for xs, ys in [((), ()), ((0,), (0,)), ((0, 0, 0), (top, 1, 2)), ((top,), (top,)),
-                   ((1,), (top,)), ((top, top), (top, 1)), ((1, 2), (3,))]:
+                   ((1,), (top,)), ((top, top), (top, 1)), ((1, 2), (3,)),
+                   ((1, f.neg(1), 2), (1, 1, 1))]:  # the sum cancels, then restarts
         xs, ys = (tuple(x % f.q for x in v) for v in (xs, ys))
         assert f.dot(xs, ys) == dot_by_loop(f, xs, ys), (xs, ys)
     assert f.dot((), ()) == 0
+    # every pair of length-2 vectors over GF(4) and GF(9), and of length-3 ones over GF(4)
+    for n in {4: (2, 3), 9: (2,)}.get(f.q, ()):
+        vecs = list(product(range(f.q), repeat=n))
+        for xs in vecs:
+            for ys in vecs:
+                assert f.dot(xs, ys) == dot_by_loop(f, xs, ys), (xs, ys)
 
 
 @settings(deadline=None, max_examples=60)

@@ -214,7 +214,7 @@ def test_gap_audit_closed_form_matches_pairs_under_random_weights(qN, data):
         assert gap_audit_exhaustive(Modulator(q, N)) == want
 
 
-@pytest.mark.parametrize("q,N", [(2, 12), (16, 3), (64, 2), (4096, 1)])
+@pytest.mark.parametrize("q,N", [(2, 12), (16, 3), (64, 2), (4096, 1), (2, 13), (17, 4)])
 def test_gap_audit_exhaustive_enumerates_no_vector(q, N, monkeypatch):
     def per_vector(*args):
         raise AssertionError("symbol vectors enumerated")
@@ -403,6 +403,18 @@ def test_snr_closed_form_corpus_and_kernels(ref_udmg):
                                         FqMatrix.from_rows(F3, [(0, 1), (1, 0)]))))
     assert half.delta == 1
     assert_snr_matches(half)
+
+
+def test_snr_genus1_twin_matches_enumeration():
+    # s^2 = r^3 + r + 1 over GF(23), all 27 affine points, D = 2*O: the twin, at 23^2
+    # messages, of the D = 5*O set whose 23^5 messages the CLI test runs through --snr
+    f = field_from_order(23)
+    curve = curve_new(f, 1, 1)
+    points = [P for P in enumerate_points(curve) if P is not INFINITY]
+    scheme = build_scheme(goppa_udmg(curve, points, DivisorSpec(2, None)).udmg)
+    assert (len(points), scheme.delta) == (27, 0)
+    assert_snr_matches(scheme)
+    assert snr(scheme).snr == 2462130
 
 
 # -- product-distance audit against the pair-by-pair loop --------------------------
