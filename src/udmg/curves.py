@@ -1,10 +1,13 @@
-"""Genus-0 and genus-1 machinery over finite fields.
+"""Curves s^2 = F(r) over finite fields, and the projective line (genus 0).
 
-Covers short Weierstrass curves s^2 = r^3 + a r + b (characteristic outside
-{2, 3}), exhaustive rational-point enumeration, exact function-field
-arithmetic in the canonical form (A(r) + s B(r)) / C(r), local power-series
-expansions, Riemann-Roch bases for divisors of the shape n*O + (h),
-increasing zero bases, and the evaluation-code matrix construction.
+A curve carries its equation as one polynomial F, monic of odd degree 2g + 1,
+and has genus g = (deg F - 1)/2 and one point O at infinity.  For now only
+deg F = 3 is accepted: the short Weierstrass cubic F = r^3 + a r + b
+(characteristic outside {2, 3}), genus 1.  Covers exhaustive rational-point
+enumeration, exact function-field arithmetic in the canonical form
+(A(r) + s B(r)) / C(r), local power-series expansions, Riemann-Roch bases for
+divisors of the shape n*O + (h), increasing zero bases, and the
+evaluation-code matrix construction.
 
 Both genera run one pipeline: rows of local coefficients at each point
 (Taylor rows on the projective line, local_expand rows on the curve) feed
@@ -16,13 +19,13 @@ bounds in advance, so it never retries.
 
 Local uniformizers are fixed once and for all so that independent runs agree:
 t = r - x(P) at an affine point with s(P) != 0, t = s at an affine point with
-s(P) = 0, and t = r/s at the point at infinity O.
+s(P) = 0, and t = r^g/s at the point at infinity O.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -68,37 +71,38 @@ INFINITY = _Infinity()
 
 @dataclass(frozen=True)
 class WeierstrassCurve:
-    """Nonsingular short Weierstrass curve s^2 = r^3 + a r + b (genus 1)."""
+    """Nonsingular curve s^2 = F(r) of genus g = (deg F - 1)/2, uniformizer r^g/s at O.
+
+    Only deg F = 3 is accepted for now: F = r^3 + a r + b, genus 1.  F is
+    built once here, as a Poly, and everything else reads F and genus; a and
+    b only name the curve (equality, hash, repr, construction files).
+    """
 
     field: FieldSpec
     a: int
     b: int
+    F: Poly = dataclass_field(init=False, repr=False, compare=False)
+    genus: int = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.field.p in (2, 3):
-            raise BadCharacteristicError("short Weierstrass form needs characteristic > 3")
         f = self.field
-        f.check(self.a)
-        f.check(self.b)
-        four_a3 = f.mul(f.from_int(4), f.pow_(self.a, 3))
-        disc = f.mul(f.neg(f.from_int(16)),
-                     f.add(four_a3, f.mul(f.from_int(27), f.mul(self.b, self.b))))
-        if disc == 0:
+        if f.p in (2, 3):
+            raise BadCharacteristicError("short Weierstrass form needs characteristic > 3")
+        F = Poly.make(f, (self.b, self.a, 0, 1))
+        dF = Poly(f, tuple(f.mul(f.from_int(k), c) for k, c in enumerate(F.coeffs))[1:])
+        if F.gcd(dF).degree > 0:
             raise SingularCurveError("discriminant vanishes")
+        object.__setattr__(self, "F", F)
+        object.__setattr__(self, "genus", (F.degree - 1) // 2)
 
     def rhs(self, x: int) -> int:
-        f = self.field
-        return f.add(f.add(f.pow_(x, 3), f.mul(self.a, x)), self.b)
+        return self.F(x)
 
     def contains(self, P) -> bool:
         if P is INFINITY:
             return True
         x, y = P
-        return self.field.mul(y, y) == self.rhs(x)
-
-    def relation_poly(self) -> Poly:
-        """r^3 + a r + b, used to reduce s^2."""
-        return Poly.make(self.field, (self.b, self.a, 0, 1))
+        return self.field.mul(y, y) == self.F(x)
 
 
 def curve_new(field: FieldSpec, a: int, b: int) -> WeierstrassCurve:
@@ -108,18 +112,18 @@ def curve_new(field: FieldSpec, a: int, b: int) -> WeierstrassCurve:
 def enumerate_points(curve: WeierstrassCurve):
     """All rational points: O first, affine points in (x, y) lexicographic order.
 
-    The count is checked against the Hasse-Weil-Serre interval for genus 1; a
-    violation means the arithmetic itself is broken.
+    The count is checked against the Hasse-Weil-Serre interval, slack
+    g*floor(2 sqrt(q)); a violation means the arithmetic itself is broken.
     """
-    f = curve.field
+    f, F = curve.field, curve.F
     pts = [INFINITY]
     for x in f.elements():
-        rhs = curve.rhs(x)
+        rhs = F(x)
         for y in f.elements():
             if f.mul(y, y) == rhs:
                 pts.append((x, y))
     q = f.q
-    slack = math.isqrt(4 * q)
+    slack = curve.genus * math.isqrt(4 * q)
     lo, hi = q + 1 - slack, q + 1 + slack
     if not lo <= len(pts) <= hi:
         raise HasseWeilViolationError(f"{len(pts)} points outside [{lo}, {hi}]")
@@ -220,7 +224,7 @@ class FnElement:
 
     def __mul__(self, other):
         o = self._coerce(other)
-        F = self.curve.relation_poly()
+        F = self.curve.F
         A = self.A * o.A + F * (self.B * o.B)
         B = self.A * o.B + o.A * self.B
         return FnElement(self.curve, A, B, self.C * o.C)
@@ -234,7 +238,7 @@ class FnElement:
     def inv(self) -> "FnElement":
         if self.is_zero:
             raise ZeroDivisionError("inverse of the zero function")
-        F = self.curve.relation_poly()
+        F = self.curve.F
         norm = self.A * self.A - F * (self.B * self.B)
         return FnElement(self.curve, self.C * self.A, -(self.C * self.B), norm)
 
@@ -322,12 +326,6 @@ class Series:
                 out[k] = f.add(out[k], c)
         return Series(f, lo, out)
 
-    def scale(self, c):
-        f = self.field
-        if c == 0:
-            return Series(f, self.abs_prec, [])
-        return Series(f, self.val, [f.mul(c, x) for x in self.coef])
-
     def mul(self, other):
         f = self.field
         if self.is_zero_to_prec or other.is_zero_to_prec:
@@ -357,9 +355,6 @@ class Series:
                     acc = f.add(acc, f.mul(aj, out[k - j]))
             out[k] = f.neg(f.mul(a0_inv, acc))
         return Series(f, -self.val, out)
-
-    def eq_to_prec(self, other):
-        return self.val == other.val and self.coef == other.coef
 
     def poly_eval(self, poly: Poly, const_len: int):
         """Horner evaluation of an exact polynomial at this series."""
@@ -392,64 +387,58 @@ def _expand_coordinates(curve: WeierstrassCurve, P, length: int):
     return tuple(Series(x.field, x.val, x.coef[:len(x.coef) - cut]) for x in hit[1:])
 
 
-def _coordinate_series(curve: WeierstrassCurve, P, length: int):
-    f = curve.field
-    if P is INFINITY:
-        # z = r/s, w = 1/s solve w = z^3 + a z w^2 + b w^3.
-        z = Series(f, 1, [1] + [0] * (length - 1))
-        z3 = z.mul(z).mul(z)
-        w = Series(f, 3, [1] + [0] * (length - 1))
-        for _ in range(length + 4):
-            w2 = w.mul(w)
-            nxt = z3.add(z.mul(w2).scale(curve.a)).add(w2.mul(w).scale(curve.b))
-            if nxt.eq_to_prec(w):
-                break
-            w = nxt
-        s = w.inv()
-        r = z.mul(s)
-        return r, s
-    x0, y0 = P
-    if y0 != 0:
-        # t = r - x0; solve s(t) coefficient by coefficient from s^2 = f(r).
-        rhs = [curve.rhs(x0),
-               f.add(f.mul(3, f.mul(x0, x0)), curve.a),
-               f.mul(3, x0),
-               1]
-        s_coef = [y0] + [0] * (length - 1)
-        inv2y = f.inv(f.mul(2, y0))
-        for n in range(1, length):
-            acc = rhs[n] if n < 4 else 0
-            for i in range(1, n):
-                if s_coef[i] and s_coef[n - i]:
-                    acc = f.sub(acc, f.mul(s_coef[i], s_coef[n - i]))
-            s_coef[n] = f.mul(acc, inv2y)
-        r = Series(f, 0, [x0, 1] + [0] * (length - 2))
-        s = Series(f, 0, s_coef)
-        return r, s
-    # Two-torsion point: t = s; solve r(t) from t^2 = f(r), pivot f'(x0) != 0.
-    pivot = f.add(f.mul(3, f.mul(x0, x0)), curve.a)
-    inv_pivot = f.inv(pivot)
-    r_coef = [x0] + [0] * (length - 1)
-    sq = [f.mul(x0, x0)] + [0] * (length - 1)  # square of the known prefix
+def _solve_series(f, target, lag: int, h, length: int) -> list:
+    """Coefficients x_0 = 0, x_1, ..., x_(length-1) of x = target(t) + t^lag sum_k h[k] x^k.
+
+    x^k vanishes to order k, and h[1] = 0 when lag = 0, so coefficient n reads
+    only x_1, ..., x_(n-1): one pass fills x and, entry by entry, the tables
+    of its powers x^0, ..., x^(len(h)-1).
+    """
+    x = [0] * length
+    pw = [[1] + [0] * (length - 1), x] + [[0] * length for _ in h[2:]]
     for n in range(1, length):
-        cube_n = 0
-        for i in range(n + 1):
-            if sq[i] and r_coef[n - i]:
-                cube_n = f.add(cube_n, f.mul(sq[i], r_coef[n - i]))
-        target = 1 if n == 2 else 0
-        known = f.add(cube_n, f.mul(curve.a, r_coef[n]))  # r_coef[n] is still 0
-        r_coef[n] = f.mul(f.sub(target, known), inv_pivot)
-        rn = r_coef[n]
-        if rn:
-            for m in range(n, length):
-                j = m - n
-                if j < n and r_coef[j]:
-                    sq[m] = f.add(sq[m], f.mul(2, f.mul(rn, r_coef[j])))
-            if 2 * n < length:
-                sq[2 * n] = f.add(sq[2 * n], f.mul(rn, rn))
-    r = Series(f, 0, r_coef)
-    s = Series(f, 1, [1] + [0] * (length - 1))
-    return r, s
+        acc = target[n] if n < len(target) else 0
+        m = n - lag
+        if m >= 0:
+            for k in range(2, len(h)):
+                prev, c = pw[k - 1], 0
+                for i in range(1, m):
+                    if prev[i] and x[m - i]:
+                        c = f.add(c, f.mul(prev[i], x[m - i]))
+                pw[k][m] = c
+            for hk, row in zip(h, pw):
+                if hk and row[m]:
+                    acc = f.add(acc, f.mul(hk, row[m]))
+        x[n] = acc
+    return x
+
+
+def _coordinate_series(curve: WeierstrassCurve, P, length: int):
+    """Series for (r, s) in the fixed uniformizer at P, each from F alone."""
+    f, F = curve.field, curve.F
+    d = F.degree
+    if P is INFINITY:
+        # t = r^g/s: v = 1/r solves v = t^2 (F_d + F_(d-1) v + ... + F_0 v^d).
+        v = _solve_series(f, (), 2, [F.coeff(d - k) for k in range(d + 1)], length + 2)
+        r = Series(f, 0, v).inv()
+        rg = r
+        for _ in range(curve.genus - 1):
+            rg = rg.mul(r)
+        return r, Series(f, rg.val - 1, rg.coef)
+    x0, y0 = P
+    G = _taylor_coeffs(F, x0, d + 1)  # F(x0 + t)
+    if y0 != 0:
+        # t = r - x0, s = y0 + w: w = (G(t) - G(0) - w^2) / (2 y0).
+        c = f.inv(f.mul(2, y0))
+        w = _solve_series(f, [0] + [f.mul(c, g) for g in G[1:]], 0, [0, 0, f.neg(c)], length)
+        w[0] = y0
+        return Series(f, 0, [x0, 1] + [0] * (length - 2)), Series(f, 0, w)
+    # Two-torsion point: t = s, r = x0 + u: u = (t^2 - G_2 u^2 - ... - G_d u^d) / G_1,
+    # with pivot G_1 = F'(x0) != 0.
+    c = f.inv(G[1])
+    u = _solve_series(f, (0, 0, c), 0, [0, 0] + [f.neg(f.mul(c, g)) for g in G[2:]], length)
+    u[0] = x0
+    return Series(f, 0, u), Series(f, 1, [1] + [0] * (length - 1))
 
 
 @dataclass(frozen=True)
@@ -467,21 +456,22 @@ class LocalExpansion:
 def local_expand(curve: WeierstrassCurve, fn: FnElement, P, prec: int) -> LocalExpansion:
     """Expand fn at P to relative precision prec in the fixed uniformizer.
 
-    One expansion at the fixed working length L = prec + 4*maxd + 12 (maxd the
-    largest degree of A, B, C, at least 1) always suffices, so nothing is
-    retried.  A principal divisor has degree 0: A + s*B has its only pole at
-    O, of order max(2 deg A, 2 deg B + 3) (the orders 2i of r^i and 2j + 3 of
-    s*r^j differ in parity, so they never cancel), hence at most that many
-    zeros, while C(r) vanishes to order at most 2 deg C at an affine point.
-    The quotient therefore keeps at least L - 2*maxd - 3 > prec coefficients
-    (L - 2 at O), and PrecisionExhausted is raised only for fn = 0.
+    One expansion at the fixed working length L = prec + 4*(maxd + 2g + 1)
+    (maxd the largest degree of A, B, C, at least 1) always suffices, so
+    nothing is retried.  A principal divisor has degree 0: A + s*B has its
+    only pole at O, of order max(2 deg A, 2 deg B + 2g + 1) (the orders 2i of
+    r^i and 2j + 2g + 1 of s*r^j differ in parity, so they never cancel),
+    hence at most that many zeros, while C(r) vanishes to order at most
+    2 deg C at an affine point.  The quotient therefore keeps at least
+    L - 2*maxd - (2g + 1) > prec coefficients (L - 2 at O), and
+    PrecisionExhausted is raised only for fn = 0.
     """
     if prec < 1:
         raise ValueError("prec must be >= 1")
     if fn.is_zero:
         raise PrecisionExhaustedError("the zero function has no finite order")
     maxd = max(fn.A.degree, fn.B.degree, fn.C.degree, 1)
-    length = prec + 4 * maxd + 12
+    length = prec + 4 * (maxd + 2 * curve.genus + 1)
     r, s = _expand_coordinates(curve, P, length)
     num = r.poly_eval(fn.A, length).add(s.mul(r.poly_eval(fn.B, length)))
     out = num.mul(r.poly_eval(fn.C, length).inv())
@@ -540,26 +530,21 @@ def divisor_coefficient(curve: WeierstrassCurve, D: DivisorSpec, P) -> int:
 def rr_basis(curve: WeierstrassCurve, D: DivisorSpec):
     """Ordered basis of L(D) for D = n*O + (h): monomials over h.
 
-    The monomials 1, r, s, r^2, rs, r^3, ... have pole orders 0, 2, 3, 4, 5,
-    6, ... at O, so those with pole order at most n give the n = deg D
-    elements (genus 1 has the single gap at order 1).
+    r^i has pole order 2i at O and s*r^j order 2j + 2g + 1, so the orders are
+    the semigroup <2, 2g + 1>, each once; the monomials of pole order at most
+    n, in increasing order, span L(n*O) (for genus 1: 1, r, s, r^2, rs, ...,
+    n elements, the single gap at order 1).
     """
     if D.n < 1:
         raise UnsupportedDivisorError("need deg D >= 1")
     f = curve.field
-    one = Poly.const(f, 1)
+    one, zero, odd = Poly.const(f, 1), Poly.zero(f), 2 * curve.genus + 1
     monomials = []
     for order in range(D.n + 1):
-        if order == 0:
-            monomials.append(FnElement.from_poly(curve, one))
-        elif order == 1:
-            continue
-        elif order % 2 == 0:
+        if order % 2 == 0:
             monomials.append(FnElement.from_poly(curve, one.shift(order // 2)))
-        else:
-            z = Poly.zero(f)
-            monomials.append(FnElement(curve, z, one.shift((order - 3) // 2),
-                                       Poly.const(f, 1)))
+        elif order >= odd:
+            monomials.append(FnElement(curve, zero, one.shift((order - odd) // 2), one))
     if D.h is None:
         return monomials
     h_inv = D.h.inv()
@@ -663,7 +648,7 @@ def _expansion_rows(curve, basis, P, width: int):
 def increasing_zero_basis(curve, basis, P, prec: int = None) -> IzbResult:
     """Reorder/combine basis so valuations at P strictly increase from 0.
 
-    Works for function-field elements on a genus-1 curve (curve given) and for
+    Works for function-field elements on a curve (curve given) and for
     polynomials on the line (curve = None, P a field element).  Every output
     element is normalized to leading local coefficient 1.  Both feed the
     same elimination: exact Taylor rows on the line, local_expand rows to
@@ -805,7 +790,7 @@ def _assemble(field, curve, points, divisor, canonical, rows, results) -> GoppaC
     the set valid from the degree of D, and the generator is checked against
     evaluations of the reference basis.
     """
-    genus = 0 if curve is None else 1
+    genus = 0 if curve is None else curve.genus
     K = len(canonical)
     t0 = results[0][1]
     matrices = tuple(t0.matmul(inverse(T)) for _, T in results)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -243,7 +244,35 @@ def test_example_pipeline(tmp_path, capsys):
     assert run(["--json", "example-paper", "-o", str(out)]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["all_passed"] is True
-    assert out.read_text(encoding="utf-8") == FIXTURE.read_text(encoding="utf-8")
+    made = tmp_path / "construct.json"
+    assert run(["construct", str(FIXTURE.parent / "genus1_f5_construction.json"),
+                "-o", str(made)]) == 0
+    want = FIXTURE.read_bytes()
+    assert hashlib.sha256(want).hexdigest() == (
+        "55454461da73b4188c701f681195d513eafb4c4fea5b09f885e17562aed65b98")
+    assert [out.read_bytes(), made.read_bytes()] == [want, want]
+
+
+# SHA-256 of construct's output on s^2 = r^3 + r + 1 over GF(23), all 27 affine points
+Q23_CONSTRUCTION_SHA256 = {
+    5: "d7a95fef660b35bab7d610292c86c7574933622e01d65b5a859b52264e4546dc",
+    6: "8afbed2f74e9f4b1ce79ffb66e1d9f292aad67df4d5b08df176c6ba8cf5f2f30",
+    7: "7f38e6b5bc4360e165062ce2959fea7ac868e4b3548798f97ec322ab568bd400",
+}
+
+
+def test_q23_construction_outputs_keep_their_bytes(tmp_path):
+    from udmg.curves import INFINITY, curve_new, enumerate_points
+
+    points = [list(P) for P in enumerate_points(curve_new(make_field(23), 1, 1))
+              if P is not INFINITY]
+    assert len(points) == 27
+    for n, want in Q23_CONSTRUCTION_SHA256.items():
+        desc, out = tmp_path / f"d{n}.json", tmp_path / f"set{n}.json"
+        desc.write_text(json.dumps({"q": 23, "genus": 1, "a": 1, "b": 1, "points": points,
+                                    "divisor": {"n": n}}))
+        assert run(["construct", str(desc), "-o", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == want, n
 
 
 def test_malformed_inputs_exit_2(tmp_path):
