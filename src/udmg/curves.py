@@ -10,8 +10,9 @@ divisors of the shape n*O + (h), increasing zero bases, and the
 evaluation-code matrix construction.
 
 Both genera run one pipeline: rows of local coefficients at each point
-(Taylor rows on the projective line, local_expand rows on the curve) feed
-one increasing-zero-basis elimination, and one assembly builds the
+(Taylor rows on the projective line, local_expand rows on the curve),
+extended by the identity, go through linalg's forward elimination
+(echelon_rows) to give the increasing zero basis, and one assembly builds the
 matrices, certifies them valid by a valuation check that the degree of D
 justifies (no scan of allowable vectors), and checks the generator.  Local
 expansion works at a fixed precision that the degree of a principal divisor
@@ -48,7 +49,7 @@ from .errors import (
     UnsupportedDivisorError,
 )
 from .fields import FieldSpec
-from .linalg import FqMatrix, inverse, rank
+from .linalg import FqMatrix, echelon_rows, inverse, rank
 from .polys import Poly
 
 
@@ -116,12 +117,12 @@ def enumerate_points(curve: WeierstrassCurve):
     g*floor(2 sqrt(q)); a violation means the arithmetic itself is broken.
     """
     f, F = curve.field, curve.F
+    roots = {}  # y^2 -> [y], in element order
+    for y in f.elements():
+        roots.setdefault(f.mul(y, y), []).append(y)
     pts = [INFINITY]
     for x in f.elements():
-        rhs = F(x)
-        for y in f.elements():
-            if f.mul(y, y) == rhs:
-                pts.append((x, y))
+        pts.extend((x, y) for y in roots.get(F(x), ()))
     q = f.q
     slack = curve.genus * math.isqrt(4 * q)
     lo, hi = q + 1 - slack, q + 1 + slack
@@ -559,46 +560,6 @@ class IzbResult(NamedTuple):
     transform: FqMatrix  # rows express the output in the input basis
 
 
-def _eliminate_increasing(field, rows, width, k):
-    """Forward Gaussian elimination by leading position.
-
-    rows are [series coefficients (length width) | transform coords (length k)].
-    Returns pivot row indices in pivot-column order plus their pivot columns,
-    and the list of row indices that never received a pivot.
-    """
-    used = []
-    pivots = []
-    remaining = list(range(len(rows)))
-    for col in range(width):
-        hit = None
-        for idx in remaining:
-            if rows[idx][col]:
-                hit = idx
-                break
-        if hit is None:
-            continue
-        remaining.remove(hit)
-        row = rows[hit]
-        lead = row[col]
-        if lead != 1:
-            s = field.inv(lead)
-            for j in range(col, width + k):
-                if row[j]:
-                    row[j] = field.mul(s, row[j])
-        for idx in remaining:
-            other = rows[idx]
-            c = other[col]
-            if c:
-                for j in range(col, width + k):
-                    if row[j]:
-                        other[j] = field.sub(other[j], field.mul(c, row[j]))
-        used.append(hit)
-        pivots.append(col)
-        if not remaining:
-            break
-    return used, pivots, remaining
-
-
 def _combine(basis, coords, zero):
     """sum(coords[t] * basis[t]), built from basis[t].scale(c)."""
     return sum((basis[t].scale(c) for t, c in enumerate(coords) if c), zero)
@@ -609,14 +570,14 @@ def _izb_from_rows(field, basis, coeff_rows, width, zero) -> tuple:
     coefficients per basis element.
 
     Row i lists the coefficients of t^0, ..., t^(width-1) of basis[i]; each is
-    extended by the identity and eliminated forward by leading position, so a
+    extended by the identity and eliminated forward by echelon_rows, so a
     pivot column is a valuation and the identity part the combination, a row
     of the transform.  A leftover row is a dependency if its combination is
     zero, and otherwise a valuation beyond the window.
     """
     k = len(basis)
     rows = [list(row) + [1 if t == i else 0 for t in range(k)] for i, row in enumerate(coeff_rows)]
-    used, pivots, remaining = _eliminate_increasing(field, rows, width, k)
+    used, pivots, remaining = echelon_rows(field, rows, width)
     if remaining:
         if any(_combine(basis, rows[idx][width:], zero).is_zero for idx in remaining):
             raise DependentBasisError("input functions are linearly dependent")

@@ -1,6 +1,11 @@
 """Exact linear algebra over GF(q): echelon forms, kernels, subspaces,
 complements, and quotient-space coordinate maps.
 
+One forward elimination, echelon_rows, is the package's only loop that
+eliminates given rows: rref_rows is that pass plus back-substitution, rank
+and subspace containment use the forward pass alone, and curves builds its
+increasing zero bases on it.
+
 Subspaces are stored canonically as the reduced row echelon basis of their
 spanning vectors, so subspace equality is plain tuple equality.  The public
 basis view presents those vectors as matrix columns.
@@ -64,7 +69,8 @@ class FqMatrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self) -> "FqMatrix":
-        return FqMatrix.from_rows(self.field, [self.col(j) for j in range(self.cols)])
+        return FqMatrix(self.field, self.cols, self.rows,
+                        tuple(e for j in range(self.cols) for e in self.col(j)))
 
     def prefix_cols(self, k: int) -> "FqMatrix":
         return FqMatrix.from_rows(self.field, [self.row(i)[:k] for i in range(self.rows)])
@@ -76,8 +82,8 @@ class FqMatrix:
             raise ValueError("shape mismatch")
         dot = self.field.dot
         ocols = [other.col(j) for j in range(other.cols)]
-        out = [[dot(r, c) for c in ocols] for r in map(self.row, range(self.rows))]
-        return FqMatrix.from_rows(self.field, out)
+        return FqMatrix(self.field, self.rows, other.cols,
+                        tuple(dot(r, c) for r in map(self.row, range(self.rows)) for c in ocols))
 
     def matvec(self, v) -> tuple:
         dot = self.field.dot
@@ -99,42 +105,68 @@ def hstack(blocks) -> FqMatrix:
     return FqMatrix.from_rows(field, rows)
 
 
+def _clear(sub, mul, prow, col: int, rows, targets) -> None:
+    """Subtract from each rows[i], i in targets, its entry at col times prow (prow[col] = 1);
+    sub and mul are the field's, bound once per elimination."""
+    for i in targets:
+        row = rows[i]
+        c = row[col]
+        if c:
+            for j in range(col, len(prow)):
+                if prow[j]:
+                    row[j] = sub(row[j], mul(c, prow[j]))
+
+
+def echelon_rows(field: FieldSpec, rows, width: int) -> tuple:
+    """Forward elimination over the first width columns, in place; rows are not moved.
+
+    Each column's pivot is the first remaining row, in input order, with a
+    nonzero entry there.  It is scaled to lead with 1 and cleared from the
+    remaining rows across the whole row, so columns past width (a transform,
+    say) follow the row operations.  Returns (used, pivots, remaining): the
+    pivot rows' indices in pivot-column order, their pivot columns, and the
+    indices of the rows that received no pivot.
+    """
+    sub, mul = field.sub, field.mul
+    used = []
+    pivots = []
+    remaining = list(range(len(rows)))
+    for col in range(width):
+        for hit in remaining:
+            if rows[hit][col]:
+                break
+        else:
+            continue
+        remaining.remove(hit)
+        row = rows[hit]
+        lead = row[col]
+        if lead != 1:
+            s = field.inv(lead)
+            for j in range(col, len(row)):
+                if row[j]:
+                    row[j] = mul(s, row[j])
+        _clear(sub, mul, row, col, rows, remaining)
+        used.append(hit)
+        pivots.append(col)
+        if not remaining:
+            break
+    return used, pivots, remaining
+
+
 def rref_rows(field: FieldSpec, rows) -> tuple:
-    """In-place reduced row echelon form; returns (rank, pivot columns)."""
+    """In-place reduced row echelon form; returns (rank, pivot columns).
+
+    echelon_rows over every column, the pivot rows moved to the top in pivot
+    order, then back-substitution clears each pivot column above its pivot.
+    """
     if not rows:
         return 0, ()
-    ncols = len(rows[0])
-    sub, mul, inv = field.sub, field.mul, field.inv
-    rank = 0
-    pivots = []
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        prow = rows[rank]
-        lead = prow[col]
-        if lead != 1:
-            s = inv(lead)
-            for j in range(col, ncols):
-                if prow[j]:
-                    prow[j] = mul(s, prow[j])
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rr = rows[r]
-                for j in range(col, ncols):
-                    if prow[j]:
-                        rr[j] = sub(rr[j], mul(f, prow[j]))
-        pivots.append(col)
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank, tuple(pivots)
+    used, pivots, remaining = echelon_rows(field, rows, len(rows[0]))
+    rows[:] = [rows[i] for i in used + remaining]
+    sub, mul = field.sub, field.mul
+    for r in range(len(used) - 1, 0, -1):
+        _clear(sub, mul, rows[r], pivots[r], rows, range(r))
+    return len(used), tuple(pivots)
 
 
 class RrefResult(NamedTuple):
@@ -146,12 +178,12 @@ class RrefResult(NamedTuple):
 def rref(M: FqMatrix) -> RrefResult:
     rows = M.to_rows()
     rank, pivots = rref_rows(M.field, rows)
-    return RrefResult(FqMatrix.from_rows(M.field, rows), rank, pivots)
+    return RrefResult(FqMatrix(M.field, M.rows, M.cols, tuple(e for r in rows for e in r)),
+                      rank, pivots)
 
 
 def rank(M: FqMatrix) -> int:
-    rows = M.to_rows()
-    return rref_rows(M.field, rows)[0]
+    return len(echelon_rows(M.field, M.to_rows(), M.cols)[0])
 
 
 def inverse(M: FqMatrix) -> FqMatrix:
@@ -204,14 +236,17 @@ class Subspace:
             [[v[i] for v in self.vectors] for i in range(self.ambient_dim)])
 
     def contains_vector(self, v) -> bool:
-        rows = [list(r) for r in self.vectors] + [list(v)]
-        return rref_rows(self.field, rows)[0] == self.dim
+        v = list(v)
+        if len(v) != self.ambient_dim:
+            raise AmbientMismatchError("vector length differs from ambient dimension")
+        rows = [list(r) for r in self.vectors] + [v]
+        return len(echelon_rows(self.field, rows, self.ambient_dim)[0]) == self.dim
 
     def contains(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
             raise AmbientMismatchError("ambient dimensions differ")
         rows = [list(r) for r in self.vectors] + [list(r) for r in other.vectors]
-        return rref_rows(self.field, rows)[0] == self.dim
+        return len(echelon_rows(self.field, rows, self.ambient_dim)[0]) == self.dim
 
     def enumerate_vectors(self):
         """All q^dim vectors of the subspace, zero first (desk scale only)."""

@@ -275,6 +275,56 @@ def test_q23_construction_outputs_keep_their_bytes(tmp_path):
         assert hashlib.sha256(out.read_bytes()).hexdigest() == want, n
 
 
+# SHA-256 of construct's output file and of its --json stdout (written with -o set.json)
+PINNED_CONSTRUCTIONS = {
+    "g0_q13_inf": ({"q": 13, "genus": 0, "K": 5,
+                    "points": ["3", "0", "12", "7", "1", "9", "inf", "2", "4", "5", "6", "8", "10", "11"]},
+                   "8329dcd91aff9bf4ab45d2471dde4300b27d972f16896306c4fd15cf1b9fb6cd",
+                   "7aa5e593ab29e117b86fcc779db9896b56371507fbc9f53043cbb3398ce254c4"),
+    "g0_q16": (json.loads((FIXTURE.parent / "genus0_gf16_construction.json").read_text()),
+               "067759632e59c2bf1c0d87ed6e4b5009c6d2a5fbb52edc19ecbf4c921ed2e6b2",
+               "4b2f71093f2505d4289ed4d7732131d1f55163611ead99158d75a4460b3227e2"),
+    "g0_q32": ({"q": 32, "genus": 0, "K": 3,
+                "points": [str(x) for x in (31, 0, 17, 2, 5, 30, 8, 1, 19, 12, 24, 3, 27, 10, 6,
+                                            21, 14, 9, 28, 4)]},
+               "4af05196ca9324bc57e9ebf8b88d4bd0957c6bc66b943ca79ee659cbedfdf557",
+               "6378d8b3975fa2ba7ca67e4e481494bc4186afd7593840ec0a2ef24ba72338f0"),
+    "g1_q25": ({"q": 25, "genus": 1, "a": 1, "b": 1, "divisor": {"n": 3},
+                "points": [[13, 2], [0, 1], [8, 14], [23, 19], [1, 5], [11, 24], [4, 3], [17, 20],
+                           [2, 4], [16, 9], [12, 5], [18, 3], [3, 1], [0, 4]]},
+               "51a45b6a40a06d0dce1b5b55265e87b1d9c7483a60ffb363c9964ba8282ee06b",
+               "49a5d589aede79cff0b1ddc55044b1999073c5af7c56681b1a94bba3fee04958"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CONSTRUCTIONS))
+def test_construction_outputs_keep_their_bytes(name, tmp_path, capsys, monkeypatch):
+    desc, file_sha, stdout_sha = PINNED_CONSTRUCTIONS[name]
+    monkeypatch.chdir(tmp_path)
+    Path("desc.json").write_text(json.dumps(desc))
+    assert run(["--json", "construct", "desc.json", "-o", "set.json"]) == 0
+    assert hashlib.sha256(Path("set.json").read_bytes()).hexdigest() == file_sha
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_sha
+
+
+def test_committed_genus0_fixture_matches_its_pin():
+    want = PINNED_CONSTRUCTIONS["g0_q16"][1]
+    assert hashlib.sha256((FIXTURE.parent / "genus0_gf16.json").read_bytes()).hexdigest() == want
+
+
+def test_quotient_and_modulate_outputs_keep_their_bytes(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(["--json", "quotient", str(FIXTURE), "--truncate", "1,0,0,0,0,0,0,0,0",
+                "-o", "quot.json"]) == 0
+    assert hashlib.sha256(Path("quot.json").read_bytes()).hexdigest() == (
+        "7c42627c7b8a6e3c5effad58aba0cdddb2c16e2a6f55c8c086d1ab669ecd7a0c")
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "c0efb0010a168fa4fe2022f8d2bf26670b6e414022474bbf745f7acef0b834cd")
+    assert run(["--json", "modulate", str(FIXTURE), "--snr", "--audit"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "d8714870ac8aa5c5c6d8247cad72a53393ca219b71e0dc4ddd1e8c8693682f49")
+
+
 def test_malformed_inputs_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

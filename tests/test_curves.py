@@ -91,6 +91,17 @@ def test_point_census_f7():
     assert len(pts) == brute
 
 
+@pytest.mark.parametrize("field, a, b", [(make_field(101), 2, 3), (make_field(5, 2), 1, 1),
+                                         (make_field(5, 5), 1, 1)])
+def test_enumerate_points_matches_the_square_of_every_y(field, a, b):
+    curve = curve_new(field, a, b)
+    want = [INFINITY]
+    for x in field.elements():
+        rhs = curve.F(x)
+        want += [(x, y) for y in field.elements() if field.mul(y, y) == rhs]
+    assert enumerate_points(curve) == want
+
+
 def test_function_arithmetic(ref_curve):
     r, s = FnElement.r(ref_curve), FnElement.s(ref_curve)
     assert s * s == r ** 3 + r + 1  # curve relation

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +15,7 @@ from udmg.linalg import (
     quotient_map,
     rank,
     rref,
+    rref_rows,
     span_vectors,
     subspace_sum,
 )
@@ -193,3 +196,88 @@ def test_span_vectors_commutes_with_a_linear_map():
     images = span_vectors(F9, [M.vecmat(b) for b in S.vectors], 4)
     assert images == [M.vecmat(v) for v in S.enumerate_vectors()]
     assert len(set(S.enumerate_vectors())) == 81
+
+
+def test_contains_vector_refuses_a_wrong_length():
+    S = Subspace.from_vectors(F5, 2, [[1, 0]])
+    assert S.contains_vector((3, 0)) and not S.contains_vector((0, 1))
+    for v in [(1, 0, 3), (1,), ()]:
+        with pytest.raises(AmbientMismatchError):
+            S.contains_vector(v)
+
+
+def test_zero_row_matrices_keep_their_column_count():
+    R = rref(FqMatrix(F5, 0, 3, ())).matrix
+    assert (R.rows, R.cols) == (0, 3)
+    T = FqMatrix(F5, 3, 0, ()).transpose()
+    assert (T.rows, T.cols) == (0, 3)
+    P = FqMatrix(F5, 0, 3, ()).matmul(FqMatrix.zeros(F5, 3, 2))
+    assert (P.rows, P.cols) == (0, 2)
+
+
+def gauss_jordan_rows(field, rows):
+    """Oracle: Gauss-Jordan elimination with row swaps, clearing each pivot column
+    above and below as it goes; in place, returns (rank, pivot columns)."""
+    if not rows:
+        return 0, ()
+    ncols = len(rows[0])
+    sub, mul, inv = field.sub, field.mul, field.inv
+    rank_ = 0
+    pivots = []
+    for col in range(ncols):
+        pivot = None
+        for r in range(rank_, len(rows)):
+            if rows[r][col]:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        rows[rank_], rows[pivot] = rows[pivot], rows[rank_]
+        prow = rows[rank_]
+        lead = prow[col]
+        if lead != 1:
+            s = inv(lead)
+            for j in range(col, ncols):
+                if prow[j]:
+                    prow[j] = mul(s, prow[j])
+        for r in range(len(rows)):
+            if r != rank_ and rows[r][col]:
+                f = rows[r][col]
+                rr = rows[r]
+                for j in range(col, ncols):
+                    if prow[j]:
+                        rr[j] = sub(rr[j], mul(f, prow[j]))
+        pivots.append(col)
+        rank_ += 1
+        if rank_ == len(rows):
+            break
+    return rank_, tuple(pivots)
+
+
+def assert_rref_matches_gauss_jordan(field, rows):
+    mine, want = [list(r) for r in rows], [list(r) for r in rows]
+    assert rref_rows(field, mine) == gauss_jordan_rows(field, want)
+    assert mine == want
+
+
+# prime, table p = 2, table odd p, and above the table limit for p = 2 and odd p
+RREF_FIELDS = [make_field(7), make_field(2, 4), make_field(5, 2), make_field(2, 13), make_field(3, 8)]
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_rref_rows_matches_gauss_jordan(data):
+    field = data.draw(st.sampled_from(RREF_FIELDS))
+    nrows, ncols = data.draw(st.integers(0, 6)), data.draw(st.integers(1, 7))
+    # 0, 1 and -1 often, so dependent rows and zero columns come up as well as random ones
+    entries = st.one_of(st.sampled_from([0, 1, field.q - 1]), st.integers(0, field.q - 1))
+    rows = data.draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                              min_size=nrows, max_size=nrows))
+    assert_rref_matches_gauss_jordan(field, rows)
+
+
+@pytest.mark.parametrize("field, nrows, ncols", [(F3, 2, 3), (make_field(2, 2), 2, 2)])
+def test_rref_rows_matches_gauss_jordan_exhaustively(field, nrows, ncols):
+    for entries in product(range(field.q), repeat=nrows * ncols):
+        rows = [entries[i * ncols:(i + 1) * ncols] for i in range(nrows)]
+        assert_rref_matches_gauss_jordan(field, rows)
