@@ -7,9 +7,10 @@ human-readable tables by default and JSON with --json; output is
 deterministic.  --threads is accepted and ignored.  The parser is built once
 per process, on the first run(); callers must not mutate build_parser()'s result.
 
-Only core, fields, linalg and errors, which any matrix-set file needs, load
-with this module; curves, codes, waveform, reference and fractions load on
-demand in the subcommands that use them.
+Only core, fields, linalg, records and errors, which any matrix-set file
+needs, load with this module; curves, codes, waveform, reference and fractions
+load on demand in the subcommands that use them.  No command loads
+dataclasses, inspect or typing.
 """
 
 from __future__ import annotations

@@ -13,7 +13,6 @@ the lengths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .core import Udmg, _annihilate, _verify_fast, verify
 from .errors import (
@@ -23,11 +22,12 @@ from .errors import (
     TooShortError,
 )
 from .linalg import FqMatrix, rank
+from .records import record
 
 MAX_PARTITION_BITS = 100_000  # cap on the bits of the partition bound's right-hand side
 
 
-@dataclass(frozen=True)
+@record
 class LinearCode:
     """[n, k] code given by a full-rank generator matrix; d filled on demand."""
 
@@ -126,7 +126,7 @@ def duplicated(u: Udmg, g: int) -> Udmg:
     return Udmg(u.field, u.K, g, mats)
 
 
-@dataclass(frozen=True)
+@record
 class BoundReport:
     """Arithmetic caps on the size L of a nondegenerate matrix set.
 

@@ -11,8 +11,6 @@ once no functional vanishing on it is left.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     InvalidInputError,
     LengthMismatchError,
@@ -27,9 +25,10 @@ from .linalg import (
     rref_rows,
     subspace_sum,
 )
+from .records import record
 
 
-@dataclass(frozen=True)
+@record
 class Udmg:
     """An ordered set of K-row matrices over one field with a declared genus.
 
@@ -79,7 +78,7 @@ class Udmg:
         return Udmg(self.field, self.K, g, self.matrices)
 
 
-@dataclass(frozen=True)
+@record
 class VerifyReport:
     valid: bool
     witness: tuple | None
@@ -312,7 +311,7 @@ def truncate(u: Udmg, new_lengths) -> Udmg:
 
 # -- vector space realization -------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class Chain:
     """Ordered nested subspaces V_1 <= ... <= V_N of one ambient space."""
 
@@ -344,7 +343,7 @@ class Chain:
         return all(b.contains(a) for a, b in zip(self.subspaces, self.subspaces[1:]))
 
 
-@dataclass(frozen=True)
+@record
 class Udvsg:
     """Coordinate-free form: one closely nested chain per matrix."""
 
@@ -396,7 +395,7 @@ def verify_chains(v: Udvsg) -> VerifyReport:
     return _scan(v.field, v.K, v.g, steps)
 
 
-@dataclass(frozen=True)
+@record
 class QuotientResult:
     quotient: Udvsg
     d: int

@@ -26,9 +26,8 @@ s(P) = 0, and t = r^g/s at the point at infinity O.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from collections import namedtuple
 from functools import cached_property
-from typing import NamedTuple
 
 # _verify_fast is unused here since the construction certifies itself; it stays
 # bound because perfbench/tracer.py wraps curves._verify_fast.
@@ -51,6 +50,7 @@ from .errors import (
 from .fields import FieldSpec
 from .linalg import FqMatrix, echelon_rows, inverse, rank
 from .polys import Poly
+from .records import record
 
 
 class _Infinity:
@@ -70,20 +70,19 @@ class _Infinity:
 INFINITY = _Infinity()
 
 
-@dataclass(frozen=True)
+@record
 class WeierstrassCurve:
     """Nonsingular curve s^2 = F(r) of genus g = (deg F - 1)/2, uniformizer r^g/s at O.
 
     Only deg F = 3 is accepted for now: F = r^3 + a r + b, genus 1.  F is
-    built once here, as a Poly, and everything else reads F and genus; a and
-    b only name the curve (equality, hash, repr, construction files).
+    built once here, as a Poly, and everything else reads F and genus.  Both
+    are set by __post_init__ and are not fields: a and b only name the curve
+    (equality, hash, repr, construction files).
     """
 
     field: FieldSpec
     a: int
     b: int
-    F: Poly = dataclass_field(init=False, repr=False, compare=False)
-    genus: int = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         f = self.field
@@ -133,7 +132,7 @@ def enumerate_points(curve: WeierstrassCurve):
 
 # -- function field elements ---------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class FnElement:
     """Element of the function field in canonical form (A + s*B)/C.
 
@@ -442,7 +441,7 @@ def _coordinate_series(curve: WeierstrassCurve, P, length: int):
     return Series(f, 0, u), Series(f, 1, [1] + [0] * (length - 1))
 
 
-@dataclass(frozen=True)
+@record
 class LocalExpansion:
     """f = t^valuation * (coeffs[0] + coeffs[1] t + ...) + O(t^(valuation+prec))."""
 
@@ -508,7 +507,7 @@ def evaluate(curve: WeierstrassCurve, fn: FnElement, P) -> int:
 
 # -- divisors and Riemann-Roch bases -------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class DivisorSpec:
     """D = n*O + (h); h = None encodes h = 1.  deg D = n."""
 
@@ -554,10 +553,8 @@ def rr_basis(curve: WeierstrassCurve, D: DivisorSpec):
 
 # -- increasing zero bases -------------------------------------------------------
 
-class IzbResult(NamedTuple):
-    elements: tuple
-    valuations: tuple
-    transform: FqMatrix  # rows express the output in the input basis
+# transform's rows express the elements in the input basis
+IzbResult = namedtuple("IzbResult", "elements valuations transform")
 
 
 def _combine(basis, coords, zero):
@@ -640,7 +637,7 @@ def increasing_zero_basis(curve, basis, P, prec: int = None) -> IzbResult:
 
 # -- the Goppa matrix-set construction ------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class GoppaConstruction:
     """All artifacts of one construction run.
 

@@ -32,13 +32,13 @@ degree up to m/2 is the test oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import zip_longest
 from math import isqrt
 from operator import index, mul as _int_mul
 
 from .errors import FieldMismatchError, FieldTooLargeError, NonPrimeError
+from .records import record
 
 MAX_CARDINALITY = 1 << 20
 TABLE_MAX_ORDER = 1 << 12  # largest q given log/antilog/Zech tables (about 5q tuple slots each)
@@ -242,7 +242,7 @@ def smallest_irreducible(p: int, m: int) -> tuple:
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
-@dataclass(frozen=True)
+@record
 class FieldSpec:
     """A finite field GF(p^m) with a fixed monic irreducible modulus.
 
@@ -285,8 +285,8 @@ class FieldSpec:
         # _log_tables for an extension field with q <= TABLE_MAX_ORDER, () until the
         # first operation builds them, None for any other field.  A plain attribute
         # set here, not a cached_property: that writes the instance __dict__, which
-        # on CPython 3.11 slows every later attribute read on the instance.  Not a
-        # dataclass field, so equality, hash and repr ignore it.
+        # on CPython 3.11 slows every later attribute read on the instance.  Not an
+        # annotated field, so equality, hash and repr ignore it.
         object.__setattr__(self, "_tables", () if 1 < self.m and self.q <= TABLE_MAX_ORDER else None)
         # Above the table limit, the modulus bits of a characteristic-2 field (its
         # packed rep plus x^m), or None for odd p, which computes on digit lists.
@@ -477,7 +477,7 @@ def field_from_order(q: int) -> FieldSpec:
     return make_field(q, 1)  # no factor up to sqrt(q): q is prime
 
 
-@dataclass(frozen=True)
+@record
 class FqElement:
     """A field element: integer rep plus its field, with operator support."""
 

@@ -13,14 +13,14 @@ basis view presents those vectors as matrix columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import AmbientMismatchError, FieldMismatchError
 from .fields import FieldSpec
+from .records import record
 
 
-@dataclass(frozen=True)
+@record
 class FqMatrix:
     """Immutable matrix; entries is the row-major tuple of element reps."""
 
@@ -73,7 +73,8 @@ class FqMatrix:
                         tuple(e for j in range(self.cols) for e in self.col(j)))
 
     def prefix_cols(self, k: int) -> "FqMatrix":
-        return FqMatrix.from_rows(self.field, [self.row(i)[:k] for i in range(self.rows)])
+        return FqMatrix(self.field, self.rows, k,
+                        tuple(e for i in range(self.rows) for e in self.row(i)[:k]))
 
     def matmul(self, other: "FqMatrix") -> "FqMatrix":
         if self.field != other.field:
@@ -101,8 +102,8 @@ def hstack(blocks) -> FqMatrix:
     nrows = blocks[0].rows
     if any(b.rows != nrows or b.field != field for b in blocks):
         raise ValueError("row count or field mismatch")
-    rows = [sum((list(b.row(i)) for b in blocks), []) for i in range(nrows)]
-    return FqMatrix.from_rows(field, rows)
+    return FqMatrix(field, nrows, sum(b.cols for b in blocks),
+                    tuple(e for i in range(nrows) for b in blocks for e in b.row(i)))
 
 
 def _clear(sub, mul, prow, col: int, rows, targets) -> None:
@@ -169,10 +170,7 @@ def rref_rows(field: FieldSpec, rows) -> tuple:
     return len(used), tuple(pivots)
 
 
-class RrefResult(NamedTuple):
-    matrix: FqMatrix
-    rank: int
-    pivots: tuple
+RrefResult = namedtuple("RrefResult", "matrix rank pivots")
 
 
 def rref(M: FqMatrix) -> RrefResult:
@@ -197,7 +195,7 @@ def inverse(M: FqMatrix) -> FqMatrix:
     return FqMatrix.from_rows(M.field, [row[n:] for row in aug])
 
 
-@dataclass(frozen=True)
+@record
 class Subspace:
     """Subspace of F_q^K held as canonical rref basis rows (tuple of tuples)."""
 
@@ -313,16 +311,14 @@ def quotient_map(B: Subspace) -> FqMatrix:
     K = B.ambient_dim
     pivots = [next(i for i, x in enumerate(v) if x) for v in B.vectors]
     free = [j for j in range(K) if j not in pivots]
-    rows = []
+    entries = []
     for j in free:
         row = [0] * K
         row[j] = 1
         for k, pc in enumerate(pivots):
             row[pc] = f.sub(row[pc], B.vectors[k][j])
-        rows.append(row)
-    if not rows:
-        return FqMatrix(f, 0, K, ())
-    return FqMatrix.from_rows(f, rows)
+        entries.extend(row)
+    return FqMatrix(f, len(free), K, tuple(entries))
 
 
 def image_subspace(Q: FqMatrix, S: Subspace) -> Subspace:

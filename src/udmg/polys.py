@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import FieldMismatchError
 from .fields import FieldSpec
+from .records import record
 
 
 def _trim(coeffs):
@@ -15,7 +14,7 @@ def _trim(coeffs):
     return tuple(coeffs[:n])
 
 
-@dataclass(frozen=True)
+@record
 class Poly:
     """Polynomial with ascending-degree coefficient tuple; () is the zero poly."""
 

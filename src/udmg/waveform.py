@@ -19,7 +19,6 @@ an exact identity in the weights, checked once per modulator (_lex_steps).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial, reduce
 from itertools import compress
@@ -35,11 +34,12 @@ from .errors import (
     TooLargeError,
 )
 from .linalg import Subspace, complement, kernel_basis, span_vectors, subspace_sum
+from .records import record
 
 MAX_PAIR_SQUARE = 1 << 24
 
 
-@dataclass(frozen=True)
+@record
 class Modulator:
     """Weighted q^N-PAM over symbol vectors in {0, ..., q-1}^N.
 
@@ -105,7 +105,7 @@ def _scaled_form(mod: Modulator) -> tuple:
     return C, (q - 1) * sum(C)
 
 
-@dataclass(frozen=True)
+@record
 class GapCheck:
     agreement: int       # length of the common prefix
     gap: Fraction        # |mu0(a) - mu0(b)|
@@ -135,7 +135,7 @@ def gap_check(mod: Modulator, a, b) -> GapCheck:
     return GapCheck(m, gap, floor, gap > floor)
 
 
-@dataclass(frozen=True)
+@record
 class GapAudit:
     pairs_checked: int
     all_passed: bool
@@ -177,7 +177,7 @@ def gap_audit_exhaustive(mod: Modulator) -> GapAudit:
 
 # -- coding schemes --------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class CodeScheme:
     """Square-matrix-set scheme: messages live in a complement of the kernels.
 
@@ -243,7 +243,7 @@ def build_scheme(u: Udmg, verified: bool = False) -> CodeScheme:
     return CodeScheme(u, Modulator(u.field.q, N), kernels, span, span.dim, W)
 
 
-@dataclass(frozen=True)
+@record
 class ModulationBounds:
     alpha: Fraction
     beta: Fraction
@@ -257,7 +257,7 @@ def modulation_bounds(q: int, g: int, L: int) -> ModulationBounds:
     return ModulationBounds(alpha, Fraction(L * q ** (L * g)))
 
 
-@dataclass(frozen=True)
+@record
 class SnrReport:
     snr: Fraction
     bounds: ModulationBounds
@@ -293,7 +293,7 @@ def snr(scheme: CodeScheme) -> SnrReport:
     return SnrReport(value, b, lower, upper, lower <= value <= upper)
 
 
-@dataclass(frozen=True)
+@record
 class AuditReport:
     pairs_checked: int
     min_product: Fraction
@@ -430,7 +430,7 @@ def _scan_class(cols, shift) -> tuple:
     return least, min((min(v, shift[v]), max(v, shift[v])) for v in ties)
 
 
-@dataclass(frozen=True)
+@record
 class ComplexifiedScheme:
     """Pairing (W x W, kappa x kappa, C x C, mu x 0 + 0 x i mu).
 

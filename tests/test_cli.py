@@ -1,11 +1,13 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import udmg
 from udmg import reference
 from udmg.cli import (
     MAX_EXPONENT,
@@ -383,15 +385,20 @@ def test_console_module_smoke(tmp_path):
 
 
 def loaded_modules(*argv):
-    """Modules a fresh interpreter holds after one udmg command run as __main__."""
+    """Modules a fresh interpreter holds after one udmg command run as __main__, or
+    after `import udmg.cli` alone when argv is empty.  The interpreter runs under
+    -S, so no site .pth file can load a module first."""
     code = ("import runpy, sys\n"
             f"sys.argv = ['udmg', *{list(argv)!r}]\n"
             "try:\n"
             "    runpy.run_module('udmg.cli', run_name='__main__')\n"
             "except SystemExit as exc:\n"
             "    assert exc.code == 0, exc.code\n"
-            "print(' '.join(sorted(sys.modules)))\n")
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+            "print(' '.join(sorted(sys.modules)))\n") if argv else (
+            "import sys\nimport udmg.cli\nprint(' '.join(sorted(sys.modules)))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(udmg.__file__).resolve().parents[1])}
+    res = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         timeout=60, env=env)
     assert res.returncode == 0, res.stderr
     return set(res.stdout.splitlines()[-1].split())
 
@@ -407,6 +414,22 @@ def test_bounds_loads_codes_but_not_curves_or_waveform():
     mods = loaded_modules("bounds", "--K", "4", "--q", "5", "--g", "1")
     assert "udmg.codes" in mods
     assert not mods & {"udmg.curves", "udmg.waveform"}
+
+
+@pytest.mark.parametrize("argv", [
+    (),
+    ("example-paper", "-o", "{tmp}/example.json"),
+    ("construct", str(FIXTURE.parent / "genus1_f5_construction.json"), "-o", "{tmp}/c.json"),
+    ("verify", "--min-genus", str(FIXTURE)),
+    ("code", "--min-distance", str(FIXTURE)),
+    ("modulate", "--snr", "--audit", str(FIXTURE)),
+    ("quotient", str(FIXTURE), "--truncate", "1,0,0,0,0,0,0,0,0"),
+    ("bounds", "--K", "4", "--q", "5", "--g", "1"),
+], ids=lambda argv: argv[0] if argv else "import")
+def test_no_command_loads_dataclasses_inspect_or_typing(argv, tmp_path):
+    mods = loaded_modules(*(arg.format(tmp=tmp_path) for arg in argv))
+    assert "udmg.core" in mods
+    assert not mods & {"dataclasses", "inspect", "typing"}
 
 
 def test_package_names_resolve_lazily():

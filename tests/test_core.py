@@ -397,6 +397,13 @@ def test_truncate_identity_and_empty(ref_udmg):
         truncate(ref_udmg, (4,) * 9)
 
 
+def test_truncate_keeps_the_lengths_of_a_k0_set():
+    u = Udmg(F5, 0, 0, (FqMatrix(F5, 0, 3, ()), FqMatrix(F5, 0, 2, ())))
+    cut = truncate(u, (2, 1))
+    assert cut.lengths == (2, 1)
+    assert cut.matrices == (FqMatrix(F5, 0, 2, ()), FqMatrix(F5, 0, 1, ()))
+
+
 def test_truncation_preserves_validity():
     # dropping columns only removes allowable vectors, so validity survives
     rng = random.Random(41)

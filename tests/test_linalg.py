@@ -215,6 +215,24 @@ def test_zero_row_matrices_keep_their_column_count():
     assert (P.rows, P.cols) == (0, 2)
 
 
+def test_prefix_cols_keeps_the_shape_of_zero_row_matrices():
+    assert FqMatrix(F5, 0, 3, ()).prefix_cols(2) == FqMatrix(F5, 0, 2, ())
+    assert FqMatrix(F5, 2, 3, (1, 2, 3, 4, 0, 1)).prefix_cols(0) == FqMatrix(F5, 2, 0, ())
+
+
+def test_hstack_keeps_the_shape_of_zero_row_matrices():
+    H = hstack([FqMatrix(F5, 0, 2, ()), FqMatrix(F5, 0, 1, ())])
+    assert H == FqMatrix(F5, 0, 3, ())
+    assert hstack([FqMatrix(F5, 2, 0, ()), mat(F5, [[1], [2]])]) == mat(F5, [[1], [2]])
+
+
+def test_quotient_map_by_the_whole_space_has_zero_rows():
+    Q = quotient_map(Subspace.from_vectors(F5, 3, [[1, 2, 0], [0, 1, 4], [3, 1, 1]]))
+    assert Q == FqMatrix(F5, 0, 3, ())
+    Q = quotient_map(Subspace.from_vectors(F5, 2, []))
+    assert Q == FqMatrix.identity(F5, 2)
+
+
 def gauss_jordan_rows(field, rows):
     """Oracle: Gauss-Jordan elimination with row swaps, clearing each pivot column
     above and below as it goes; in place, returns (rank, pivot columns)."""
