@@ -10,13 +10,13 @@ divisors of the shape n*O + (h), increasing zero bases, and the
 evaluation-code matrix construction.
 
 Both genera run one pipeline: rows of local coefficients at each point
-(Taylor rows on the projective line, local_expand rows on the curve),
-extended by the identity, go through linalg's forward elimination
-(echelon_rows) to give the increasing zero basis, and one assembly builds the
-matrices, certifies them valid by a valuation check that the degree of D
-justifies (no scan of allowable vectors), and checks the generator.  Local
-expansion works at a fixed precision that the degree of a principal divisor
-bounds in advance, so it never retries.
+(Taylor rows on the projective line; on the curve, rows of r^i/h and s*r^j/h
+read off one expansion of r, s and 1/h), extended by the identity, go through
+linalg's forward elimination (echelon_rows) to give the increasing zero basis,
+and one assembly builds the matrices, certifies them valid by a valuation
+check that the degree of D justifies (no scan of allowable vectors), and
+checks the generator.  Every expansion has a fixed length that the degree of
+a principal divisor bounds in advance: no retries, no cache between calls.
 
 Local uniformizers are fixed once and for all so that independent runs agree:
 t = r - x(P) at an affine point with s(P) != 0, t = s at an affine point with
@@ -366,27 +366,6 @@ class Series:
         return acc
 
 
-_COORDINATES = {}  # (curve, P) -> (length, r, s): the longest expansion made so far
-_COORDINATES_MAX = 1024  # (curve, point) pairs kept; the oldest goes first
-
-
-def _expand_coordinates(curve: WeierstrassCurve, P, length: int):
-    """Series for (r, s) in the fixed uniformizer at P, to relative length.
-
-    Each coefficient depends only on the ones before it, so a shorter
-    expansion is a prefix of a longer one: one expansion per (curve, point),
-    the longest asked for, is kept and cut to length.
-    """
-    key = (curve, P)
-    hit = _COORDINATES.get(key)
-    if hit is None or hit[0] < length:
-        if hit is None and len(_COORDINATES) >= _COORDINATES_MAX:
-            del _COORDINATES[next(iter(_COORDINATES))]
-        hit = _COORDINATES[key] = (length, *_coordinate_series(curve, P, length))
-    cut = hit[0] - length
-    return tuple(Series(x.field, x.val, x.coef[:len(x.coef) - cut]) for x in hit[1:])
-
-
 def _solve_series(f, target, lag: int, h, length: int) -> list:
     """Coefficients x_0 = 0, x_1, ..., x_(length-1) of x = target(t) + t^lag sum_k h[k] x^k.
 
@@ -415,6 +394,8 @@ def _solve_series(f, target, lag: int, h, length: int) -> list:
 
 def _coordinate_series(curve: WeierstrassCurve, P, length: int):
     """Series for (r, s) in the fixed uniformizer at P, each from F alone."""
+    if not curve.contains(P):
+        raise InvalidInputError(f"{P!r} is not a rational point of the curve")
     f, F = curve.field, curve.F
     d = F.degree
     if P is INFINITY:
@@ -472,7 +453,7 @@ def local_expand(curve: WeierstrassCurve, fn: FnElement, P, prec: int) -> LocalE
         raise PrecisionExhaustedError("the zero function has no finite order")
     maxd = max(fn.A.degree, fn.B.degree, fn.C.degree, 1)
     length = prec + 4 * (maxd + 2 * curve.genus + 1)
-    r, s = _expand_coordinates(curve, P, length)
+    r, s = _coordinate_series(curve, P, length)
     num = r.poly_eval(fn.A, length).add(s.mul(r.poly_eval(fn.B, length)))
     out = num.mul(r.poly_eval(fn.C, length).inv())
     if len(out.coef) < prec:
@@ -494,6 +475,8 @@ def evaluate(curve: WeierstrassCurve, fn: FnElement, P) -> int:
     if fn.is_zero:
         return 0
     if P is not INFINITY:
+        if not curve.contains(P):
+            raise InvalidInputError(f"{P!r} is not a rational point of the curve")
         x0, y0 = P
         c = fn.C(x0)
         if c != 0:
@@ -519,14 +502,6 @@ class DivisorSpec:
             raise UnsupportedDivisorError("multiplicity at O must be non-negative")
 
 
-def divisor_coefficient(curve: WeierstrassCurve, D: DivisorSpec, P) -> int:
-    """Multiplicity of P in D (integer, possibly negative)."""
-    base = D.n if P is INFINITY else 0
-    if D.h is None or D.h.is_zero:
-        return base
-    return base + function_valuation(curve, D.h, P)
-
-
 def rr_basis(curve: WeierstrassCurve, D: DivisorSpec):
     """Ordered basis of L(D) for D = n*O + (h): monomials over h.
 
@@ -549,6 +524,41 @@ def rr_basis(curve: WeierstrassCurve, D: DivisorSpec):
         return monomials
     h_inv = D.h.inv()
     return [m * h_inv for m in monomials]
+
+
+def _rr_rows(curve: WeierstrassCurve, D: DivisorSpec, P, width: int) -> list:
+    """Local rows at P of rr_basis(curve, D), read off one expansion of r, s and 1/h.
+
+    Row i holds the coefficients of t^0, ..., t^(width-1) of r^i/h or s*r^j/h,
+    the i-th element of rr_basis: the row local_expand gives.  1/h is
+    C(r) * (A(r) + s*B(r))^-1, never the norm of h, and the same series give
+    D(P) = v_P(h) (+ n at O); SupportCollisionError unless D(P) = 0.
+
+    The length L = width + 2*(deg C + 1) suffices.  At an affine point every
+    polynomial in r, s is known to O(t^L) and C(r) has order v_C <= 2 deg C;
+    off supp D so has the numerator (one vanishing to O(t^L) puts P in supp D),
+    so 1/h and each row are known to O(t^(L - v_C)).  At O the pole orders 2
+    and 2g + 1 differ in parity, so nothing cancels and every series keeps
+    L - 2 relative coefficients.  A short row raises AssertionError.
+    """
+    h = D.h or FnElement.const(curve, 1)
+    length = width + 2 * (h.C.degree + 1)
+    r, s = _coordinate_series(curve, P, length)
+    num = r.poly_eval(h.A, length).add(s.mul(r.poly_eval(h.B, length)))
+    den = r.poly_eval(h.C, length)
+    if num.val - den.val + (D.n if P is INFINITY else 0) != 0:
+        raise SupportCollisionError(f"{P!r} lies in the support of the divisor")
+    odd, h_inv = 2 * curve.genus + 1, den.mul(num.inv())
+    chains = [h_inv, s.mul(h_inv)]  # r^i/h and s*r^j/h, of pole orders 2i and odd + 2j
+    rows = []
+    for order in range(D.n + 1):
+        if order % 2 == 0 or order >= odd:
+            fn = chains[order % 2]
+            if fn.abs_prec < width:
+                raise AssertionError(f"row at {P!r} kept {fn.abs_prec} < {width} coefficients")
+            rows.append(([0] * fn.val + fn.coef)[:width])
+            chains[order % 2] = fn.mul(r)
+    return rows
 
 
 # -- increasing zero bases -------------------------------------------------------
@@ -592,17 +602,6 @@ def _taylor_coeffs(poly: Poly, x0: int, width: int):
     return [shifted.coeff(i) for i in range(width)]
 
 
-def _expansion_rows(curve, basis, P, width: int):
-    """Coefficients of t^0, ..., t^(width-1) of each basis element at P (local_expand)."""
-    rows = []
-    for i, fn in enumerate(basis):
-        exp = local_expand(curve, fn, P, width)
-        if exp.valuation < 0:
-            raise PointInSupportError(f"basis element {i} has a pole at {P!r}")
-        rows.append(([0] * exp.valuation + list(exp.coeffs))[:width])
-    return rows
-
-
 def increasing_zero_basis(curve, basis, P, prec: int = None) -> IzbResult:
     """Reorder/combine basis so valuations at P strictly increase from 0.
 
@@ -626,7 +625,12 @@ def increasing_zero_basis(curve, basis, P, prec: int = None) -> IzbResult:
     zero = FnElement.zero(curve)
     while True:
         try:
-            rows = _expansion_rows(curve, basis, P, attempt)
+            rows = []
+            for i, fn in enumerate(basis):
+                exp = local_expand(curve, fn, P, attempt)
+                if exp.valuation < 0:
+                    raise PointInSupportError(f"basis element {i} has a pole at {P!r}")
+                rows.append(([0] * exp.valuation + list(exp.coeffs))[:attempt])
             vals, T = _izb_from_rows(curve.field, basis, rows, attempt, zero)
             return IzbResult(tuple(_combine(basis, c, zero) for c in T.to_rows()), vals, T)
         except PrecisionExhaustedError:
@@ -771,19 +775,13 @@ def goppa_udmg(curve: WeierstrassCurve, points, D: DivisorSpec) -> GoppaConstruc
         raise InvalidInputError("the construction needs at least one point")
     if len(set(map(_point_key, points))) != len(points):
         raise DuplicatePointsError("points must be pairwise distinct")
-    for P in points:
-        if not curve.contains(P):
-            raise InvalidInputError(f"{P!r} is not a rational point of the curve")
     K = D.n  # l(D) = deg D for genus 1 once deg D >= 1
     if K < 1:
         raise TooFewSectionsError("deg D must be at least 1")
-    for P in points:
-        if divisor_coefficient(curve, D, P) != 0:
-            raise SupportCollisionError(f"{P!r} lies in the support of the divisor")
     canonical = rr_basis(curve, D)
     # Valuations of L(D) at a point outside its support are at most deg D = K.
     width, zero = K + 3, FnElement.zero(curve)
-    rows = [_expansion_rows(curve, canonical, P, width) for P in points]
+    rows = [_rr_rows(curve, D, P, width) for P in points]
     results = [_izb_from_rows(curve.field, canonical, R, width, zero) for R in rows]
     return _assemble(curve.field, curve, points, D, canonical, rows, results)
 

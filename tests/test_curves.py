@@ -554,59 +554,122 @@ def test_izb_retries_until_valuations_separate(ref_curve, monkeypatch):
         increasing_zero_basis(ref_curve, [one, r ** 60], (0, 1))
 
 
-# -- the coordinate-series cache ------------------------------------------------------
+# -- the construction's rows: one expansion of r, s and 1/h per point ----------------
+#
+# goppa_udmg reads the rows of rr_basis at each point off one expansion of r,
+# s and 1/h (curves._rr_rows).  The route it replaced, one local_expand per
+# basis element, is kept here as the oracle the rows must equal entry for entry.
 
-def test_coordinate_cache_cuts_the_longest_expansion(monkeypatch):
-    import udmg.curves as curves
+def rows_by_local_expand(curve, D, P, width):
+    """Oracle: the coefficients of t^0, ..., t^(width-1) of each rr_basis element."""
+    rows = []
+    for fn in rr_basis(curve, D):
+        exp = local_expand(curve, fn, P, width)
+        assert exp.valuation >= 0
+        rows.append(([0] * exp.valuation + list(exp.coeffs))[:width])
+    return rows
 
-    monkeypatch.setattr(curves, "_COORDINATES", {})
-    rng = random.Random(3)
-    lengths = list(range(17, 45))
-    for field, a, b in BOUND_CURVES:
+
+def assert_rows_match(curve, D, widths, seen):
+    """_rr_rows against the oracle at every point; refusal exactly on supp D."""
+    for P in enumerate_points(curve):
+        on_support = (D.n if P is INFINITY else 0) + (
+            0 if D.h is None else function_valuation(curve, D.h, P))
+        for width in widths:
+            if on_support:
+                with pytest.raises(SupportCollisionError, match="support of the divisor"):
+                    curves._rr_rows(curve, D, P, width)
+                continue
+            got = curves._rr_rows(curve, D, P, width)
+            assert got == rows_by_local_expand(curve, D, P, width), (str(D.h), D.n, P, width)
+            seen["rows"] += 1
+            seen["at O"] += P is INFINITY
+            if P is not INFINITY:
+                seen["two-torsion"] += P[1] == 0
+                seen["C(P) = 0"] += D.h is not None and D.h.C(P[0]) == 0
+
+
+def row_counts():
+    return dict.fromkeys(("rows", "at O", "two-torsion", "C(P) = 0"), 0)
+
+
+@pytest.mark.parametrize("field,a,b", BOUND_CURVES)
+def test_rr_rows_equal_local_expand_rows_for_n_times_o(field, a, b):
+    curve, seen = curve_new(field, a, b), row_counts()
+    for n in range(1, 8):
+        assert_rows_match(curve, DivisorSpec(n, None), (n + 3,), seen)
+    assert seen["rows"] == 7 * (len(enumerate_points(curve)) - 1)  # every affine point
+
+
+def test_rr_rows_equal_local_expand_rows_for_the_fixture(ref_curve):
+    seen = row_counts()
+    assert_rows_match(ref_curve, reference.divisor(), (1, 6), seen)
+    assert seen["at O"] == 2 and seen["rows"] == 2 * len(reference.POINTS)
+
+
+def test_rr_rows_equal_local_expand_rows_for_random_h():
+    # n = -v_O(h) puts O outside supp D; h with C = 1 is a polynomial.
+    rng, seen = random.Random(20), row_counts()
+
+    def poly(field, top):
+        return Poly.make(field, [rng.randrange(field.q) for _ in range(rng.randint(1, top))])
+
+    for field, a, b in BOUND_CURVES[:3]:
         curve = curve_new(field, a, b)
-        points = enumerate_points(curve)  # affine (0, y), two-torsion and O among them
-        rng.shuffle(lengths)
-        for n in lengths:
-            for P in points:
-                got = curves._expand_coordinates(curve, P, n)
-                want = curves._coordinate_series(curve, P, n)
-                assert [(x.val, x.coef) for x in got] == [(x.val, x.coef) for x in want], (P, n)
-    # one entry per (curve, point), however many lengths were asked for
-    assert len(curves._COORDINATES) == sum(len(enumerate_points(curve_new(*c))) for c in BOUND_CURVES)
+        for polynomial in (True, False) * 6:
+            A, B = poly(field, 3), poly(field, 2)
+            C = Poly.const(field, 1) if polynomial else poly(field, 3)
+            if (A.is_zero and B.is_zero) or C.is_zero:
+                continue
+            h = FnElement(curve, A, B, C)
+            n = -function_valuation(curve, h, INFINITY)
+            if n >= 1:
+                assert_rows_match(curve, DivisorSpec(n, h), (n + 3,), seen)
+    assert seen["at O"] >= 10 and seen["two-torsion"] >= 1 and seen["C(P) = 0"] >= 1, seen
 
 
-def test_coordinate_cache_is_bounded(monkeypatch):
-    import udmg.curves as curves
-
-    monkeypatch.setattr(curves, "_COORDINATES", {})
-    monkeypatch.setattr(curves, "_COORDINATES_MAX", 5)
-    curve = curve_new(make_field(11), 2, 0)
-    points = enumerate_points(curve)
-    fn = FnElement.r(curve) + FnElement.s(curve)
-    want = [local_expand(curve, fn, P, 3) for P in points]
-    for prec in range(1, 60):
-        for P in points:
-            local_expand(curve, fn, P, prec)
-            assert len(curves._COORDINATES) <= 5
-    assert [local_expand(curve, fn, P, 3) for P in points] == want
-
-
-def test_cached_expansions_equal_fresh_ones(monkeypatch):
-    import udmg.curves as curves
-
-    rng = random.Random(8)
-    cases = []
-    for field, a, b in BOUND_CURVES:
+def test_rr_rows_where_the_denominator_of_h_vanishes():
+    # h = (s - y0) r^2 / (r - x0): C(x0) = 0, yet P0 = (x0, y0) is outside supp D
+    # whenever the tangent there is not horizontal.
+    seen = row_counts()
+    for field, a, b in BOUND_CURVES[1:3]:  # both have two-torsion points
         curve = curve_new(field, a, b)
-        for P in enumerate_points(curve):
-            for _ in range(4):
-                A, B, C = (Poly.make(field, [rng.randrange(field.q) for _ in range(rng.randint(1, 5))])
-                           for _ in range(3))
-                if not (A.is_zero and B.is_zero) and not C.is_zero:
-                    cases.append((curve, FnElement(curve, A, B, C), P, rng.randint(1, 12)))
-    cached = [(local_expand(*c), function_valuation(*c[:3])) for c in cases]
-    monkeypatch.setattr(curves, "_expand_coordinates", curves._coordinate_series)
-    assert cached == [(local_expand(*c), function_valuation(*c[:3])) for c in cases]
+        r, s = FnElement.r(curve), FnElement.s(curve)
+        for P0 in enumerate_points(curve)[1:]:
+            h = (s - P0[1]) * r * r / (r - P0[0])
+            assert_rows_match(curve, DivisorSpec(-function_valuation(curve, h, INFINITY), h),
+                              (4,), seen)
+    assert seen["C(P) = 0"] >= 4 and seen["two-torsion"] >= 4 and seen["at O"] >= 4, seen
+
+
+def test_construction_expands_once_per_point(ref_curve, monkeypatch):
+    calls = []
+    series = curves._coordinate_series
+    monkeypatch.setattr(curves, "_coordinate_series",
+                        lambda curve, P, length: calls.append(P) or series(curve, P, length))
+    curve = curve_new(make_field(11), 1, 3)
+    affine = enumerate_points(curve)[1:13]
+    goppa_udmg(curve, affine, DivisorSpec(5, None))
+    assert calls == affine
+    calls.clear()
+    gc = goppa_udmg(ref_curve, reference.POINTS, reference.divisor())
+    assert calls[:9] == list(reference.POINTS)
+    # the rest: the generator check's evaluations at O, one per element of B_0
+    assert len(calls) <= 9 + gc.udmg.K and set(calls[9:]) <= {INFINITY}
+
+
+def test_points_off_the_curve_are_refused(ref_curve):
+    r, s = FnElement.r(ref_curve), FnElement.s(ref_curve)
+    assert not ref_curve.contains((0, 0))  # s^2 = r^3 + r + 1 has no point with s = r = 0
+    for fn in (s, r, r / (s + 1)):
+        with pytest.raises(InvalidInputError, match="not a rational point"):
+            evaluate(ref_curve, fn, (0, 0))
+        with pytest.raises(InvalidInputError, match="not a rational point"):
+            local_expand(ref_curve, fn, (0, 0), 3)
+    with pytest.raises(InvalidInputError, match="not a rational point"):
+        increasing_zero_basis(ref_curve, [FnElement.const(ref_curve, 1), r, s], (0, 0))
+    with pytest.raises(InvalidInputError, match="not a rational point"):
+        goppa_udmg(ref_curve, [(0, 1), (0, 0)], reference.divisor())
 
 
 # -- the construction's valuation certificate -----------------------------------------
