@@ -500,6 +500,8 @@ class DivisorSpec:
     def __post_init__(self):
         if self.n < 0:
             raise UnsupportedDivisorError("multiplicity at O must be non-negative")
+        if self.h is not None and self.h.is_zero:
+            raise UnsupportedDivisorError(f"D = {self.n}*O + (h) needs h != 0")
 
 
 def rr_basis(curve: WeierstrassCurve, D: DivisorSpec):
@@ -681,10 +683,10 @@ def _point_key(P):
     return (P,) if isinstance(P, int) else tuple(P)
 
 
-def _build_generator(field, curve, K, points, basis0, matrices) -> FqMatrix:
+def _build_generator(field, curve, K, points, basis0, matrices, at_O=None) -> FqMatrix:
     for j, P in enumerate(points):
         if curve is not None:
-            evals = tuple(evaluate(curve, b, P) for b in basis0)
+            evals = at_O if P is INFINITY and at_O else tuple(evaluate(curve, b, P) for b in basis0)
         else:  # at infinity, the standard extension of polynomial evaluation
             evals = tuple(b.coeff(K - 1) if P is INFINITY else b(P) for b in basis0)
         if evals != matrices[j].col(0):
@@ -750,7 +752,7 @@ def _assemble(field, curve, points, divisor, canonical, rows, results) -> GoppaC
     is built as elements.  For both genera matrices[i] = T_0 T_i^-1 (T the
     transforms), so matrices[i] B_i = B_0.  Before returning, _certify proves
     the set valid from the degree of D, and the generator is checked against
-    evaluations of the reference basis.
+    evaluations of the reference basis (at O, t0 times column 0 of the rows there).
     """
     genus = 0 if curve is None else curve.genus
     K = len(canonical)
@@ -759,7 +761,9 @@ def _assemble(field, curve, points, divisor, canonical, rows, results) -> GoppaC
     _certify(field, genus, divisor.n, points, t0, matrices, rows)
     zero = Poly.zero(field) if curve is None else FnElement.zero(curve)
     basis0 = tuple(_combine(canonical, coords, zero) for coords in t0.to_rows())
-    generator = _build_generator(field, curve, K, points, basis0, matrices)
+    at_O = None if curve is None else next(  # D(O) = 0: column 0 of O's rows is canonical(O)
+        (t0.matvec([r[0] for r in R]) for P, R in zip(points, rows) if P is INFINITY), None)
+    generator = _build_generator(field, curve, K, points, basis0, matrices, at_O)
     return GoppaConstruction(
         field=field, curve=curve, genus=genus, points=points, divisor=divisor,
         canonical=tuple(canonical), basis0=basis0,

@@ -251,17 +251,24 @@ class Subspace:
         return span_vectors(self.field, self.vectors, self.ambient_dim)
 
 
-def span_vectors(field: FieldSpec, basis, length: int) -> list:
-    """Every sum_k c_k basis[k], at index sum_k c_k q^k (c_k a rep): the order depends
-    only on the coefficients, so the basis's images under a linear map give theirs."""
-    vecs = [(0,) * length]
+def span_columns(field: FieldSpec, basis, length: int) -> list:
+    """Entry k of every sum_j c_j basis[j], at index sum_j c_j q^j, as one list per k < length.
+    Prime fields sum integers mod p; others make q - 1 muls per basis entry, one add per entry."""
+    q, add, mul = field.q, field.add, field.mul
+    cols = [[0] for _ in range(length)]
     for bvec in basis:
-        ext = []
-        for c in range(1, field.q):
-            scaled = tuple(field.mul(c, x) for x in bvec)
-            ext.extend(tuple(map(field.add, v, scaled)) for v in vecs)
-        vecs.extend(ext)
-    return vecs
+        for k, (col, x) in enumerate(zip(cols, bvec)):
+            if field.m == 1:
+                cols[k] = [(y + s) % q for s in [c * x for c in range(q)] for y in col]
+            else:
+                cols[k] = col + [add(y, s) for s in [mul(c, x) for c in range(1, q)] for y in col]
+    return cols
+
+
+def span_vectors(field: FieldSpec, basis, length: int) -> list:
+    """Every sum_k c_k basis[k] at index sum_k c_k q^k, span_columns read row by row: the
+    order depends only on the coefficients, so the basis's images under a linear map give theirs."""
+    return list(zip(*span_columns(field, basis, length))) or [()] * field.q ** len(basis)
 
 
 def subspace_sum(spaces) -> Subspace:

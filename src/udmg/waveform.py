@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cache, partial, reduce
+from functools import partial, reduce
 from itertools import compress
-from operator import mul, sub
+from operator import add, mul, sub
 
 from .core import Udmg, verify
 from .errors import (
@@ -33,7 +33,7 @@ from .errors import (
     SymbolOutOfRangeError,
     TooLargeError,
 )
-from .linalg import Subspace, complement, kernel_basis, span_vectors, subspace_sum
+from .linalg import Subspace, complement, kernel_basis, span_columns, subspace_sum
 from .records import record
 
 MAX_PAIR_SQUARE = 1 << 24
@@ -315,6 +315,8 @@ def audit_product_distance(scheme: CodeScheme) -> AuditReport:
     - Encoding is linear, so only the basis messages are encoded, and a pair
       agrees on channel c in exactly the leading zeros of encode(v_j - v_i)[c]:
       the nonzero messages' own encodings give every agreement sum.
+    - Symbols are built column-wise (span_columns): one backward pass over the N coordinates
+      gives each message's scaled value, leading zeros and class bound, with no symbol tuple.
     - By the gap lemma, an identity (_lex_steps), distinct symbol vectors with
       common prefix m differ by more than q^(N-m-1)/N, so a pair with no equal
       channel symbols clears its own floor, the product of squared channel
@@ -333,17 +335,25 @@ def audit_product_distance(scheme: CodeScheme) -> AuditReport:
     _lex_steps(scheme.modulator)
     C, offset = _scaled_form(scheme.modulator)
     images = [scheme.encode(b) for b in scheme.message_space.vectors]
-    syms = [span_vectors(f, [im[c] for im in images], N) for c in range(L)]  # encode(message i)[c]
-    cols = [[2 * sum(map(mul, C, s)) - offset for s in ch] for ch in syms]
+    lo, hi = _step_bounds(f)
+    cols, lam, bounds = [], [0] * n, [1] * n
+    for c in range(L):  # one backward pass over the coordinates of encode(message i)[c]
+        val, lead, tail, bnd = [-offset] * n, [N] * n, [0] * n, [0] * n
+        for k, col in reversed(list(enumerate(span_columns(f, [im[c] for im in images], N)))):
+            c2, lo2, hi2 = 2 * C[k], [2 * C[k] * x for x in lo], [2 * C[k] * x for x in hi]
+            val = [v + c2 * x for v, x in zip(val, col)]
+            lead = [k if x else z for x, z in zip(col, lead)]  # first nonzero k: leading zeros
+            bnd = [lo2[x] - t if x else b for x, t, b in zip(col, tail, bnd)]
+            tail = list(map(add, tail, map(hi2.__getitem__, col)))  # 2 sum_{j>=k} C_j hi(x_j)
+        cols.append(val)
+        lam, bounds = list(map(add, lam, lead)), list(map(mul, bounds, bnd))
     agreement_cap = N + g - 1
-    leading_zeros = cache(partial(_common_prefix, (0,) * N))
-    lam = list(map(sum, zip(*[map(leading_zeros, ch) for ch in syms])))
     max_agree = max(lam[1:])
     if max_agree > agreement_cap:  # message 0 is zero, so row 0 holds the first such pair
         k = next(k for k in range(1, n) if lam[k] > agreement_cap)
         raise AssertionError(f"agreement sum {lam[k]} exceeded N+g-1 for "
                              f"{_message(scheme, 0)} vs {_message(scheme, k)}")
-    best, (wi, wj) = _least_product(f, scheme.message_space.dim, C, syms, cols)
+    best, (wi, wj) = _least_product(f, scheme.message_space.dim, cols, bounds)
     scale = (2 * q * N) ** (2 * L)  # converts scaled integer products to mu0 units
     floor = Fraction(q) ** (2 * (L * N - (N + g - 1) - L)) / N ** (2 * L)
     min_product = Fraction(best * best, scale)
@@ -358,28 +368,17 @@ def _message(scheme, index) -> tuple:
     return tuple(space.field.dot(coeffs, col) for col in zip(*space.vectors))
 
 
-def _least_product(field, dim, C, syms, cols) -> tuple:
+def _least_product(field, dim, cols, bounds) -> tuple:
     """(least |prod_c (t_i[c] - t_j[c])| over message pairs, least such (i, j), i < j).
 
     The pairs {v, v + d} of a nonzero message d form a class whose channel-c symbols
-    differ by e = syms[c][d]; with m the first nonzero entry of e, |t(a + e) - t(a)| >=
+    differ by e = encode(d)[c]; with m the first nonzero entry of e, |t(a + e) - t(a)| >=
     2 (C_m lo(e_m) - sum_{k>m} C_k hi(e_k)), at least step_m > 0 as lo(x) >= 1 and
-    hi(x) <= q - 1.  Classes (d and -d as one) are scanned in ascending product of these
-    channel bounds until it exceeds the least product.
+    hi(x) <= q - 1 (_step_bounds), and 0 where e = 0.  bounds[d] is the product of these
+    channel bounds; classes (d and -d as one) are scanned in ascending bound until it
+    exceeds the least product.
     """
     q, n = field.q, len(cols[0])
-    lo, hi = _step_bounds(field)
-
-    @cache
-    def channel_bound(e):
-        m = next((k for k, x in enumerate(e) if x), None)
-        if m is None:  # the class's symbols agree on this channel
-            return 0
-        return 2 * (C[m] * lo[e[m]] - sum(C[k] * hi[e[k]] for k in range(m + 1, len(e))))
-
-    bounds = [1] * n
-    for ch in syms:
-        bounds = list(map(mul, bounds, map(channel_bound, ch)))
     negs = _digit_map(q, [[field.neg(c) for c in range(q)]] * dim)
     best = pair = None
     for d in sorted((d for d in range(1, n) if d <= negs[d]), key=bounds.__getitem__):

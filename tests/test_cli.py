@@ -537,6 +537,15 @@ def test_construction_rejects_non_integer_fields(tmp_path, desc, path):
         assert run(["construct", str(bad), "-o", str(tmp_path / "x.json")]) == 2, value
 
 
+@pytest.mark.parametrize("h", ["r - r", "0"])
+def test_zero_h_is_refused_by_the_divisor(tmp_path, capsys, h):
+    # it used to pass as a divisor and fail in rr_basis with "inverse of the zero function"
+    desc = tmp_path / "zero_h.json"
+    desc.write_text(json.dumps(_replace(GENUS1_DESC, ("divisor", "h"), h)))
+    assert run(["construct", str(desc), "-o", str(tmp_path / "x.json")]) == 2
+    assert "error: D = 3*O + (h) needs h != 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("point", ["04", [0, 4, 1], [0], "O"])
 def test_construction_rejects_malformed_genus1_points(tmp_path, point):
     # a string was split into characters ("04" read as (0, 4)), extra coordinates dropped

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from udmg.errors import AmbientMismatchError
-from udmg.fields import make_field
+from udmg.fields import FieldSpec, make_field
 from udmg.linalg import (
     FqMatrix,
     Subspace,
@@ -16,6 +16,7 @@ from udmg.linalg import (
     rank,
     rref,
     rref_rows,
+    span_columns,
     span_vectors,
     subspace_sum,
 )
@@ -299,3 +300,65 @@ def test_rref_rows_matches_gauss_jordan_exhaustively(field, nrows, ncols):
     for entries in product(range(field.q), repeat=nrows * ncols):
         rows = [entries[i * ncols:(i + 1) * ncols] for i in range(nrows)]
         assert_rref_matches_gauss_jordan(field, rows)
+
+
+def span_by_vectors(field, basis, length):
+    """span_vectors' order built one whole vector at a time by field.add and field.mul."""
+    vecs = [(0,) * length]
+    for bvec in basis:
+        ext = []
+        for c in range(1, field.q):
+            scaled = tuple(field.mul(c, x) for x in bvec)
+            ext.extend(tuple(map(field.add, v, scaled)) for v in vecs)
+        vecs.extend(ext)
+    return vecs
+
+
+def assert_span_matches(field, basis, length):
+    want = span_by_vectors(field, basis, length)
+    cols = span_columns(field, basis, length)
+    assert len(cols) == length and all(len(col) == len(want) for col in cols)
+    assert [tuple(col[i] for col in cols) for i in range(len(want))] == want
+    assert span_vectors(field, basis, length) == want
+
+
+def test_span_columns_exhaustive_at_small_size():
+    for field, most in [(F2, 4), (F3, 4), (make_field(2, 2), 4), (F5, 3), (make_field(3, 2), 2)]:
+        for dim, length in product(range(3), range(3)):
+            if dim * length <= most:
+                for entries in product(range(field.q), repeat=dim * length):
+                    basis = [entries[j * length:(j + 1) * length] for j in range(dim)]
+                    assert_span_matches(field, basis, length)
+
+
+def test_span_columns_above_the_table_limit():
+    for field in RREF_FIELDS[3:]:  # one enumeration of q vectors takes a good part of a second
+        for basis in [[], [()], [(0, field.q - 2)]]:
+            assert_span_matches(field, basis, len(basis[0]) if basis else 2)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_span_columns_match_the_vector_enumeration(data):
+    field = data.draw(st.sampled_from(RREF_FIELDS[:3]))
+    dim, length = data.draw(st.integers(0, 4 if field.q < 16 else 2)), data.draw(st.integers(0, 3))
+    entry = st.integers(0, field.q - 1)
+    basis = data.draw(st.lists(st.lists(entry, min_size=length, max_size=length),
+                               min_size=dim, max_size=dim))
+    assert_span_matches(field, basis, length)
+
+
+def test_span_columns_call_the_field_no_more_than_the_vector_enumeration(monkeypatch):
+    calls = []
+    for op in ("add", "mul"):
+        fn = FieldSpec.__dict__[op]
+        monkeypatch.setattr(FieldSpec, op, lambda self, a, b, fn=fn, op=op: calls.append(op)
+                            or fn(self, a, b))
+    for field, basis in [(make_field(3, 2), [(1, 4, 0), (0, 7, 2)]), (make_field(2, 13), [(5, 0)]),
+                         (F5, [(1, 2), (3, 4)])]:
+        counts = []
+        for span in (span_by_vectors, span_columns):
+            calls.clear()
+            span(field, basis, len(basis[0]))
+            counts.append((calls.count("add"), calls.count("mul")))
+        assert counts[1] == (counts[0] if field.m > 1 else (0, 0)), field

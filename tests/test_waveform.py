@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import compress, product, repeat
@@ -757,6 +758,40 @@ def test_step_bounds_at_sampled_entries_of_large_fields(q):
     for x in random.Random(q).sample(range(1, q), 12) + [1, q - 1]:
         steps = [abs(f.add(y, x) - y) for y in range(q)]
         assert (lo[x], hi[x]) == (min(steps), max(steps))
+
+
+def test_messages_unchanged_element_for_element():
+    from test_linalg import span_by_vectors
+
+    for scheme in (genus1_scheme(POINTS11[:3]), line_scheme(8, 3, 5), line_scheme(16, 2, 4),
+                   delta_scheme()):
+        space = scheme.message_space
+        assert scheme.messages() == span_by_vectors(space.field, space.vectors, space.ambient_dim)
+
+
+def test_audit_reads_values_and_class_bounds_off_each_message(monkeypatch):
+    # cols and bounds as _least_product receives them, against the formulas applied to
+    # every message's own symbol tuples; equal bounds keep the class order
+    seen = []
+    least = waveform._least_product
+    monkeypatch.setattr(waveform, "_least_product", lambda f, dim, cols, bounds:
+                        seen.append((cols, bounds)) or least(f, dim, cols, bounds))
+    for scheme in (genus1_scheme(POINTS11[:3]), line_scheme(8, 3, 5), line_scheme(9, 3, 5),
+                   delta_scheme()):
+        lo, hi = waveform._step_bounds(scheme.udmg.field)
+        C, _ = waveform._scaled_form(scheme.modulator)
+
+        def channel_bound(e):
+            m = next((k for k, x in enumerate(e) if x), None)
+            if m is None:
+                return 0
+            return 2 * (C[m] * lo[e[m]] - sum(C[k] * hi[e[k]] for k in range(m + 1, len(e))))
+
+        syms = [scheme.encode(v) for v in scheme.messages()]
+        seen.clear()
+        audit_product_distance(scheme)
+        values = [[mu0_scaled(scheme.modulator, s[c]) for s in syms] for c in range(scheme.L)]
+        assert seen == [(values, [math.prod(map(channel_bound, s)) for s in syms])]
 
 
 def test_audit_prune_scans_under_one_percent(classes_scanned):
