@@ -220,6 +220,9 @@ def partition_bound(K: int, q: int, g: int) -> int:
 
 def bounds(K: int, q: int, g: int, lengths=None, nks=None) -> BoundReport:
     """Populate every applicable bound; unmet hypotheses are named in notes."""
+    lengths, nks = (None if v is None else tuple(v) for v in (lengths, nks))
+    if any(type(v) is not int for v in (K, q, g, *(lengths or ()), *(nks or ()))):
+        raise TypeError("K, q, g, lengths and nks take integers only, not bool or float")
     if K < 2:
         raise HypothesisUnmetError("size bounds need K >= 2")
     if q < 2:
@@ -234,7 +237,6 @@ def bounds(K: int, q: int, g: int, lengths=None, nks=None) -> BoundReport:
     gamma = 0
     part = None
     if lengths is not None:
-        lengths = tuple(int(n) for n in lengths)
         if any(n < 1 for n in lengths):
             raise HypothesisUnmetError("lengths must be positive")
         gamma = min(lengths)

@@ -166,13 +166,11 @@ class FnElement:
 
     @classmethod
     def zero(cls, curve) -> "FnElement":
-        z = Poly.zero(curve.field)
-        return cls(curve, z, z, Poly.const(curve.field, 1))
+        return cls.from_poly(curve, Poly.zero(curve.field))
 
     @classmethod
     def const(cls, curve, c: int) -> "FnElement":
-        z = Poly.zero(curve.field)
-        return cls(curve, Poly.const(curve.field, c), z, Poly.const(curve.field, 1))
+        return cls.from_poly(curve, Poly.const(curve.field, c))
 
     @classmethod
     def from_poly(cls, curve, poly: Poly) -> "FnElement":
@@ -498,30 +496,33 @@ class DivisorSpec:
     h: FnElement = None
 
     def __post_init__(self):
+        if type(self.n) is not int:  # refuses bool and 2.5, not coerced
+            raise TypeError(f"multiplicity {self.n!r} must be an integer")
         if self.n < 0:
             raise UnsupportedDivisorError("multiplicity at O must be non-negative")
         if self.h is not None and self.h.is_zero:
             raise UnsupportedDivisorError(f"D = {self.n}*O + (h) needs h != 0")
 
 
-def rr_basis(curve: WeierstrassCurve, D: DivisorSpec):
-    """Ordered basis of L(D) for D = n*O + (h): monomials over h.
+def _pole_walk(curve: WeierstrassCurve, n: int) -> list:
+    """(j, e) for each monomial s^j r^e (j in {0, 1}) of L(n*O), in increasing pole order.
 
-    r^i has pole order 2i at O and s*r^j order 2j + 2g + 1, so the orders are
+    r^e has pole order 2e at O and s*r^e order 2e + 2g + 1, so the orders are
     the semigroup <2, 2g + 1>, each once; the monomials of pole order at most
-    n, in increasing order, span L(n*O) (for genus 1: 1, r, s, r^2, rs, ...,
-    n elements, the single gap at order 1).
+    n span L(n*O) (for genus 1: 1, r, s, r^2, rs, ..., n elements, the single
+    gap at order 1).
     """
+    odd = 2 * curve.genus + 1
+    return [(o % 2, (o - o % 2 * odd) // 2) for o in range(n + 1) if o % 2 == 0 or o >= odd]
+
+
+def rr_basis(curve: WeierstrassCurve, D: DivisorSpec):
+    """Ordered basis of L(D) for D = n*O + (h): the monomials of _pole_walk over h."""
     if D.n < 1:
         raise UnsupportedDivisorError("need deg D >= 1")
-    f = curve.field
-    one, zero, odd = Poly.const(f, 1), Poly.zero(f), 2 * curve.genus + 1
-    monomials = []
-    for order in range(D.n + 1):
-        if order % 2 == 0:
-            monomials.append(FnElement.from_poly(curve, one.shift(order // 2)))
-        elif order >= odd:
-            monomials.append(FnElement(curve, zero, one.shift((order - odd) // 2), one))
+    one, zero = Poly.const(curve.field, 1), Poly.zero(curve.field)
+    monomials = [FnElement(curve, zero, one.shift(e), one) if j
+                 else FnElement.from_poly(curve, one.shift(e)) for j, e in _pole_walk(curve, D.n)]
     if D.h is None:
         return monomials
     h_inv = D.h.inv()
@@ -550,16 +551,15 @@ def _rr_rows(curve: WeierstrassCurve, D: DivisorSpec, P, width: int) -> list:
     den = r.poly_eval(h.C, length)
     if num.val - den.val + (D.n if P is INFINITY else 0) != 0:
         raise SupportCollisionError(f"{P!r} lies in the support of the divisor")
-    odd, h_inv = 2 * curve.genus + 1, den.mul(num.inv())
-    chains = [h_inv, s.mul(h_inv)]  # r^i/h and s*r^j/h, of pole orders 2i and odd + 2j
+    h_inv = den.mul(num.inv())
+    chains = [h_inv, s.mul(h_inv)]  # r^e/h and s*r^e/h, each times r when _pole_walk takes it
     rows = []
-    for order in range(D.n + 1):
-        if order % 2 == 0 or order >= odd:
-            fn = chains[order % 2]
-            if fn.abs_prec < width:
-                raise AssertionError(f"row at {P!r} kept {fn.abs_prec} < {width} coefficients")
-            rows.append(([0] * fn.val + fn.coef)[:width])
-            chains[order % 2] = fn.mul(r)
+    for j, _ in _pole_walk(curve, D.n):
+        fn = chains[j]
+        if fn.abs_prec < width:
+            raise AssertionError(f"row at {P!r} kept {fn.abs_prec} < {width} coefficients")
+        rows.append(([0] * fn.val + fn.coef)[:width])
+        chains[j] = fn.mul(r)
     return rows
 
 
@@ -569,12 +569,14 @@ def _rr_rows(curve: WeierstrassCurve, D: DivisorSpec, P, width: int) -> list:
 IzbResult = namedtuple("IzbResult", "elements valuations transform")
 
 
-def _combine(basis, coords, zero):
-    """sum(coords[t] * basis[t]), built from basis[t].scale(c)."""
-    return sum((basis[t].scale(c) for t, c in enumerate(coords) if c), zero)
+def _combine(basis, coord_rows) -> tuple:
+    """sum(coords[t] * basis[t]) for each coords in coord_rows, built from basis[t].scale(c)
+    and starting from basis[0].scale(0), the zero element of either genus."""
+    return tuple(sum((basis[t].scale(c) for t, c in enumerate(coords) if c), basis[0].scale(0))
+                 for coords in coord_rows)
 
 
-def _izb_from_rows(field, basis, coeff_rows, width, zero) -> tuple:
+def _izb_from_rows(field, basis, coeff_rows, width) -> tuple:
     """(valuations, transform) of the increasing zero basis, from one row of local
     coefficients per basis element.
 
@@ -588,7 +590,7 @@ def _izb_from_rows(field, basis, coeff_rows, width, zero) -> tuple:
     rows = [list(row) + [1 if t == i else 0 for t in range(k)] for i, row in enumerate(coeff_rows)]
     used, pivots, remaining = echelon_rows(field, rows, width)
     if remaining:
-        if any(_combine(basis, rows[idx][width:], zero).is_zero for idx in remaining):
+        if any(fn.is_zero for fn in _combine(basis, [rows[idx][width:] for idx in remaining])):
             raise DependentBasisError("input functions are linearly dependent")
         raise PrecisionExhaustedError("valuations not separated at this precision")
     return tuple(pivots), FqMatrix.from_rows(field, [rows[idx][width:] for idx in used])
@@ -618,13 +620,11 @@ def increasing_zero_basis(curve, basis, P, prec: int = None) -> IzbResult:
     if curve is None:
         if P is INFINITY:
             raise PointInSupportError("the point at infinity supports the line divisor")
-        field, zero = basis[0].field, Poly.zero(basis[0].field)
         width = max(p.degree for p in basis) + 1
-        vals, T = _izb_from_rows(field, basis, [_taylor_coeffs(p, P, width) for p in basis],
-                                 width, zero)
-        return IzbResult(tuple(_combine(basis, c, zero) for c in T.to_rows()), vals, T)
+        rows = [_taylor_coeffs(p, P, width) for p in basis]
+        vals, T = _izb_from_rows(basis[0].field, basis, rows, width)
+        return IzbResult(_combine(basis, T.to_rows()), vals, T)
     base = attempt = prec if prec is not None else len(basis) + 4
-    zero = FnElement.zero(curve)
     while True:
         try:
             rows = []
@@ -633,8 +633,8 @@ def increasing_zero_basis(curve, basis, P, prec: int = None) -> IzbResult:
                 if exp.valuation < 0:
                     raise PointInSupportError(f"basis element {i} has a pole at {P!r}")
                 rows.append(([0] * exp.valuation + list(exp.coeffs))[:attempt])
-            vals, T = _izb_from_rows(curve.field, basis, rows, attempt, zero)
-            return IzbResult(tuple(_combine(basis, c, zero) for c in T.to_rows()), vals, T)
+            vals, T = _izb_from_rows(curve.field, basis, rows, attempt)
+            return IzbResult(_combine(basis, T.to_rows()), vals, T)
         except PrecisionExhaustedError:
             if attempt >= 8 * base:
                 raise
@@ -672,15 +672,25 @@ class GoppaConstruction:
 
     @cached_property
     def point_bases(self) -> tuple:
-        zero = Poly.zero(self.field) if self.curve is None else FnElement.zero(self.curve)
-        return tuple(tuple(_combine(self.canonical, coords, zero) for coords in T.to_rows())
-                     for T in self.transforms)
+        return tuple(_combine(self.canonical, T.to_rows()) for T in self.transforms)
 
 
 def _point_key(P):
     if P is INFINITY:
         return ("inf",)
     return (P,) if isinstance(P, int) else tuple(P)
+
+
+def _distinct_points(points, most=None) -> tuple:
+    """points as a tuple, refused if empty, longer than most (when given), or repeating."""
+    points = tuple(points)
+    if not points:
+        raise InvalidInputError("the construction needs at least one point")
+    if most is not None and len(points) > most:
+        raise TooManyPointsError(f"at most {most} points on the line")
+    if len(set(map(_point_key, points))) != len(points):
+        raise DuplicatePointsError("points must be pairwise distinct")
+    return points
 
 
 def _build_generator(field, curve, K, points, basis0, matrices, at_O=None) -> FqMatrix:
@@ -759,8 +769,7 @@ def _assemble(field, curve, points, divisor, canonical, rows, results) -> GoppaC
     t0 = results[0][1]
     matrices = tuple(t0.matmul(inverse(T)) for _, T in results)
     _certify(field, genus, divisor.n, points, t0, matrices, rows)
-    zero = Poly.zero(field) if curve is None else FnElement.zero(curve)
-    basis0 = tuple(_combine(canonical, coords, zero) for coords in t0.to_rows())
+    basis0 = _combine(canonical, t0.to_rows())
     at_O = None if curve is None else next(  # D(O) = 0: column 0 of O's rows is canonical(O)
         (t0.matvec([r[0] for r in R]) for P, R in zip(points, rows) if P is INFINITY), None)
     generator = _build_generator(field, curve, K, points, basis0, matrices, at_O)
@@ -774,19 +783,15 @@ def _assemble(field, curve, points, divisor, canonical, rows, results) -> GoppaC
 
 def goppa_udmg(curve: WeierstrassCurve, points, D: DivisorSpec) -> GoppaConstruction:
     """Genus-1 construction: one K x K matrix per point, K = deg D."""
-    points = tuple(points)
-    if not points:
-        raise InvalidInputError("the construction needs at least one point")
-    if len(set(map(_point_key, points))) != len(points):
-        raise DuplicatePointsError("points must be pairwise distinct")
+    points = _distinct_points(points)
     K = D.n  # l(D) = deg D for genus 1 once deg D >= 1
     if K < 1:
         raise TooFewSectionsError("deg D must be at least 1")
     canonical = rr_basis(curve, D)
     # Valuations of L(D) at a point outside its support are at most deg D = K.
-    width, zero = K + 3, FnElement.zero(curve)
+    width = K + 3
     rows = [_rr_rows(curve, D, P, width) for P in points]
-    results = [_izb_from_rows(curve.field, canonical, R, width, zero) for R in rows]
+    results = [_izb_from_rows(curve.field, canonical, R, width) for R in rows]
     return _assemble(curve.field, curve, points, D, canonical, rows, results)
 
 
@@ -799,26 +804,17 @@ def genus0_udmg(field: FieldSpec, points, K: int) -> GoppaConstruction:
     """
     if K < 1:
         raise ValueError("K must be >= 1")
-    points = tuple(points)
-    if not points:
-        raise InvalidInputError("the construction needs at least one point")
-    if len(points) > field.q + 1:
-        raise TooManyPointsError(f"at most {field.q + 1} points on the line")
-    if len(set(map(_point_key, points))) != len(points):
-        raise DuplicatePointsError("points must be pairwise distinct")
+    points = _distinct_points(points, field.q + 1)
     monomials = [Poly.const(field, 1).shift(j) for j in range(K)]
     shift = K - 1  # D(infinity)
 
-    def rows_at(P):
+    rows, results = [], []
+    for P in points:
         if P is INFINITY:  # in u = 1/x, x^e = u^(c - shift) with c = shift - e: reversed rows
-            return [[m.coeff(shift - c) for c in range(K)] for m in monomials]
-        field.check(P)
-        return [_taylor_coeffs(m, P, K) for m in monomials]
-
-    rows = [rows_at(P) for P in points]
-    results = []
-    for P, R in zip(points, rows):
-        vals, T = _izb_from_rows(field, monomials, R, K, Poly.zero(field))
+            rows.append([[m.coeff(shift - c) for c in range(K)] for m in monomials])
+        else:
+            rows.append([_taylor_coeffs(m, P, K) for m in monomials])  # its Poly.make checks P
+        vals, T = _izb_from_rows(field, monomials, rows[-1], K)
         if P is INFINITY:  # column c is the order c - shift
             vals = tuple(v - shift for v in vals)
         results.append((vals, T))

@@ -9,8 +9,8 @@ Prime fields compute with `%`.  An extension field with q <= TABLE_MAX_ORDER
 computes by table lookup: on its first operation it builds, once per
 (p, m, modulus), the powers of a primitive element alpha (antilog), their
 logarithms, and Zech's logarithms Z(n) with 1 + alpha^n = alpha^Z(n)
-(Lidl & Niederreiter, Finite Fields, ch. 9), so mul, inv, div and pow_ add
-or scale logarithms, and add, sub and neg take one Zech lookup (XOR of the
+(Lidl & Niederreiter, Finite Fields, ch. 9), so mul, inv and div add or
+subtract logarithms, and add, sub and neg take one Zech lookup (XOR of the
 packed reps in characteristic 2).  Above that, where the tables would take
 megabytes each, a characteristic-2 field computes on the packed reps as bit
 patterns: add is XOR, mul a shift/XOR carry-less product reduced by the
@@ -301,6 +301,8 @@ class FieldSpec:
     # -- element operations on integer reps ----------------------------------
 
     def check(self, a: int) -> int:
+        if type(a) is not int:  # refuses bool and 1.5, not coerced
+            raise TypeError(f"rep {a!r} is not an integer")
         if not 0 <= a < self.q:
             raise ValueError(f"rep {a} outside [0, {self.q})")
         return a
@@ -428,14 +430,6 @@ class FieldSpec:
         return acc if zech is None else 0 if acc is None else exp[acc]
 
     def pow_(self, a: int, e: int) -> int:
-        t = self._tables
-        if t is not None:
-            if a == 0:
-                if e < 0:
-                    raise ZeroDivisionError("inverse of zero")
-                return 0 if e else 1
-            exp, log, _, order = t or self._build_tables()
-            return exp[e * log[a] % order]
         if e < 0:
             return self.pow_(self.inv(a), -e)
         result, base = 1, a

@@ -26,7 +26,7 @@ class Poly:
 
     @classmethod
     def make(cls, field: FieldSpec, coeffs) -> "Poly":
-        return cls(field, tuple(field.check(int(c)) for c in coeffs))
+        return cls(field, tuple(map(field.check, coeffs)))
 
     @classmethod
     def const(cls, field: FieldSpec, c: int) -> "Poly":

@@ -1,8 +1,10 @@
 """Gapped PAM modulation and square-matrix-set coding schemes, audited exactly.
 
-All modulation arithmetic is exact: public values are Fractions, and the
-exhaustive audits run on the integer rescaling 2qN * mu0, which is always an
-integer, so no inequality can be blurred by rounding.
+All modulation arithmetic is exact.  The PAM value is defined in integer
+form: scaled_weights gives W_i, _scaled_form the coefficients C_k and the
+offset, and mu0_scaled the value 2qN * mu0.  The public Fractions (weights,
+mu0) divide those integers, and the audits run on them directly, so no
+inequality can be blurred by rounding.
 
 Orientation note: a message row vector v is encoded per subchannel as v * M_i
 (vector times matrix).  With that orientation, two distinct messages whose
@@ -43,8 +45,8 @@ MAX_PAIR_SQUARE = 1 << 24
 class Modulator:
     """Weighted q^N-PAM over symbol vectors in {0, ..., q-1}^N.
 
-    Weight i (1-based symbol position) is 1 + ((q-1)(N+1-i)+1)/(qN), which
-    always lies in [1, 2]; the weights open a gap of more than q^(N-m-1)/N
+    Weight i (1-based symbol position) is W_i/(qN) = 1 + ((q-1)(N+1-i)+1)/(qN),
+    which always lies in [1, 2]; the weights open a gap of more than q^(N-m-1)/N
     between modulated vectors that agree in exactly their first m symbols
     (the gap lemma, _lex_steps).
     """
@@ -60,14 +62,12 @@ class Modulator:
 
     @property
     def weights(self) -> tuple:
-        q, N = self.q, self.N
-        w = tuple(1 + Fraction((q - 1) * (N + 1 - i) + 1, q * N)
-                  for i in range(1, N + 1))
+        w = tuple(Fraction(W, self.q * self.N) for W in self.scaled_weights())
         assert all(1 <= wi <= 2 for wi in w)
         return w
 
     def scaled_weights(self) -> tuple:
-        """Integer weights W_i = 2qN * w_i / 2 = qN + (q-1)(N+1-i) + 1."""
+        """Integer weights W_i = qN + (q-1)(N+1-i) + 1, which define weights as W_i/(qN)."""
         q, N = self.q, self.N
         return tuple(q * N + (q - 1) * (N + 1 - i) + 1 for i in range(1, N + 1))
 
@@ -82,18 +82,13 @@ class Modulator:
 
 
 def mu0(mod: Modulator, a) -> Fraction:
-    """Exact gapped-PAM value of one symbol vector."""
-    a = mod.check_symbols(a)
-    q, N = mod.q, mod.N
-    w = mod.weights
-    total = Fraction(0)
-    for i, ai in enumerate(a, start=1):
-        total += (ai - Fraction(q - 1, 2)) * q ** (N - i) * w[i - 1]
-    return total
+    """Exact gapped-PAM value of one symbol vector: mu0_scaled(a) / (2qN)."""
+    return Fraction(mu0_scaled(mod, a), 2 * mod.q * mod.N)
 
 
 def mu0_scaled(mod: Modulator, a) -> int:
     """2qN * mu0(a), always an integer; the audits' scaled value."""
+    a = mod.check_symbols(a)
     C, offset = _scaled_form(mod)
     return 2 * sum(map(mul, C, a)) - offset
 
@@ -269,21 +264,21 @@ class SnrReport:
 def snr(scheme: CodeScheme) -> SnrReport:
     """Exact average power over the message space, with its sandwich bounds.
 
-    Channel i adds E[(sum_k c_k d(u_k))^2], u uniform on U_i = W M_i, c_k = q^(N-k) W_k,
+    Channel i adds E[(sum_k C_k d(u_k))^2], u uniform on U_i = W M_i, C from _scaled_form,
     d(x) = 2x - (q-1); columns on one line give u_k = s_k y, y uniform; lines are independent.
     """
     f = scheme.udmg.field
     q, N, L = f.q, scheme.N, scheme.L
-    W = scheme.modulator.scaled_weights()
+    C, _ = _scaled_form(scheme.modulator)
     images = [scheme.encode(v) for v in scheme.message_space.vectors]
     total = 0  # q times the mean of (2qN mu0)^2 over the messages, summed over channels
     for i in range(L):
-        lines = {}  # normalised column -> [(c_k, s_k)]; zero columns (s_k = 0) share key None
+        lines = {}  # normalised column -> [(C_k, s_k)]; zero columns (s_k = 0) share key None
         for k in range(N):
             col = [img[i][k] for img in images]
             lead = next((x for x in col if x), 0)
             key = tuple(f.div(x, lead) for x in col) if lead else None
-            lines.setdefault(key, []).append((q ** (N - 1 - k) * W[k], lead))
+            lines.setdefault(key, []).append((C[k], lead))
         for line in lines.values():  # E[d(u_k) d(u_l)] = 0 across lines, as E[d(y)] = 0
             total += sum(sum(c * (2 * f.mul(s, y) - q + 1) for c, s in line) ** 2 for y in range(q))
     value = Fraction(total, q * (2 * q * N) ** 2)

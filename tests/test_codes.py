@@ -175,6 +175,20 @@ def test_bounds_asmds():
     assert rep.asmds_holds
 
 
+@pytest.mark.parametrize("lengths", [(2.9, 3, 3), (3, 3.0, 3), (True, 3, 3)])
+def test_bounds_refuse_non_integer_lengths(lengths):
+    # int() used to truncate these: (2.9, 3, 3) read gamma 2
+    with pytest.raises(TypeError):
+        bounds(3, 5, 1, lengths=lengths)
+
+
+@pytest.mark.parametrize("nks", [(5.5, 3, 1.2), (9, 3, 1.0), (9, True, 1)])
+def test_bounds_refuse_non_integer_nks(nks):
+    # (5.5, 3, 1.2) used to give an asmds bound of 14.2
+    with pytest.raises(TypeError):
+        bounds(3, 5, 1, nks=nks)
+
+
 def test_partition_bound_monotone():
     assert partition_bound(4, 2, 2) == 8
     assert partition_bound(2, 5, 0) >= 1

@@ -31,6 +31,7 @@ from udmg.errors import (
     PrecisionExhaustedError,
     SingularCurveError,
     SupportCollisionError,
+    TooManyPointsError,
 )
 from udmg.fields import make_field
 from udmg.linalg import FqMatrix, inverse
@@ -58,6 +59,19 @@ def test_curve_construction():
     assert curve_new(F7, 1, 0).a == 1
     with pytest.raises(BadCharacteristicError):
         curve_new(make_field(3), 1, 1)
+
+
+@pytest.mark.parametrize("a,b", [(1.5, True), (1, 1.0), (True, 1), (1, False)])
+def test_curve_refuses_non_integer_coefficients(a, b):
+    # Poly.make's int() used to coerce these: (1.5, True) built r^3 + r + 1
+    with pytest.raises(TypeError):
+        curve_new(F5, a, b)
+
+
+@pytest.mark.parametrize("n", [2.5, 3.0, True])
+def test_divisor_refuses_a_non_integer_multiplicity(n):
+    with pytest.raises(TypeError):
+        DivisorSpec(n)
 
 
 @pytest.mark.parametrize("field", [F5, F7, make_field(5, 2)])
@@ -316,11 +330,38 @@ def test_genus0_rejections():
         genus0_udmg(F5, [1, 1], 2)
 
 
+# The point checks of both constructions, with their messages and order: no
+# points, then (on the line) more than q + 1 points, then a repeated point, all
+# before any point is read; genus0_udmg checks K first, goppa_udmg deg D after.
+
 def test_constructions_refuse_an_empty_point_list(ref_curve):
-    with pytest.raises(InvalidInputError):
-        genus0_udmg(F5, [], 2)
-    with pytest.raises(InvalidInputError):
+    msg = "^the construction needs at least one point$"
+    with pytest.raises(InvalidInputError, match=msg):
+        genus0_udmg(F5, iter([]), 2)
+    with pytest.raises(InvalidInputError, match=msg):
         goppa_udmg(ref_curve, [], reference.divisor())
+    with pytest.raises(InvalidInputError, match=msg):
+        goppa_udmg(ref_curve, iter([]), DivisorSpec(0))  # before the check on deg D
+    with pytest.raises(ValueError, match="^K must be >= 1$"):
+        genus0_udmg(F5, [], 0)  # K is checked first
+
+
+def test_constructions_name_a_repeated_point(ref_curve):
+    msg = "^points must be pairwise distinct$"
+    with pytest.raises(DuplicatePointsError, match=msg):
+        genus0_udmg(F5, iter([1, 7, 7]), 2)  # before 7 is found outside GF(5)
+    with pytest.raises(DuplicatePointsError, match=msg):
+        goppa_udmg(ref_curve, iter([(0, 1), (1, 1), (1, 1)]), DivisorSpec(0))  # (1, 1) is off the curve
+    with pytest.raises(DuplicatePointsError, match=msg):
+        genus0_udmg(F5, [INFINITY, 0, INFINITY], 2)
+
+
+def test_line_construction_names_too_many_points():
+    F13 = make_field(13)
+    points = list(range(13)) + [INFINITY, 0]  # 15 points, one repeated: the count is checked first
+    with pytest.raises(TooManyPointsError, match=r"^at most 14 points on the line$"):
+        genus0_udmg(F13, iter(points), 3)
+    assert genus0_udmg(F13, points[:14], 3).udmg.L == 14
 
 
 def test_extension_field_curve():

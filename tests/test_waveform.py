@@ -14,6 +14,7 @@ from udmg.errors import (
     EqualInputsError,
     HypothesisUnmetError,
     NotSquareError,
+    SymbolOutOfRangeError,
     TooLargeError,
     UdmgError,
 )
@@ -67,6 +68,39 @@ def test_mu0_scaled_agrees():
         mod = Modulator(q, N)
         for a in product(range(q), repeat=N):
             assert Fraction(mu0_scaled(mod, a), 2 * q * N) == mu0(mod, a)
+
+
+# The PAM value is defined in integer form (scaled_weights, _scaled_form); the
+# Fraction sums it replaced are kept here as the oracle.
+
+def weights_by_fractions(q, N):
+    return tuple(1 + Fraction((q - 1) * (N + 1 - i) + 1, q * N) for i in range(1, N + 1))
+
+
+def mu0_by_fractions(q, N, a):
+    w = weights_by_fractions(q, N)
+    return sum((ai - Fraction(q - 1, 2)) * q ** (N - i) * w[i - 1]
+               for i, ai in enumerate(a, start=1))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8])
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_pam_value_matches_the_fraction_sums(q, N):
+    mod = Modulator(q, N)
+    assert mod.weights == weights_by_fractions(q, N)
+    for a in product(range(q), repeat=N):
+        want = mu0_by_fractions(q, N, a)
+        assert mu0(mod, a) == want
+        assert mu0_scaled(mod, a) == want * 2 * q * N
+
+
+@pytest.mark.parametrize("a", [(1,), (5, 9), (1, 1, 1), (3, 0), (0, -1)])
+def test_mu0_scaled_refuses_malformed_symbols(a):
+    # mu0_scaled used to read (1,) as -18, (5, 9) as 408 and (1, 1, 1) as 0
+    mod = Modulator(3, 2)
+    for value in (mu0, mu0_scaled):
+        with pytest.raises(SymbolOutOfRangeError):
+            value(mod, a)
 
 
 def test_pam_symmetry():
