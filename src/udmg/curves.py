@@ -9,14 +9,14 @@ enumeration, exact function-field arithmetic in the canonical form
 divisors of the shape n*O + (h), increasing zero bases, and the
 evaluation-code matrix construction.
 
-Both genera run one pipeline: rows of local coefficients at each point
-(Taylor rows on the projective line; on the curve, rows of r^i/h and s*r^j/h
-read off one expansion of r, s and 1/h), extended by the identity, go through
-linalg's forward elimination (echelon_rows) to give the increasing zero basis,
-and one assembly builds the matrices, certifies them valid by a valuation
-check that the degree of D justifies (no scan of allowable vectors), and
-checks the generator.  Every expansion has a fixed length that the degree of
-a principal divisor bounds in advance: no retries, no cache between calls.
+Both genera run one pipeline: rows of local coefficients, read off one
+expansion per point (Taylor rows p(x0 + t) on the projective line; on the
+curve, (A + s B)/C on one expansion of r and s, or r^i/h and s*r^j/h by chains
+from 1/h), extended by the identity, go through linalg's forward elimination
+(echelon_rows) to the increasing zero basis, and one assembly builds the
+matrices, certifies them valid by a valuation check that the degree of D
+justifies (no scan of allowable vectors), and checks the generator.  Widths
+and lengths are bounded in advance: no retries, no cache between calls.
 
 Local uniformizers are fixed once and for all so that independent runs agree:
 t = r - x(P) at an affine point with s(P) != 0, t = s at an affine point with
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import cached_property
+from functools import cached_property, reduce
 
 # _verify_fast is unused here since the construction certifies itself; it stays
 # bound because perfbench/tracer.py wraps curves._verify_fast.
@@ -101,6 +101,8 @@ class WeierstrassCurve:
     def contains(self, P) -> bool:
         if P is INFINITY:
             return True
+        if not isinstance(P, (tuple, list)) or len(P) != 2:
+            raise InvalidInputError(f"point {P!r} is neither O nor a pair (x, y)")
         x, y = P
         return self.field.mul(y, y) == self.F(x)
 
@@ -303,30 +305,21 @@ class Series:
     def abs_prec(self):
         return self.val + len(self.coef)
 
-    @property
-    def is_zero_to_prec(self):
-        return not self.coef
-
     def add(self, other):
         hi = min(self.abs_prec, other.abs_prec)
         lo = min(self.val, other.val)
         if lo >= hi:
             return Series(self.field, hi, [])
-        out = [0] * (hi - lo)
-        f = self.field
-        for i, c in enumerate(self.coef):
-            k = self.val + i - lo
-            if 0 <= k < len(out):
-                out[k] = c
-        for i, c in enumerate(other.coef):
-            k = other.val + i - lo
-            if 0 <= k < len(out):
-                out[k] = f.add(out[k], c)
+        f, out = self.field, [0] * (hi - lo)
+        for x in (self, other):  # each term below hi, at offset x.val - lo >= 0
+            for k, c in enumerate(x.coef[:max(hi - x.val, 0)], x.val - lo):
+                if c:
+                    out[k] = f.add(out[k], c)
         return Series(f, lo, out)
 
     def mul(self, other):
         f = self.field
-        if self.is_zero_to_prec or other.is_zero_to_prec:
+        if not self.coef or not other.coef:
             bound = min(self.val + other.abs_prec, other.val + self.abs_prec)
             return Series(f, bound, [])
         n = min(len(self.coef), len(other.coef))
@@ -339,7 +332,7 @@ class Series:
         return Series(f, self.val + other.val, out)
 
     def inv(self):
-        if self.is_zero_to_prec:
+        if not self.coef:
             raise PrecisionExhaustedError("cannot invert a series that is zero to precision")
         f = self.field
         n = len(self.coef)
@@ -347,12 +340,17 @@ class Series:
         out = [a0_inv] + [0] * (n - 1)
         for k in range(1, n):
             acc = 0
-            for j in range(1, k + 1):
-                aj = self.coef[j] if j < n else 0
-                if aj and out[k - j]:
-                    acc = f.add(acc, f.mul(aj, out[k - j]))
+            for j in range(1, k + 1):  # j <= k < n
+                if self.coef[j] and out[k - j]:
+                    acc = f.add(acc, f.mul(self.coef[j], out[k - j]))
             out[k] = f.neg(f.mul(a0_inv, acc))
         return Series(f, -self.val, out)
+
+    def row(self, width: int) -> list:
+        """Coefficients of t^0, ..., t^(width-1), for a series of valuation >= 0."""
+        if self.abs_prec < width:
+            raise AssertionError(f"series kept {self.abs_prec} < {width} coefficients")
+        return ([0] * self.val + self.coef)[:width]
 
     def poly_eval(self, poly: Poly, const_len: int):
         """Horner evaluation of an exact polynomial at this series."""
@@ -390,6 +388,12 @@ def _solve_series(f, target, lag: int, h, length: int) -> list:
     return x
 
 
+def _taylor_rows(f, polys, x0: int, width: int) -> list:
+    """Coefficients of t^0, ..., t^(width-1) of p(x0 + t) for each p in polys, x0 in f."""
+    x = Series(f, 0, [f.check(x0), 1] + [0] * (width - 2))
+    return [x.poly_eval(p, width).row(width) for p in polys]
+
+
 def _coordinate_series(curve: WeierstrassCurve, P, length: int):
     """Series for (r, s) in the fixed uniformizer at P, each from F alone."""
     if not curve.contains(P):
@@ -405,7 +409,7 @@ def _coordinate_series(curve: WeierstrassCurve, P, length: int):
             rg = rg.mul(r)
         return r, Series(f, rg.val - 1, rg.coef)
     x0, y0 = P
-    G = _taylor_coeffs(F, x0, d + 1)  # F(x0 + t)
+    G = _taylor_rows(f, [F], x0, d + 1)[0]  # F(x0 + t)
     if y0 != 0:
         # t = r - x0, s = y0 + w: w = (G(t) - G(0) - w^2) / (2 y0).
         c = f.inv(f.mul(2, y0))
@@ -432,6 +436,12 @@ class LocalExpansion:
         return len(self.coeffs)
 
 
+def _fn_series(fn: FnElement, r: Series, s: Series, length: int) -> Series:
+    """fn = (A + s*B)/C on the series r and s of one point, each known to O(t^length)."""
+    num = r.poly_eval(fn.A, length).add(s.mul(r.poly_eval(fn.B, length)))
+    return num.mul(r.poly_eval(fn.C, length).inv())
+
+
 def local_expand(curve: WeierstrassCurve, fn: FnElement, P, prec: int) -> LocalExpansion:
     """Expand fn at P to relative precision prec in the fixed uniformizer.
 
@@ -451,9 +461,7 @@ def local_expand(curve: WeierstrassCurve, fn: FnElement, P, prec: int) -> LocalE
         raise PrecisionExhaustedError("the zero function has no finite order")
     maxd = max(fn.A.degree, fn.B.degree, fn.C.degree, 1)
     length = prec + 4 * (maxd + 2 * curve.genus + 1)
-    r, s = _coordinate_series(curve, P, length)
-    num = r.poly_eval(fn.A, length).add(s.mul(r.poly_eval(fn.B, length)))
-    out = num.mul(r.poly_eval(fn.C, length).inv())
+    out = _fn_series(fn, *_coordinate_series(curve, P, length), length)
     if len(out.coef) < prec:
         raise AssertionError(f"expansion at {P!r} kept {len(out.coef)} < {prec} coefficients")
     return LocalExpansion(out.val, tuple(out.coef[:prec]))
@@ -533,8 +541,8 @@ def _rr_rows(curve: WeierstrassCurve, D: DivisorSpec, P, width: int) -> list:
     """Local rows at P of rr_basis(curve, D), read off one expansion of r, s and 1/h.
 
     Row i holds the coefficients of t^0, ..., t^(width-1) of r^i/h or s*r^j/h,
-    the i-th element of rr_basis: the row local_expand gives.  1/h is
-    C(r) * (A(r) + s*B(r))^-1, never the norm of h, and the same series give
+    the i-th element of rr_basis: the row local_expand gives.  1/h inverts h's
+    series (_fn_series), never the norm of h, and the same series gives
     D(P) = v_P(h) (+ n at O); SupportCollisionError unless D(P) = 0.
 
     The length L = width + 2*(deg C + 1) suffices.  At an affine point every
@@ -547,19 +555,15 @@ def _rr_rows(curve: WeierstrassCurve, D: DivisorSpec, P, width: int) -> list:
     h = D.h or FnElement.const(curve, 1)
     length = width + 2 * (h.C.degree + 1)
     r, s = _coordinate_series(curve, P, length)
-    num = r.poly_eval(h.A, length).add(s.mul(r.poly_eval(h.B, length)))
-    den = r.poly_eval(h.C, length)
-    if num.val - den.val + (D.n if P is INFINITY else 0) != 0:
+    h_series = _fn_series(h, r, s, length)
+    if h_series.val + (D.n if P is INFINITY else 0) != 0:
         raise SupportCollisionError(f"{P!r} lies in the support of the divisor")
-    h_inv = den.mul(num.inv())
+    h_inv = h_series.inv()
     chains = [h_inv, s.mul(h_inv)]  # r^e/h and s*r^e/h, each times r when _pole_walk takes it
     rows = []
     for j, _ in _pole_walk(curve, D.n):
-        fn = chains[j]
-        if fn.abs_prec < width:
-            raise AssertionError(f"row at {P!r} kept {fn.abs_prec} < {width} coefficients")
-        rows.append(([0] * fn.val + fn.coef)[:width])
-        chains[j] = fn.mul(r)
+        rows.append(chains[j].row(width))
+        chains[j] = chains[j].mul(r)
     return rows
 
 
@@ -596,49 +600,47 @@ def _izb_from_rows(field, basis, coeff_rows, width) -> tuple:
     return tuple(pivots), FqMatrix.from_rows(field, [rows[idx][width:] for idx in used])
 
 
-def _taylor_coeffs(poly: Poly, x0: int, width: int):
-    """Coefficients of poly(x0 + t) as a list of the given width."""
-    f = poly.field
-    shifted = Poly.const(f, 0)
-    lin = Poly.make(f, (x0, 1))
-    for c in reversed(poly.coeffs):
-        shifted = shifted * lin + Poly.const(f, c)
-    return [shifted.coeff(i) for i in range(width)]
-
-
 def increasing_zero_basis(curve, basis, P, prec: int = None) -> IzbResult:
     """Reorder/combine basis so valuations at P strictly increase from 0.
 
     Works for function-field elements on a curve (curve given) and for
-    polynomials on the line (curve = None, P a field element).  Every output
-    element is normalized to leading local coefficient 1.  Both feed the
-    same elimination: exact Taylor rows on the line, local_expand rows to
-    precision prec (default len(basis) + 4) on the curve.  A caller's basis
-    may have valuations beyond that window, so on the curve the precision
-    doubles, up to 8x, while valuations are not separated.
+    polynomials on the line (curve = None, P a field element); an empty basis
+    gives the empty result, with no transform, on both.  Every output element
+    is normalized to leading local coefficient 1.  The rows are read off one
+    expansion at P: Taylor rows of p(P + t) on the line; on the curve,
+    (A + s*B)/C on r and s, at width prec if given (too small raises
+    PrecisionExhausted), else at one more than the degree of the pole divisor
+    of any nonzero combination f, which bounds v_P(f).  With lam = lcm(C_i),
+    f = N/lam: lam(r) has 2 deg lam zeros, and N = A + s*B its only pole at O,
+    of order at most max_i(max(2 deg A_i, 2 deg B_i + 2g + 1) + 2(deg lam -
+    deg C_i)) (no cancellation, as in local_expand); so f has at most
+    max(2 deg lam, that order) poles.  The length adds 2 max deg C_i (as in
+    _rr_rows) and 2g + 1 (at O, s*0 is known to O(t^(L - 2g - 1))) to the width.
     """
+    if not basis:  # a 0 x 0 transform would need a field, which [] on the line does not name
+        return IzbResult((), (), None)
     if curve is None:
         if P is INFINITY:
             raise PointInSupportError("the point at infinity supports the line divisor")
-        width = max(p.degree for p in basis) + 1
-        rows = [_taylor_coeffs(p, P, width) for p in basis]
-        vals, T = _izb_from_rows(basis[0].field, basis, rows, width)
-        return IzbResult(_combine(basis, T.to_rows()), vals, T)
-    base = attempt = prec if prec is not None else len(basis) + 4
-    while True:
-        try:
-            rows = []
-            for i, fn in enumerate(basis):
-                exp = local_expand(curve, fn, P, attempt)
-                if exp.valuation < 0:
-                    raise PointInSupportError(f"basis element {i} has a pole at {P!r}")
-                rows.append(([0] * exp.valuation + list(exp.coeffs))[:attempt])
-            vals, T = _izb_from_rows(curve.field, basis, rows, attempt)
-            return IzbResult(_combine(basis, T.to_rows()), vals, T)
-        except PrecisionExhaustedError:
-            if attempt >= 8 * base:
-                raise
-            attempt *= 2
+        field, width = basis[0].field, max(p.degree for p in basis) + 1
+        rows = _taylor_rows(field, basis, P, width)
+    else:
+        field, width = curve.field, prec
+        if prec is None:
+            lam = reduce(lambda a, c: a * c // a.gcd(c), (fn.C for fn in basis)).degree
+            width = 1 + max([2 * lam] + [max(2 * fn.A.degree, 2 * fn.B.degree + 2 * curve.genus + 1)
+                                         + 2 * (lam - fn.C.degree) for fn in basis])
+        elif prec < 1:
+            raise ValueError("prec must be >= 1")
+        length = width + 2 * (max(fn.C.degree for fn in basis) + curve.genus) + 1
+        r, s = _coordinate_series(curve, P, length)
+        rows = [_fn_series(fn, r, s, length) for fn in basis]
+        for i, x in enumerate(rows):
+            if x.val < 0:
+                raise PointInSupportError(f"basis element {i} has a pole at {P!r}")
+            rows[i] = x.row(width)
+    vals, T = _izb_from_rows(field, basis, rows, width)
+    return IzbResult(_combine(basis, T.to_rows()), vals, T)
 
 
 # -- the Goppa matrix-set construction ------------------------------------------
@@ -676,9 +678,7 @@ class GoppaConstruction:
 
 
 def _point_key(P):
-    if P is INFINITY:
-        return ("inf",)
-    return (P,) if isinstance(P, int) else tuple(P)
+    return tuple(P) if isinstance(P, list) else P  # O, 3, 1.5 and (0, 1) are keys as they are
 
 
 def _distinct_points(points, most=None) -> tuple:
@@ -802,20 +802,17 @@ def genus0_udmg(field: FieldSpec, points, K: int) -> GoppaConstruction:
     finite point x0 is (x - x0)^j, and at infinity the reversed monomials
     (valuations -(K-1), ..., 0 in the uniformizer 1/x).
     """
+    if type(K) is not int:  # refuses bool and 2.5, not coerced
+        raise TypeError(f"K = {K!r} must be an integer")
     if K < 1:
         raise ValueError("K must be >= 1")
     points = _distinct_points(points, field.q + 1)
     monomials = [Poly.const(field, 1).shift(j) for j in range(K)]
     shift = K - 1  # D(infinity)
-
-    rows, results = [], []
-    for P in points:
-        if P is INFINITY:  # in u = 1/x, x^e = u^(c - shift) with c = shift - e: reversed rows
-            rows.append([[m.coeff(shift - c) for c in range(K)] for m in monomials])
-        else:
-            rows.append([_taylor_coeffs(m, P, K) for m in monomials])  # its Poly.make checks P
-        vals, T = _izb_from_rows(field, monomials, rows[-1], K)
-        if P is INFINITY:  # column c is the order c - shift
-            vals = tuple(v - shift for v in vals)
-        results.append((vals, T))
+    # at infinity, in u = 1/x, x^e = u^(c - shift) with c = shift - e: reversed rows
+    rows = [[[m.coeff(shift - c) for c in range(K)] for m in monomials] if P is INFINITY
+            else _taylor_rows(field, monomials, P, K) for P in points]  # field.check refuses P
+    results = [_izb_from_rows(field, monomials, R, K) for R in rows]
+    results = [(tuple(v - shift for v in vals) if P is INFINITY else vals, T)  # column c: order c - shift
+               for P, (vals, T) in zip(points, results)]
     return _assemble(field, None, points, DivisorSpec(K - 1, None), monomials, rows, results)

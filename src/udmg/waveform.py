@@ -55,6 +55,8 @@ class Modulator:
     N: int
 
     def __post_init__(self):
+        if type(self.q) is not int or type(self.N) is not int:  # refuses bool and 2.5, not coerced
+            raise TypeError(f"q = {self.q!r} and N = {self.N!r} must be integers")
         if self.q < 2:
             raise ValueError("alphabet needs q >= 2")
         if self.N < 1:

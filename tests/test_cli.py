@@ -291,6 +291,19 @@ PINNED_CONSTRUCTIONS = {
                                             21, 14, 9, 28, 4)]},
                "4af05196ca9324bc57e9ebf8b88d4bd0957c6bc66b943ca79ee659cbedfdf557",
                "6378d8b3975fa2ba7ca67e4e481494bc4186afd7593840ec0a2ef24ba72338f0"),
+    # genus-0 K = 3 sets over the large fields of the benchmark's cli_small workload
+    "g0_q65536": ({"q": 1 << 16, "genus": 0, "K": 3,
+                   "points": ["8120", "31983", "49841", "29175", "32314", "60931"]},
+                  "e99f214bbcc3f191c30b12c530b95bdecdd3d40d39b17f36afe80ab2414eaf04",
+                  "78a79ce6854fe6cf5a216a1d2c328a49307346840bf30ae18a84f266c7e1761f"),
+    "g0_q1048576": ({"q": 1 << 20, "genus": 0, "K": 3,
+                     "points": ["239422", "918850", "298649", "1020584", "817468", "308327"]},
+                    "e1f2678d7a837fae5148ff1836145110b107d303e13687fd0b5168ce8967e54c",
+                    "0d9a4d1ae0116481e09bfb7e72bb182262ad8b7713a617e3c76a70e42cb8ff99"),
+    "g0_q1048573": ({"q": 1048573, "genus": 0, "K": 3,
+                     "points": ["494774", "1044945", "822510", "731349", "1040710", "931142"]},
+                    "02f2099515270d0ef465d70b64544f1505ef98998e40346a1d10f09a6d3c1d5b",
+                    "7aaf703591a4b8c11e8f0e73fc86da011bb52ecc5a54dc1aa53849534e92d896"),
     "g1_q25": ({"q": 25, "genus": 1, "a": 1, "b": 1, "divisor": {"n": 3},
                 "points": [[13, 2], [0, 1], [8, 14], [23, 19], [1, 5], [11, 24], [4, 3], [17, 20],
                            [2, 4], [16, 9], [12, 5], [18, 3], [3, 1], [0, 4]]},

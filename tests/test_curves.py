@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -330,6 +331,42 @@ def test_genus0_rejections():
         genus0_udmg(F5, [1, 1], 2)
 
 
+@pytest.mark.parametrize("K", [True, 2.5, 2.0])
+def test_genus0_refuses_a_non_integer_k(K):
+    # K = True once built a K = 1 set
+    with pytest.raises(TypeError, match="must be an integer"):
+        genus0_udmg(F5, [0, 1], K)
+
+
+def test_line_points_go_through_the_field_check():
+    # [0, 1.5] once failed in the duplicate check: 'float' object is not iterable
+    with pytest.raises(TypeError, match=r"^rep 1\.5 is not an integer$"):
+        genus0_udmg(F5, [0, 1.5], 2)
+    with pytest.raises(TypeError, match="rep True"):
+        genus0_udmg(F5, [0, True], 2)
+    with pytest.raises(ValueError, match=r"^rep 7 outside \[0, 5\)$"):
+        genus0_udmg(F5, [0, 7], 2)
+    basis = [Poly.const(F5, 1), Poly.x(F5)]
+    for P in (1.5, 7, (0, 1)):
+        with pytest.raises((TypeError, ValueError), match="^rep "):
+            increasing_zero_basis(None, basis, P)
+
+
+@pytest.mark.parametrize("P", [1.5, 3, (0, 1, 2), [0], "O"])
+def test_curve_points_are_o_or_a_pair(ref_curve, P):
+    # each once failed with its own unpacking error
+    msg = f"^point {re.escape(repr(P))} is neither O nor a pair \\(x, y\\)$"
+    with pytest.raises(InvalidInputError, match=msg):
+        goppa_udmg(ref_curve, [P], reference.divisor())
+    with pytest.raises(InvalidInputError, match=msg):
+        goppa_udmg(ref_curve, [(0, 1), P], reference.divisor())
+    r = FnElement.r(ref_curve)
+    for call in (lambda: evaluate(ref_curve, r, P), lambda: local_expand(ref_curve, r, P, 2),
+                 lambda: increasing_zero_basis(ref_curve, [r], P)):
+        with pytest.raises(InvalidInputError, match=msg):
+            call()
+
+
 # The point checks of both constructions, with their messages and order: no
 # points, then (on the line) more than q + 1 points, then a repeated point, all
 # before any point is read; genus0_udmg checks K first, goppa_udmg deg D after.
@@ -571,28 +608,124 @@ def test_zero_function_is_the_only_precision_failure(ref_curve):
         assert evaluate(ref_curve, FnElement.zero(ref_curve), P) == 0
 
 
-# -- increasing_zero_basis: the precision retry ------------------------------------
+# -- increasing_zero_basis: one expansion per point, at a width fixed in advance -----
+#
+# The rows come from one expansion of r and s per call, at a width bounded in
+# advance by the degree of the pole divisor of a combination.  The route it
+# replaced, one local_expand per basis element, is kept here as the oracle the
+# rows must equal entry for entry.
 
-def test_izb_retries_until_valuations_separate(ref_curve, monkeypatch):
-    import udmg.curves as curves
+def izb_spy(monkeypatch):
+    """Record every width the elimination gets, its rows, and every point expanded."""
+    seen = {"widths": [], "rows": [], "points": []}
+    izb_from_rows, series = curves._izb_from_rows, curves._coordinate_series
 
-    precs = []
+    def from_rows(field, basis, rows, width):
+        seen["widths"].append(width)
+        seen["rows"].append([list(row) for row in rows])
+        return izb_from_rows(field, basis, rows, width)
 
-    def recording(curve, fn, P, prec):
-        precs.append(prec)
-        return local_expand(curve, fn, P, prec)
+    monkeypatch.setattr(curves, "_izb_from_rows", from_rows)
+    monkeypatch.setattr(curves, "_coordinate_series",
+                        lambda curve, P, length: seen["points"].append(P) or series(curve, P, length))
+    return seen
 
-    monkeypatch.setattr(curves, "local_expand", recording)
-    # r is the uniformizer at (0, 1); the default window is len(basis) + 4 = 6
+
+def izb_rows_by_local_expand(curve, basis, P, width):
+    """Oracle: the coefficients of t^0, ..., t^(width-1) of each basis element at P."""
+    rows = []
+    for fn in basis:
+        exp = local_expand(curve, fn, P, width)
+        assert exp.valuation >= 0
+        rows.append(([0] * exp.valuation + list(exp.coeffs))[:width])
+    return rows
+
+
+def test_izb_expands_once_at_a_width_fixed_in_advance(ref_curve, abc, monkeypatch):
+    seen = izb_spy(monkeypatch)
     one, r = FnElement.const(ref_curve, 1), FnElement.r(ref_curve)
-    res = increasing_zero_basis(ref_curve, [one, r ** 8], (0, 1))
-    assert res.valuations == (0, 8) and sorted(set(precs)) == [6, 12]  # one retry
-    precs.clear()
+    # r is the uniformizer at (0, 1); the width is one more than the pole bound
+    for basis, vals, width in (([one, r ** 8], (0, 8), 17),
+                               ([one, r ** 30 + r ** 31], (0, 30), 63),
+                               ([one, r ** 60], (0, 60), 121),  # beyond the old 8x cap
+                               (list(abc), (0, 1, 2), 7),  # the old first window
+                               # N/lcm(C_i) spans r^4/((r-1)...(r-4)): deg lcm, not max deg C_i
+                               ([one] + [1 / (r - a) for a in (1, 2, 3, 4)], (0, 1, 2, 3, 4), 10)):
+        for key in seen:
+            seen[key].clear()
+        res = increasing_zero_basis(ref_curve, basis, (0, 1))
+        assert res.valuations == vals
+        assert seen["widths"] == [width] and seen["points"] == [(0, 1)]
+        assert seen["rows"] == [izb_rows_by_local_expand(ref_curve, basis, (0, 1), width)]
     res = increasing_zero_basis(ref_curve, [one, r ** 30 + r ** 31], (0, 1))
-    assert res.valuations == (0, 30) and sorted(set(precs)) == [6, 12, 24, 48]  # the last attempt
     assert str(res.elements[1]) == "r^30 + r^31"
-    with pytest.raises(PrecisionExhaustedError):
-        increasing_zero_basis(ref_curve, [one, r ** 60], (0, 1))
+    # a width the caller passes is kept, and one too small raises, with no retry
+    seen["widths"].clear()
+    with pytest.raises(PrecisionExhaustedError, match="not separated"):
+        increasing_zero_basis(ref_curve, [one, r ** 8], (0, 1), prec=8)
+    assert seen["widths"] == [8]
+    with pytest.raises(ValueError, match="prec must be >= 1"):
+        increasing_zero_basis(ref_curve, [one, r ** 8], (0, 1), prec=0)
+
+
+def test_izb_rows_equal_local_expand_rows_at_every_fixture_point(ref_curve, abc, monkeypatch):
+    seen = izb_spy(monkeypatch)
+    assert len(reference.POINTS) == 9
+    for P in reference.POINTS:
+        seen["points"].clear()
+        res = increasing_zero_basis(ref_curve, list(abc), P)
+        assert seen["points"] == [P]
+        width = seen["widths"][-1]
+        assert seen["rows"][-1] == izb_rows_by_local_expand(ref_curve, abc, P, width), P
+        assert res.valuations == tuple(function_valuation(ref_curve, f, P) for f in res.elements)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_izb_rows_equal_local_expand_rows_for_random_bases(data):
+    field, a, b = data.draw(st.sampled_from(BOUND_CURVES))
+    curve = curve_new(field, a, b)
+    P = data.draw(st.sampled_from(enumerate_points(curve)))
+    coeffs = st.lists(st.integers(0, field.q - 1), max_size=4)
+    basis = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        A, B, C = (Poly.make(field, data.draw(coeffs)) for _ in range(3))
+        assume(not (A.is_zero and B.is_zero) and not C.is_zero)
+        basis.append(FnElement(curve, A, B, C))
+    poles = [function_valuation(curve, fn, P) < 0 for fn in basis]
+    with pytest.MonkeyPatch.context() as mp:
+        seen = izb_spy(mp)
+        if any(poles):
+            with pytest.raises(PointInSupportError, match=f"basis element {poles.index(True)} "):
+                increasing_zero_basis(curve, basis, P)
+            return
+        try:
+            res = increasing_zero_basis(curve, basis, P)
+        except DependentBasisError:
+            res = None
+    width = seen["widths"][0]
+    assert seen["rows"] == [izb_rows_by_local_expand(curve, basis, P, width)]
+    if res is not None:
+        assert res.valuations == tuple(function_valuation(curve, f, P) for f in res.elements)
+        assert list(res.valuations) == sorted(set(res.valuations)) and res.valuations[-1] < width
+
+
+def test_izb_of_an_empty_basis_is_empty_on_both_genera(ref_curve):
+    empty = increasing_zero_basis(None, [], 3)
+    assert empty == ((), (), None)
+    assert increasing_zero_basis(ref_curve, [], (0, 1)) == empty
+    assert increasing_zero_basis(ref_curve, [], INFINITY) == empty
+
+
+def test_izb_reads_a_zero_element_as_a_dependency_on_both_genera(ref_curve):
+    # on the curve a zero element once exhausted the retries instead
+    with pytest.raises(DependentBasisError):
+        increasing_zero_basis(None, [Poly.const(F5, 1), Poly.zero(F5)], 3)
+    one, zero = FnElement.const(ref_curve, 1), FnElement.zero(ref_curve)
+    for P in (INFINITY, (0, 1), (2, 1)):
+        for basis in ([one, zero], [zero, one], [zero]):
+            with pytest.raises(DependentBasisError):
+                increasing_zero_basis(ref_curve, basis, P)
 
 
 # -- the construction's rows: one expansion of r, s and 1/h per point ----------------

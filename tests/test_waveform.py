@@ -103,6 +103,13 @@ def test_mu0_scaled_refuses_malformed_symbols(a):
             value(mod, a)
 
 
+@pytest.mark.parametrize("q,N", [(2.5, 1), (3, True), (True, 2), (3.0, 2), (3, 2.0)])
+def test_modulator_refuses_a_non_integer_alphabet_or_length(q, N):
+    # Modulator(2.5, 1) was accepted, and its mu0_scaled read (1.5,) as 7.5
+    with pytest.raises(TypeError, match="must be integers"):
+        Modulator(q, N)
+
+
 def test_pam_symmetry():
     for q, N in [(2, 3), (3, 2), (5, 2)]:
         mod = Modulator(q, N)
