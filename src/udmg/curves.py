@@ -10,13 +10,14 @@ divisors of the shape n*O + (h), increasing zero bases, and the
 evaluation-code matrix construction.
 
 Both genera run one pipeline: rows of local coefficients, read off one
-expansion per point (Taylor rows p(x0 + t) on the projective line; on the
-curve, (A + s B)/C on one expansion of r and s, or r^i/h and s*r^j/h by chains
-from 1/h), extended by the identity, go through linalg's forward elimination
-(echelon_rows) to the increasing zero basis, and one assembly builds the
-matrices, certifies them valid by a valuation check that the degree of D
-justifies (no scan of allowable vectors), and checks the generator.  Widths
-and lengths are bounded in advance: no retries, no cache between calls.
+expansion per point ((x0 + t)^e by one chain of products on the projective
+line; on the curve, (A + s B)/C on one expansion of r and s, or r^i/h and
+s*r^j/h by chains from 1/h), extended by the identity, go through linalg's
+forward elimination (echelon_rows) to the increasing zero basis, and one
+assembly builds the matrices, certifies them valid by a valuation check that
+the degree of D justifies (no scan; each transform only a witness, checked by
+one product), and checks the generator.  Widths and lengths are bounded in
+advance: no retries, no cache between calls.
 
 Local uniformizers are fixed once and for all so that independent runs agree:
 t = r - x(P) at an affine point with s(P) != 0, t = s at an affine point with
@@ -28,6 +29,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from functools import cached_property, reduce
+from itertools import islice
 
 # _verify_fast is unused here since the construction certifies itself; it stays
 # bound because perfbench/tracer.py wraps curves._verify_fast.
@@ -153,13 +155,13 @@ class FnElement:
         A, B, C = self.A, self.B, self.C
         if A.is_zero and B.is_zero:
             C = Poly.const(self.curve.field, 1)
-        else:
+        elif C.degree > 0:  # a constant C is a unit: the gcd is 1
             g = A.gcd(B).gcd(C)
             if g.degree > 0:
                 A, B, C = A // g, B // g, C // g
-            if C.leading != 1:
-                u = self.curve.field.inv(C.leading)
-                A, B, C = A.scale(u), B.scale(u), C.scale(u)
+        if C.leading != 1:
+            u = self.curve.field.inv(C.leading)
+            A, B, C = A.scale(u), B.scale(u), C.scale(u)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "C", C)
@@ -206,7 +208,8 @@ class FnElement:
     # -- arithmetic -------------------------------------------------------------
 
     def __add__(self, other):
-        o = self._coerce(other)
+        if (o := self._coerce(other)) is NotImplemented:  # Python then raises TypeError
+            return o
         A = self.A * o.C + o.A * self.C
         B = self.B * o.C + o.B * self.C
         return FnElement(self.curve, A, B, self.C * o.C)
@@ -217,13 +220,14 @@ class FnElement:
         return FnElement(self.curve, -self.A, -self.B, self.C)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return o if (o := self._coerce(other)) is NotImplemented else self + (-o)
 
     def __rsub__(self, other):
-        return self._coerce(other) + (-self)
+        return o if (o := self._coerce(other)) is NotImplemented else o + (-self)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        if (o := self._coerce(other)) is NotImplemented:
+            return o
         F = self.curve.F
         A = self.A * o.A + F * (self.B * o.B)
         B = self.A * o.B + o.A * self.B
@@ -243,10 +247,10 @@ class FnElement:
         return FnElement(self.curve, self.C * self.A, -(self.C * self.B), norm)
 
     def __truediv__(self, other):
-        return self * self._coerce(other).inv()
+        return o if (o := self._coerce(other)) is NotImplemented else self * o.inv()
 
     def __rtruediv__(self, other):
-        return self._coerce(other) * self.inv()
+        return o if (o := self._coerce(other)) is NotImplemented else o * self.inv()
 
     def __pow__(self, e: int):
         if e < 0:
@@ -351,6 +355,13 @@ class Series:
         if self.abs_prec < width:
             raise AssertionError(f"series kept {self.abs_prec} < {width} coefficients")
         return ([0] * self.val + self.coef)[:width]
+
+    def chain(self, r, width: int):
+        """Rows at width of self, self*r, self*r^2, ..., one product by r per row drawn."""
+        x = self
+        while True:
+            yield x.row(width)
+            x = x.mul(r)
 
     def poly_eval(self, poly: Poly, const_len: int):
         """Horner evaluation of an exact polynomial at this series."""
@@ -559,12 +570,8 @@ def _rr_rows(curve: WeierstrassCurve, D: DivisorSpec, P, width: int) -> list:
     if h_series.val + (D.n if P is INFINITY else 0) != 0:
         raise SupportCollisionError(f"{P!r} lies in the support of the divisor")
     h_inv = h_series.inv()
-    chains = [h_inv, s.mul(h_inv)]  # r^e/h and s*r^e/h, each times r when _pole_walk takes it
-    rows = []
-    for j, _ in _pole_walk(curve, D.n):
-        rows.append(chains[j].row(width))
-        chains[j] = chains[j].mul(r)
-    return rows
+    chains = [h_inv.chain(r, width), s.mul(h_inv).chain(r, width)]  # r^e/h and s*r^e/h
+    return [next(chains[j]) for j, _ in _pole_walk(curve, D.n)]
 
 
 # -- increasing zero bases -------------------------------------------------------
@@ -715,23 +722,24 @@ def goppa_generator(gc: GoppaConstruction) -> FqMatrix:
                             gc.basis0, gc.matrices)
 
 
-def _certify(field, genus, degree, points, t0, matrices, rows) -> None:
+def _certify(field, genus, degree, points, t0, matrices, transforms, rows) -> None:
     """Prove a constructed set valid from the degree of D, without a scan.
 
     rows[i] lists the local coefficients at points[i] of the canonical basis
     of L(D), column c holding the coefficient of t^(c - D(P_i)); t0 expresses
-    the reference basis B_0 in the canonical one, and matrices[i] B_i = B_0.
-    Row j of M_i^-1 t0 rows[i] is then the expansion of B_ij, which must
+    the reference basis B_0 in the canonical one.  transforms[i] = T_i is read
+    only as a witness, checked by one product: M_i T_i = t0 and rank(t0) = K
+    make M_i invertible with M_i^-1 t0 = T_i, so M_i B_i = B_0 for the basis
+    B_i that T_i expresses.  Row j of T_i rows[i], the expansion of B_ij, must
     vanish in every column < j: v_Pi(B_ij) + D(P_i) >= j.  If a nonzero y
     were orthogonal to the first lam_i columns of every M_i, with
     sum(lam) = K + g, then f = sum_k y_k B_0k = sum_j (y^T M_i)_j B_ij would
     have v_Pi(f) + D(P_i) >= lam_i at every point, so f in L(D) would have
     K + g > deg D zeros counted against D, which no nonzero f allows.
 
-    Sufficient, not necessary.  It reads no transform but t0 and no
-    valuation, and raises AssertionError if the check or a side condition
-    fails: deg D = K + g - 1, distinct points, t0 of rank K, every M_i
-    invertible.
+    Sufficient, not necessary.  It trusts no transform and reads no valuation,
+    and raises AssertionError if the check or a side condition fails: deg D =
+    K + g - 1, distinct points, t0 of rank K, every M_i T_i = t0.
     """
     K = t0.rows
     if degree != K + genus - 1:
@@ -741,14 +749,12 @@ def _certify(field, genus, degree, points, t0, matrices, rows) -> None:
     if rank(t0) != K:
         raise AssertionError("the reference basis is dependent")
     dot = field.dot
-    for i, (M, R) in enumerate(zip(matrices, rows)):
-        try:
-            C = inverse(M).matmul(t0)
-        except ZeroDivisionError:
-            raise AssertionError(f"matrix {i} is singular") from None
+    for i, (M, T, R) in enumerate(zip(matrices, transforms, rows, strict=True)):
+        if M.matmul(T) != t0:
+            raise AssertionError(f"matrix {i} times transform {i} is not t0")
         cols = [tuple(r[c] for r in R) for c in range(K - 1)]
         for j in range(K):
-            row = C.row(j)
+            row = T.row(j)
             if any(dot(row, cols[c]) for c in range(j)):
                 raise AssertionError(
                     f"basis element {j} at {points[i]!r} has v + D(P) below {j}")
@@ -761,14 +767,16 @@ def _assemble(field, curve, points, divisor, canonical, rows, results) -> GoppaC
     coefficient rows of canonical at points[i]; only the reference basis B_0
     is built as elements.  For both genera matrices[i] = T_0 T_i^-1 (T the
     transforms), so matrices[i] B_i = B_0.  Before returning, _certify proves
-    the set valid from the degree of D, and the generator is checked against
+    the set valid from the degree of D, checking each T_i as a witness (so the
+    run inverts once per point, here), and the generator is checked against
     evaluations of the reference basis (at O, t0 times column 0 of the rows there).
     """
     genus = 0 if curve is None else curve.genus
     K = len(canonical)
-    t0 = results[0][1]
-    matrices = tuple(t0.matmul(inverse(T)) for _, T in results)
-    _certify(field, genus, divisor.n, points, t0, matrices, rows)
+    valuations, transforms = zip(*results)
+    t0 = transforms[0]
+    matrices = tuple(t0.matmul(inverse(T)) for T in transforms)
+    _certify(field, genus, divisor.n, points, t0, matrices, transforms, rows)
     basis0 = _combine(canonical, t0.to_rows())
     at_O = None if curve is None else next(  # D(O) = 0: column 0 of O's rows is canonical(O)
         (t0.matvec([r[0] for r in R]) for P, R in zip(points, rows) if P is INFINITY), None)
@@ -776,8 +784,7 @@ def _assemble(field, curve, points, divisor, canonical, rows, results) -> GoppaC
     return GoppaConstruction(
         field=field, curve=curve, genus=genus, points=points, divisor=divisor,
         canonical=tuple(canonical), basis0=basis0,
-        transforms=tuple(T for _, T in results),
-        point_valuations=tuple(vals for vals, _ in results),
+        transforms=transforms, point_valuations=valuations,
         matrices=matrices, udmg=Udmg(field, K, genus, matrices), generator=generator)
 
 
@@ -809,9 +816,12 @@ def genus0_udmg(field: FieldSpec, points, K: int) -> GoppaConstruction:
     points = _distinct_points(points, field.q + 1)
     monomials = [Poly.const(field, 1).shift(j) for j in range(K)]
     shift = K - 1  # D(infinity)
-    # at infinity, in u = 1/x, x^e = u^(c - shift) with c = shift - e: reversed rows
-    rows = [[[m.coeff(shift - c) for c in range(K)] for m in monomials] if P is INFINITY
-            else _taylor_rows(field, monomials, P, K) for P in points]  # field.check refuses P
+    # at infinity, in u = 1/x, x^e = u^(c - shift) with c = shift - e: reversed rows;
+    # at x0, (x0 + t)^e off one chain of products by x0 + t (field.check refuses P)
+    one = Series(field, 0, [1] + [0] * (K - 1))
+    rows = [[[m.coeff(shift - c) for c in range(K)] for m in monomials] if P is INFINITY else
+            [*islice(one.chain(Series(field, 0, [field.check(P), 1] + [0] * (K - 2)), K), K)]
+            for P in points]
     results = [_izb_from_rows(field, monomials, R, K) for R in rows]
     results = [(tuple(v - shift for v in vals) if P is INFINITY else vals, T)  # column c: order c - shift
                for P, (vals, T) in zip(points, results)]

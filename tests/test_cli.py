@@ -309,6 +309,20 @@ PINNED_CONSTRUCTIONS = {
                            [2, 4], [16, 9], [12, 5], [18, 3], [3, 1], [0, 4]]},
                "51a45b6a40a06d0dce1b5b55265e87b1d9c7483a60ffb363c9964ba8282ee06b",
                "49a5d589aede79cff0b1ddc55044b1999073c5af7c56681b1a94bba3fee04958"),
+    # at scale: the whole line over GF(64) at K = 16, and all 27 affine points of
+    # s^2 = r^3 + r + 1 over GF(23) at D = 7*O, the first a two-torsion point
+    "g0_q64_all": ({"q": 64, "genus": 0, "K": 16,
+                    "points": [str((5 * x + 17) % 64) for x in range(9)] + ["inf"]
+                    + [str((5 * x + 17) % 64) for x in range(9, 64)]},
+                   "8ba3d0fd665700b7a6480dfae397e6c61534066fe89d5887f04b8fcd722d211d",
+                   "2831498aea1bed0ff5b0701c51b076651ab25e7b46661f3809bc7f6e11abb6cb"),
+    "g1_q23_all": ({"q": 23, "genus": 1, "a": 1, "b": 1, "divisor": {"n": 7},
+                    "points": [[4, 0], [5, 4], [5, 19], [6, 4], [6, 19], [7, 11], [7, 12], [9, 7],
+                               [9, 16], [11, 3], [11, 20], [12, 4], [12, 19], [13, 7], [13, 16],
+                               [17, 3], [17, 20], [18, 3], [18, 20], [19, 5], [19, 18], [0, 1],
+                               [0, 22], [1, 7], [1, 16], [3, 10], [3, 13]]},
+                   "ed0b98cd6deacdffca6a46a3bcdc282912f4a744551962860ab5ae76da6e3880",
+                   "5a84133caba052cf1e16dc1ae6de73d089bcc8d0382d618d01a1e1d1058faadf"),
 }
 
 

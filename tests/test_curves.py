@@ -1,5 +1,7 @@
+import operator
 import random
 import re
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -35,7 +37,7 @@ from udmg.errors import (
     TooManyPointsError,
 )
 from udmg.fields import make_field
-from udmg.linalg import FqMatrix, inverse
+from udmg.linalg import FqMatrix, inverse, rank
 from udmg.polys import Poly
 
 F5, F7 = make_field(5), make_field(7)
@@ -125,6 +127,42 @@ def test_function_arithmetic(ref_curve):
     assert (h - h).is_zero
     with pytest.raises(ZeroDivisionError):
         ff_arith(ref_curve, "div", r, FnElement.zero(ref_curve))
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
+@pytest.mark.parametrize("other", [1.5, None])
+def test_function_arithmetic_refuses_a_foreign_operand(ref_curve, op, other):
+    # Each operator returns NotImplemented for what _coerce does not take, so
+    # Python raises its own TypeError, in both operand orders.
+    r = FnElement.r(ref_curve)
+    for a, b in ((r, other), (other, r)):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            op(a, b)
+    assert op(r, 2) == op(r, FnElement.const(ref_curve, 2))
+    assert op(2, r) == op(FnElement.const(ref_curve, 2), r)
+
+
+def full_gcd_form(field, A, B, C):
+    """(A + s*B)/C in canonical form by the full gcd, whatever C is."""
+    if A.is_zero and B.is_zero:
+        return A, B, Poly.const(field, 1)
+    g = A.gcd(B).gcd(C)
+    A, B, C = A // g, B // g, C // g
+    u = field.inv(C.leading)
+    return A.scale(u), B.scale(u), C.scale(u)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_a_constant_denominator_skips_the_gcd_and_keeps_the_form(data):
+    # The canonical form reads only curve.field, so a stand-in carries GF(9) and
+    # GF(16), where no short Weierstrass curve exists.
+    field = data.draw(st.sampled_from([F5, make_field(3, 2), make_field(2, 4)]))
+    coeffs = st.lists(st.integers(0, field.q - 1), max_size=5)
+    A, B = Poly(field, tuple(data.draw(coeffs))), Poly(field, tuple(data.draw(coeffs)))
+    C = Poly.const(field, data.draw(st.integers(1, field.q - 1)))
+    fn = FnElement(SimpleNamespace(field=field), A, B, C)
+    assert (fn.A, fn.B, fn.C) == full_gcd_form(field, A, B, C)
 
 
 def test_alpha_beta_gamma_sum(ref_curve, abc):
@@ -831,6 +869,20 @@ def test_construction_expands_once_per_point(ref_curve, monkeypatch):
     assert calls == list(reference.POINTS)
 
 
+@pytest.mark.parametrize("field", [make_field(2), F5, make_field(3, 2), make_field(2, 4),
+                                   make_field(2, 6)])
+def test_line_rows_equal_horner_taylor_rows_at_every_point(field):
+    # The line reads the rows of 1, x, ..., x^(K-1) at x0 off one chain of
+    # products by x0 + t; Horner evaluation of each monomial at x0 + t
+    # (_taylor_rows) is the oracle, at every point, x0 = 0 included.
+    points = list(field.elements()) + [INFINITY]
+    for K in range(1, 11):
+        _, (_, _, pts, _, monomials, rows, _) = constructed(lambda: genus0_udmg(field, points, K))
+        for P, R in zip(pts, rows):
+            if P is not INFINITY:
+                assert R == curves._taylor_rows(field, monomials, P, K), (K, P)
+
+
 def test_points_off_the_curve_are_refused(ref_curve):
     r, s = FnElement.r(ref_curve), FnElement.s(ref_curve)
     assert not ref_curve.contains((0, 0))  # s^2 = r^3 + r + 1 has no point with s = r = 0
@@ -861,11 +913,63 @@ def constructed(build):
     return gc, seen[0]
 
 
-def certify(gc, args, matrices=None, t0=None):
+def certify_by_inverse(field, genus, degree, points, t0, matrices, rows):
+    """The certificate as it was before it took witnesses: C = M_i^-1 t0, kept as the oracle."""
+    K = t0.rows
+    if degree != K + genus - 1:
+        raise AssertionError(f"deg D = {degree} is not K + g - 1 = {K + genus - 1}")
+    if len(set(map(curves._point_key, points))) != len(points):
+        raise AssertionError("points are not distinct")
+    if rank(t0) != K:
+        raise AssertionError("the reference basis is dependent")
+    for i, (M, R) in enumerate(zip(matrices, rows)):
+        try:
+            C = inverse(M).matmul(t0)
+        except ZeroDivisionError:
+            raise AssertionError(f"matrix {i} is singular") from None
+        for j in range(K):
+            if any(field.dot(C.row(j), [r[c] for r in R]) for c in range(j)):
+                raise AssertionError(f"basis element {j} at {points[i]!r} has v + D(P) below {j}")
+
+
+def witnesses(gc, matrices, t0):
+    """T'_i = M'_i^-1 t0 for each matrix; the construction's T_i where M'_i is
+    singular, since there no T satisfies M'_i T = t0 with t0 of rank K."""
+    out = []
+    for M, T in zip(matrices, gc.transforms):
+        try:
+            out.append(inverse(M).matmul(t0))
+        except ZeroDivisionError:
+            out.append(T)
+    return tuple(out)
+
+
+def certify(gc, args, matrices=None, t0=None, transforms=None):
+    """_certify on the construction's matrices, or on those given, with witnesses
+    derived from the matrices unless transforms are given."""
     field, _, points, divisor, _, rows, _ = args
-    curves._certify(field, gc.genus, divisor.n, points,
-                    gc.transforms[0] if t0 is None else t0,
-                    gc.matrices if matrices is None else matrices, rows)
+    t0 = gc.transforms[0] if t0 is None else t0
+    matrices = gc.matrices if matrices is None else matrices
+    transforms = witnesses(gc, matrices, t0) if transforms is None else transforms
+    curves._certify(field, gc.genus, divisor.n, points, t0, matrices, transforms, rows)
+
+
+def accepts(check, *args, **kwargs) -> bool:
+    try:
+        check(*args, **kwargs)
+    except AssertionError:
+        return False
+    return True
+
+
+def certified_as_by_the_oracle(gc, args, matrices) -> bool:
+    """Whether the certificate accepts matrices; the inverse-based oracle must agree."""
+    field, _, points, divisor, _, rows, _ = args
+    got = accepts(certify, gc, args, matrices=matrices)
+    want = accepts(certify_by_inverse, field, gc.genus, divisor.n, points, gc.transforms[0],
+                   matrices, rows)
+    assert got == want
+    return got
 
 
 def replaced(matrices, i, M):
@@ -902,6 +1006,7 @@ def certified():
 
 def test_constructions_pass_the_certificate_and_the_scan(certified):
     for name, (gc, args) in certified.items():
+        assert witnesses(gc, gc.matrices, gc.transforms[0]) == gc.transforms
         certify(gc, args)
         assert verify(gc.udmg).valid, name
         if name in NAIVE:
@@ -918,11 +1023,8 @@ def test_certified_single_entry_corruptions_verify(certified, data):
     rows = gc.matrices[i].to_rows()
     rows[r][c] = field.add(rows[r][c], data.draw(st.integers(1, field.q - 1)))
     mats = replaced(gc.matrices, i, FqMatrix.from_rows(field, rows))
-    try:
-        certify(gc, args, matrices=mats)
-    except AssertionError:
-        return
-    assert verify(Udmg(field, K, gc.genus, mats)).valid
+    if certified_as_by_the_oracle(gc, args, mats):
+        assert verify(Udmg(field, K, gc.genus, mats)).valid
 
 
 def test_every_single_entry_corruption_of_a_small_line(certified):
@@ -936,13 +1038,10 @@ def test_every_single_entry_corruption_of_a_small_line(certified):
                     rows = gc.matrices[i].to_rows()
                     rows[r][c] = field.add(rows[r][c], delta)
                     mats = replaced(gc.matrices, i, FqMatrix.from_rows(field, rows))
-                    try:
-                        certify(gc, args, matrices=mats)
-                    except AssertionError:
-                        outcomes.add(False)
-                        continue
-                    outcomes.add(True)
-                    assert verify(Udmg(field, K, 0, mats)).valid, (i, r, c, delta)
+                    ok = certified_as_by_the_oracle(gc, args, mats)
+                    outcomes.add(ok)
+                    if ok:
+                        assert verify(Udmg(field, K, 0, mats)).valid, (i, r, c, delta)
     assert outcomes == {True, False}  # neither vacuous nor rejecting everything
 
 
@@ -983,11 +1082,34 @@ def test_certificate_side_conditions(certified):
     field, _, points, divisor, _, rows, _ = args
     t0 = gc.transforms[0]
     with pytest.raises(AssertionError, match="deg D"):
-        curves._certify(field, 1, divisor.n + 1, points, t0, gc.matrices, rows)
+        curves._certify(field, 1, divisor.n + 1, points, t0, gc.matrices, gc.transforms, rows)
     with pytest.raises(AssertionError, match="distinct"):
-        curves._certify(field, 1, divisor.n, points[:1] * len(points), t0, gc.matrices, rows)
-    with pytest.raises(AssertionError, match="singular"):
-        certify(gc, args, matrices=replaced(gc.matrices, 2, FqMatrix.zeros(field, 3, 3)))
+        curves._certify(field, 1, divisor.n, points[:1] * len(points), t0, gc.matrices,
+                        gc.transforms, rows)
+    # A singular M_i has no witness: M_i T = t0 of rank K would make it invertible.
+    low = gc.matrices[2].to_rows()
+    low[1] = low[0]
+    for M in (FqMatrix.zeros(field, 3, 3), FqMatrix.from_rows(field, low)):
+        singular = replaced(gc.matrices, 2, M)
+        for T in (gc.transforms[2], FqMatrix.identity(field, 3), t0):
+            with pytest.raises(AssertionError, match="matrix 2 times transform 2 is not t0"):
+                certify(gc, args, matrices=singular, transforms=replaced(gc.transforms, 2, T))
+        with pytest.raises(AssertionError, match="singular"):
+            certify_by_inverse(field, 1, divisor.n, points, t0, singular, rows)
+
+
+def test_certificate_refuses_a_perturbed_witness(certified):
+    # The matrices stay as built; any single entry of any transform changed breaks M_i T_i = t0.
+    for gc, args in certified.values():
+        field, K = gc.field, gc.udmg.K
+        for i, T in enumerate(gc.transforms):
+            for r in range(K):
+                for c in range(K):
+                    rows = T.to_rows()
+                    rows[r][c] = field.add(rows[r][c], 1)
+                    bad = replaced(gc.transforms, i, FqMatrix.from_rows(field, rows))
+                    with pytest.raises(AssertionError, match=f"matrix {i} times transform {i} "):
+                        certify(gc, args, transforms=bad)
 
 
 def test_certificate_at_infinity_on_the_line(certified):
