@@ -207,15 +207,16 @@ def construction_from_data(data: dict):
     genus = data["genus"]
     if type(genus) is not int:
         raise ValueError(f"genus {genus!r} is not an integer")
+    tokens = data["points"]
+    if not isinstance(tokens, list):  # a string or a dict is not iterated
+        raise ValueError(f"points {tokens!r} is not a list")
     if genus == 0:
-        points = []
-        for tok in data["points"]:
-            points.append(INFINITY if tok == "inf" else field.check(_integer(tok, "point")))
+        points = [INFINITY if t == "inf" else field.check(_integer(t, "point")) for t in tokens]
         return genus0_udmg(field, points, _integer(data["K"], "K"))
     if genus == 1:
         curve = WeierstrassCurve(field, _integer(data["a"], "a") % q, _integer(data["b"], "b") % q)
         points = []
-        for tok in data["points"]:
+        for tok in tokens:
             if tok == "inf":
                 points.append(INFINITY)
             elif isinstance(tok, list) and len(tok) == 2:
@@ -225,7 +226,9 @@ def construction_from_data(data: dict):
         div = data.get("divisor")
         if not isinstance(div, dict) or "n" not in div:
             raise ValueError("genus-1 construction needs divisor: {\"n\": ..., \"h\": ...}")
-        h = parse_function(curve, div["h"]) if div.get("h") else None
+        if "h" in div and not isinstance(div["h"], str):  # 0, false or null is not h = 1
+            raise ValueError(f"divisor h {div['h']!r} is not a string")
+        h = parse_function(curve, div["h"]) if "h" in div else None
         return goppa_udmg(curve, points, DivisorSpec(_integer(div["n"], "divisor n"), h))
     raise ValueError("genus must be 0 or 1")
 

@@ -3,21 +3,19 @@
 A curve carries its equation as one polynomial F, monic of odd degree 2g + 1,
 and has genus g = (deg F - 1)/2 and one point O at infinity.  For now only
 deg F = 3 is accepted: the short Weierstrass cubic F = r^3 + a r + b
-(characteristic outside {2, 3}), genus 1.  Covers exhaustive rational-point
-enumeration, exact function-field arithmetic in the canonical form
-(A(r) + s B(r)) / C(r), local power-series expansions, Riemann-Roch bases for
-divisors of the shape n*O + (h), increasing zero bases, and the
-evaluation-code matrix construction.
-
-Both genera run one pipeline: rows of local coefficients, read off one
-expansion per point ((x0 + t)^e by one chain of products on the projective
-line; on the curve, (A + s B)/C on one expansion of r and s, or r^i/h and
-s*r^j/h by chains from 1/h), extended by the identity, go through linalg's
-forward elimination (echelon_rows) to the increasing zero basis, and one
+(characteristic outside {2, 3}), genus 1.  Covers rational points, exact
+function-field arithmetic in the canonical form (A(r) + s B(r)) / C(r), local
+power series, Riemann-Roch bases for D = n*O + (h), increasing zero bases,
+and the construction, one pipeline for both genera with one rule at every
+point P: its rows hold, in column c, the coefficient of t^(c - D(P)) of each
+basis element of L(D), deg D + 1 wide (v_P(f) + D(P) <= deg D for f in
+L(D)), read off one chain of products per point, so any rational point may
+be used, in supp D too.  Forward elimination (linalg.echelon_rows) gives the
+increasing zero basis, its valuations the pivot columns minus D(P); one
 assembly builds the matrices, certifies them valid by a valuation check that
-the degree of D justifies (no scan; each transform only a witness, checked by
-one product), and checks the generator.  Widths and lengths are bounded in
-advance: no retries, no cache between calls.
+the degree of D justifies (no scan; each transform a witness checked by one
+product), and checks the generator.  Widths, lengths and the work are
+bounded in advance: no retries, no cache between calls.
 
 Local uniformizers are fixed once and for all so that independent runs agree:
 t = r - x(P) at an affine point with s(P) != 0, t = s at an affine point with
@@ -44,8 +42,8 @@ from .errors import (
     PoleAtSupportError,
     PrecisionExhaustedError,
     SingularCurveError,
-    SupportCollisionError,
     TooFewSectionsError,
+    TooLargeError,
     TooManyPointsError,
     UnsupportedDivisorError,
 )
@@ -548,30 +546,33 @@ def rr_basis(curve: WeierstrassCurve, D: DivisorSpec):
     return [m * h_inv for m in monomials]
 
 
-def _rr_rows(curve: WeierstrassCurve, D: DivisorSpec, P, width: int) -> list:
-    """Local rows at P of rr_basis(curve, D), read off one expansion of r, s and 1/h.
+def _rr_rows(curve: WeierstrassCurve, D: DivisorSpec, P, width: int) -> tuple:
+    """(D(P), rows): the local rows at P of rr_basis(curve, D), read off one
+    expansion of r, s and 1/h.
 
-    Row i holds the coefficients of t^0, ..., t^(width-1) of r^i/h or s*r^j/h,
-    the i-th element of rr_basis: the row local_expand gives.  1/h inverts h's
-    series (_fn_series), never the norm of h, and the same series gives
-    D(P) = v_P(h) (+ n at O); SupportCollisionError unless D(P) = 0.
+    D(P) = v_P(h) (+ n at O) comes from the series of h.  Row i holds the
+    coefficients of t^(-D(P)), ..., t^(width-1-D(P)) of the i-th element of
+    rr_basis, r^e/h or s*r^e/h, off two chains of products by r started from
+    t^D(P)/h and s*t^D(P)/h; 1/h inverts h's series, never the norm of h.
 
-    The length L = width + 2*(deg C + 1) suffices.  At an affine point every
-    polynomial in r, s is known to O(t^L) and C(r) has order v_C <= 2 deg C;
-    off supp D so has the numerator (one vanishing to O(t^L) puts P in supp D),
-    so 1/h and each row are known to O(t^(L - v_C)).  At O the pole orders 2
-    and 2g + 1 differ in parity, so nothing cancels and every series keeps
-    L - 2 relative coefficients.  A short row raises AssertionError.
+    The length L = width + max(2 deg C, 2 deg A, 2 max(deg B, 0) + 2g + 1),
+    h = (A + s*B)/C, suffices.  At an affine point every polynomial in r, s
+    is known to O(t^L), and loses as many coefficients as its order: C(r) at
+    most 2 deg C, and A + s*B at most its number of zeros, its pole order at
+    O (see local_expand).  At O the pole orders 2 and 2g + 1 differ in parity,
+    so nothing cancels, and every series keeps L - 2g - 1 relative
+    coefficients (s*0 is known to O(t^(L - 2g - 1))).  Either way t^D(P)/h and
+    every row, of order >= 0, are known to O(t^width); else AssertionError.
     """
     h = D.h or FnElement.const(curve, 1)
-    length = width + 2 * (h.C.degree + 1)
+    odd = 2 * curve.genus + 1
+    length = width + max(2 * h.C.degree, 2 * h.A.degree, 2 * max(h.B.degree, 0) + odd)
     r, s = _coordinate_series(curve, P, length)
-    h_series = _fn_series(h, r, s, length)
-    if h_series.val + (D.n if P is INFINITY else 0) != 0:
-        raise SupportCollisionError(f"{P!r} lies in the support of the divisor")
-    h_inv = h_series.inv()
-    chains = [h_inv.chain(r, width), s.mul(h_inv).chain(r, width)]  # r^e/h and s*r^e/h
-    return [next(chains[j]) for j, _ in _pole_walk(curve, D.n)]
+    h_inv = _fn_series(h, r, s, length).inv()
+    at_O = D.n if P is INFINITY else 0
+    start = Series(curve.field, at_O, h_inv.coef)  # t^D(P)/h, D(P) = at_O - v_P(1/h)
+    chains = [start.chain(r, width), s.mul(start).chain(r, width)]  # r^e/h and s*r^e/h
+    return at_O - h_inv.val, [next(chains[j]) for j, _ in _pole_walk(curve, D.n)]
 
 
 # -- increasing zero bases -------------------------------------------------------
@@ -688,8 +689,14 @@ def _point_key(P):
     return tuple(P) if isinstance(P, list) else P  # O, 3, 1.5 and (0, 1) are keys as they are
 
 
-def _distinct_points(points, most=None) -> tuple:
-    """points as a tuple, refused if empty, longer than most (when given), or repeating."""
+# Per point a construction eliminates, inverts and checks a K x K transform, about
+# K^3 field operations each: L*K^3 past this is refused before any row is built.
+MAX_WORK = 1 << 21
+
+
+def _distinct_points(points, K, most=None) -> tuple:
+    """points as a tuple, refused if empty, longer than most (when given),
+    repeating, or if L*K^3 passes MAX_WORK."""
     points = tuple(points)
     if not points:
         raise InvalidInputError("the construction needs at least one point")
@@ -697,29 +704,41 @@ def _distinct_points(points, most=None) -> tuple:
         raise TooManyPointsError(f"at most {most} points on the line")
     if len(set(map(_point_key, points))) != len(points):
         raise DuplicatePointsError("points must be pairwise distinct")
+    if len(points) * K ** 3 > MAX_WORK:
+        raise TooLargeError(f"L*K^3 = {len(points)}*{K}^3 passes MAX_WORK = {MAX_WORK}")
     return points
 
 
-def _build_generator(field, curve, K, points, basis0, matrices, at_O=None) -> FqMatrix:
-    for j, P in enumerate(points):
-        if curve is not None:
-            evals = at_O if P is INFINITY and at_O else tuple(evaluate(curve, b, P) for b in basis0)
-        else:  # at infinity, the standard extension of polynomial evaluation
-            evals = tuple(b.coeff(K - 1) if P is INFINITY else b(P) for b in basis0)
+def _first_column(curve, basis, P, v) -> tuple:
+    """The coefficients of t^v at P of basis, v the lowest order of L(D) at P
+    (-D(P), save at a base point): values where v = 0 (Horner, evaluate)."""
+    if curve is None:
+        return tuple(b.coeff(-v) if P is INFINITY else b(P) for b in basis)
+    if v == 0:
+        return tuple(evaluate(curve, b, P) for b in basis)
+    expansions = (local_expand(curve, b, P, 1) for b in basis)
+    return tuple(e.coeffs[0] if e.valuation == v else 0 for e in expansions)
+
+
+def _build_generator(field, points, matrices, values) -> FqMatrix:
+    for j, (P, evals) in enumerate(zip(points, values, strict=True)):
         if evals != matrices[j].col(0):
             raise AssertionError(
                 f"first column of matrix {j} disagrees with basis evaluation at {P!r}")
-    return FqMatrix.from_rows(field, [[M[i, 0] for M in matrices] for i in range(K)])
+    return FqMatrix.from_rows(field, [[M[i, 0] for M in matrices] for i in range(len(values[0]))])
 
 
 def goppa_generator(gc: GoppaConstruction) -> FqMatrix:
     """K x L matrix of the first columns, which evaluates the reference basis.
 
-    Column j must equal (B_01(P_j), ..., B_0K(P_j)); both routes are computed
-    and compared, so a disagreement flags a construction bug.
+    Column j must equal the coefficients of t^v, v = point_valuations[j][0], of
+    (B_01, ..., B_0K) at P_j: their values where v = 0.  _first_column
+    computes them, never off the construction's rows, so a disagreement flags
+    a construction bug.
     """
-    return _build_generator(gc.field, gc.curve, gc.udmg.K, gc.points,
-                            gc.basis0, gc.matrices)
+    pairs = zip(gc.points, gc.point_valuations)
+    return _build_generator(gc.field, gc.points, gc.matrices,
+                            [_first_column(gc.curve, gc.basis0, P, v[0]) for P, v in pairs])
 
 
 def _certify(field, genus, degree, points, t0, matrices, transforms, rows) -> None:
@@ -760,69 +779,59 @@ def _certify(field, genus, degree, points, t0, matrices, transforms, rows) -> No
                     f"basis element {j} at {points[i]!r} has v + D(P) below {j}")
 
 
-def _assemble(field, curve, points, divisor, canonical, rows, results) -> GoppaConstruction:
-    """The construction from the increasing zero bases results[i] at points[i].
-
-    results[i] = (valuations, transform) was eliminated from rows[i], the local
-    coefficient rows of canonical at points[i]; only the reference basis B_0
-    is built as elements.  For both genera matrices[i] = T_0 T_i^-1 (T the
-    transforms), so matrices[i] B_i = B_0.  Before returning, _certify proves
-    the set valid from the degree of D, checking each T_i as a witness (so the
-    run inverts once per point, here), and the generator is checked against
-    evaluations of the reference basis (at O, t0 times column 0 of the rows there).
+def _assemble(field, curve, genus, points, divisor, canonical, rows, shifts) -> GoppaConstruction:
+    """The construction from rows[i], the rows of canonical at points[i] with
+    D(P_i) = shifts[i].  Only B_0 is built as elements; matrices[i] = T_0 T_i^-1
+    (T the transforms), so matrices[i] B_i = B_0.  _certify proves the set
+    valid, taking each T_i as a witness (so the run inverts once per point,
+    here).  The generator is checked at O, and wherever L(D) has lowest order
+    v != 0 at P, against t0 times column v + D(P) of the rows, else against
+    the values of B_0 (_first_column).
     """
-    genus = 0 if curve is None else curve.genus
-    K = len(canonical)
-    valuations, transforms = zip(*results)
+    results = [_izb_from_rows(field, canonical, R, divisor.n + 1) for R in rows]
+    valuations = tuple(tuple(v - d for v in pivots) for (pivots, _), d in zip(results, shifts))
+    transforms = tuple(T for _, T in results)
     t0 = transforms[0]
     matrices = tuple(t0.matmul(inverse(T)) for T in transforms)
     _certify(field, genus, divisor.n, points, t0, matrices, transforms, rows)
     basis0 = _combine(canonical, t0.to_rows())
-    at_O = None if curve is None else next(  # D(O) = 0: column 0 of O's rows is canonical(O)
-        (t0.matvec([r[0] for r in R]) for P, R in zip(points, rows) if P is INFINITY), None)
-    generator = _build_generator(field, curve, K, points, basis0, matrices, at_O)
+    generator = _build_generator(field, points, matrices, [
+        t0.matvec([r[v[0] + d] for r in R]) if P is INFINITY or v[0] else
+        _first_column(curve, basis0, P, 0) for P, v, d, R in zip(points, valuations, shifts, rows)])
     return GoppaConstruction(
         field=field, curve=curve, genus=genus, points=points, divisor=divisor,
         canonical=tuple(canonical), basis0=basis0,
-        transforms=transforms, point_valuations=valuations,
-        matrices=matrices, udmg=Udmg(field, K, genus, matrices), generator=generator)
+        transforms=transforms, point_valuations=valuations, matrices=matrices,
+        udmg=Udmg(field, len(canonical), genus, matrices), generator=generator)
 
 
 def goppa_udmg(curve: WeierstrassCurve, points, D: DivisorSpec) -> GoppaConstruction:
-    """Genus-1 construction: one K x K matrix per point, K = deg D."""
-    points = _distinct_points(points)
-    K = D.n  # l(D) = deg D for genus 1 once deg D >= 1
-    if K < 1:
+    """Curve construction on any rational points: one K x K matrix per point,
+    K = l(D) = deg D + 1 - g, with each point's rows from _rr_rows."""
+    points = _distinct_points(points, D.n + 1 - curve.genus)  # K by Riemann-Roch, before rr_basis
+    if D.n < 1:
         raise TooFewSectionsError("deg D must be at least 1")
     canonical = rr_basis(curve, D)
-    # Valuations of L(D) at a point outside its support are at most deg D = K.
-    width = K + 3
-    rows = [_rr_rows(curve, D, P, width) for P in points]
-    results = [_izb_from_rows(curve.field, canonical, R, width) for R in rows]
-    return _assemble(curve.field, curve, points, D, canonical, rows, results)
+    shifts, rows = zip(*(_rr_rows(curve, D, P, D.n + 1) for P in points))
+    return _assemble(curve.field, curve, curve.genus, points, D, canonical, rows, shifts)
 
 
 def genus0_udmg(field: FieldSpec, points, K: int) -> GoppaConstruction:
     """Projective-line construction for D = (K-1)*infinity.
 
-    L(D) is spanned by 1, x, ..., x^(K-1); the increasing zero basis at a
-    finite point x0 is (x - x0)^j, and at infinity the reversed monomials
-    (valuations -(K-1), ..., 0 in the uniformizer 1/x).
+    L(D) is spanned by 1, x, ..., x^(K-1).  The rows of t^D(P) x^e come off
+    one chain of products by x, x = x0 + t at x0 and 1/t at infinity (D = K - 1).
     """
     if type(K) is not int:  # refuses bool and 2.5, not coerced
         raise TypeError(f"K = {K!r} must be an integer")
     if K < 1:
         raise ValueError("K must be >= 1")
-    points = _distinct_points(points, field.q + 1)
+    points = _distinct_points(points, K, field.q + 1)
     monomials = [Poly.const(field, 1).shift(j) for j in range(K)]
-    shift = K - 1  # D(infinity)
-    # at infinity, in u = 1/x, x^e = u^(c - shift) with c = shift - e: reversed rows;
-    # at x0, (x0 + t)^e off one chain of products by x0 + t (field.check refuses P)
-    one = Series(field, 0, [1] + [0] * (K - 1))
-    rows = [[[m.coeff(shift - c) for c in range(K)] for m in monomials] if P is INFINITY else
-            [*islice(one.chain(Series(field, 0, [field.check(P), 1] + [0] * (K - 2)), K), K)]
-            for P in points]
-    results = [_izb_from_rows(field, monomials, R, K) for R in rows]
-    results = [(tuple(v - shift for v in vals) if P is INFINITY else vals, T)  # column c: order c - shift
-               for P, (vals, T) in zip(points, results)]
-    return _assemble(field, None, points, DivisorSpec(K - 1, None), monomials, rows, results)
+    pad = [0] * (K - 1)
+    shifts = [K - 1 if P is INFINITY else 0 for P in points]
+    rows = [[*islice(Series(field, d, [1, *pad]).chain(  # field.check refuses P
+                Series(field, -1, [1, *pad]) if P is INFINITY
+                else Series(field, 0, [field.check(P), 1, *pad[1:]]), K), K)]
+            for P, d in zip(points, shifts)]
+    return _assemble(field, None, 0, points, DivisorSpec(K - 1, None), monomials, rows, shifts)

@@ -40,7 +40,7 @@ class InvalidInputError(UdmgError):
 
 
 class TooLargeError(UdmgError):
-    """Requested exhaustive enumeration exceeds the desk-scale guard."""
+    """Requested enumeration or construction exceeds its desk-scale guard."""
 
 
 class HypothesisUnmetError(UdmgError):
@@ -79,10 +79,6 @@ class PointInSupportError(UdmgError):
 
 class DependentBasisError(UdmgError):
     """Input functions are linearly dependent."""
-
-
-class SupportCollisionError(UdmgError):
-    """Evaluation points intersect the divisor support."""
 
 
 class TooFewSectionsError(UdmgError):

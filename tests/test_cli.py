@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -591,6 +592,64 @@ def test_construction_rejects_an_empty_point_list(tmp_path, capsys, desc):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "point" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("desc,points", [
+    (GENUS0_DESC, "0123"), (GENUS0_DESC, {"0": 1, "1": 2}), (GENUS0_DESC, 3),
+    (GENUS1_DESC, {"inf": 1}), (GENUS1_DESC, "inf"),
+], ids=["genus0-str", "genus0-dict", "genus0-int", "genus1-dict", "genus1-str"])
+def test_construction_requires_a_list_of_points(tmp_path, capsys, desc, points):
+    # a string used to build its characters as points ("0123" the points 0-3), a dict its keys
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps(_replace(desc, ("points",), points)))
+    assert run(["construct", str(path), "-o", str(tmp_path / "x.json")]) == 2
+    assert "is not a list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("points", [GENUS1_DESC["points"], GENUS1_DESC["points"] + ["inf"]],
+                         ids=["affine", "with-O"])
+@pytest.mark.parametrize("h", [0, False, [], None, ""])
+def test_divisor_h_must_be_a_string(tmp_path, capsys, h, points):
+    # each of these used to build as if h were absent, with O among the points too
+    # once O may lie in the support of D
+    path = tmp_path / "h.json"
+    desc = _replace(_replace(GENUS1_DESC, ("points",), points), ("divisor", "h"), h)
+    path.write_text(json.dumps(desc))
+    assert run(["construct", str(path), "-o", str(tmp_path / "x.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and ("not a string" in err or "unexpected end" in err)
+
+
+def test_points_in_the_support_of_d_build(tmp_path, capsys):
+    # O with D = 3*O, and the zeros (0, 1), (0, 4) of r with D = 3*O + (r), used to
+    # be refused (exit 2); the certificate now proves each set valid
+    for h, points in ((None, ["inf", [0, 1], [2, 1]]), ("r", ["inf", [0, 1], [0, 4], [2, 1]])):
+        desc = _replace(GENUS1_DESC, ("points",), points)
+        if h is not None:
+            desc = _replace(desc, ("divisor", "h"), h)
+        path, out = tmp_path / "support.json", tmp_path / "support_out.json"
+        path.write_text(json.dumps(desc))
+        assert run(["--json", "construct", str(path), "-o", str(out)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["verified"] is True and report["L"] == len(points)
+        assert report["valuations"][0][0] == {None: -3, "r": -1}[h]  # -D(O)
+        assert run(["verify", str(out)]) == 0
+        capsys.readouterr()
+
+
+@pytest.mark.parametrize("desc", [
+    {"q": 5, "genus": 0, "K": 600, "points": [0, 1]},
+    {"q": 5, "genus": 1, "a": 1, "b": 1, "points": [[0, 1], [0, 4]], "divisor": {"n": 200}},
+], ids=["genus0", "genus1"])
+def test_construction_past_the_work_bound_exits_2_fast(tmp_path, capsys, desc):
+    # L*K^3 = 2*600^3: the parent built this line in about 40 s, row by row
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(desc))
+    start = time.perf_counter()
+    assert run(["construct", str(path), "-o", str(tmp_path / "x.json")]) == 2
+    assert time.perf_counter() - start < 0.5
+    assert "MAX_WORK" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
 
 
 @pytest.mark.parametrize("K,argv,want", [

@@ -33,7 +33,7 @@ from udmg.errors import (
     PoleAtSupportError,
     PrecisionExhaustedError,
     SingularCurveError,
-    SupportCollisionError,
+    TooLargeError,
     TooManyPointsError,
 )
 from udmg.fields import make_field
@@ -333,8 +333,11 @@ def test_goppa_code_defect_bounded_by_genus():
 
 
 def test_goppa_rejections(ref_curve):
-    with pytest.raises(SupportCollisionError):
-        goppa_udmg(ref_curve, [INFINITY, (0, 1)], DivisorSpec(3, None))
+    # O in the support of D = 3*O is a construction point like any other:
+    # its rows are read at t^(c - 3), and its valuations run from -3.
+    gc = goppa_udmg(ref_curve, [INFINITY, (0, 1)], DivisorSpec(3, None))
+    assert gc.point_valuations == ((-3, -2, 0), (0, 1, 2))
+    assert goppa_generator(gc) == gc.generator and verify(gc.udmg).valid
     with pytest.raises(DuplicatePointsError):
         goppa_udmg(ref_curve, [(0, 1), (0, 1)], reference.divisor())
 
@@ -429,6 +432,24 @@ def test_constructions_name_a_repeated_point(ref_curve):
         goppa_udmg(ref_curve, iter([(0, 1), (1, 1), (1, 1)]), DivisorSpec(0))  # (1, 1) is off the curve
     with pytest.raises(DuplicatePointsError, match=msg):
         genus0_udmg(F5, [INFINITY, 0, INFINITY], 2)
+
+
+def test_constructions_past_the_work_bound_are_refused_before_any_row(ref_curve, monkeypatch):
+    # The largest construction a test, a script or the benchmark builds is the
+    # whole line over GF(64) at K = 16: L*K^3 = 65*16^3.
+    assert curves.MAX_WORK >= 65 * 16 ** 3
+    for name in ("rr_basis", "_rr_rows", "_assemble"):
+        monkeypatch.setattr(curves, name, lambda *args: pytest.fail("a row was built"))
+    monkeypatch.setattr(curves.Series, "chain", lambda *args: pytest.fail("a row was built"))
+    K = round(curves.MAX_WORK ** (1 / 3)) + 1  # K^3 > MAX_WORK on a single point
+    with pytest.raises(TooLargeError, match="MAX_WORK"):
+        genus0_udmg(F5, [0], K)
+    with pytest.raises(TooLargeError, match="MAX_WORK"):
+        genus0_udmg(F5, [0, 1], 10 ** 9)
+    with pytest.raises(TooLargeError, match="MAX_WORK"):
+        goppa_udmg(ref_curve, [(0, 1)], DivisorSpec(K))  # K = deg D at genus 1
+    with pytest.raises(TooLargeError, match="MAX_WORK"):
+        goppa_udmg(ref_curve, reference.POINTS, DivisorSpec(10 ** 9, FnElement.r(ref_curve)))
 
 
 def test_line_construction_names_too_many_points():
@@ -772,55 +793,55 @@ def test_izb_reads_a_zero_element_as_a_dependency_on_both_genera(ref_curve):
 # s and 1/h (curves._rr_rows).  The route it replaced, one local_expand per
 # basis element, is kept here as the oracle the rows must equal entry for entry.
 
-def rows_by_local_expand(curve, D, P, width):
-    """Oracle: the coefficients of t^0, ..., t^(width-1) of each rr_basis element."""
+def rows_by_local_expand(curve, D, P, width, d):
+    """Oracle: the coefficients of t^-d, ..., t^(width-1-d) of each rr_basis element, d = D(P)."""
     rows = []
     for fn in rr_basis(curve, D):
         exp = local_expand(curve, fn, P, width)
-        assert exp.valuation >= 0
-        rows.append(([0] * exp.valuation + list(exp.coeffs))[:width])
+        assert exp.valuation + d >= 0
+        rows.append(([0] * (exp.valuation + d) + list(exp.coeffs))[:width])
     return rows
 
 
 def assert_rows_match(curve, D, widths, seen):
-    """_rr_rows against the oracle at every point; refusal exactly on supp D."""
+    """_rr_rows against the oracle at every point, in the support of D too."""
     for P in enumerate_points(curve):
-        on_support = (D.n if P is INFINITY else 0) + (
+        d = (D.n if P is INFINITY else 0) + (
             0 if D.h is None else function_valuation(curve, D.h, P))
         for width in widths:
-            if on_support:
-                with pytest.raises(SupportCollisionError, match="support of the divisor"):
-                    curves._rr_rows(curve, D, P, width)
-                continue
             got = curves._rr_rows(curve, D, P, width)
-            assert got == rows_by_local_expand(curve, D, P, width), (str(D.h), D.n, P, width)
+            assert got == (d, rows_by_local_expand(curve, D, P, width, d)), (str(D.h), D.n, P, width)
             seen["rows"] += 1
             seen["at O"] += P is INFINITY
+            seen["on supp D"] += d != 0
             if P is not INFINITY:
                 seen["two-torsion"] += P[1] == 0
                 seen["C(P) = 0"] += D.h is not None and D.h.C(P[0]) == 0
 
 
 def row_counts():
-    return dict.fromkeys(("rows", "at O", "two-torsion", "C(P) = 0"), 0)
+    return dict.fromkeys(("rows", "at O", "two-torsion", "C(P) = 0", "on supp D"), 0)
 
 
 @pytest.mark.parametrize("field,a,b", BOUND_CURVES)
 def test_rr_rows_equal_local_expand_rows_for_n_times_o(field, a, b):
     curve, seen = curve_new(field, a, b), row_counts()
     for n in range(1, 8):
-        assert_rows_match(curve, DivisorSpec(n, None), (n + 3,), seen)
-    assert seen["rows"] == 7 * (len(enumerate_points(curve)) - 1)  # every affine point
+        assert_rows_match(curve, DivisorSpec(n, None), (n + 1, n + 3), seen)
+    assert seen["rows"] == 14 * len(enumerate_points(curve))  # every point, O included
+    assert seen["on supp D"] == seen["at O"] == 14
 
 
 def test_rr_rows_equal_local_expand_rows_for_the_fixture(ref_curve):
     seen = row_counts()
     assert_rows_match(ref_curve, reference.divisor(), (1, 6), seen)
     assert seen["at O"] == 2 and seen["rows"] == 2 * len(reference.POINTS)
+    assert seen["on supp D"] == 0  # the zeros of r + s are not rational
 
 
 def test_rr_rows_equal_local_expand_rows_for_random_h():
-    # n = -v_O(h) puts O outside supp D; h with C = 1 is a polynomial.
+    # n = -v_O(h) puts O outside supp D; h with C = 1 is a polynomial.  The
+    # rational zeros and poles of h are points of supp D.
     rng, seen = random.Random(20), row_counts()
 
     def poly(field, top):
@@ -836,8 +857,9 @@ def test_rr_rows_equal_local_expand_rows_for_random_h():
             h = FnElement(curve, A, B, C)
             n = -function_valuation(curve, h, INFINITY)
             if n >= 1:
-                assert_rows_match(curve, DivisorSpec(n, h), (n + 3,), seen)
+                assert_rows_match(curve, DivisorSpec(n, h), (n + 1, n + 3), seen)
     assert seen["at O"] >= 10 and seen["two-torsion"] >= 1 and seen["C(P) = 0"] >= 1, seen
+    assert seen["on supp D"] >= 10, seen
 
 
 def test_rr_rows_where_the_denominator_of_h_vanishes():
@@ -851,7 +873,21 @@ def test_rr_rows_where_the_denominator_of_h_vanishes():
             h = (s - P0[1]) * r * r / (r - P0[0])
             assert_rows_match(curve, DivisorSpec(-function_valuation(curve, h, INFINITY), h),
                               (4,), seen)
+    assert seen["on supp D"] >= 4, seen
     assert seen["C(P) = 0"] >= 4 and seen["two-torsion"] >= 4 and seen["at O"] >= 4, seen
+
+
+def test_rr_rows_where_the_numerator_of_h_vanishes_to_high_order():
+    # h = (r - x0)^3 vanishes to order 3 at (x0, y0), 6 at a two-torsion point:
+    # the working length must cover that many lost coefficients.
+    seen = row_counts()
+    for field, a, b in BOUND_CURVES[1:3]:
+        curve = curve_new(field, a, b)
+        for P0 in enumerate_points(curve)[1:]:
+            h = (FnElement.r(curve) - P0[0]) ** 3
+            for n in (1, 4):
+                assert_rows_match(curve, DivisorSpec(n, h), (n + 1,), seen)
+    assert seen["two-torsion"] >= 4 and seen["on supp D"] >= 8, seen
 
 
 def test_construction_expands_once_per_point(ref_curve, monkeypatch):
@@ -874,12 +910,20 @@ def test_construction_expands_once_per_point(ref_curve, monkeypatch):
 def test_line_rows_equal_horner_taylor_rows_at_every_point(field):
     # The line reads the rows of 1, x, ..., x^(K-1) at x0 off one chain of
     # products by x0 + t; Horner evaluation of each monomial at x0 + t
-    # (_taylor_rows) is the oracle, at every point, x0 = 0 included.
+    # (_taylor_rows) is the oracle, at every point, x0 = 0 included.  At
+    # infinity the chain starts from t^(K-1) and steps by 1/t; the closed
+    # form there is the reversed monomials, x^e at column K - 1 - e.
     points = list(field.elements()) + [INFINITY]
     for K in range(1, 11):
-        _, (_, _, pts, _, monomials, rows, _) = constructed(lambda: genus0_udmg(field, points, K))
-        for P, R in zip(pts, rows):
-            if P is not INFINITY:
+        _, (_, _, _, pts, D, monomials, rows, shifts) = constructed(
+            lambda: genus0_udmg(field, points, K))
+        assert D.n == K - 1 and len(rows[0][0]) == K  # deg D + 1 wide
+        for P, R, d in zip(pts, rows, shifts):
+            if P is INFINITY:
+                assert d == K - 1
+                assert R == [[m.coeff(K - 1 - c) for c in range(K)] for m in monomials], K
+            else:
+                assert d == 0
                 assert R == curves._taylor_rows(field, monomials, P, K), (K, P)
 
 
@@ -947,7 +991,7 @@ def witnesses(gc, matrices, t0):
 def certify(gc, args, matrices=None, t0=None, transforms=None):
     """_certify on the construction's matrices, or on those given, with witnesses
     derived from the matrices unless transforms are given."""
-    field, _, points, divisor, _, rows, _ = args
+    field, _, _, points, divisor, _, rows, _ = args
     t0 = gc.transforms[0] if t0 is None else t0
     matrices = gc.matrices if matrices is None else matrices
     transforms = witnesses(gc, matrices, t0) if transforms is None else transforms
@@ -964,7 +1008,7 @@ def accepts(check, *args, **kwargs) -> bool:
 
 def certified_as_by_the_oracle(gc, args, matrices) -> bool:
     """Whether the certificate accepts matrices; the inverse-based oracle must agree."""
-    field, _, points, divisor, _, rows, _ = args
+    field, _, _, points, divisor, _, rows, _ = args
     got = accepts(certify, gc, args, matrices=matrices)
     want = accepts(certify_by_inverse, field, gc.genus, divisor.n, points, gc.transforms[0],
                    matrices, rows)
@@ -1045,16 +1089,23 @@ def test_every_single_entry_corruption_of_a_small_line(certified):
     assert outcomes == {True, False}  # neither vacuous nor rejecting everything
 
 
-def test_assemble_raises_on_a_corrupted_matrix(certified):
+def test_assemble_raises_on_a_corrupted_matrix(certified, monkeypatch):
+    # _assemble eliminates each point's rows itself; the elimination at the
+    # last point is made to hand back the transform of a corrupted matrix.
+    izb = curves._izb_from_rows
     for name in ("line5", "fixture"):  # the last point is infinity in both
-        gc, (field, curve, points, divisor, canonical, rows, results) = certified[name]
+        gc, (field, curve, genus, points, divisor, canonical, rows, shifts) = certified[name]
         i = len(points) - 1
         M = lowered(gc, i, gc.udmg.K - 1)
         assert not verify(Udmg(field, gc.udmg.K, gc.genus, replaced(gc.matrices, i, M))).valid
-        t0 = gc.transforms[0]
-        bad = replaced(tuple(results), i, (results[i][0], inverse(M).matmul(t0)))
+        bad = inverse(M).matmul(gc.transforms[0])
+        monkeypatch.setattr(curves, "_izb_from_rows", lambda f, basis, R, width: (
+            (izb(f, basis, R, width)[0], bad) if R is rows[i] else izb(f, basis, R, width)))
         with pytest.raises(AssertionError):
-            curves._assemble(field, curve, points, divisor, canonical, rows, bad)
+            curves._assemble(field, curve, genus, points, divisor, canonical, rows, shifts)
+        monkeypatch.undo()
+        assert curves._assemble(field, curve, genus, points, divisor, canonical, rows,
+                                shifts).matrices == gc.matrices
 
 
 def test_certificate_needs_order_j_not_j_minus_1(certified):
@@ -1079,7 +1130,7 @@ def test_certificate_checks_the_reference_rank(certified):
 
 def test_certificate_side_conditions(certified):
     gc, args = certified["fixture"]
-    field, _, points, divisor, _, rows, _ = args
+    field, _, _, points, divisor, _, rows, _ = args
     t0 = gc.transforms[0]
     with pytest.raises(AssertionError, match="deg D"):
         curves._certify(field, 1, divisor.n + 1, points, t0, gc.matrices, gc.transforms, rows)
@@ -1124,6 +1175,38 @@ def test_certificate_at_infinity_on_the_line(certified):
     for j in range(1, K):
         with pytest.raises(AssertionError):
             certify(gc, args, matrices=replaced(gc.matrices, last, lowered(gc, last, j)))
+
+
+SUPPORT_CURVES = [(F5, 1, 1), (F7, 3, 0), (F7, 1, 1), (make_field(11), 2, 0)]
+
+
+@pytest.mark.parametrize("field,a,b", SUPPORT_CURVES)
+def test_constructions_on_every_point_support_included(field, a, b):
+    # Every rational point, O included, with D = n*O and with h having rational
+    # zeros or poles: points of supp D are construction points like any other.
+    # The certificate, the scan (verify_naive where its enumeration is small)
+    # and the generator's independent route must all agree.
+    curve = curve_new(field, a, b)
+    points = enumerate_points(curve)
+    r, s = FnElement.r(curve), FnElement.s(curve)
+    x0, y0 = points[1]
+    on_support = 0
+    for h in (None, r, r * r - 1, 1 / r, (s - y0) / (r - x0)):
+        for n in range(1, 5):
+            for order in (points, points[::-1]):
+                gc, args = constructed(lambda: goppa_udmg(curve, order, DivisorSpec(n, h)))
+                certify(gc, args)
+                shifts = args[-1]
+                on_support += sum(d != 0 for d in shifts)
+                for P, d, vals in zip(order, shifts, gc.point_valuations):
+                    assert 0 <= vals[0] + d and vals[-1] + d <= n, (P, d, vals)
+                    # v = -D(P) but at O for n = 1, the base point of L(D) = <1/h>
+                    assert vals[0] + d == (n == 1 and P is INFINITY), (P, d, vals)
+                assert goppa_generator(gc) == gc.generator
+                assert verify(gc.udmg).valid
+                if n == 1 or (len(points) <= 5 and n <= 3):
+                    assert verify_naive(gc.udmg).valid
+    assert on_support >= 40, on_support  # one per construction on average
 
 
 def test_point_bases_equal_increasing_zero_bases(certified):
