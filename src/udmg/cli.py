@@ -200,37 +200,37 @@ def _integer(value, what: str) -> int:
 
 
 def construction_from_data(data: dict):
-    from .curves import INFINITY, DivisorSpec, WeierstrassCurve
-
     q = data["q"]
     field = field_from_order(q)
     genus = data["genus"]
     if type(genus) is not int:
         raise ValueError(f"genus {genus!r} is not an integer")
+    if genus not in (0, 1):
+        raise ValueError("genus must be 0 or 1")
     tokens = data["points"]
     if not isinstance(tokens, list):  # a string or a dict is not iterated
         raise ValueError(f"points {tokens!r} is not a list")
+    from .curves import INFINITY, DivisorSpec, WeierstrassCurve  # a refused file never loads it
+
     if genus == 0:
         points = [INFINITY if t == "inf" else field.check(_integer(t, "point")) for t in tokens]
         return genus0_udmg(field, points, _integer(data["K"], "K"))
-    if genus == 1:
-        curve = WeierstrassCurve(field, _integer(data["a"], "a") % q, _integer(data["b"], "b") % q)
-        points = []
-        for tok in tokens:
-            if tok == "inf":
-                points.append(INFINITY)
-            elif isinstance(tok, list) and len(tok) == 2:
-                points.append(tuple(_integer(c, "point coordinate") for c in tok))
-            else:
-                raise ValueError(f"point {tok!r} is not \"inf\" or a pair [r, s]")
-        div = data.get("divisor")
-        if not isinstance(div, dict) or "n" not in div:
-            raise ValueError("genus-1 construction needs divisor: {\"n\": ..., \"h\": ...}")
-        if "h" in div and not isinstance(div["h"], str):  # 0, false or null is not h = 1
-            raise ValueError(f"divisor h {div['h']!r} is not a string")
-        h = parse_function(curve, div["h"]) if "h" in div else None
-        return goppa_udmg(curve, points, DivisorSpec(_integer(div["n"], "divisor n"), h))
-    raise ValueError("genus must be 0 or 1")
+    curve = WeierstrassCurve(field, _integer(data["a"], "a") % q, _integer(data["b"], "b") % q)
+    points = []
+    for tok in tokens:
+        if tok == "inf":
+            points.append(INFINITY)
+        elif isinstance(tok, list) and len(tok) == 2:
+            points.append(tuple(_integer(c, "point coordinate") for c in tok))
+        else:
+            raise ValueError(f"point {tok!r} is not \"inf\" or a pair [r, s]")
+    div = data.get("divisor")
+    if not isinstance(div, dict) or "n" not in div:
+        raise ValueError("genus-1 construction needs divisor: {\"n\": ..., \"h\": ...}")
+    if "h" in div and not isinstance(div["h"], str):  # 0, false or null is not h = 1
+        raise ValueError(f"divisor h {div['h']!r} is not a string")
+    h = parse_function(curve, div["h"]) if "h" in div else None
+    return goppa_udmg(curve, points, DivisorSpec(_integer(div["n"], "divisor n"), h))
 
 
 def load_construction(path: str):

@@ -21,6 +21,7 @@ from .errors import (
     TooLargeError,
     TooShortError,
 )
+from .fields import row_ops
 from .linalg import FqMatrix, rank
 from .records import record
 
@@ -77,9 +78,9 @@ def min_distance(code: LinearCode, valid_at: int | None = None) -> int:
             break
         g, zeros = g + 1, [j for j, v in enumerate(rep.witness) if v]
     d = n - k + 1 - g
-    ann = [[int(r == c) for c in range(k)] for r in range(k)]
+    ann, ops = [[int(r == c) for c in range(k)] for r in range(k)], row_ops(f)
     for j in zeros:
-        ann = _annihilate(f, ann, cols[j])
+        ann = _annihilate(ops, ann, cols[j])
     weight = n - G.vecmat(ann[0]).count(0)
     if weight != d:
         raise AssertionError(f"certificate codeword has weight {weight}, not d = {d}")

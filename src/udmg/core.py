@@ -16,7 +16,7 @@ from .errors import (
     LengthMismatchError,
     NotProperSubError,
 )
-from .fields import FieldSpec
+from .fields import FieldSpec, row_ops
 from .linalg import (
     FqMatrix,
     Subspace,
@@ -119,8 +119,9 @@ def _spans(u: Udmg, lam) -> bool:
 
 
 def _count_allowable(lengths, total: int) -> int:
-    """Number of allowable vectors, by a DP over capped compositions."""
-    if total < 0:
+    """Number of allowable vectors, by a DP over capped compositions.  A total that is
+    negative or past sum(lengths) allows none: 0 at once, before any list of total + 1."""
+    if not 0 <= total <= sum(lengths):
         return 0
     ways = [1] + [0] * total
     for n in lengths:
@@ -128,47 +129,44 @@ def _count_allowable(lengths, total: int) -> int:
     return ways[total]
 
 
-def _annihilate(field: FieldSpec, ann: list, vec) -> list:
-    """Basis of the annihilator of W + <vec>, given one (ann) of W's.
+def _annihilate(ops, ann: list, vec) -> list:
+    """Basis of the annihilator of W + <vec>, given one (ann) of W's; ops are row_ops'.
 
     vec in W leaves ann as is.  Else the first phi with c = phi(vec) != 0 is
     dropped, and each later psi becomes psi - (psi(vec) / c) * phi.
     """
-    dots = [field.dot(phi, vec) for phi in ann]
+    dot, _, div, axpy = ops
+    dots = [dot(phi, vec) for phi in ann]
     for k, c in enumerate(dots):
         if c:
             break
     else:
         return ann
-    sub, mul, pivot = field.sub, field.mul, ann[k]
-    out = ann[:k]
-    for phi, d in zip(ann[k + 1:], dots[k + 1:]):
-        if d:
-            t = field.div(d, c)
-            phi = [sub(x, mul(t, y)) if y else x for x, y in zip(phi, pivot)]
-        out.append(phi)
-    return out
+    pivot = ann[k]
+    return ann[:k] + [axpy(div(d, c), pivot, phi) if d else phi
+                      for phi, d in zip(ann[k + 1:], dots[k + 1:])]
 
 
-def _profile(field: FieldSpec, ann: list, steps) -> tuple:
-    """(a, e, slope) of one member's steps mapped to F_q^k by k <= 2 functionals.
+def _profile(ops, ann: list, steps) -> tuple:
+    """(a, e, slope) of one member's steps mapped to F_q^k by k <= 2 functionals (ann).
 
     a counts the leading steps whose image is zero.  When k = 2 the first
     nonzero image fixes the one line of F_q^2 the member can stay on, keyed by
     slope (-1 if vertical, None if none), and e counts the steps on it.
     """
-    dot, mul = field.dot, field.mul
+    dot, mul, div, _ = ops
+    phi, psi = ann[0], ann[1] if len(ann) == 2 else None
     a, e, slope = 0, 0, None
     for step in steps:
         for vec in step:
-            img = [dot(phi, vec) for phi in ann]
-            if not any(img):
+            x = dot(phi, vec)
+            y = dot(psi, vec) if psi else 0
+            if not (x or y):
                 continue
-            if len(img) == 1:
+            if psi is None:
                 return a, e, slope
-            x, y = img
             if slope is None:
-                slope, x0, y0 = (field.div(y, x) if x else -1), x, y
+                slope, x0, y0 = (div(y, x) if x else -1), x, y
             elif mul(x, y0) != mul(y, x0):
                 return a, e, slope
         if slope is None:
@@ -192,11 +190,13 @@ def _scan(field: FieldSpec, K: int, g: int, steps) -> VerifyReport:
     with _profile's (a, e, slope) per member, capped at the budget R left, it
     fails iff sum(a) plus the e on some line reaches R.  The least failure,
     over such lines, takes from each member only what later ones cannot cover.
+    The dots, slopes and row updates are fields.row_ops', built once per scan.
     """
     lengths = [len(s) for s in steps]
     checked = _count_allowable(lengths, K + g)
     if not checked:
         return VerifyReport(True, None, 0, vacuous=True)
+    ops = row_ops(field)
     L = len(steps)
     tails = [sum(lengths[i:]) for i in range(L + 1)]
 
@@ -206,7 +206,7 @@ def _scan(field: FieldSpec, K: int, g: int, steps) -> VerifyReport:
             return None
         budget = remaining - v
         starts = [v] + [0] * (L - i - 1)
-        prof = [_profile(field, ann, s[o:o + budget]) for s, o in zip(steps[i:], starts)]
+        prof = [_profile(ops, ann, s[o:o + budget]) for s, o in zip(steps[i:], starts)]
         zeros, along = sum(a for a, _, _ in prof), {}
         for _, e, slope in prof:
             along[slope] = along.get(slope, 0) + e
@@ -231,7 +231,7 @@ def _scan(field: FieldSpec, K: int, g: int, steps) -> VerifyReport:
         for v in range(min(lengths[i], remaining) + 1):
             if v:
                 for vec in steps[i][v - 1]:
-                    ann = _annihilate(field, ann, vec)
+                    ann = _annihilate(ops, ann, vec)
                 if len(ann) <= 2:
                     return tail(i, v, ann, remaining)
             if v >= remaining - tails[i + 1]:

@@ -47,7 +47,7 @@ from .errors import (
     TooManyPointsError,
     UnsupportedDivisorError,
 )
-from .fields import FieldSpec
+from .fields import FieldSpec, row_ops
 from .linalg import FqMatrix, echelon_rows, inverse, rank
 from .polys import Poly
 from .records import record
@@ -600,7 +600,7 @@ def _izb_from_rows(field, basis, coeff_rows, width) -> tuple:
     """
     k = len(basis)
     rows = [list(row) + [1 if t == i else 0 for t in range(k)] for i, row in enumerate(coeff_rows)]
-    used, pivots, remaining = echelon_rows(field, rows, width)
+    used, pivots, remaining = echelon_rows(row_ops(field), rows, width)
     if remaining:
         if any(fn.is_zero for fn in _combine(basis, [rows[idx][width:] for idx in remaining])):
             raise DependentBasisError("input functions are linearly dependent")

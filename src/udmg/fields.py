@@ -24,6 +24,12 @@ reads the tables once per sum: it XORs antilogs for p = 2 and takes one Zech
 step per nonzero term for odd p; a prime field sums integers and reduces
 once, and a field above the table limit adds its products one at a time.
 
+row_ops(field) gives the rank scan and the elimination dot, mul, div and a row
+update as closures built per call: integer expressions mod p on a prime field
+(div reads an inverse table up to TABLE_MAX_ORDER, pow above), the field's own
+methods elsewhere.  The lru_caches hold data only, never a closure or bound
+method, so nothing keeps a wrapper set on a FieldSpec method once it is removed.
+
 A modulus, canonical or given, is tested for irreducibility by trial
 division by monic factors of degree <= 2 and then Rabin's test, with
 x^(p^k) mod f built by the Frobenius map; trial division by every factor of
@@ -445,6 +451,31 @@ class FieldSpec:
 
     def element(self, rep: int) -> "FqElement":
         return FqElement(self.check(rep), self)
+
+
+@lru_cache(maxsize=64)
+def _inverses(p: int) -> tuple:
+    """b^-1 mod p at index b for a prime p; index 0 is never read."""
+    return (0, *(pow(b, -1, p) for b in range(1, p)))
+
+
+def row_ops(field: FieldSpec) -> tuple:
+    """(dot, mul, div, axpy) of field, built afresh, with axpy(t, ys, xs) the row update
+    [x - t*y for x, y in zip(xs, ys)]; div(a, 0) raises ZeroDivisionError."""
+    if field.m > 1:
+        sub, mul = field.sub, field.mul
+        return (field.dot, mul, field.div,
+                lambda t, ys, xs: [sub(x, mul(t, y)) if y else x for x, y in zip(xs, ys)])
+    p = field.p
+    inv = _inverses(p) if p <= TABLE_MAX_ORDER else None
+
+    def div(a, b):
+        if not b:
+            raise ZeroDivisionError("inverse of zero")
+        return a * (inv[b] if inv else pow(b, -1, p)) % p
+
+    return (lambda xs, ys: sum(map(_int_mul, xs, ys)) % p, lambda a, b: a * b % p, div,
+            lambda t, ys, xs: [(x - t * y) % p for x, y in zip(xs, ys)])
 
 
 def make_field(p: int, m: int = 1) -> FieldSpec:

@@ -4,7 +4,7 @@ complements, and quotient-space coordinate maps.
 One forward elimination, echelon_rows, is the package's only loop that
 eliminates given rows: rref_rows is that pass plus back-substitution, rank
 and subspace containment use the forward pass alone, and curves builds its
-increasing zero bases on it.
+increasing zero bases on it.  Rows update by fields.row_ops' axpy, as in core's scan.
 
 Subspaces are stored canonically as the reduced row echelon basis of their
 spanning vectors, so subspace equality is plain tuple equality.  The public
@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import AmbientMismatchError, FieldMismatchError
-from .fields import FieldSpec
+from .fields import FieldSpec, row_ops
 from .records import record
 
 
@@ -106,19 +106,17 @@ def hstack(blocks) -> FqMatrix:
                     tuple(e for i in range(nrows) for b in blocks for e in b.row(i)))
 
 
-def _clear(sub, mul, prow, col: int, rows, targets) -> None:
-    """Subtract from each rows[i], i in targets, its entry at col times prow (prow[col] = 1);
-    sub and mul are the field's, bound once per elimination."""
+def _clear(axpy, prow, col: int, rows, targets) -> None:
+    """Subtract from each rows[i], i in targets, its entry at col times prow (prow[col] = 1),
+    from col on, in place; axpy is row_ops' row update, built once per elimination."""
+    tail = prow[col:]
     for i in targets:
         row = rows[i]
-        c = row[col]
-        if c:
-            for j in range(col, len(prow)):
-                if prow[j]:
-                    row[j] = sub(row[j], mul(c, prow[j]))
+        if row[col]:
+            row[col:] = axpy(row[col], tail, row[col:])
 
 
-def echelon_rows(field: FieldSpec, rows, width: int) -> tuple:
+def echelon_rows(ops, rows, width: int) -> tuple:
     """Forward elimination over the first width columns, in place; rows are not moved.
 
     Each column's pivot is the first remaining row, in input order, with a
@@ -126,12 +124,10 @@ def echelon_rows(field: FieldSpec, rows, width: int) -> tuple:
     remaining rows across the whole row, so columns past width (a transform,
     say) follow the row operations.  Returns (used, pivots, remaining): the
     pivot rows' indices in pivot-column order, their pivot columns, and the
-    indices of the rows that received no pivot.
+    indices of the rows that received no pivot.  ops is fields.row_ops(field).
     """
-    sub, mul = field.sub, field.mul
-    used = []
-    pivots = []
-    remaining = list(range(len(rows)))
+    _, mul, div, axpy = ops
+    used, pivots, remaining = [], [], list(range(len(rows)))
     for col in range(width):
         for hit in remaining:
             if rows[hit][col]:
@@ -140,13 +136,10 @@ def echelon_rows(field: FieldSpec, rows, width: int) -> tuple:
             continue
         remaining.remove(hit)
         row = rows[hit]
-        lead = row[col]
-        if lead != 1:
-            s = field.inv(lead)
-            for j in range(col, len(row)):
-                if row[j]:
-                    row[j] = mul(s, row[j])
-        _clear(sub, mul, row, col, rows, remaining)
+        if row[col] != 1:
+            s = div(1, row[col])
+            row[col:] = [mul(s, x) if x else 0 for x in row[col:]]
+        _clear(axpy, row, col, rows, remaining)
         used.append(hit)
         pivots.append(col)
         if not remaining:
@@ -162,11 +155,11 @@ def rref_rows(field: FieldSpec, rows) -> tuple:
     """
     if not rows:
         return 0, ()
-    used, pivots, remaining = echelon_rows(field, rows, len(rows[0]))
+    ops = row_ops(field)
+    used, pivots, remaining = echelon_rows(ops, rows, len(rows[0]))
     rows[:] = [rows[i] for i in used + remaining]
-    sub, mul = field.sub, field.mul
     for r in range(len(used) - 1, 0, -1):
-        _clear(sub, mul, rows[r], pivots[r], rows, range(r))
+        _clear(ops[3], rows[r], pivots[r], rows, range(r))
     return len(used), tuple(pivots)
 
 
@@ -181,7 +174,7 @@ def rref(M: FqMatrix) -> RrefResult:
 
 
 def rank(M: FqMatrix) -> int:
-    return len(echelon_rows(M.field, M.to_rows(), M.cols)[0])
+    return len(echelon_rows(row_ops(M.field), M.to_rows(), M.cols)[0])
 
 
 def inverse(M: FqMatrix) -> FqMatrix:
@@ -238,13 +231,13 @@ class Subspace:
         if len(v) != self.ambient_dim:
             raise AmbientMismatchError("vector length differs from ambient dimension")
         rows = [list(r) for r in self.vectors] + [v]
-        return len(echelon_rows(self.field, rows, self.ambient_dim)[0]) == self.dim
+        return len(echelon_rows(row_ops(self.field), rows, self.ambient_dim)[0]) == self.dim
 
     def contains(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
             raise AmbientMismatchError("ambient dimensions differ")
         rows = [list(r) for r in self.vectors] + [list(r) for r in other.vectors]
-        return len(echelon_rows(self.field, rows, self.ambient_dim)[0]) == self.dim
+        return len(echelon_rows(row_ops(self.field), rows, self.ambient_dim)[0]) == self.dim
 
     def enumerate_vectors(self):
         """All q^dim vectors of the subspace, zero first (desk scale only)."""

@@ -393,6 +393,22 @@ def test_huge_field_orders_fail_fast(tmp_path):
         assert res.returncode == 2 and "exceeds 2^20" in res.stderr
 
 
+def test_huge_genus_is_vacuous_at_once(tmp_path):
+    # K + g past the total length allows no vector; counting them first built lists of
+    # K + g + 1 entries, and on this 60-column set died with a MemoryError (exit 1)
+    eye = [[int(r == c) for c in range(5)] for r in range(5)]
+    base = {"p": 11, "m": 1, "K": 5, "matrices": [eye] * 12}
+    small, huge = tmp_path / "g0.json", tmp_path / "huge_g.json"
+    small.write_text(json.dumps({**base, "g": 0}))
+    huge.write_text(json.dumps({**base, "g": 10**11}))
+    for argv in (["verify", str(small), "--genus", str(10**11)], ["verify", str(huge)],
+                 ["quotient", str(huge), "--truncate", ",".join(["1"] * 12)]):
+        res = subprocess.run([sys.executable, "-m", "udmg.cli", "--json", *argv],
+                             capture_output=True, text=True, timeout=5)
+        assert res.returncode == 0, (argv, res.stderr)
+        assert json.loads(res.stdout)["vacuous" if argv[0] == "verify" else "valid"] is True
+
+
 def test_audit_of_huge_message_space_exits_2_fast(tmp_path):
     # GF(2^16) with K = 3 has 2^48 messages: the pair guard must come before enumeration
     modulus = [1, 1, 0, 1, 0, 1] + [0] * 10 + [1]
@@ -442,6 +458,24 @@ def test_bounds_loads_codes_but_not_curves_or_waveform():
     mods = loaded_modules("bounds", "--K", "4", "--q", "5", "--g", "1")
     assert "udmg.codes" in mods
     assert not mods & {"udmg.curves", "udmg.waveform"}
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"q": 6, "genus": 0, "K": 2, "points": [0, 1]}, "6 is not a prime power"),
+    ({"q": 5, "genus": 2, "points": []}, "genus must be 0 or 1"),
+    ({"q": 5, "genus": "1", "points": []}, "is not an integer"),
+    ({"q": 5, "genus": 1, "points": "inf"}, "is not a list"),
+])
+def test_bad_construction_file_is_refused_before_curves_loads(data, message):
+    code = ("import sys\nfrom udmg.cli import construction_from_data\n"
+            f"try:\n    construction_from_data({data!r})\nexcept Exception as exc:\n"
+            "    print(exc)\nprint('udmg.curves' in sys.modules, 'udmg.polys' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(udmg.__file__).resolve().parents[1])}
+    res = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         timeout=60, env=env)
+    assert res.returncode == 0, res.stderr
+    error, loaded = res.stdout.splitlines()
+    assert message in error and loaded == "False False"
 
 
 @pytest.mark.parametrize("argv", [

@@ -126,6 +126,13 @@ def test_vacuous_verify():
     assert rep.valid and rep.vacuous and rep.checked == 0
 
 
+def test_genus_past_the_total_length_is_vacuous_without_counting():
+    # the count of allowable vectors would take K + g + 1 entries per member
+    u = identity_udmg(F5, 3, g=10**11, copies=4)
+    for rep in (verify(u), verify_chains(realize(u))):
+        assert (rep.valid, rep.witness, rep.checked, rep.vacuous) == (True, None, 0, True)
+
+
 def assert_agrees_with_oracles(u):
     rep = verify(u)
     naive = verify_naive(u)
@@ -145,6 +152,20 @@ def test_oracle_equivalence_sample():
         lengths = [rng.randint(1, 3) for _ in range(L)]
         g = rng.randint(0, 2)
         assert_agrees_with_oracles(random_udmg(rng, field, K, lengths, g))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from([2, 3, 13, 4093, 4099, 1048573]), st.data())
+def test_oracle_equivalence_on_both_sides_of_the_inverse_table(p, data):
+    # p <= TABLE_MAX_ORDER divides through row_ops' inverse table, larger p through pow;
+    # entries near 0 and -1 make dependent columns, so failures occur at every p
+    field = make_field(p)
+    entry = st.one_of(st.sampled_from([0, 1, 2 % p, p - 1]), st.integers(0, p - 1))
+    K = data.draw(st.integers(1, 4))
+    lengths = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    mats = tuple(FqMatrix(field, K, n, tuple(data.draw(entry) for _ in range(K * n)))
+                 for n in lengths)
+    assert_agrees_with_oracles(Udmg(field, K, data.draw(st.integers(0, 2)), mats))
 
 
 def assert_agreement_exhaustive(field):
@@ -182,13 +203,16 @@ def test_oracle_equivalence_height_zero():
 
 def test_no_vector_is_reduced_once_the_span_is_full(monkeypatch):
     from udmg import core
-    from udmg.fields import FieldSpec
 
-    touched, annihilate, dot = [], core._annihilate, FieldSpec.dot
-    monkeypatch.setattr(core, "_annihilate", lambda field, ann, vec: touched.append(vec) or
-                        annihilate(field, ann, vec))
-    monkeypatch.setattr(FieldSpec, "dot", lambda field, xs, ys: touched.append(ys) or
-                        dot(field, xs, ys))
+    touched, annihilate, row_ops = [], core._annihilate, core.row_ops
+
+    def probed_row_ops(field):
+        dot, *rest = row_ops(field)
+        return (lambda xs, ys: touched.append(ys) or dot(xs, ys), *rest)
+
+    monkeypatch.setattr(core, "_annihilate", lambda ops, ann, vec: touched.append(vec) or
+                        annihilate(ops, ann, vec))
+    monkeypatch.setattr(core, "row_ops", probed_row_ops)
     # K = 2 is decided by the closed-form tail alone, K = 3 walks one column first
     for K in (2, 3):
         eye = [tuple(int(r == c) for r in range(K)) for c in range(K)]

@@ -18,6 +18,7 @@ from udmg.fields import (
     field_from_order,
     is_prime,
     make_field,
+    row_ops,
     smallest_irreducible,
 )
 
@@ -495,3 +496,54 @@ def test_dot_matches_loop(f, data):
               for _ in range(2))
     got = f.dot(xs, ys)
     assert got == dot_by_loop(f, xs, ys) and 0 <= got < f.q
+
+
+# -- row ops: the scan's and the elimination's integer closures ------------------
+
+ROW_OPS_FIELDS = [make_field(2), make_field(3), make_field(13), make_field(4093),  # prime, tabled
+                  field_from_order(1048573),                                      # prime, pow
+                  make_field(2, 2), make_field(2, 4), make_field(5, 2),           # log tables
+                  field_from_order(1 << 16)]                                      # packed GF(2^m)
+
+
+def assert_row_ops_match(f, ops, a, b, xs, ys):
+    dot, mul, div, axpy = ops
+    assert mul(a, b) == f.mul(a, b)
+    if b:
+        assert div(a, b) == f.div(a, b)
+    assert dot(xs, ys) == f.dot(xs, ys)
+    assert axpy(a, ys, xs) == [f.sub(x, f.mul(a, y)) for x, y in zip(xs, ys)]
+
+
+@pytest.mark.parametrize("f", [f for f in ROW_OPS_FIELDS if f.q <= 16], ids=lambda f: f"q{f.q}")
+def test_row_ops_match_field_exhaustively(f):
+    ops = row_ops(f)
+    for a, b, x, y in product(range(f.q), repeat=4):
+        assert_row_ops_match(f, ops, a, b, [x, y], [y, b])
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.sampled_from(ROW_OPS_FIELDS), st.data())
+def test_row_ops_match_field_sampled(f, data):
+    el = st.integers(0, f.q - 1)
+    n = data.draw(st.integers(0, 6))
+    xs, ys = (data.draw(st.lists(el, min_size=n, max_size=n)) for _ in range(2))
+    assert_row_ops_match(f, row_ops(f), data.draw(el), data.draw(el), xs, ys)
+
+
+@pytest.mark.parametrize("f", ROW_OPS_FIELDS, ids=lambda f: f"q{f.q}")
+def test_row_ops_div_by_zero_raises(f):
+    div = row_ops(f)[2]
+    for a in (0, 1, f.q - 1):
+        with pytest.raises(ZeroDivisionError):
+            div(a, 0)
+
+
+def test_row_ops_see_a_patch_of_the_field_class(monkeypatch):
+    # nothing caches the closures, so a wrapper on FieldSpec is seen while installed only
+    f, seen, mul = make_field(5, 2), [], FieldSpec.mul
+    monkeypatch.setattr(FieldSpec, "mul", lambda self, a, b: seen.append((a, b)) or mul(self, a, b))
+    assert row_ops(f)[1](2, 3) == mul(f, 2, 3)
+    monkeypatch.undo()
+    row_ops(f)[1](4, 5)
+    assert seen == [(2, 3)]
