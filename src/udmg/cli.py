@@ -58,7 +58,7 @@ def matrixset_to_text(u: Udmg) -> str:
     if u.field.m > 1:
         lines.append(f'  "modulus": {json.dumps(list(u.field.modulus))},')
     lines += [f'  "K": {u.K},', f'  "g": {u.g},', '  "matrices": [']
-    mats = [f"    {json.dumps([list(M.row(i)) for i in range(M.rows)])}" for M in u.matrices]
+    mats = [f"    {json.dumps(M.to_rows())}" for M in u.matrices]
     lines += [m + "," for m in mats[:-1]] + mats[-1:] + ["  ]", "}"]
     return "\n".join(lines) + "\n"
 
@@ -306,7 +306,7 @@ def _cmd_construct(args) -> int:
         "points": [_point_token(P) for P in gc.points],
         "valuations": [list(v) for v in gc.point_valuations],
         "basis": [str(b) for b in gc.basis0],
-        "generator": [list(gc.generator.row(i)) for i in range(gc.generator.rows)],
+        "generator": gc.generator.to_rows(),
         "verified": True,
         "output": args.output,
     }
@@ -346,7 +346,7 @@ def _cmd_code(args) -> int:
     payload = {
         "n": code.n,
         "k": code.k,
-        "generator": [list(code.generator.row(i)) for i in range(code.k)],
+        "generator": code.generator.to_rows(),
     }
     if args.min_distance:
         payload["d"] = code.d

@@ -17,12 +17,13 @@ import math
 from .core import Udmg, _annihilate, _verify_fast, verify
 from .errors import (
     HypothesisUnmetError,
+    InvalidInputError,
     RankDeficientError,
     TooLargeError,
     TooShortError,
 )
 from .fields import row_ops
-from .linalg import FqMatrix, rank
+from .linalg import FqMatrix, first_columns, rank
 from .records import record
 
 MAX_PARTITION_BITS = 100_000  # cap on the bits of the partition bound's right-hand side
@@ -101,9 +102,8 @@ def first_column_code(u: Udmg, compute_distance: bool = True,
     if u.L < u.K + u.g:
         raise TooShortError(f"need L >= K + g = {u.K + u.g}, have {u.L}")
     if not (verified or _verify_fast(u)):
-        raise RankDeficientError("matrix set fails verification at its genus")
-    G = FqMatrix.from_rows(
-        u.field, [[M.col(0)[i] for M in u.matrices] for i in range(u.K)])
+        raise InvalidInputError("matrix set fails verification at its genus")
+    G = first_columns(u.matrices)
     if rank(G) != u.K:
         raise RankDeficientError("first-column generator is rank deficient")
     code = LinearCode(u.field, u.L, u.K, G)

@@ -14,12 +14,12 @@ be used, in supp D too.  Forward elimination (linalg.echelon_rows) gives the
 increasing zero basis, its valuations the pivot columns minus D(P); one
 assembly builds the matrices, certifies them valid by a valuation check that
 the degree of D justifies (no scan; each transform a witness checked by one
-product), and checks the generator.  Widths, lengths and the work are
-bounded in advance: no retries, no cache between calls.
+product), and checks the generator.  Widths, lengths (each from one margin,
+_margin) and the work are bounded in advance: no retries, no cache between calls.
 
 Local uniformizers are fixed once and for all so that independent runs agree:
 t = r - x(P) at an affine point with s(P) != 0, t = s at an affine point with
-s(P) = 0, and t = r^g/s at the point at infinity O.
+s(P) = 0, and t = r^g/s at O; on the line x is x0 + t, or 1/t at infinity (_line_series).
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ from collections import namedtuple
 from functools import cached_property, reduce
 from itertools import islice
 
-# _verify_fast is unused here since the construction certifies itself; it stays
-# bound because perfbench/tracer.py wraps curves._verify_fast.
+# _verify_fast stays bound only for perfbench/tracer.py to wrap; the construction certifies itself.
 from .core import Udmg, _verify_fast  # noqa: F401
 from .errors import (
     BadCharacteristicError,
@@ -42,13 +41,12 @@ from .errors import (
     PoleAtSupportError,
     PrecisionExhaustedError,
     SingularCurveError,
-    TooFewSectionsError,
     TooLargeError,
     TooManyPointsError,
     UnsupportedDivisorError,
 )
 from .fields import FieldSpec, row_ops
-from .linalg import FqMatrix, echelon_rows, inverse, rank
+from .linalg import FqMatrix, echelon_rows, first_columns, inverse, rank
 from .polys import Poly
 from .records import record
 
@@ -103,7 +101,7 @@ class WeierstrassCurve:
             return True
         if not isinstance(P, (tuple, list)) or len(P) != 2:
             raise InvalidInputError(f"point {P!r} is neither O nor a pair (x, y)")
-        x, y = P
+        x, y = map(self.field.check, P)  # else (2, 6) and (2, 1) would name one point twice
         return self.field.mul(y, y) == self.F(x)
 
 
@@ -397,9 +395,16 @@ def _solve_series(f, target, lag: int, h, length: int) -> list:
     return x
 
 
+def _line_series(field, P, length: int) -> Series:
+    """x in the line's fixed uniformizer at P: x0 + t (field.check refuses x0), 1/t at infinity."""
+    if P is INFINITY:
+        return Series(field, -1, [1] + [0] * (length - 1))
+    return Series(field, 0, [field.check(P), 1] + [0] * (length - 2))
+
+
 def _taylor_rows(f, polys, x0: int, width: int) -> list:
     """Coefficients of t^0, ..., t^(width-1) of p(x0 + t) for each p in polys, x0 in f."""
-    x = Series(f, 0, [f.check(x0), 1] + [0] * (width - 2))
+    x = _line_series(f, x0, width)
     return [x.poly_eval(p, width).row(width) for p in polys]
 
 
@@ -413,9 +418,7 @@ def _coordinate_series(curve: WeierstrassCurve, P, length: int):
         # t = r^g/s: v = 1/r solves v = t^2 (F_d + F_(d-1) v + ... + F_0 v^d).
         v = _solve_series(f, (), 2, [F.coeff(d - k) for k in range(d + 1)], length + 2)
         r = Series(f, 0, v).inv()
-        rg = r
-        for _ in range(curve.genus - 1):
-            rg = rg.mul(r)
+        rg = reduce(Series.mul, [r] * curve.genus)
         return r, Series(f, rg.val - 1, rg.coef)
     x0, y0 = P
     G = _taylor_rows(f, [F], x0, d + 1)[0]  # F(x0 + t)
@@ -424,7 +427,7 @@ def _coordinate_series(curve: WeierstrassCurve, P, length: int):
         c = f.inv(f.mul(2, y0))
         w = _solve_series(f, [0] + [f.mul(c, g) for g in G[1:]], 0, [0, 0, f.neg(c)], length)
         w[0] = y0
-        return Series(f, 0, [x0, 1] + [0] * (length - 2)), Series(f, 0, w)
+        return _line_series(f, x0, length), Series(f, 0, w)
     # Two-torsion point: t = s, r = x0 + u: u = (t^2 - G_2 u^2 - ... - G_d u^d) / G_1,
     # with pivot G_1 = F'(x0) != 0.
     c = f.inv(G[1])
@@ -451,25 +454,31 @@ def _fn_series(fn: FnElement, r: Series, s: Series, length: int) -> Series:
     return num.mul(r.poly_eval(fn.C, length).inv())
 
 
+def _margin(curve: WeierstrassCurve, fn: FnElement) -> int:
+    """How many coefficients fn = (A + s*B)/C can lose: on the r and s of
+    _coordinate_series(curve, P, L) its series keeps L - _margin relative ones.
+
+    At an affine point a polynomial in r, s is known to O(t^L) and loses its
+    order there, at most its number of zeros: 2 deg C for C(r), and for A + s*B
+    its pole order at O, max(2 deg A, 2 deg B + 2g + 1) (the orders 2i of r^i
+    and 2j + 2g + 1 of s*r^j never cancel).  At O every series keeps L - 2g - 1
+    (s*0 is known to O(t^(L - 2g - 1)), so 2g + 1 counts for B = 0 too).  So a
+    series of valuation >= 0 is known to O(t^(L - 2 deg C - 2g - 1)) at any point.
+    """
+    return max(2 * fn.C.degree, 2 * fn.A.degree, 2 * max(fn.B.degree, 0) + 2 * curve.genus + 1)
+
+
 def local_expand(curve: WeierstrassCurve, fn: FnElement, P, prec: int) -> LocalExpansion:
     """Expand fn at P to relative precision prec in the fixed uniformizer.
 
-    One expansion at the fixed working length L = prec + 4*(maxd + 2g + 1)
-    (maxd the largest degree of A, B, C, at least 1) always suffices, so
-    nothing is retried.  A principal divisor has degree 0: A + s*B has its
-    only pole at O, of order max(2 deg A, 2 deg B + 2g + 1) (the orders 2i of
-    r^i and 2j + 2g + 1 of s*r^j differ in parity, so they never cancel),
-    hence at most that many zeros, while C(r) vanishes to order at most
-    2 deg C at an affine point.  The quotient therefore keeps at least
-    L - 2*maxd - (2g + 1) > prec coefficients (L - 2 at O), and
-    PrecisionExhausted is raised only for fn = 0.
+    One expansion at the length prec + _margin(curve, fn) keeps prec coefficients,
+    so nothing is retried; PrecisionExhausted is raised only for fn = 0.
     """
     if prec < 1:
         raise ValueError("prec must be >= 1")
     if fn.is_zero:
         raise PrecisionExhaustedError("the zero function has no finite order")
-    maxd = max(fn.A.degree, fn.B.degree, fn.C.degree, 1)
-    length = prec + 4 * (maxd + 2 * curve.genus + 1)
+    length = prec + _margin(curve, fn)
     out = _fn_series(fn, *_coordinate_series(curve, P, length), length)
     if len(out.coef) < prec:
         raise AssertionError(f"expansion at {P!r} kept {len(out.coef)} < {prec} coefficients")
@@ -555,18 +564,11 @@ def _rr_rows(curve: WeierstrassCurve, D: DivisorSpec, P, width: int) -> tuple:
     rr_basis, r^e/h or s*r^e/h, off two chains of products by r started from
     t^D(P)/h and s*t^D(P)/h; 1/h inverts h's series, never the norm of h.
 
-    The length L = width + max(2 deg C, 2 deg A, 2 max(deg B, 0) + 2g + 1),
-    h = (A + s*B)/C, suffices.  At an affine point every polynomial in r, s
-    is known to O(t^L), and loses as many coefficients as its order: C(r) at
-    most 2 deg C, and A + s*B at most its number of zeros, its pole order at
-    O (see local_expand).  At O the pole orders 2 and 2g + 1 differ in parity,
-    so nothing cancels, and every series keeps L - 2g - 1 relative
-    coefficients (s*0 is known to O(t^(L - 2g - 1))).  Either way t^D(P)/h and
-    every row, of order >= 0, are known to O(t^width); else AssertionError.
+    At length width + _margin(curve, h), r, s and t^D(P)/h keep width relative
+    coefficients, so every row (order >= 0) is known to O(t^width); else AssertionError.
     """
     h = D.h or FnElement.const(curve, 1)
-    odd = 2 * curve.genus + 1
-    length = width + max(2 * h.C.degree, 2 * h.A.degree, 2 * max(h.B.degree, 0) + odd)
+    length = width + _margin(curve, h)
     r, s = _coordinate_series(curve, P, length)
     h_inv = _fn_series(h, r, s, length).inv()
     at_O = D.n if P is INFINITY else 0
@@ -621,9 +623,8 @@ def increasing_zero_basis(curve, basis, P, prec: int = None) -> IzbResult:
     of any nonzero combination f, which bounds v_P(f).  With lam = lcm(C_i),
     f = N/lam: lam(r) has 2 deg lam zeros, and N = A + s*B its only pole at O,
     of order at most max_i(max(2 deg A_i, 2 deg B_i + 2g + 1) + 2(deg lam -
-    deg C_i)) (no cancellation, as in local_expand); so f has at most
-    max(2 deg lam, that order) poles.  The length adds 2 max deg C_i (as in
-    _rr_rows) and 2g + 1 (at O, s*0 is known to O(t^(L - 2g - 1))) to the width.
+    deg C_i)) (see _margin), so f has at most max(2 deg lam, that order)
+    poles.  The length adds 2 max deg C_i + 2g + 1 to the width (_margin's corollary).
     """
     if not basis:  # a 0 x 0 transform would need a field, which [] on the line does not name
         return IzbResult((), (), None)
@@ -711,21 +712,23 @@ def _distinct_points(points, K, most=None) -> tuple:
 
 def _first_column(curve, basis, P, v) -> tuple:
     """The coefficients of t^v at P of basis, v the lowest order of L(D) at P
-    (-D(P), save at a base point): values where v = 0 (Horner, evaluate)."""
+    (-D(P), save at a base point): values at v = 0 (Horner, evaluate), else one expansion."""
     if curve is None:
         return tuple(b.coeff(-v) if P is INFINITY else b(P) for b in basis)
     if v == 0:
         return tuple(evaluate(curve, b, P) for b in basis)
-    expansions = (local_expand(curve, b, P, 1) for b in basis)
-    return tuple(e.coeffs[0] if e.valuation == v else 0 for e in expansions)
+    n = 1 + max(_margin(curve, b) for b in basis)
+    r, s = _coordinate_series(curve, P, n)
+    return tuple(x.coef[0] if x.val == v else 0 for x in [_fn_series(b, r, s, n) for b in basis])
 
 
-def _build_generator(field, points, matrices, values) -> FqMatrix:
+def _build_generator(points, matrices, values) -> FqMatrix:
+    G = first_columns(matrices)
     for j, (P, evals) in enumerate(zip(points, values, strict=True)):
-        if evals != matrices[j].col(0):
+        if evals != G.col(j):
             raise AssertionError(
                 f"first column of matrix {j} disagrees with basis evaluation at {P!r}")
-    return FqMatrix.from_rows(field, [[M[i, 0] for M in matrices] for i in range(len(values[0]))])
+    return G
 
 
 def goppa_generator(gc: GoppaConstruction) -> FqMatrix:
@@ -737,7 +740,7 @@ def goppa_generator(gc: GoppaConstruction) -> FqMatrix:
     a construction bug.
     """
     pairs = zip(gc.points, gc.point_valuations)
-    return _build_generator(gc.field, gc.points, gc.matrices,
+    return _build_generator(gc.points, gc.matrices,
                             [_first_column(gc.curve, gc.basis0, P, v[0]) for P, v in pairs])
 
 
@@ -795,7 +798,7 @@ def _assemble(field, curve, genus, points, divisor, canonical, rows, shifts) -> 
     matrices = tuple(t0.matmul(inverse(T)) for T in transforms)
     _certify(field, genus, divisor.n, points, t0, matrices, transforms, rows)
     basis0 = _combine(canonical, t0.to_rows())
-    generator = _build_generator(field, points, matrices, [
+    generator = _build_generator(points, matrices, [
         t0.matvec([r[v[0] + d] for r in R]) if P is INFINITY or v[0] else
         _first_column(curve, basis0, P, 0) for P, v, d, R in zip(points, valuations, shifts, rows)])
     return GoppaConstruction(
@@ -809,8 +812,6 @@ def goppa_udmg(curve: WeierstrassCurve, points, D: DivisorSpec) -> GoppaConstruc
     """Curve construction on any rational points: one K x K matrix per point,
     K = l(D) = deg D + 1 - g, with each point's rows from _rr_rows."""
     points = _distinct_points(points, D.n + 1 - curve.genus)  # K by Riemann-Roch, before rr_basis
-    if D.n < 1:
-        raise TooFewSectionsError("deg D must be at least 1")
     canonical = rr_basis(curve, D)
     shifts, rows = zip(*(_rr_rows(curve, D, P, D.n + 1) for P in points))
     return _assemble(curve.field, curve, curve.genus, points, D, canonical, rows, shifts)
@@ -820,7 +821,7 @@ def genus0_udmg(field: FieldSpec, points, K: int) -> GoppaConstruction:
     """Projective-line construction for D = (K-1)*infinity.
 
     L(D) is spanned by 1, x, ..., x^(K-1).  The rows of t^D(P) x^e come off
-    one chain of products by x, x = x0 + t at x0 and 1/t at infinity (D = K - 1).
+    one chain of products by x's series (_line_series), D(P) = K - 1 at infinity.
     """
     if type(K) is not int:  # refuses bool and 2.5, not coerced
         raise TypeError(f"K = {K!r} must be an integer")
@@ -828,10 +829,8 @@ def genus0_udmg(field: FieldSpec, points, K: int) -> GoppaConstruction:
         raise ValueError("K must be >= 1")
     points = _distinct_points(points, K, field.q + 1)
     monomials = [Poly.const(field, 1).shift(j) for j in range(K)]
-    pad = [0] * (K - 1)
     shifts = [K - 1 if P is INFINITY else 0 for P in points]
-    rows = [[*islice(Series(field, d, [1, *pad]).chain(  # field.check refuses P
-                Series(field, -1, [1, *pad]) if P is INFINITY
-                else Series(field, 0, [field.check(P), 1, *pad[1:]]), K), K)]
+    pad = [0] * (K - 1)
+    rows = [[*islice(Series(field, d, [1, *pad]).chain(_line_series(field, P, K), K), K)]
             for P, d in zip(points, shifts)]
     return _assemble(field, None, 0, points, DivisorSpec(K - 1, None), monomials, rows, shifts)

@@ -81,10 +81,6 @@ class DependentBasisError(UdmgError):
     """Input functions are linearly dependent."""
 
 
-class TooFewSectionsError(UdmgError):
-    """Divisor degree too small for the construction."""
-
-
 class DuplicatePointsError(UdmgError):
     """Evaluation points are not pairwise distinct."""
 

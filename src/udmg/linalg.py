@@ -95,6 +95,11 @@ class FqMatrix:
         return tuple(dot(v, self.col(j)) for j in range(self.cols))
 
 
+def first_columns(matrices) -> FqMatrix:
+    """The matrix whose column j is the first column of matrices[j], all of one height."""
+    return FqMatrix.from_rows(matrices[0].field, zip(*(M.col(0) for M in matrices)))
+
+
 def hstack(blocks) -> FqMatrix:
     """Concatenate matrices with equal row counts left to right."""
     blocks = list(blocks)

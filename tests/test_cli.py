@@ -762,3 +762,25 @@ def test_reused_parser_answers_as_a_fresh_one(fixture_path, capsys, monkeypatch)
     assert reused == answers()
     assert [code for code, _, _ in reused] == [2, 0, 1, 0]
     assert "usage: udmg" in reused[0][2] and reused[1][1].startswith("usage: udmg")
+
+
+def test_a_point_repeated_through_an_unreduced_coordinate_exits_2(tmp_path, capsys):
+    # (2, 6) is (2, 1) over GF(5).  It used to pass as a second point: construct exited
+    # 0 with "verified: True", and verify refused the set it wrote (exit 1).
+    desc = tmp_path / "repeat.json"
+    desc.write_text(json.dumps({"q": 5, "genus": 1, "a": 1, "b": 1,
+                                "points": [[2, 1], [2, 6], [0, 1], [4, 2], [3, 4]],
+                                "divisor": {"n": 3}}))
+    out = tmp_path / "x.json"
+    assert run(["construct", str(desc), "-o", str(out)]) == 2
+    assert "error: rep 6 outside [0, 5)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_deg_d_zero_exits_2(tmp_path, capsys):
+    desc = tmp_path / "n0.json"
+    desc.write_text(json.dumps(_replace(GENUS1_DESC, ("divisor", "n"), 0)))
+    out = tmp_path / "x.json"
+    assert run(["construct", str(desc), "-o", str(out)]) == 2
+    assert "error: need deg D >= 1" in capsys.readouterr().err
+    assert not out.exists()

@@ -29,7 +29,13 @@ from udmg.curves import (
     genus0_udmg,
     goppa_udmg,
 )
-from udmg.errors import HypothesisUnmetError, TooLargeError, TooShortError
+from udmg.errors import (
+    HypothesisUnmetError,
+    InvalidInputError,
+    RankDeficientError,
+    TooLargeError,
+    TooShortError,
+)
 from udmg.fields import field_from_order, make_field
 from udmg.linalg import FqMatrix, rank
 
@@ -105,6 +111,16 @@ def test_too_short():
     eye = FqMatrix.identity(F2, 2)
     with pytest.raises(TooShortError):
         first_column_code(Udmg(F2, 2, 0, (eye,)))
+
+
+def test_first_column_code_refusals_name_their_cause():
+    # a set that fails at its genus is invalid input, as in build_scheme and quotient
+    with pytest.raises(InvalidInputError, match="fails verification at its genus"):
+        first_column_code(reference.matrix_set(0))
+    # a set declared verified whose first columns span less than F_q^K
+    eye = FqMatrix.identity(F2, 2)
+    with pytest.raises(RankDeficientError, match="first-column generator is rank deficient"):
+        first_column_code(Udmg(F2, 2, 0, (eye, eye)), verified=True)
 
 
 def test_min_distance_basics():

@@ -28,6 +28,7 @@ from udmg.errors import (
     BadCharacteristicError,
     DependentBasisError,
     DuplicatePointsError,
+    HasseWeilViolationError,
     InvalidInputError,
     PointInSupportError,
     PoleAtSupportError,
@@ -35,6 +36,7 @@ from udmg.errors import (
     SingularCurveError,
     TooLargeError,
     TooManyPointsError,
+    UnsupportedDivisorError,
 )
 from udmg.fields import make_field
 from udmg.linalg import FqMatrix, inverse, rank
@@ -1235,3 +1237,115 @@ def test_constructions_make_no_scan(monkeypatch):
     gc = goppa_udmg(curve, affine, DivisorSpec(7, None))
     assert (gc.udmg.L, gc.udmg.K) == (27, 7)
     assert scans == []
+
+
+# -- refusals: coordinates outside the field, divisors outside n*O + (h), point counts --
+
+@pytest.mark.parametrize("P,error,message", [
+    ((2, 6), ValueError, r"rep 6 outside \[0, 5\)"),
+    ((2, -4), ValueError, r"rep -4 outside \[0, 5\)"),
+    ((2, True), TypeError, "rep True is not an integer"),
+])
+def test_coordinates_outside_the_field_are_refused(ref_curve, P, error, message):
+    # each names the point (2, 1) of s^2 = r^3 + r + 1 over GF(5); contains read them
+    # as unreduced integers and passed them, so a construction could repeat a point
+    r = FnElement.r(ref_curve)
+    for call in (lambda: ref_curve.contains(P),
+                 lambda: goppa_udmg(ref_curve, [(0, 1), P], DivisorSpec(3, None)),
+                 lambda: evaluate(ref_curve, r, P),
+                 lambda: local_expand(ref_curve, r, P, 1)):
+        with pytest.raises(error, match=message):
+            call()
+
+
+def test_divisors_outside_the_supported_family_are_refused(ref_curve):
+    with pytest.raises(UnsupportedDivisorError, match="non-negative"):
+        DivisorSpec(-1)
+    with pytest.raises(UnsupportedDivisorError, match=re.escape("D = 1*O + (h) needs h != 0")):
+        DivisorSpec(1, FnElement.zero(ref_curve))
+    with pytest.raises(UnsupportedDivisorError, match="need deg D >= 1"):
+        rr_basis(ref_curve, DivisorSpec(0))
+    # goppa_udmg has no deg D check of its own: rr_basis's is the one refusal
+    with pytest.raises(UnsupportedDivisorError, match="need deg D >= 1"):
+        goppa_udmg(ref_curve, [(0, 1), (2, 1)], DivisorSpec(0))
+
+
+def test_a_point_count_outside_the_hasse_weil_interval_is_refused():
+    curve = curve_new(F5, 1, 1)
+    assert len(enumerate_points(curve)) == 9
+    object.__setattr__(curve, "genus", 0)  # the interval shrinks to [q + 1, q + 1]
+    with pytest.raises(HasseWeilViolationError, match=re.escape("9 points outside [6, 6]")):
+        enumerate_points(curve)
+
+
+# -- genus 2: one margin behind every series length ----------------------------------
+#
+# s^2 = F(r) with deg F = 5, set on a curve after construction (WeierstrassCurve
+# builds only cubics so far).  local_expand's old working length,
+# prec + 4*(max(deg A, deg B, deg C, 1) + 2g + 1), is the oracle for _margin's.
+
+GENUS2 = [(11, (3, 1, 0, 2, 0, 1), 9),  # r^5 + 2r^3 + r + 3, coefficients from degree 0
+          (13, (1, 2, 3, 0, 0, 1), 17)]  # r^5 + 3r^2 + 2r + 1
+
+
+@pytest.fixture(scope="module", params=GENUS2, ids=["q11", "q13"])
+def genus2(request):
+    q, coeffs, count = request.param
+    field = make_field(q)
+    F = Poly.make(field, coeffs)
+    dF = Poly.make(field, [field.mul(field.from_int(k), c) for k, c in enumerate(F.coeffs)][1:])
+    assert F.degree == 5 and F.gcd(dF).degree == 0  # squarefree: the curve is nonsingular
+    curve = curve_new(field, 1, 1)
+    object.__setattr__(curve, "F", F)
+    object.__setattr__(curve, "genus", 2)
+    points = enumerate_points(curve)
+    assert len(points) == count
+    return curve, points
+
+
+def expand_at_old_length(curve, fn, P, prec):
+    length = prec + 4 * (max(fn.A.degree, fn.B.degree, fn.C.degree, 1) + 2 * curve.genus + 1)
+    out = curves._fn_series(fn, *curves._coordinate_series(curve, P, length), length)
+    return out.val, tuple(out.coef[:prec])
+
+
+def test_genus2_local_expand_equals_the_old_length_oracle(genus2):
+    curve, points = genus2
+    field, r, s = curve.field, FnElement.r(curve), FnElement.s(curve)
+    rng = random.Random(2)
+    for P in points:
+        fns = [r, s, r / s, FnElement.const(curve, 1)]  # 1 at O needs the 2g + 1 for B = 0
+        if P is not INFINITY:
+            u = r - P[0]
+            # order 6 > 2g + 1 at P in C, in A, and in s*B: each needs its own term of _margin
+            fns += [1 / u, 1 / u ** 6, u ** 6, s * u ** 6]
+        while len(fns) < 20:
+            A, B, C = (Poly.make(field, [rng.randrange(field.q) for _ in range(rng.randrange(5))])
+                       for _ in range(3))
+            if not (C.is_zero or A.is_zero and B.is_zero):
+                fns.append(FnElement(curve, A, B, C))
+        for fn in fns:
+            for prec in (1, 4):
+                exp = local_expand(curve, fn, P, prec)
+                assert (exp.valuation, exp.coeffs) == expand_at_old_length(curve, fn, P, prec), \
+                    (str(fn), P, prec)
+
+
+def test_genus2_rr_rows_equal_local_expand_rows(genus2):
+    curve, _ = genus2
+    seen = row_counts()
+    for n in range(3, 7):
+        assert_rows_match(curve, DivisorSpec(n, None), (n + 1,), seen)
+    assert seen["at O"] == 4 and seen["two-torsion"] == 8, seen
+
+
+def test_genus2_constructions_certify_and_verify(genus2):
+    curve, points = genus2
+    for n in range(3, 7):
+        gc = goppa_udmg(curve, points, DivisorSpec(n, None))  # raises unless _certify passes
+        assert (gc.udmg.K, gc.udmg.g, gc.udmg.L) == (n - 1, 2, len(points))
+        assert verify(gc.udmg).valid
+        assert goppa_generator(gc) == gc.generator  # at O off one expansion of r and s
+    # 3^9 capped vectors at K = 2, L = 9; all 17 points would make 3^17
+    gc = goppa_udmg(curve, points[:9], DivisorSpec(3, None))
+    assert verify_naive(gc.udmg).valid and verify(gc.udmg).valid

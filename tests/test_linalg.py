@@ -9,6 +9,7 @@ from udmg.linalg import (
     FqMatrix,
     Subspace,
     complement,
+    first_columns,
     hstack,
     inverse,
     kernel_basis,
@@ -362,3 +363,12 @@ def test_span_columns_call_the_field_no_more_than_the_vector_enumeration(monkeyp
             span(field, basis, len(basis[0]))
             counts.append((calls.count("add"), calls.count("mul")))
         assert counts[1] == (counts[0] if field.m > 1 else (0, 0)), field
+
+
+def test_first_columns_puts_the_first_column_of_matrix_j_in_column_j():
+    mats = [FqMatrix.from_rows(F5, [[1, 2], [3, 4], [0, 1]]),
+            FqMatrix.from_rows(F5, [[4, 0], [2, 2], [1, 3]]),
+            FqMatrix.from_rows(F5, [[0], [0], [2]])]
+    G = first_columns(mats)
+    assert G == FqMatrix.from_rows(F5, [[1, 4, 0], [3, 2, 0], [0, 1, 2]])
+    assert [G.col(j) for j in range(3)] == [M.col(0) for M in mats]
