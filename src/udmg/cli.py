@@ -185,7 +185,7 @@ def parse_function(curve: WeierstrassCurve, text: str) -> FnElement:
     if tokens[at] is not None:
         raise ValueError(f"unexpected {tokens[at]} in function string {text!r}")
     if isinstance(value, int):
-        value = FnElement.const(curve, value)
+        value = FnElement.const(curve, curve.field.from_int(value))
     return value
 
 

@@ -5,8 +5,9 @@ genus g when every allowable choice of initial-column prefixes (lambda_i
 columns from matrix i, 0 <= lambda_i <= N_i, sum = K + g) spans F_q^K.
 This module holds the data model, exhaustive verification, minimal-genus
 search, truncation, the subspace-chain realization, and chain quotients.
-Rank is tested in annihilator form: the span of the chosen columns is F_q^K
-once no functional vanishing on it is left.
+Rank is tested on images: the scan carries the values at every column ahead
+of the functionals vanishing on the chosen columns, which span F_q^K once
+none is left.
 """
 
 from __future__ import annotations
@@ -147,33 +148,10 @@ def _annihilate(ops, ann: list, vec) -> list:
                       for phi, d in zip(ann[k + 1:], dots[k + 1:])]
 
 
-def _profile(ops, ann: list, steps) -> tuple:
-    """(a, e, slope) of one member's steps mapped to F_q^k by k <= 2 functionals (ann).
-
-    a counts the leading steps whose image is zero.  When k = 2 the first
-    nonzero image fixes the one line of F_q^2 the member can stay on, keyed by
-    slope (-1 if vertical, None if none), and e counts the steps on it.
-    """
-    dot, mul, div, _ = ops
-    phi, psi = ann[0], ann[1] if len(ann) == 2 else None
-    a, e, slope = 0, 0, None
-    for step in steps:
-        for vec in step:
-            x = dot(phi, vec)
-            y = dot(psi, vec) if psi else 0
-            if not (x or y):
-                continue
-            if psi is None:
-                return a, e, slope
-            if slope is None:
-                slope, x0, y0 = (div(y, x) if x else -1), x, y
-            elif mul(x, y0) != mul(y, x0):
-                return a, e, slope
-        if slope is None:
-            a += 1
-        else:
-            e += 1
-    return a, e, slope
+def _images(K: int, steps) -> list:
+    """The scan's root rows: entry c of row r is coordinate r of the c-th step vector."""
+    vecs = [vec for member in steps for step in member for vec in step]
+    return [[vec[r] for vec in vecs] for r in range(K)]
 
 
 def _scan(field: FieldSpec, K: int, g: int, steps) -> VerifyReport:
@@ -182,66 +160,94 @@ def _scan(field: FieldSpec, K: int, g: int, steps) -> VerifyReport:
     steps[i][k] holds the vectors that enter when member i's prefix grows
     from k to k + 1 (one column of a matrix, or the basis of V_{k+1} of a
     nested chain).  Allowable vectors are walked depth-first in lexicographic
-    order.  Each depth keeps K - rank functionals vanishing on the span so
-    far (at first the coordinate functionals), so a step costs a dot product
-    per functional, and a dependent vector no row operation.  Once k <= 2
-    functionals are left, the subtree is decided in one pass: a completion
-    fails iff its images lie on one line of F_q^k (k = 1: are all zero), so
-    with _profile's (a, e, slope) per member, capped at the budget R left, it
-    fails iff sum(a) plus the e on some line reaches R.  The least failure,
-    over such lines, takes from each member only what later ones cannot cover.
-    The dots, slopes and row updates are fields.row_ops', built once per scan.
+    order.  Each depth carries K - rank rows, the images of every vector from
+    member i on under functionals vanishing on the span so far (at the root,
+    _images' coordinates).  A new vector's first nonzero row is the pivot and
+    is dropped, each later row nonzero there takes one axpy, and a dependent
+    vector none.  Once k <= 2 rows are left, the subtree is decided in one
+    pass: a completion fails iff its images lie on one line of F_q^k (k = 1:
+    are all zero).  Read off the rows per member, capped at the budget R left,
+    a counts the leading zero steps and, for k = 2, the first nonzero image
+    fixes the one line the member can stay on (keyed by slope, -1 if
+    vertical) and e counts the steps on it.  It fails iff sum(a) plus the e
+    on some line reaches R; the least failure, over such lines, takes from
+    each member only what later ones cannot cover.  Slopes and row updates
+    are fields.row_ops', built once per scan: no image is a dot product.
     """
     lengths = [len(s) for s in steps]
     checked = _count_allowable(lengths, K + g)
     if not checked:
         return VerifyReport(True, None, 0, vacuous=True)
-    ops = row_ops(field)
+    _, mul, div, axpy = row_ops(field)
     L = len(steps)
     tails = [sum(lengths[i:]) for i in range(L + 1)]
+    bounds, at = [], 0  # bounds[i][k]: the root's first entry of member i's step k
+    for member in steps:
+        bounds.append([at] + [at := at + len(step) for step in member])
 
-    def tail(i, v, ann, remaining):
-        """Least failing completion with member i at offset v, given k <= 2."""
-        if not ann:
+    def tail(i, v, rows, remaining):
+        """Least failing completion with member i at offset v, given k <= 2 rows."""
+        if not rows:
             return None
         budget = remaining - v
-        starts = [v] + [0] * (L - i - 1)
-        prof = [_profile(ops, ann, s[o:o + budget]) for s, o in zip(steps[i:], starts)]
-        zeros, along = sum(a for a, _, _ in prof), {}
-        for _, e, slope in prof:
-            along[slope] = along.get(slope, 0) + e
+        phi, psi = rows[0], rows[1] if len(rows) == 2 else None
+        prof, o, zeros, along, base = [], v, 0, {}, bounds[i][0]
+        for j in range(i, L):
+            b, a, e, slope = bounds[j], 0, 0, None
+            for k in range(o, min(lengths[j], o + budget)):
+                for c in range(b[k] - base, b[k + 1] - base):
+                    x, y = phi[c], psi[c] if psi else 0
+                    if not (x or y):
+                        continue
+                    if slope is None and psi is not None:
+                        slope = div(y, x) if x else -1
+                    elif psi is None or (x if slope == -1 else mul(slope, x) != y):
+                        break  # a nonzero image for k = 1, or one off the line
+                else:
+                    a, e = (a + 1, e) if slope is None else (a, e + 1)
+                    continue
+                break
+            prof.append((a, e, slope))
+            zeros, along[slope], o = zeros + a, along.get(slope, 0) + e, 0
         best = None
         for slope, run in along.items():
             if zeros + run < budget:
                 continue
             z = [a + (e if s == slope else 0) for a, e, s in prof]
             rest, room, lam = budget, sum(z), []
-            for zj, o in zip(z, starts):
+            for j, zj in enumerate(z):
                 room -= zj
                 x = max(0, rest - room)
                 rest -= x
-                lam.append(o + x)
+                lam.append((0 if j else v) + x)
             best = min(best or lam, lam)
         return None if best is None else tuple(best)
 
-    def walk(i, ann, remaining):
-        """Least failing completion from member i on, or None, given k >= 3."""
+    def walk(i, rows, remaining):
+        """Least failing completion from member i on, or None, given k >= 3 rows."""
         if remaining == 0:
             return (0,) * (L - i)
+        b = bounds[i]
         for v in range(min(lengths[i], remaining) + 1):
             if v:
-                for vec in steps[i][v - 1]:
-                    ann = _annihilate(ops, ann, vec)
-                if len(ann) <= 2:
-                    return tail(i, v, ann, remaining)
+                for c in range(b[v - 1] - b[0], b[v] - b[0]):
+                    for k, pivot in enumerate(rows):
+                        if t := pivot[c]:
+                            break
+                    else:
+                        continue  # a dependent vector
+                    rows = rows[:k] + [axpy(div(d, t), pivot, row) if (d := row[c]) else row
+                                       for row in rows[k + 1:]]
+                if len(rows) <= 2:
+                    return tail(i, v, rows, remaining)
             if v >= remaining - tails[i + 1]:
-                rest = walk(i + 1, ann, remaining - v)
+                rest = walk(i + 1, [row[b[-1] - b[0]:] for row in rows], remaining - v)
                 if rest is not None:
                     return (v,) + rest
         return None
 
-    ann = [[int(r == c) for c in range(K)] for r in range(K)]
-    witness = tail(0, 0, ann, K + g) if K <= 2 else walk(0, ann, K + g)
+    rows = _images(K, steps)
+    witness = tail(0, 0, rows, K + g) if K <= 2 else walk(0, rows, K + g)
     return VerifyReport(witness is None, witness, checked)
 
 

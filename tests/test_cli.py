@@ -599,13 +599,24 @@ def test_construction_rejects_non_integer_fields(tmp_path, desc, path):
         assert run(["construct", str(bad), "-o", str(tmp_path / "x.json")]) == 2, value
 
 
-@pytest.mark.parametrize("h", ["r - r", "0"])
+@pytest.mark.parametrize("h", ["r - r", "0", "5"])
 def test_zero_h_is_refused_by_the_divisor(tmp_path, capsys, h):
     # it used to pass as a divisor and fail in rr_basis with "inverse of the zero function"
     desc = tmp_path / "zero_h.json"
     desc.write_text(json.dumps(_replace(GENUS1_DESC, ("divisor", "h"), h)))
     assert run(["construct", str(desc), "-o", str(tmp_path / "x.json")]) == 2
     assert "error: D = 3*O + (h) needs h != 0" in capsys.readouterr().err
+
+
+def test_integer_h_is_read_mod_p(tmp_path, capsys):
+    # a bare integer used to skip the mod-p reduction: "7" exited 2 with "rep 7 outside [0, 5)"
+    outputs = []
+    for h in ("2", "7", "-3", "2-5"):
+        desc, out = tmp_path / "h.json", tmp_path / "out.json"
+        desc.write_text(json.dumps(_replace(GENUS1_DESC, ("divisor", "h"), h)))
+        assert run(["construct", str(desc), "-o", str(out)]) == 0, h
+        outputs.append((capsys.readouterr().out, out.read_bytes()))
+    assert outputs == [outputs[0]] * 4
 
 
 @pytest.mark.parametrize("point", ["04", [0, 4, 1], [0], "O"])

@@ -21,8 +21,9 @@ from udmg.core import (
     verify_chains,
     verify_naive,
 )
+from udmg.core import VerifyReport, _annihilate, _count_allowable
 from udmg.errors import InvalidInputError, LengthMismatchError, NotProperSubError
-from udmg.fields import make_field
+from udmg.fields import make_field, row_ops
 from udmg.linalg import FqMatrix, Subspace, rref_rows
 
 F2, F3, F4, F5 = make_field(2), make_field(3), make_field(2, 2), make_field(5)
@@ -133,8 +134,105 @@ def test_genus_past_the_total_length_is_vacuous_without_counting():
         assert (rep.valid, rep.witness, rep.checked, rep.vacuous) == (True, None, 0, True)
 
 
+# -- the annihilator scan, kept as the oracle of the image scan in core._scan ------
+
+def profile(ops, ann, steps):
+    """(a, e, slope) of one member's steps mapped to F_q^k by k <= 2 functionals (ann).
+
+    a counts the leading steps whose image is zero.  When k = 2 the first
+    nonzero image fixes the one line of F_q^2 the member can stay on, keyed by
+    slope (-1 if vertical, None if none), and e counts the steps on it.
+    """
+    dot, mul, div, _ = ops
+    phi, psi = ann[0], ann[1] if len(ann) == 2 else None
+    a, e, slope = 0, 0, None
+    for step in steps:
+        for vec in step:
+            x = dot(phi, vec)
+            y = dot(psi, vec) if psi else 0
+            if not (x or y):
+                continue
+            if psi is None:
+                return a, e, slope
+            if slope is None:
+                slope, x0, y0 = (div(y, x) if x else -1), x, y
+            elif mul(x, y0) != mul(y, x0):
+                return a, e, slope
+        if slope is None:
+            a += 1
+        else:
+            e += 1
+    return a, e, slope
+
+
+def annihilator_scan(field, K, g, steps):
+    """The scan as it was before it carried images: each depth keeps K - rank
+    functionals vanishing on the span so far and takes one dot product per
+    functional for each new vector, and the tail profiles members by dots."""
+    lengths = [len(s) for s in steps]
+    checked = _count_allowable(lengths, K + g)
+    if not checked:
+        return VerifyReport(True, None, 0, vacuous=True)
+    ops = row_ops(field)
+    L = len(steps)
+    tails = [sum(lengths[i:]) for i in range(L + 1)]
+
+    def tail(i, v, ann, remaining):
+        if not ann:
+            return None
+        budget = remaining - v
+        starts = [v] + [0] * (L - i - 1)
+        prof = [profile(ops, ann, s[o:o + budget]) for s, o in zip(steps[i:], starts)]
+        zeros, along = sum(a for a, _, _ in prof), {}
+        for _, e, slope in prof:
+            along[slope] = along.get(slope, 0) + e
+        best = None
+        for slope, run in along.items():
+            if zeros + run < budget:
+                continue
+            z = [a + (e if s == slope else 0) for a, e, s in prof]
+            rest, room, lam = budget, sum(z), []
+            for zj, o in zip(z, starts):
+                room -= zj
+                x = max(0, rest - room)
+                rest -= x
+                lam.append(o + x)
+            best = min(best or lam, lam)
+        return None if best is None else tuple(best)
+
+    def walk(i, ann, remaining):
+        if remaining == 0:
+            return (0,) * (L - i)
+        for v in range(min(lengths[i], remaining) + 1):
+            if v:
+                for vec in steps[i][v - 1]:
+                    ann = _annihilate(ops, ann, vec)
+                if len(ann) <= 2:
+                    return tail(i, v, ann, remaining)
+            if v >= remaining - tails[i + 1]:
+                rest = walk(i + 1, ann, remaining - v)
+                if rest is not None:
+                    return (v,) + rest
+        return None
+
+    ann = [[int(r == c) for c in range(K)] for r in range(K)]
+    witness = tail(0, 0, ann, K + g) if K <= 2 else walk(0, ann, K + g)
+    return VerifyReport(witness is None, witness, checked)
+
+
+def oracle_verify(u):
+    steps = [[(M.col(j),) for j in range(M.cols)] for M in u.matrices]
+    return annihilator_scan(u.field, u.K, u.g, steps)
+
+
+def oracle_verify_chains(v):
+    steps = [[V.vectors for V in chain.subspaces] for chain in v.chains]
+    return annihilator_scan(v.field, v.K, v.g, steps)
+
+
 def assert_agrees_with_oracles(u):
     rep = verify(u)
+    assert rep == oracle_verify(u)
     naive = verify_naive(u)
     # a failing superset has a failing sub-vector before it in lex order, so
     # the naive least failure sums to K + g and is verify's witness
@@ -201,28 +299,113 @@ def test_oracle_equivalence_height_zero():
             assert verify(Udmg(F3, 0, g, mats)).valid
 
 
-def test_no_vector_is_reduced_once_the_span_is_full(monkeypatch):
+# Prime fields on both sides of TABLE_MAX_ORDER, table fields, and extension
+# fields above the table limit (packed GF(2^13), digit-list GF(3^8)).
+SCAN_FIELDS = [make_field(p, m) for p, m in
+               ((2, 1), (3, 1), (13, 1), (4099, 1), (2, 2), (3, 2), (2, 4), (5, 2), (2, 13), (3, 8))]
+
+
+def special_entries(field):
+    """Entries near 0 and -1 make dependent columns and shared lines in every field."""
+    q = field.q
+    return st.one_of(st.sampled_from([0, 1, 2 % q, field.neg(1)]), st.integers(0, q - 1))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.sampled_from(SCAN_FIELDS), st.data())
+def test_scan_matches_the_annihilator_oracle(field, data):
+    # columns are multiples of a few drawn vectors, or drawn afresh, so sets both
+    # pass and fail, in the walk and in the tail; K up to 6 walks several columns
+    K = data.draw(st.integers(1, 6))
+    entry = special_entries(field)
+    palette = data.draw(st.lists(st.tuples(*[entry] * K), min_size=1, max_size=K + 1))
+    mats = []
+    for n in data.draw(st.lists(st.integers(1, K + 2), min_size=2, max_size=4)):
+        cols = [tuple(field.mul(data.draw(entry), x) for x in data.draw(st.sampled_from(palette)))
+                if data.draw(st.booleans()) else data.draw(st.tuples(*[entry] * K))
+                for _ in range(n)]
+        mats.append(columns_matrix(field, K, cols))
+    u = Udmg(field, K, data.draw(st.integers(0, 3)), tuple(mats))
+    rep = verify(u)
+    assert rep == oracle_verify(u)
+    assert verify_chains(realize(u)) == oracle_verify_chains(realize(u)) == rep
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.sampled_from(SCAN_FIELDS), st.data())
+def test_chain_scan_matches_the_annihilator_oracle(field, data):
+    # chains that start at 0, repeat a subspace or grow by two at once enter
+    # steps of no vector, and steps of several, which no matrix makes
+    K = data.draw(st.integers(1, 5))
+    entry = special_entries(field)
+    chains = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        vecs = data.draw(st.lists(st.tuples(*[entry] * K), min_size=1, max_size=K + 1))
+        dims = sorted(data.draw(st.lists(st.integers(0, len(vecs)), min_size=1, max_size=K + 2)))
+        chains.append(Chain(tuple(Subspace.from_vectors(field, K, vecs[:d]) for d in dims)))
+    v = Udvsg(field, K, data.draw(st.integers(0, 3)), tuple(chains))
+    assert verify_chains(v) == oracle_verify_chains(v)
+
+
+def test_scan_matches_the_annihilator_oracle_exhaustive_gf4():
+    # every set of three columns in F_4^2, split every way into members
+    seen = 0
+    for shape in ((3,), (2, 1), (1, 2), (1, 1, 1)):
+        at = [sum(shape[:i]) for i in range(len(shape) + 1)]
+        for entries in product(range(4), repeat=6):
+            cols = [entries[2 * c:2 * c + 2] for c in range(3)]
+            mats = tuple(columns_matrix(F4, 2, cols[a:b]) for a, b in zip(at, at[1:]))
+            for g in (0, 1):
+                u = Udmg(F4, 2, g, mats)
+                assert verify(u) == oracle_verify(u)
+                seen += 1
+    assert seen == 4 * 2 * 4 ** 6
+
+
+class LoggedRow(list):
+    """A row the scan carries, logging the root entry of each single entry read."""
+
+    def __init__(self, items, log, at=0):
+        super().__init__(items)
+        self.log, self.at = log, at
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):  # a descent drops the entries of the member left
+            return LoggedRow(super().__getitem__(k), self.log, self.at + k.indices(len(self))[0])
+        self.log.append(self.at + k)
+        return super().__getitem__(k)
+
+
+def logged_reads(monkeypatch):
+    """The root entries (one per step vector, members in order) whose images the
+    scan reads, in the order read; a read from each of k rows logs the entry k times."""
     from udmg import core
 
-    touched, annihilate, row_ops = [], core._annihilate, core.row_ops
+    log, images, row_ops_ = [], core._images, core.row_ops
 
-    def probed_row_ops(field):
-        dot, *rest = row_ops(field)
-        return (lambda xs, ys: touched.append(ys) or dot(xs, ys), *rest)
+    def logged_row_ops(field):
+        dot, mul, div, axpy = row_ops_(field)
+        return dot, mul, div, lambda t, ys, xs: LoggedRow(axpy(t, ys, xs), log, xs.at)
 
-    monkeypatch.setattr(core, "_annihilate", lambda ops, ann, vec: touched.append(vec) or
-                        annihilate(ops, ann, vec))
-    monkeypatch.setattr(core, "row_ops", probed_row_ops)
+    monkeypatch.setattr(core, "_images", lambda K, steps: [LoggedRow(row, log)
+                                                           for row in images(K, steps)])
+    monkeypatch.setattr(core, "row_ops", logged_row_ops)
+    return log
+
+
+def test_no_vector_is_reduced_once_the_span_is_full(monkeypatch):
+    reads = logged_reads(monkeypatch)
     # K = 2 is decided by the closed-form tail alone, K = 3 walks one column first
     for K in (2, 3):
         eye = [tuple(int(r == c) for r in range(K)) for c in range(K)]
         x = (1,) * K
         cols = (*eye, x, x)
         M = FqMatrix(F5, K, K + 2, tuple(c[i] for i in range(K) for c in cols))
-        touched.clear()
+        reads.clear()
         assert verify(Udmg(F5, K, 2, (M,))).valid
-        assert set(eye) <= set(map(tuple, touched))
-        assert x not in set(map(tuple, touched))
+        # one member, one column a step: entry c is column c
+        assert set(range(K)) <= set(reads)
+        assert not {K, K + 1} & set(reads)
 
 
 # -- the closed-form tail: subtrees with at most two functionals left ----------
@@ -348,16 +531,19 @@ def test_tail_pinned_least_failures(K, g, members, witness):
 
 
 def test_tail_entered_partway_through_a_member(monkeypatch):
-    from udmg import core
-
-    profiled, profile = [], core._profile
-    monkeypatch.setattr(core, "_profile", lambda field, ann, steps: profiled.append(
-        (len(ann), [s[0] for s in steps])) or profile(field, ann, steps))
+    reads = logged_reads(monkeypatch)
     members = ((E1, E2, (0, 2, 0), E3), ((1, 1, 0), E3), (E3,))
     u = Udmg(F5, 3, 1, tuple(columns_matrix(F5, 3, cols) for cols in members))
     assert verify(u).witness == (3, 1, 0)
-    # one tail, at offset 1 of member 0, with budget 3 and two functionals
-    assert profiled == [(2, [E2, (0, 2, 0), E3]), (2, [(1, 1, 0), E3]), (2, [E3])]
+    entries = [vec for cols in members for vec in cols]
+    # the walk adds E1 (entry 0), reading it in all three rows, and leaves two
+    assert reads[:3] == [0, 0, 0]
+    # then one tail, at offset 1 of member 0 with budget 3, reads each entry in
+    # both rows (two functionals), once, member by member
+    tail = reads[3:]
+    assert tail[::2] == tail[1::2] == list(range(1, 7))
+    assert [[entries[c] for c in tail[::2] if lo <= c < hi] for lo, hi in ((0, 4), (4, 6), (6, 7))] \
+        == [[E2, (0, 2, 0), E3], [(1, 1, 0), E3], [E3]]
 
 
 def test_tail_decides_by_leading_zeros_when_no_member_has_a_line():
