@@ -189,14 +189,22 @@ def parse_function(curve: WeierstrassCurve, text: str) -> FnElement:
     return value
 
 
-def _integer(value, what: str) -> int:
-    """An int or a decimal string such as "3" (point tokens are often written so).
+def _integer(value, what: str = "integer") -> int:
+    """An int, or a decimal string such as "3" (point tokens are often written so);
+    also the reader of every integer on the command line.
 
-    Floats and bools are refused rather than truncated by int().
+    A string must be ASCII -?[0-9]+, where int() would also read "+3", " 3",
+    "1_0" and other scripts' digits.  Floats and bools are refused rather than
+    truncated by int().
     """
-    if type(value) is int or isinstance(value, str):
+    if type(value) is int:
+        return value
+    if isinstance(value, str) and value.isascii() and value.removeprefix("-").isdigit():
         return int(value)
     raise ValueError(f"{what} {value!r} is not an integer")
+
+
+_integer.__name__ = "integer"  # argparse names a type= reader so: "invalid integer value: '+3'"
 
 
 def construction_from_data(data: dict):
@@ -316,7 +324,7 @@ def _cmd_construct(args) -> int:
 
 def _cmd_quotient(args) -> int:
     u = load_matrixset(args.matrixset)
-    trunc = tuple(int(t) for t in args.truncate.split(","))
+    trunc = tuple(_integer(t, "kept length") for t in args.truncate.split(","))
     res = quotient(realize(u), trunc)
     payload = {
         "d": res.d,
@@ -359,8 +367,9 @@ def _cmd_bounds(args) -> int:
     from .codes import bounds as bounds_report
 
     field_from_order(args.q)  # q must be the order of a supported field
-    lengths = tuple(int(x) for x in args.lengths.split(",")) if args.lengths else None
-    nks = tuple(int(x) for x in args.nks.split(",")) if args.nks else None
+    lengths = (tuple(_integer(x, "length") for x in args.lengths.split(","))
+               if args.lengths else None)
+    nks = tuple(_integer(x, "n,k,s entry") for x in args.nks.split(",")) if args.nks else None
     rep = bounds_report(args.K, args.q, args.g, lengths=lengths, nks=nks)
     payload = {
         "K": rep.K, "q": rep.q, "g": rep.g,
@@ -466,13 +475,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Verify, construct, quotient, and audit universally "
                     "decodable matrix sets of genus g.")
     parser.add_argument("--json", action="store_true", help="emit JSON reports")
-    parser.add_argument("--threads", type=int, default=None,
+    parser.add_argument("--threads", type=_integer, default=None,
                         help="accepted and ignored; verification runs in one thread")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="check the defining rank property")
     p.add_argument("matrixset")
-    p.add_argument("--genus", type=int, default=None)
+    p.add_argument("--genus", type=_integer, default=None)
     p.add_argument("--min-genus", action="store_true")
     p.set_defaults(func=_cmd_verify)
 
@@ -493,9 +502,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_code)
 
     p = sub.add_parser("bounds", help="size caps for the given parameters")
-    p.add_argument("--K", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--g", type=int, required=True)
+    p.add_argument("--K", type=_integer, required=True)
+    p.add_argument("--q", type=_integer, required=True)
+    p.add_argument("--g", type=_integer, required=True)
     p.add_argument("--lengths", default=None)
     p.add_argument("--nks", default=None, help="n,k,s for the defect length cap")
     p.set_defaults(func=_cmd_bounds)

@@ -12,10 +12,12 @@ basis element of L(D), deg D + 1 wide (v_P(f) + D(P) <= deg D for f in
 L(D)), read off one chain of products per point, so any rational point may
 be used, in supp D too.  Forward elimination (linalg.echelon_rows) gives the
 increasing zero basis, its valuations the pivot columns minus D(P); one
-assembly builds the matrices, certifies them valid by a valuation check that
-the degree of D justifies (no scan; each transform a witness checked by one
-product), and checks the generator.  Widths, lengths (each from one margin,
-_margin) and the work are bounded in advance: no retries, no cache between calls.
+assembly solves each matrix from one elimination against the reference
+transform (linalg.right_divide: no inverse, no product), certifies the set
+valid by a valuation check that the degree of D justifies (no scan; each
+transform a witness checked by one product), and checks the generator.
+Widths, lengths (each from one margin, _margin) and the work are bounded in
+advance: no retries, no cache between calls.
 
 Local uniformizers are fixed once and for all so that independent runs agree:
 t = r - x(P) at an affine point with s(P) != 0, t = s at an affine point with
@@ -46,7 +48,9 @@ from .errors import (
     UnsupportedDivisorError,
 )
 from .fields import FieldSpec, row_ops
-from .linalg import FqMatrix, echelon_rows, first_columns, inverse, rank
+from .linalg import FqMatrix, echelon_rows, first_columns, rank, right_divide
+# inverse stays bound only for perfbench/tracer.py to wrap; the construction solves, not inverts.
+from .linalg import inverse  # noqa: F401
 from .polys import Poly
 from .records import record
 
@@ -562,15 +566,18 @@ def _rr_rows(curve: WeierstrassCurve, D: DivisorSpec, P, width: int) -> tuple:
     D(P) = v_P(h) (+ n at O) comes from the series of h.  Row i holds the
     coefficients of t^(-D(P)), ..., t^(width-1-D(P)) of the i-th element of
     rr_basis, r^e/h or s*r^e/h, off two chains of products by r started from
-    t^D(P)/h and s*t^D(P)/h; 1/h inverts h's series, never the norm of h.
+    t^D(P)/h and s*t^D(P)/h; 1/h inverts h's series, never the norm of h, and
+    is the exact series 1 when h is absent.
 
     At length width + _margin(curve, h), r, s and t^D(P)/h keep width relative
-    coefficients, so every row (order >= 0) is known to O(t^width); else AssertionError.
+    coefficients, so every row (order >= 0) is known to O(t^width); else
+    AssertionError.  With h absent the length is width: r, s and the exact 1
+    keep all of theirs, and so does each product of them.
     """
-    h = D.h or FnElement.const(curve, 1)
-    length = width + _margin(curve, h)
+    length = width + (0 if D.h is None else _margin(curve, D.h))
     r, s = _coordinate_series(curve, P, length)
-    h_inv = _fn_series(h, r, s, length).inv()
+    h_inv = (Series(curve.field, 0, [1] + [0] * (length - 1)) if D.h is None
+             else _fn_series(D.h, r, s, length).inv())
     at_O = D.n if P is INFINITY else 0
     start = Series(curve.field, at_O, h_inv.coef)  # t^D(P)/h, D(P) = at_O - v_P(1/h)
     chains = [start.chain(r, width), s.mul(start).chain(r, width)]  # r^e/h and s*r^e/h
@@ -690,8 +697,8 @@ def _point_key(P):
     return tuple(P) if isinstance(P, list) else P  # O, 3, 1.5 and (0, 1) are keys as they are
 
 
-# Per point a construction eliminates, inverts and checks a K x K transform, about
-# K^3 field operations each: L*K^3 past this is refused before any row is built.
+# Per point a construction eliminates a K x K transform, solves for its matrix and checks
+# it, about K^3 field operations each: L*K^3 past this is refused before any row is built.
 MAX_WORK = 1 << 21
 
 
@@ -785,17 +792,18 @@ def _certify(field, genus, degree, points, t0, matrices, transforms, rows) -> No
 def _assemble(field, curve, genus, points, divisor, canonical, rows, shifts) -> GoppaConstruction:
     """The construction from rows[i], the rows of canonical at points[i] with
     D(P_i) = shifts[i].  Only B_0 is built as elements; matrices[i] = T_0 T_i^-1
-    (T the transforms), so matrices[i] B_i = B_0.  _certify proves the set
-    valid, taking each T_i as a witness (so the run inverts once per point,
-    here).  The generator is checked at O, and wherever L(D) has lowest order
-    v != 0 at P, against t0 times column v + D(P) of the rows, else against
-    the values of B_0 (_first_column).
+    (T the transforms), so matrices[i] B_i = B_0, solved from one elimination
+    of [T_i^T | T_0^T] (right_divide).  _certify proves the set valid, taking
+    each T_i as a witness (so the run solves once per point, here).  The
+    generator is checked at O, and wherever L(D) has lowest order v != 0 at
+    P, against t0 times column v + D(P) of the rows, else against the values
+    of B_0 (_first_column).
     """
     results = [_izb_from_rows(field, canonical, R, divisor.n + 1) for R in rows]
     valuations = tuple(tuple(v - d for v in pivots) for (pivots, _), d in zip(results, shifts))
     transforms = tuple(T for _, T in results)
     t0 = transforms[0]
-    matrices = tuple(t0.matmul(inverse(T)) for T in transforms)
+    matrices = tuple(right_divide(t0, T) for T in transforms)
     _certify(field, genus, divisor.n, points, t0, matrices, transforms, rows)
     basis0 = _combine(canonical, t0.to_rows())
     generator = _build_generator(points, matrices, [

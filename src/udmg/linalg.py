@@ -2,9 +2,10 @@
 complements, and quotient-space coordinate maps.
 
 One forward elimination, echelon_rows, is the package's only loop that
-eliminates given rows: rref_rows is that pass plus back-substitution, rank
-and subspace containment use the forward pass alone, and curves builds its
-increasing zero bases on it.  Rows update by fields.row_ops' axpy, as in core's scan.
+eliminates given rows: rref_rows is that pass plus back-substitution (inverse
+and right_divide are one rref_rows each), rank and subspace containment use
+the forward pass alone, and curves builds its increasing zero bases on it.
+Rows update by fields.row_ops' axpy, as in core's scan.
 
 Subspaces are stored canonically as the reduced row echelon basis of their
 spanning vectors, so subspace equality is plain tuple equality.  The public
@@ -81,8 +82,8 @@ class FqMatrix:
             raise FieldMismatchError("matrices over different fields")
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        dot = self.field.dot
-        ocols = [other.col(j) for j in range(other.cols)]
+        dot, e, n = self.field.dot, other.entries, other.cols
+        ocols = [e[j::n] for j in range(n)]  # every column, () for each when other has no rows
         return FqMatrix(self.field, self.rows, other.cols,
                         tuple(dot(r, c) for r in map(self.row, range(self.rows)) for c in ocols))
 
@@ -191,6 +192,22 @@ def inverse(M: FqMatrix) -> FqMatrix:
     if pivots[:n] != tuple(range(n)):
         raise ZeroDivisionError("matrix is singular")
     return FqMatrix.from_rows(M.field, [row[n:] for row in aug])
+
+
+def right_divide(A: FqMatrix, B: FqMatrix) -> FqMatrix:
+    """A B^-1 from one rref_rows of [B^T | A^T], since X B = A is B^T X^T = A^T: no
+    inverse, no product.  A singular B raises ZeroDivisionError, as inverse does."""
+    if A.field != B.field:
+        raise FieldMismatchError("matrices over different fields")
+    if B.rows != B.cols or A.cols != B.rows:
+        raise ValueError("right division needs a square divisor as wide as the dividend")
+    n = B.rows
+    aug = [list(B.entries[i::n] + A.entries[i::n]) for i in range(n)]  # column i of B, of A
+    _, pivots = rref_rows(B.field, aug)
+    if pivots[:n] != tuple(range(n)):
+        raise ZeroDivisionError("matrix is singular")
+    cols = [row[n:] for row in aug]  # X^T: row j is column j of X
+    return FqMatrix(B.field, A.rows, n, tuple(c[i] for i in range(A.rows) for c in cols))
 
 
 @record

@@ -324,6 +324,24 @@ PINNED_CONSTRUCTIONS = {
                                [0, 22], [1, 7], [1, 16], [3, 10], [3, 13]]},
                    "ed0b98cd6deacdffca6a46a3bcdc282912f4a744551962860ab5ae76da6e3880",
                    "5a84133caba052cf1e16dc1ae6de73d089bcc8d0382d618d01a1e1d1058faadf"),
+    # no h, so 1/h is the exact 1: the same curve on all its points, O and the
+    # two-torsion point (4, 0) included, over GF(23) and over the table field GF(25)
+    "g1_q23_inf_all": ({"q": 23, "genus": 1, "a": 1, "b": 1, "divisor": {"n": 5},
+                        "points": ["inf", [0, 1], [0, 22], [1, 7], [1, 16], [3, 10], [3, 13],
+                                   [4, 0], [5, 4], [5, 19], [6, 4], [6, 19], [7, 11], [7, 12],
+                                   [9, 7], [9, 16], [11, 3], [11, 20], [12, 4], [12, 19],
+                                   [13, 7], [13, 16], [17, 3], [17, 20], [18, 3], [18, 20],
+                                   [19, 5], [19, 18]]},
+                       "f7e4222f96a9aadbef0ffc1590e1469a7174ed0049df58e41d2447166e7481ac",
+                       "7e08cde0f5b567ee0e381aaa93a1b3ecbea02f550575ba6e84a7ac7202edf529"),
+    "g1_q25_inf_all": ({"q": 25, "genus": 1, "a": 1, "b": 1, "divisor": {"n": 3},
+                        "points": [[0, 1], [0, 4], [1, 5], [1, 20], [2, 1], [2, 4], [3, 1],
+                                   [3, 4], [4, 2], [4, 3], [8, 14], [8, 16], [11, 6], "inf",
+                                   [11, 24], [12, 5], [12, 20], [13, 2], [13, 3], [16, 9],
+                                   [16, 21], [17, 5], [17, 20], [18, 2], [18, 3], [23, 11],
+                                   [23, 19]]},
+                       "4fff87c05a4cf4423453e462635990a773752c33c982cc6e6d897df8de83a752",
+                       "dd0e3b0d72a84c6b9bf67d6faf8fad2cf00b8f25e86115cb5bebf8210b36fa98"),
 }
 
 
@@ -340,6 +358,11 @@ def test_construction_outputs_keep_their_bytes(name, tmp_path, capsys, monkeypat
 def test_committed_genus0_fixture_matches_its_pin():
     want = PINNED_CONSTRUCTIONS["g0_q16"][1]
     assert hashlib.sha256((FIXTURE.parent / "genus0_gf16.json").read_bytes()).hexdigest() == want
+
+
+def test_committed_q23_fixture_matches_its_pin():
+    want = Q23_CONSTRUCTION_SHA256[6]
+    assert hashlib.sha256((FIXTURE.parent / "genus1_q23.json").read_bytes()).hexdigest() == want
 
 
 def test_quotient_and_modulate_outputs_keep_their_bytes(tmp_path, capsys, monkeypatch):
@@ -597,6 +620,79 @@ def test_construction_rejects_non_integer_fields(tmp_path, desc, path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(_replace(desc, path, value)))
         assert run(["construct", str(bad), "-o", str(tmp_path / "x.json")]) == 2, value
+
+
+# int() also reads each of these forms of an integer string; only ASCII -?[0-9]+ is accepted
+ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+
+
+def other_forms(text):
+    return [" " + text, text + " ", "+" + text, text + "_0", text.translate(ARABIC_INDIC)]
+
+
+@pytest.mark.parametrize("desc,path", [
+    (GENUS0_DESC, ("K",)),
+    (GENUS0_DESC, ("points", 1)),
+    (GENUS1_DESC, ("a",)),
+    (GENUS1_DESC, ("b",)),
+    (GENUS1_DESC, ("points", 0, 0)),
+    (GENUS1_DESC, ("points", 0, 1)),
+    (GENUS1_DESC, ("divisor", "n")),
+], ids=lambda x: ".".join(map(str, x)) if isinstance(x, tuple) else f"genus{x['genus']}")
+def test_construction_integer_strings_are_ascii_decimal(tmp_path, desc, path):
+    original = desc
+    for key in path:
+        original = original[key]
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(_replace(desc, path, str(original))))
+    assert run(["construct", str(good), "-o", str(tmp_path / "out.json")]) == 0
+    for text in other_forms(str(original)):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(_replace(desc, path, text)))
+        assert run(["construct", str(bad), "-o", str(tmp_path / "x.json")]) == 2, text
+
+
+def test_point_1_0_is_not_point_10(tmp_path, capsys):
+    # over GF(13) "1_0" used to build at the point 10 and exit 0
+    desc = {"q": 13, "genus": 0, "K": 3, "points": ["1_0", "2", "3", "4"]}
+    path, out = tmp_path / "desc.json", tmp_path / "out.json"
+    path.write_text(json.dumps(desc))
+    assert run(["construct", str(path), "-o", str(out)]) == 2
+    assert "error: point '1_0' is not an integer" in capsys.readouterr().err
+    assert not out.exists()
+    path.write_text(json.dumps(_replace(desc, ("points", 0), "10")))
+    assert run(["construct", str(path), "-o", str(out)]) == 0
+
+
+@pytest.mark.parametrize("argv,at", [
+    (["bounds", "--K", "4", "--q", "5", "--g", "1"], 2),
+    (["bounds", "--K", "4", "--q", "5", "--g", "1"], 4),
+    (["bounds", "--K", "4", "--q", "5", "--g", "1"], 6),
+    (["verify", str(FIXTURE), "--genus", "1"], 3),
+    (["--threads", "2", "verify", str(FIXTURE)], 1),
+], ids=["K", "q", "g", "genus", "threads"])
+def test_integer_flags_are_ascii_decimal(capsys, argv, at):
+    assert run(argv) == 0
+    for text in other_forms(argv[at]):
+        assert run(argv[:at] + [text] + argv[at + 1:]) == 2, text
+        assert f"invalid integer value: {text!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,at,good", [
+    (["bounds", "--K", "4", "--q", "2", "--g", "2", "--lengths"], 7, "4,4,4"),
+    (["bounds", "--K", "3", "--q", "5", "--g", "1", "--nks"], 7, "9,3,1"),
+    (["quotient", str(FIXTURE), "--truncate"], 3, "1,0,0,0,0,0,0,0,0"),
+], ids=["lengths", "nks", "truncate"])
+def test_integer_lists_are_ascii_decimal(tmp_path, monkeypatch, argv, at, good):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv + [good]) == 0
+    first, rest = good.split(",", 1)
+    last = good.rsplit(",", 1)[1]
+    for text in other_forms(first):  # " 1,..." and "\u0660,..." once read as 1 and 0
+        assert run(argv + [f"{text},{rest}"]) == 2, text
+    for text in other_forms(last):  # "4, 4,4_0" once read the last length as 40
+        assert run(argv + [f"{good[:-len(last)]}{text}"]) == 2, text
+    assert run(argv + [good.replace(",", ", ")]) == 2
 
 
 @pytest.mark.parametrize("h", ["r - r", "0", "5"])

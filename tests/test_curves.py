@@ -834,6 +834,18 @@ def test_rr_rows_equal_local_expand_rows_for_n_times_o(field, a, b):
     assert seen["on supp D"] == seen["at O"] == 14
 
 
+@pytest.mark.parametrize("field,a,b", BOUND_CURVES)
+def test_rr_rows_without_h_equal_those_with_h_1(field, a, b):
+    # with no h, 1/h is the exact series 1; h = 1 reaches it through _fn_series and Series.inv
+    curve = curve_new(field, a, b)
+    one = FnElement.const(curve, 1)
+    for n in range(1, 6):
+        for P in enumerate_points(curve):
+            for width in (n + 1, n + 3):
+                assert curves._rr_rows(curve, DivisorSpec(n, None), P, width) == \
+                    curves._rr_rows(curve, DivisorSpec(n, one), P, width), (n, P, width)
+
+
 def test_rr_rows_equal_local_expand_rows_for_the_fixture(ref_curve):
     seen = row_counts()
     assert_rows_match(ref_curve, reference.divisor(), (1, 6), seen)

@@ -3,7 +3,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from udmg.errors import AmbientMismatchError
+from udmg.errors import AmbientMismatchError, FieldMismatchError
 from udmg.fields import FieldSpec, make_field
 from udmg.linalg import (
     FqMatrix,
@@ -15,6 +15,7 @@ from udmg.linalg import (
     kernel_basis,
     quotient_map,
     rank,
+    right_divide,
     rref,
     rref_rows,
     span_columns,
@@ -372,3 +373,105 @@ def test_first_columns_puts_the_first_column_of_matrix_j_in_column_j():
     G = first_columns(mats)
     assert G == FqMatrix.from_rows(F5, [[1, 4, 0], [3, 2, 0], [0, 1, 2]])
     assert [G.col(j) for j in range(3)] == [M.col(0) for M in mats]
+
+
+# -- matmul and right_divide against triple-loop oracles ---------------------------
+#
+# prime below and above the inverse table, table p = 2, table odd p, and above the
+# table limit for p = 2 and odd p
+PRODUCT_FIELDS = [F2, make_field(13), make_field(4099), make_field(2, 4), make_field(5, 2),
+                  make_field(2, 13), make_field(3, 8)]
+
+
+def matmul_by_loops(A, B):
+    """Oracle: entry (i, j) summed term by term with field.add and field.mul."""
+    f = A.field
+    out = []
+    for i in range(A.rows):
+        for j in range(B.cols):
+            acc = 0
+            for k in range(A.cols):
+                acc = f.add(acc, f.mul(A[i, k], B[k, j]))
+            out.append(acc)
+    return FqMatrix(f, A.rows, B.cols, tuple(out))
+
+
+def draw_matrix(data, field, nrows, ncols):
+    # 0, 1 and -1 often, so sparse and structured matrices come up beside random ones
+    entry = st.one_of(st.sampled_from([0, 1, field.q - 1]), st.integers(0, field.q - 1))
+    return FqMatrix(field, nrows, ncols, tuple(data.draw(
+        st.lists(entry, min_size=nrows * ncols, max_size=nrows * ncols))))
+
+
+def draw_invertible(data, field, n):
+    """P L U with L unit lower and U upper triangular with a nonzero diagonal: every
+    invertible n x n matrix has this form, whatever the field."""
+    L, U = draw_matrix(data, field, n, n).to_rows(), draw_matrix(data, field, n, n).to_rows()
+    for i in range(n):
+        L[i][i + 1:] = [0] * (n - i - 1)
+        L[i][i] = 1
+        U[i][:i] = [0] * i
+        U[i][i] = U[i][i] or data.draw(st.integers(1, field.q - 1))
+    LU = matmul_by_loops(mat(field, L), mat(field, U)).to_rows()
+    return mat(field, data.draw(st.permutations(LU)))
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_matmul_matches_the_triple_loop(data):
+    field = data.draw(st.sampled_from(PRODUCT_FIELDS))
+    n, k, m = (data.draw(st.integers(0, 5)) for _ in range(3))
+    A, B = draw_matrix(data, field, n, k), draw_matrix(data, field, k, m)
+    assert A.matmul(B) == matmul_by_loops(A, B)
+
+
+@pytest.mark.parametrize("field", PRODUCT_FIELDS)
+@pytest.mark.parametrize("n, k, m", [(2, 0, 3), (0, 0, 0), (0, 3, 2), (2, 3, 0), (0, 2, 0),
+                                     (1, 1, 1), (1, 4, 1), (4, 1, 4)])
+def test_matmul_matches_the_triple_loop_at_edge_shapes(field, n, k, m):
+    A = FqMatrix(field, n, k, tuple((3 * i + 1) % field.q for i in range(n * k)))
+    B = FqMatrix(field, k, m, tuple((5 * i + 2) % field.q for i in range(k * m)))
+    P = A.matmul(B)
+    assert P == matmul_by_loops(A, B)
+    assert (P.rows, P.cols) == (n, m)
+    if k == 0:
+        assert P == FqMatrix.zeros(field, n, m)
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_right_divide_matches_inverse_then_matmul(data):
+    field = data.draw(st.sampled_from(PRODUCT_FIELDS))
+    n, m = data.draw(st.integers(0, 8)), data.draw(st.integers(0, 8))
+    B = draw_invertible(data, field, n)
+    A = draw_matrix(data, field, m, n)
+    X = right_divide(A, B)
+    assert X == A.matmul(inverse(B)) == matmul_by_loops(A, inverse(B))
+    assert matmul_by_loops(X, B) == A
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_right_divide_refuses_a_singular_divisor_as_inverse_does(data):
+    field = data.draw(st.sampled_from(PRODUCT_FIELDS))
+    n = data.draw(st.integers(1, 8))
+    rows = draw_invertible(data, field, n).to_rows()
+    # the last row becomes a combination of the others (zero when n = 1)
+    coeffs = [data.draw(st.integers(0, field.q - 1)) for _ in range(n - 1)]
+    rows[-1] = list(matmul_by_loops(mat(field, [coeffs]), mat(field, rows[:-1])).row(0)) \
+        if n > 1 else [0]
+    B = mat(field, data.draw(st.permutations(rows)))
+    A = draw_matrix(data, field, data.draw(st.integers(0, 8)), n)
+    with pytest.raises(ZeroDivisionError):
+        inverse(B)
+    with pytest.raises(ZeroDivisionError):
+        right_divide(A, B)
+
+
+def test_right_divide_refuses_mismatched_shapes_and_fields():
+    with pytest.raises(FieldMismatchError):
+        right_divide(FqMatrix.identity(F5, 2), FqMatrix.identity(F3, 2))
+    with pytest.raises(ValueError):
+        right_divide(FqMatrix.identity(F5, 2), FqMatrix.zeros(F5, 2, 3))
+    with pytest.raises(ValueError):
+        right_divide(FqMatrix.zeros(F5, 2, 3), FqMatrix.identity(F5, 2))
