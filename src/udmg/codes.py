@@ -3,9 +3,10 @@
 The first-column code of a valid matrix set with L >= K + g members is an
 [L, K] code of Singleton defect at most g.  Its n columns, read as one-column
 matrices, verify at genus g' exactly when d >= n - k + 1 - g', so the least
-such g' (at most g) gives d = n - k + 1 - g'; one codeword read off the
-failing witness at g' - 1 certifies that d is attained.  Any other full-rank
-code is valid at genus n - k, so min_distance reads every code this way.  The
+such g' (at most g) gives d = n - k + 1 - g'; one codeword, whose message
+spans the kernel (linalg.kernel_basis) of the failing witness's columns at
+g' - 1, certifies that d is attained.  Any other full-rank code is valid at
+genus n - k, so min_distance reads every code this way.  The
 bounds report collects all the arithmetic caps on L in terms of (K, q, g) and
 the lengths.
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import math
 
-from .core import Udmg, _annihilate, _verify_fast, verify
+from .core import Udmg, _verify_fast, verify
 from .errors import (
     HypothesisUnmetError,
     InvalidInputError,
@@ -22,8 +23,7 @@ from .errors import (
     TooLargeError,
     TooShortError,
 )
-from .fields import row_ops
-from .linalg import FqMatrix, first_columns, rank
+from .linalg import FqMatrix, first_columns, kernel_basis, rank
 from .records import record
 
 MAX_PARTITION_BITS = 100_000  # cap on the bits of the partition bound's right-hand side
@@ -59,9 +59,10 @@ def min_distance(code: LinearCode, valid_at: int | None = None) -> int:
     every full-rank G does.  Genera 0, 1, ... below it are scanned up to the
     first valid one, g', and d = n - k + 1 - g'.  The scan's failing witness at
     g' - 1 (any k - 1 columns when g' = 0) leaves one message y up to scale
-    whose codeword vanishes on it; AssertionError is raised unless y*G has
-    weight d, which proves d attained, while validity at g' bounds every
-    weight below.  The zero code (k = 0) reads n + 1.
+    whose codeword vanishes on it: the kernel (linalg.kernel_basis) of the
+    matrix whose rows are the witness columns.  AssertionError is raised unless
+    y*G has weight d, which proves d attained, while validity at g' bounds
+    every weight below.  The zero code (k = 0) reads n + 1.
     """
     f, n, k, G = code.field, code.n, code.k, code.generator
     if valid_at is not None and valid_at < 0:
@@ -79,10 +80,9 @@ def min_distance(code: LinearCode, valid_at: int | None = None) -> int:
             break
         g, zeros = g + 1, [j for j, v in enumerate(rep.witness) if v]
     d = n - k + 1 - g
-    ann, ops = [[int(r == c) for c in range(k)] for r in range(k)], row_ops(f)
-    for j in zeros:
-        ann = _annihilate(ops, ann, cols[j])
-    weight = n - G.vecmat(ann[0]).count(0)
+    witness = FqMatrix(f, len(zeros), k, tuple(e for j in zeros for e in cols[j]))
+    y = kernel_basis(witness).vectors[0]
+    weight = n - G.vecmat(y).count(0)
     if weight != d:
         raise AssertionError(f"certificate codeword has weight {weight}, not d = {d}")
     return d

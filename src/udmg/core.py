@@ -130,24 +130,6 @@ def _count_allowable(lengths, total: int) -> int:
     return ways[total]
 
 
-def _annihilate(ops, ann: list, vec) -> list:
-    """Basis of the annihilator of W + <vec>, given one (ann) of W's; ops are row_ops'.
-
-    vec in W leaves ann as is.  Else the first phi with c = phi(vec) != 0 is
-    dropped, and each later psi becomes psi - (psi(vec) / c) * phi.
-    """
-    dot, _, div, axpy = ops
-    dots = [dot(phi, vec) for phi in ann]
-    for k, c in enumerate(dots):
-        if c:
-            break
-    else:
-        return ann
-    pivot = ann[k]
-    return ann[:k] + [axpy(div(d, c), pivot, phi) if d else phi
-                      for phi, d in zip(ann[k + 1:], dots[k + 1:])]
-
-
 def _images(K: int, steps) -> list:
     """The scan's root rows: entry c of row r is coordinate r of the c-th step vector."""
     vecs = [vec for member in steps for step in member for vec in step]
@@ -178,7 +160,7 @@ def _scan(field: FieldSpec, K: int, g: int, steps) -> VerifyReport:
     checked = _count_allowable(lengths, K + g)
     if not checked:
         return VerifyReport(True, None, 0, vacuous=True)
-    _, mul, div, axpy = row_ops(field)
+    mul, div, axpy = row_ops(field)
     L = len(steps)
     tails = [sum(lengths[i:]) for i in range(L + 1)]
     bounds, at = [], 0  # bounds[i][k]: the root's first entry of member i's step k

@@ -3,7 +3,7 @@
 A curve carries its equation as one polynomial F, monic of odd degree 2g + 1,
 and has genus g = (deg F - 1)/2 and one point O at infinity.  For now only
 deg F = 3 is accepted: the short Weierstrass cubic F = r^3 + a r + b
-(characteristic outside {2, 3}), genus 1.  Covers rational points, exact
+(odd characteristic), genus 1.  Covers rational points, exact
 function-field arithmetic in the canonical form (A(r) + s B(r)) / C(r), local
 power series, Riemann-Roch bases for D = n*O + (h), increasing zero bases,
 and the construction, one pipeline for both genera with one rule at every
@@ -76,10 +76,12 @@ INFINITY = _Infinity()
 class WeierstrassCurve:
     """Nonsingular curve s^2 = F(r) of genus g = (deg F - 1)/2, uniformizer r^g/s at O.
 
-    Only deg F = 3 is accepted for now: F = r^3 + a r + b, genus 1.  F is
-    built once here, as a Poly, and everything else reads F and genus.  Both
-    are set by __post_init__ and are not fields: a and b only name the curve
-    (equality, hash, repr, construction files).
+    Only deg F = 3 is accepted for now: F = r^3 + a r + b, genus 1, in odd
+    characteristic; gcd(F, F') decides nonsingularity (a != 0 in
+    characteristic 3, where F' = a).  F is built once here, as a Poly, and
+    everything else reads F and genus.  Both are set by __post_init__ and are
+    not fields: a and b only name the curve (equality, hash, repr,
+    construction files).
     """
 
     field: FieldSpec
@@ -88,8 +90,8 @@ class WeierstrassCurve:
 
     def __post_init__(self):
         f = self.field
-        if f.p in (2, 3):
-            raise BadCharacteristicError("short Weierstrass form needs characteristic > 3")
+        if f.p == 2:
+            raise BadCharacteristicError("short Weierstrass form needs odd characteristic")
         F = Poly.make(f, (self.b, self.a, 0, 1))
         dF = Poly(f, tuple(f.mul(f.from_int(k), c) for k, c in enumerate(F.coeffs))[1:])
         if F.gcd(dF).degree > 0:

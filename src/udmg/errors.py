@@ -54,7 +54,7 @@ class SingularCurveError(UdmgError):
 
 
 class BadCharacteristicError(UdmgError):
-    """Short Weierstrass form needs characteristic outside {2, 3}."""
+    """Short Weierstrass form needs odd characteristic."""
 
 
 class HasseWeilViolationError(UdmgError):

@@ -24,7 +24,7 @@ reads the tables once per sum: it XORs antilogs for p = 2 and takes one Zech
 step per nonzero term for odd p; a prime field sums integers and reduces
 once, and a field above the table limit adds its products one at a time.
 
-row_ops(field) gives the rank scan and the elimination dot, mul, div and a row
+row_ops(field) gives the rank scan and the elimination mul, div and a row
 update as closures built per call: integer expressions mod p on a prime field
 (div reads an inverse table up to TABLE_MAX_ORDER, pow above), the field's own
 methods elsewhere.  The lru_caches hold data only, never a closure or bound
@@ -460,11 +460,11 @@ def _inverses(p: int) -> tuple:
 
 
 def row_ops(field: FieldSpec) -> tuple:
-    """(dot, mul, div, axpy) of field, built afresh, with axpy(t, ys, xs) the row update
+    """(mul, div, axpy) of field, built afresh, with axpy(t, ys, xs) the row update
     [x - t*y for x, y in zip(xs, ys)]; div(a, 0) raises ZeroDivisionError."""
     if field.m > 1:
         sub, mul = field.sub, field.mul
-        return (field.dot, mul, field.div,
+        return (mul, field.div,
                 lambda t, ys, xs: [sub(x, mul(t, y)) if y else x for x, y in zip(xs, ys)])
     p = field.p
     inv = _inverses(p) if p <= TABLE_MAX_ORDER else None
@@ -474,7 +474,7 @@ def row_ops(field: FieldSpec) -> tuple:
             raise ZeroDivisionError("inverse of zero")
         return a * (inv[b] if inv else pow(b, -1, p)) % p
 
-    return (lambda xs, ys: sum(map(_int_mul, xs, ys)) % p, lambda a, b: a * b % p, div,
+    return (lambda a, b: a * b % p, div,
             lambda t, ys, xs: [(x - t * y) % p for x, y in zip(xs, ys)])
 
 

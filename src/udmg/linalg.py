@@ -3,9 +3,12 @@ complements, and quotient-space coordinate maps.
 
 One forward elimination, echelon_rows, is the package's only loop that
 eliminates given rows: rref_rows is that pass plus back-substitution (inverse
-and right_divide are one rref_rows each), rank and subspace containment use
-the forward pass alone, and curves builds its increasing zero bases on it.
-Rows update by fields.row_ops' axpy, as in core's scan.
+and right_divide are one rref_rows each, and kernel_basis, which gives codes'
+distance certificate, reads the null space off one), rank and subspace
+containment use the forward pass alone, and curves builds its increasing zero
+bases on it.  Rows update by fields.row_ops' axpy, as in core's scan.
+FqMatrix.col is the one reader of a column, and no accessor takes an index
+outside the shape.
 
 Subspaces are stored canonically as the reduced row echelon basis of their
 spanning vectors, so subspace equality is plain tuple equality.  The public
@@ -56,15 +59,23 @@ class FqMatrix:
     def zeros(cls, field: FieldSpec, rows: int, cols: int) -> "FqMatrix":
         return cls(field, rows, cols, (0,) * (rows * cols))
 
+    # An index outside [0, n) raises IndexError: on row-major entries it would read another row.
     def __getitem__(self, ij):
         i, j = ij
-        return self.entries[i * self.cols + j]
+        if not 0 <= j < self.cols:
+            raise IndexError(f"column {j} outside [0, {self.cols})")
+        return self.row(i)[j]
 
     def row(self, i: int) -> tuple:
+        if not 0 <= i < self.rows:
+            raise IndexError(f"row {i} outside [0, {self.rows})")
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
     def col(self, j: int) -> tuple:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        """Column j: the one strided read of entries."""
+        if not 0 <= j < self.cols:
+            raise IndexError(f"column {j} outside [0, {self.cols})")
+        return self.entries[j::self.cols]
 
     def to_rows(self):
         return [list(self.row(i)) for i in range(self.rows)]
@@ -82,8 +93,8 @@ class FqMatrix:
             raise FieldMismatchError("matrices over different fields")
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        dot, e, n = self.field.dot, other.entries, other.cols
-        ocols = [e[j::n] for j in range(n)]  # every column, () for each when other has no rows
+        dot = self.field.dot
+        ocols = [other.col(j) for j in range(other.cols)]  # () for each when other has no rows
         return FqMatrix(self.field, self.rows, other.cols,
                         tuple(dot(r, c) for r in map(self.row, range(self.rows)) for c in ocols))
 
@@ -132,7 +143,7 @@ def echelon_rows(ops, rows, width: int) -> tuple:
     pivot rows' indices in pivot-column order, their pivot columns, and the
     indices of the rows that received no pivot.  ops is fields.row_ops(field).
     """
-    _, mul, div, axpy = ops
+    mul, div, axpy = ops
     used, pivots, remaining = [], [], list(range(len(rows)))
     for col in range(width):
         for hit in remaining:
@@ -165,7 +176,7 @@ def rref_rows(field: FieldSpec, rows) -> tuple:
     used, pivots, remaining = echelon_rows(ops, rows, len(rows[0]))
     rows[:] = [rows[i] for i in used + remaining]
     for r in range(len(used) - 1, 0, -1):
-        _clear(ops[3], rows[r], pivots[r], rows, range(r))
+        _clear(ops[2], rows[r], pivots[r], rows, range(r))
     return len(used), tuple(pivots)
 
 
@@ -202,7 +213,7 @@ def right_divide(A: FqMatrix, B: FqMatrix) -> FqMatrix:
     if B.rows != B.cols or A.cols != B.rows:
         raise ValueError("right division needs a square divisor as wide as the dividend")
     n = B.rows
-    aug = [list(B.entries[i::n] + A.entries[i::n]) for i in range(n)]  # column i of B, of A
+    aug = [list(B.col(i) + A.col(i)) for i in range(n)]
     _, pivots = rref_rows(B.field, aug)
     if pivots[:n] != tuple(range(n)):
         raise ZeroDivisionError("matrix is singular")

@@ -78,6 +78,8 @@ class Modulator:
         if len(a) != self.N:
             raise SymbolOutOfRangeError(f"expected {self.N} symbols")
         for x in a:
+            if type(x) is not int:  # refuses bool and 1.5, not coerced
+                raise TypeError(f"symbol {x!r} is not an integer")
             if not 0 <= x < self.q:
                 raise SymbolOutOfRangeError(f"symbol {x} outside [0, {self.q})")
         return a
@@ -431,8 +433,8 @@ class ComplexifiedScheme:
     """Pairing (W x W, kappa x kappa, C x C, mu x 0 + 0 x i mu).
 
     Real and imaginary legs are independent copies, so the average power and
-    the rate both double exactly; the doubling is computed from the paired
-    sum, not assumed.
+    the rate both double exactly: the mean over message pairs (x, y) of
+    |mu(x)|^2 + |mu(y)|^2 is twice the mean over x.
     """
 
     base: CodeScheme
@@ -445,10 +447,4 @@ class ComplexifiedScheme:
 def complexify(scheme: CodeScheme) -> ComplexifiedScheme:
     base = snr(scheme).snr
     size = scheme.udmg.field.q ** scheme.message_space.dim
-    # sum over (x, y) of (|mu(x)|^2 + |mu(y)|^2) = 2 * size * sum over x.
-    paired_total = 2 * size * (base * size)
-    paired = Fraction(paired_total, size * size)
-    if paired != 2 * base:
-        raise AssertionError("complexified power failed to double exactly")
-    return ComplexifiedScheme(scheme, paired, base,
-                              2 * scheme.rate_symbols, size * size)
+    return ComplexifiedScheme(scheme, 2 * base, base, 2 * scheme.rate_symbols, size * size)

@@ -342,6 +342,13 @@ PINNED_CONSTRUCTIONS = {
                                    [23, 19]]},
                        "4fff87c05a4cf4423453e462635990a773752c33c982cc6e6d897df8de83a752",
                        "dd0e3b0d72a84c6b9bf67d6faf8fad2cf00b8f25e86115cb5bebf8210b36fa98"),
+    # characteristic 3, refused (exit 2) before odd characteristic was accepted: the
+    # maximal curve s^2 = r^3 + r over GF(9) on all 16 points, O among them
+    "g1_q9_inf_all": ({"q": 9, "genus": 1, "a": 1, "b": 0, "divisor": {"n": 4},
+                       "points": [[0, 0], [1, 3], [1, 6], [2, 1], [2, 2], [3, 0], [4, 3], [4, 6],
+                                  "inf", [5, 1], [5, 2], [6, 0], [7, 3], [7, 6], [8, 1], [8, 2]]},
+                      "7891fbff0cacbd4ee09cc8c07ca42c8e200ca84dc1a962f126b9be483628c391",
+                      "9e620c2b5d20c2e9d5f56801f0ee9039b783d1eadec0e9014408f870158719b1"),
 }
 
 
@@ -363,6 +370,28 @@ def test_committed_genus0_fixture_matches_its_pin():
 def test_committed_q23_fixture_matches_its_pin():
     want = Q23_CONSTRUCTION_SHA256[6]
     assert hashlib.sha256((FIXTURE.parent / "genus1_q23.json").read_bytes()).hexdigest() == want
+
+
+def test_committed_gf3_fixture_is_constructed_and_verifies_at_genus_1(tmp_path, capsys):
+    out = tmp_path / "gf3.json"
+    assert run(["construct", str(FIXTURE.parent / "genus1_gf3_construction.json"),
+                "-o", str(out)]) == 0
+    assert out.read_bytes() == (FIXTURE.parent / "genus1_gf3.json").read_bytes()
+    capsys.readouterr()
+    assert run(["--json", "verify", str(out), "--min-genus"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["valid"], report["minimal_genus"]) == (True, 1)
+
+
+@pytest.mark.parametrize("q, a, want", [(3, 2, 0), (9, 1, 0), (3, 0, 2), (9, 0, 2), (2, 1, 2),
+                                        (4, 1, 2)])
+def test_construct_exit_codes_by_characteristic(tmp_path, capsys, q, a, want):
+    # odd characteristic builds (a != 0 in characteristic 3); a = 0 there is singular,
+    # and characteristic 2 is refused
+    desc = tmp_path / "desc.json"
+    desc.write_text(json.dumps({"q": q, "genus": 1, "a": a, "b": 1, "points": ["inf"],
+                                "divisor": {"n": 1}}))
+    assert run(["construct", str(desc), "-o", str(tmp_path / "set.json")]) == want
 
 
 def test_quotient_and_modulate_outputs_keep_their_bytes(tmp_path, capsys, monkeypatch):

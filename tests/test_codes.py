@@ -36,8 +36,8 @@ from udmg.errors import (
     TooLargeError,
     TooShortError,
 )
-from udmg.fields import field_from_order, make_field
-from udmg.linalg import FqMatrix, rank
+from udmg.fields import field_from_order, make_field, row_ops
+from udmg.linalg import FqMatrix, kernel_basis, rank
 
 F2, F3, F5 = make_field(2), make_field(3), make_field(5)
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "genus1_f5.json"
@@ -407,6 +407,62 @@ def test_column_route_matches_gray_scan_drawn(q, n, data):
     code = random_code(random.Random(data.draw(st.integers(0, 2 ** 32))), q, n, k)
     if rank(code.generator) == k:
         check_column_route(code)
+
+
+def certificate_weights(code):
+    """Weights of the codewords whose messages annihilate the failing witness's columns
+    at g' - 1 (any k - 1 columns when g' = 0): by kernel_basis, and by the annihilator
+    recursion the scan once carried, checked against each other's vanishing set."""
+    from test_core import _annihilate
+
+    f, n, k, G = code.field, code.n, code.k, code.generator
+    ones = one_column_set(code)
+    g, _ = minimal_genus(ones)
+    if g == 0:
+        zeros = range(k - 1)
+    else:
+        zeros = [j for j, v in enumerate(verify(ones.with_genus(g - 1)).witness) if v]
+    cols = [G.col(j) for j in zeros]
+    y = kernel_basis(FqMatrix(f, len(cols), k, tuple(e for c in cols for e in c))).vectors[0]
+    ann, ops = [[int(r == c) for c in range(k)] for r in range(k)], (f.dot, *row_ops(f))
+    for c in cols:
+        ann = _annihilate(ops, ann, c)
+    words = [G.vecmat(y), G.vecmat(ann[0])]
+    assert all(w[j] == 0 for w in words for j in zeros)
+    return g, [n - w.count(0) for w in words]
+
+
+CERTIFICATE_FIELDS = [2, 3, 4, 13, 25]
+
+
+@pytest.mark.parametrize("q", CERTIFICATE_FIELDS)
+def test_certificates_at_k_1_and_genus_0(q):
+    # k = 1 with every entry nonzero: g' = 0 and an empty witness, so the message is e_0;
+    # a Reed-Solomon code is MDS, so g' = 0 with k - 1 columns
+    f = field_from_order(q)
+    n = min(q, 5)
+    codes = [LinearCode(f, n, 1, FqMatrix(f, 1, n, (1,) * n))]
+    if q > 2:
+        xs = list(range(n))
+        codes.append(LinearCode(f, n, 2, FqMatrix.from_rows(f, [[1] * n, xs])))
+    for code in codes:
+        d = min_distance(code)
+        assert certificate_weights(code) == (0, [d, d])
+        assert d == min_distance_by_vecmat(code) == n - code.k + 1
+
+
+@given(st.sampled_from(CERTIFICATE_FIELDS), st.integers(1, 7), st.data())
+@settings(max_examples=150, deadline=None)
+def test_certificates_attain_the_minimum_distance(q, n, data):
+    k = data.draw(st.integers(1, n))
+    if q ** k > 4096:
+        k = max(j for j in range(1, k + 1) if q ** j <= 4096)
+    code = random_code(random.Random(data.draw(st.integers(0, 2 ** 32))), q, n, k)
+    if rank(code.generator) == k:
+        d = min_distance(code)
+        assert d == min_distance_by_vecmat(code)
+        g, weights = certificate_weights(code)
+        assert weights == [d, d] and d == n - k + 1 - g
 
 
 def test_column_route_certificate_rejects_a_low_genus():

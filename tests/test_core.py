@@ -21,7 +21,7 @@ from udmg.core import (
     verify_chains,
     verify_naive,
 )
-from udmg.core import VerifyReport, _annihilate, _count_allowable
+from udmg.core import VerifyReport, _count_allowable
 from udmg.errors import InvalidInputError, LengthMismatchError, NotProperSubError
 from udmg.fields import make_field, row_ops
 from udmg.linalg import FqMatrix, Subspace, rref_rows
@@ -165,6 +165,25 @@ def profile(ops, ann, steps):
     return a, e, slope
 
 
+def _annihilate(ops, ann: list, vec) -> list:
+    """Basis of the annihilator of W + <vec>, given one (ann) of W's; ops are
+    (field.dot, *row_ops(field)).
+
+    vec in W leaves ann as is.  Else the first phi with c = phi(vec) != 0 is
+    dropped, and each later psi becomes psi - (psi(vec) / c) * phi.
+    """
+    dot, _, div, axpy = ops
+    dots = [dot(phi, vec) for phi in ann]
+    for k, c in enumerate(dots):
+        if c:
+            break
+    else:
+        return ann
+    pivot = ann[k]
+    return ann[:k] + [axpy(div(d, c), pivot, phi) if d else phi
+                      for phi, d in zip(ann[k + 1:], dots[k + 1:])]
+
+
 def annihilator_scan(field, K, g, steps):
     """The scan as it was before it carried images: each depth keeps K - rank
     functionals vanishing on the span so far and takes one dot product per
@@ -173,7 +192,7 @@ def annihilator_scan(field, K, g, steps):
     checked = _count_allowable(lengths, K + g)
     if not checked:
         return VerifyReport(True, None, 0, vacuous=True)
-    ops = row_ops(field)
+    ops = (field.dot, *row_ops(field))
     L = len(steps)
     tails = [sum(lengths[i:]) for i in range(L + 1)]
 
@@ -384,8 +403,8 @@ def logged_reads(monkeypatch):
     log, images, row_ops_ = [], core._images, core.row_ops
 
     def logged_row_ops(field):
-        dot, mul, div, axpy = row_ops_(field)
-        return dot, mul, div, lambda t, ys, xs: LoggedRow(axpy(t, ys, xs), log, xs.at)
+        mul, div, axpy = row_ops_(field)
+        return mul, div, lambda t, ys, xs: LoggedRow(axpy(t, ys, xs), log, xs.at)
 
     monkeypatch.setattr(core, "_images", lambda K, steps: [LoggedRow(row, log)
                                                            for row in images(K, steps)])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from udmg import core, curves, reference
-from udmg.core import Udmg, verify, verify_naive
+from udmg.core import Udmg, minimal_genus, verify, verify_naive
 from udmg.curves import (
     INFINITY,
     DivisorSpec,
@@ -62,8 +62,9 @@ def test_curve_construction():
     with pytest.raises(SingularCurveError):
         curve_new(F5, 0, 0)
     assert curve_new(F7, 1, 0).a == 1
-    with pytest.raises(BadCharacteristicError):
-        curve_new(make_field(3), 1, 1)
+    for field in (make_field(2), make_field(2, 2)):  # characteristic 3 is accepted
+        with pytest.raises(BadCharacteristicError):
+            curve_new(field, 1, 1)
 
 
 @pytest.mark.parametrize("a,b", [(1.5, True), (1, 1.0), (True, 1), (1, False)])
@@ -79,7 +80,8 @@ def test_divisor_refuses_a_non_integer_multiplicity(n):
         DivisorSpec(n)
 
 
-@pytest.mark.parametrize("field", [F5, F7, make_field(5, 2)])
+# 4a^3 + 27b^2 reads a^3 in characteristic 3, so there a curve is singular iff a = 0
+@pytest.mark.parametrize("field", [F5, F7, make_field(5, 2), make_field(3), make_field(3, 2)])
 def test_singular_exactly_where_the_discriminant_vanishes(field):
     f = field
     for a in f.elements():
@@ -90,6 +92,61 @@ def test_singular_exactly_where_the_discriminant_vanishes(field):
                     curve_new(field, a, b)
             else:
                 assert curve_new(field, a, b).genus == 1
+
+
+# -- characteristic 3: the short form is accepted, singular iff a = 0 -----------
+
+@pytest.mark.parametrize("q, m, best", [(3, 1, 7), (3, 2, 16), (3, 3, 37)],
+                         ids=["q3", "q9", "q27"])
+def test_short_form_point_counts_in_characteristic_3(q, m, best):
+    f = make_field(q, m)
+    roots = [0] * f.q  # roots[c] = #{y : y^2 = c}
+    for y in f.elements():
+        roots[f.mul(y, y)] += 1
+    counts = []
+    for a in f.elements():
+        for b in f.elements():
+            if a == 0:
+                with pytest.raises(SingularCurveError):
+                    curve_new(f, a, b)
+                continue
+            n = 1 + sum(roots[f.add(f.mul(f.add(f.mul(x, x), a), x), b)] for x in f.elements())
+            assert len(enumerate_points(curve_new(f, a, b))) == n
+            counts.append(n)
+    assert max(counts) == best
+
+
+def test_gf3_constructions_on_every_point_have_minimal_genus_1():
+    # s^2 = r^3 + 2r + 1 has 7 points, the Hasse-Weil maximum over GF(3); verify_naive
+    # takes seconds past D = 3*O, so the larger sets are checked by the annihilator scan
+    from test_core import oracle_verify
+
+    curve = curve_new(make_field(3), 2, 1)
+    points = enumerate_points(curve)
+    assert len(points) == 7
+    for n in (3, 4, 5):
+        u = goppa_udmg(curve, points, DivisorSpec(n)).udmg
+        assert (u.K, u.L, u.g) == (n, 7, 1)
+        assert minimal_genus(u) == (1, False)
+        for g in (0, 1):
+            fast = verify(u.with_genus(g))
+            oracles = [oracle_verify(u.with_genus(g))]
+            if n == 3:
+                oracles.append(verify_naive(u.with_genus(g)))
+            assert fast.valid == (g == 1)
+            assert all((o.valid, o.witness) == (fast.valid, fast.witness) for o in oracles)
+
+
+def test_gf9_constructions_on_every_point_have_minimal_genus_1():
+    # s^2 = r^3 + r has 16 points, the Hasse-Weil maximum over GF(9); the construction
+    # certifies genus 1 by valuations, and the scan agrees
+    curve = curve_new(make_field(3, 2), 1, 0)
+    points = enumerate_points(curve)
+    assert len(points) == 16
+    for n in (3, 4):
+        u = goppa_udmg(curve, points, DivisorSpec(n)).udmg
+        assert (u.K, u.L, u.g) == (n, 16, 1)
+        assert minimal_genus(u) == (1, False)
 
 
 def test_point_census(ref_curve):

@@ -475,3 +475,86 @@ def test_right_divide_refuses_mismatched_shapes_and_fields():
         right_divide(FqMatrix.identity(F5, 2), FqMatrix.zeros(F5, 2, 3))
     with pytest.raises(ValueError):
         right_divide(FqMatrix.zeros(F5, 2, 3), FqMatrix.identity(F5, 2))
+
+
+# -- one column reader, and no index that reads another row's entry --------------
+
+def entry(M, i, j):
+    """Oracle: entry (i, j) read off the row-major entries by their definition."""
+    return M.entries[i * M.cols + j]
+
+
+def test_accessors_refuse_the_indices_that_used_to_read_another_entry():
+    # M[0, 3] read M[1, 0] = 4, M[0, -1] read M[1, 2] = 1, col(-1) read (1, 3),
+    # and row(2) and row(-1) read ()
+    M = mat(F5, [[1, 2, 3], [4, 0, 1]])
+    for ij in [(0, 3), (0, -1), (2, 0), (-1, 0)]:
+        with pytest.raises(IndexError):
+            M[ij]
+    for i in (2, -1):
+        with pytest.raises(IndexError):
+            M.row(i)
+    for j in (3, -1):
+        with pytest.raises(IndexError):
+            M.col(j)
+    assert (M[0, 2], M[1, 0], M.row(1), M.col(2)) == (3, 4, (4, 0, 1), (3, 1))
+
+
+@pytest.mark.parametrize("nrows, ncols", [(2, 3), (1, 1), (0, 3), (2, 0), (0, 0)])
+def test_accessors_on_both_sides_of_each_bound(nrows, ncols):
+    M = FqMatrix(F5, nrows, ncols, tuple(i % 5 for i in range(1, nrows * ncols + 1)))
+    for i in range(-1, nrows + 1):
+        if 0 <= i < nrows:
+            assert M.row(i) == tuple(entry(M, i, j) for j in range(ncols))
+        else:
+            with pytest.raises(IndexError):
+                M.row(i)
+        for j in range(-1, ncols + 1):
+            if 0 <= i < nrows and 0 <= j < ncols:
+                assert M[i, j] == entry(M, i, j)
+            else:
+                with pytest.raises(IndexError):
+                    M[i, j]
+    for j in range(-1, ncols + 1):
+        if 0 <= j < ncols:
+            assert M.col(j) == tuple(entry(M, i, j) for i in range(nrows))
+        else:
+            with pytest.raises(IndexError):
+                M.col(j)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_columns_transpose_and_vecmat_match_index_by_index(data):
+    field = data.draw(st.sampled_from(PRODUCT_FIELDS))
+    n, k = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+    M = draw_matrix(data, field, n, k)
+    assert [M.col(j) for j in range(k)] == [tuple(entry(M, i, j) for i in range(n))
+                                            for j in range(k)]
+    T = M.transpose()
+    assert (T.rows, T.cols) == (k, n)
+    assert all(entry(T, j, i) == entry(M, i, j) for i in range(n) for j in range(k))
+    v = draw_matrix(data, field, 1, n).entries
+    want = []
+    for j in range(k):
+        acc = 0
+        for i in range(n):
+            acc = field.add(acc, field.mul(v[i], entry(M, i, j)))
+        want.append(acc)
+    assert M.vecmat(v) == tuple(want)
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_right_divide_solves_index_by_index(data):
+    field = data.draw(st.sampled_from(PRODUCT_FIELDS))
+    m, n = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+    B, A = draw_invertible(data, field, n), draw_matrix(data, field, m, n)
+    X = right_divide(A, B)
+    assert (X.rows, X.cols) == (m, n)
+    for i in range(m):  # X B = A entry by entry; B is invertible, so X is the only solution
+        for j in range(n):
+            acc = 0
+            for k in range(n):
+                acc = field.add(acc, field.mul(entry(X, i, k), entry(B, k, j)))
+            assert acc == entry(A, i, j)

@@ -110,6 +110,25 @@ def test_modulator_refuses_a_non_integer_alphabet_or_length(q, N):
         Modulator(q, N)
 
 
+@pytest.mark.parametrize("a", [(1.5, 0), (0, 2.0), (True, 0), (0, False)])
+def test_symbols_refuse_floats_and_bools(a):
+    # mu0_scaled read (1.5, 0) as the float -155.0, mu0 raised a bare TypeError from
+    # Fraction, and gap_check read True as 1, so (True, 0) and (1, 0) were "equal"
+    mod = Modulator(5, 2)
+    for value in (mu0, mu0_scaled):
+        with pytest.raises(TypeError, match="not an integer"):
+            value(mod, a)
+    with pytest.raises(TypeError, match="not an integer"):
+        gap_check(mod, a, (1, 1))
+
+
+def test_symbols_accept_ints():
+    mod = Modulator(5, 2)
+    value = mu0_scaled(mod, (1, 0))
+    assert type(value) is int and value == mu0_by_fractions(5, 2, (1, 0)) * 2 * 5 * 2
+    assert gap_check(mod, (1, 0), (1, 1)).agreement == 1
+
+
 def test_pam_symmetry():
     for q, N in [(2, 3), (3, 2), (5, 2)]:
         mod = Modulator(q, N)
@@ -354,6 +373,22 @@ def test_complexify_doubles_all(ref_udmg):
         assert c.snr == 2 * c.base_snr
         assert c.rate_symbols == 2 * scheme.rate_symbols
         assert c.message_count == len(scheme.messages()) ** 2
+
+
+def complexified_snr_by_pairs(scheme):
+    """Oracle: the mean over message pairs (x, y), x on the real leg and y on the
+    imaginary one, of |mu(x)|^2 + |mu(y)|^2, where |mu(v)|^2 sums mu0(v M_i)^2 over i."""
+    mod = scheme.modulator
+    power = [sum(mu0(mod, sym) ** 2 for sym in scheme.encode(v)) for v in scheme.messages()]
+    pairs = [px + py for px in power for py in power]
+    return sum(pairs, Fraction(0)) / len(pairs), len(pairs)
+
+
+def test_complexify_matches_the_pair_enumeration():
+    for scheme in [scheme_f2(), build_scheme(genus0_udmg(F3, [0, 1, 2, INFINITY], 2).udmg)]:
+        c = complexify(scheme)
+        assert (c.snr, c.message_count) == complexified_snr_by_pairs(scheme)
+        assert c.base_snr == snr(scheme).snr
 
 
 # -- closed-form SNR against the message-by-message sum ----------------------------
