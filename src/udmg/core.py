@@ -42,6 +42,8 @@ class Udmg:
     matrices: tuple
 
     def __post_init__(self):
+        if type(self.K) is not int or type(self.g) is not int:  # refuses bool and 3.0, not coerced
+            raise TypeError(f"K = {self.K!r} and g = {self.g!r} must be integers")
         if self.g < 0:
             raise ValueError("genus must be non-negative")
         if self.K < 0:

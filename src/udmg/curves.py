@@ -633,7 +633,7 @@ def increasing_zero_basis(curve, basis, P, prec: int = None) -> IzbResult:
     f = N/lam: lam(r) has 2 deg lam zeros, and N = A + s*B its only pole at O,
     of order at most max_i(max(2 deg A_i, 2 deg B_i + 2g + 1) + 2(deg lam -
     deg C_i)) (see _margin), so f has at most max(2 deg lam, that order)
-    poles.  The length adds 2 max deg C_i + 2g + 1 to the width (_margin's corollary).
+    poles.  At the length width + max _margin each row keeps its width coefficients.
     """
     if not basis:  # a 0 x 0 transform would need a field, which [] on the line does not name
         return IzbResult((), (), None)
@@ -650,7 +650,7 @@ def increasing_zero_basis(curve, basis, P, prec: int = None) -> IzbResult:
                                          + 2 * (lam - fn.C.degree) for fn in basis])
         elif prec < 1:
             raise ValueError("prec must be >= 1")
-        length = width + 2 * (max(fn.C.degree for fn in basis) + curve.genus) + 1
+        length = width + max(_margin(curve, fn) for fn in basis)
         r, s = _coordinate_series(curve, P, length)
         rows = [_fn_series(fn, r, s, length) for fn in basis]
         for i, x in enumerate(rows):
@@ -721,14 +721,13 @@ def _distinct_points(points, K, most=None) -> tuple:
 
 def _first_column(curve, basis, P, v) -> tuple:
     """The coefficients of t^v at P of basis, v the lowest order of L(D) at P
-    (-D(P), save at a base point): values at v = 0 (Horner, evaluate), else one expansion."""
+    (-D(P), save at a base point): values at v = 0 (Horner, evaluate), else local_expand's."""
     if curve is None:
         return tuple(b.coeff(-v) if P is INFINITY else b(P) for b in basis)
     if v == 0:
         return tuple(evaluate(curve, b, P) for b in basis)
-    n = 1 + max(_margin(curve, b) for b in basis)
-    r, s = _coordinate_series(curve, P, n)
-    return tuple(x.coef[0] if x.val == v else 0 for x in [_fn_series(b, r, s, n) for b in basis])
+    return tuple(e.coeffs[0] if e.valuation == v else 0
+                 for e in (local_expand(curve, b, P, 1) for b in basis))
 
 
 def _build_generator(points, matrices, values) -> FqMatrix:

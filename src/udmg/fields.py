@@ -65,7 +65,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# -- polynomials over F_p used only for modulus search/validation ------------
+# -- F_p[x] helpers: modulus search and tests, tables, odd-p mul and inv above them --
 # Coefficient tuples in ascending degree.
 
 def _poly_mul_p(a, b, p):
@@ -553,23 +553,23 @@ class FqElement:
 
 
 _OPS = {"add", "sub", "mul", "neg", "inv", "pow"}
+_BINARY = {"add": FqElement.__add__, "sub": FqElement.__sub__, "mul": FqElement.__mul__}
 
 
 def arith(field: FieldSpec, op: str, a: FqElement, b=None) -> FqElement:
-    """Single-entry arithmetic dispatch over reps wrapped as FqElements."""
+    """Single-entry dispatch to FqElement's operators; inv, which has none, to field.inv."""
     if op not in _OPS:
         raise ValueError(f"unknown op {op!r}")
     if a.field != field:
         raise FieldMismatchError("first operand not in the given field")
     if op == "neg":
-        return FqElement(field.neg(a.rep), field)
+        return -a
     if op == "inv":
         return FqElement(field.inv(a.rep), field)
     if op == "pow":
         if not isinstance(b, int):
             raise ValueError("pow takes an integer exponent")
-        return FqElement(field.pow_(a.rep, b), field)
+        return a ** b
     if not isinstance(b, FqElement) or b.field != field:
         raise FieldMismatchError("second operand not in the given field")
-    fn = {"add": field.add, "sub": field.sub, "mul": field.mul}[op]
-    return FqElement(fn(a.rep, b.rep), field)
+    return _BINARY[op](a, b)

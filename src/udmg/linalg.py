@@ -7,12 +7,14 @@ and right_divide are one rref_rows each, and kernel_basis, which gives codes'
 distance certificate, reads the null space off one), rank and subspace
 containment use the forward pass alone, and curves builds its increasing zero
 bases on it.  Rows update by fields.row_ops' axpy, as in core's scan.
-FqMatrix.col is the one reader of a column, and no accessor takes an index
-outside the shape.
+FqMatrix.col is the one reader of a column; no accessor takes an index outside
+the shape, and no product a vector of the wrong length or outside the field.
 
 Subspaces are stored canonically as the reduced row echelon basis of their
 spanning vectors, so subspace equality is plain tuple equality.  The public
-basis view presents those vectors as matrix columns.
+basis view presents those vectors as matrix columns.  kernel_basis and
+quotient_map write null spaces with one builder, _null_vectors; complement and
+Subspace.full hold unit vectors, canonical already, with no elimination.
 """
 
 from __future__ import annotations
@@ -34,6 +36,10 @@ class FqMatrix:
     entries: tuple
 
     def __post_init__(self):
+        if type(self.rows) is not int or type(self.cols) is not int:  # refuses bool and 2.0
+            raise TypeError(f"shape {self.rows!r} x {self.cols!r} is not a pair of integers")
+        if self.rows < 0 or self.cols < 0:
+            raise ValueError(f"shape {self.rows} x {self.cols} is negative")
         if len(self.entries) != self.rows * self.cols:
             raise ValueError("entry count does not match shape")
         q = self.field.q
@@ -53,7 +59,7 @@ class FqMatrix:
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "FqMatrix":
-        return cls.from_rows(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls.from_rows(field, _units(n, ()))
 
     @classmethod
     def zeros(cls, field: FieldSpec, rows: int, cols: int) -> "FqMatrix":
@@ -98,29 +104,24 @@ class FqMatrix:
         return FqMatrix(self.field, self.rows, other.cols,
                         tuple(dot(r, c) for r in map(self.row, range(self.rows)) for c in ocols))
 
+    def _vector(self, v, n: int) -> tuple:
+        """v as n field elements: field.check refuses bool, 1.5 and reps outside the field."""
+        if len(v := tuple(map(self.field.check, v))) != n:
+            raise ValueError(f"vector of length {len(v)} where {n} is needed")
+        return v
+
     def matvec(self, v) -> tuple:
-        dot = self.field.dot
+        v, dot = self._vector(v, self.cols), self.field.dot
         return tuple(dot(self.row(i), v) for i in range(self.rows))
 
     def vecmat(self, v) -> tuple:
-        dot = self.field.dot
+        v, dot = self._vector(v, self.rows), self.field.dot
         return tuple(dot(v, self.col(j)) for j in range(self.cols))
 
 
 def first_columns(matrices) -> FqMatrix:
     """The matrix whose column j is the first column of matrices[j], all of one height."""
     return FqMatrix.from_rows(matrices[0].field, zip(*(M.col(0) for M in matrices)))
-
-
-def hstack(blocks) -> FqMatrix:
-    """Concatenate matrices with equal row counts left to right."""
-    blocks = list(blocks)
-    field = blocks[0].field
-    nrows = blocks[0].rows
-    if any(b.rows != nrows or b.field != field for b in blocks):
-        raise ValueError("row count or field mismatch")
-    return FqMatrix(field, nrows, sum(b.cols for b in blocks),
-                    tuple(e for i in range(nrows) for b in blocks for e in b.row(i)))
 
 
 def _clear(axpy, prow, col: int, rows, targets) -> None:
@@ -244,9 +245,7 @@ class Subspace:
 
     @classmethod
     def full(cls, field: FieldSpec, ambient_dim: int) -> "Subspace":
-        return cls.from_vectors(field, ambient_dim,
-                                [[1 if i == j else 0 for j in range(ambient_dim)]
-                                 for i in range(ambient_dim)])
+        return cls(field, ambient_dim, _units(ambient_dim, ()))
 
     @property
     def dim(self) -> int:
@@ -259,18 +258,21 @@ class Subspace:
             self.field,
             [[v[i] for v in self.vectors] for i in range(self.ambient_dim)])
 
+    def _spans_all(self, vectors) -> bool:
+        """Whether vectors, each ambient_dim long, lie in the subspace: they keep the rank."""
+        rows = [list(r) for r in self.vectors] + [list(v) for v in vectors]
+        return len(echelon_rows(row_ops(self.field), rows, self.ambient_dim)[0]) == self.dim
+
     def contains_vector(self, v) -> bool:
         v = list(v)
         if len(v) != self.ambient_dim:
             raise AmbientMismatchError("vector length differs from ambient dimension")
-        rows = [list(r) for r in self.vectors] + [v]
-        return len(echelon_rows(row_ops(self.field), rows, self.ambient_dim)[0]) == self.dim
+        return self._spans_all([v])
 
     def contains(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
             raise AmbientMismatchError("ambient dimensions differ")
-        rows = [list(r) for r in self.vectors] + [list(r) for r in other.vectors]
-        return len(echelon_rows(row_ops(self.field), rows, self.ambient_dim)[0]) == self.dim
+        return self._spans_all(other.vectors)
 
     def enumerate_vectors(self):
         """All q^dim vectors of the subspace, zero first (desk scale only)."""
@@ -307,31 +309,34 @@ def subspace_sum(spaces) -> Subspace:
     return Subspace.from_vectors(first.field, first.ambient_dim, vectors)
 
 
+def _units(n: int, skip) -> tuple:
+    """The unit vectors e_j of length n, j not in skip, in increasing order: a canonical basis."""
+    return tuple(tuple(1 if i == j else 0 for i in range(n)) for j in range(n) if j not in skip)
+
+
+def _pivots(B: Subspace) -> list:
+    """The pivot column of each canonical basis row of B: its first nonzero entry."""
+    return [next(i for i, x in enumerate(v) if x) for v in B.vectors]
+
+
+def _null_vectors(field: FieldSpec, rows, pivots, n: int) -> list:
+    """e_j - sum_k rows[k][j] e_(pivots[k]) for each column j < n outside pivots: with rows
+    reduced, row k leading at pivots[k], a basis of their null space."""
+    at = dict(zip(pivots, rows))
+    return [[field.neg(at[i][j]) if i in at else 1 if i == j else 0 for i in range(n)]
+            for j in range(n) if j not in at]
+
+
 def kernel_basis(M: FqMatrix) -> Subspace:
-    """Right null space {v : M v = 0}."""
-    R, rank_, pivots = rref(M)
-    f = M.field
-    free = [j for j in range(M.cols) if j not in pivots]
-    vectors = []
-    for j in free:
-        v = [0] * M.cols
-        v[j] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = f.neg(R[r, j])
-        vectors.append(v)
-    return Subspace.from_vectors(f, M.cols, vectors)
+    """Right null space {v : M v = 0}, read off M's reduced rows."""
+    rows = M.to_rows()
+    _, pivots = rref_rows(M.field, rows)
+    return Subspace.from_vectors(M.field, M.cols, _null_vectors(M.field, rows, pivots, M.cols))
 
 
 def complement(B: Subspace) -> Subspace:
     """Deterministic complement: standard basis vectors at non-pivot positions."""
-    pivots = {next(i for i, x in enumerate(v) if x) for v in B.vectors}
-    vecs = []
-    for j in range(B.ambient_dim):
-        if j not in pivots:
-            e = [0] * B.ambient_dim
-            e[j] = 1
-            vecs.append(e)
-    return Subspace.from_vectors(B.field, B.ambient_dim, vecs)
+    return Subspace(B.field, B.ambient_dim, _units(B.ambient_dim, _pivots(B)))
 
 
 def quotient_map(B: Subspace) -> FqMatrix:
@@ -339,19 +344,11 @@ def quotient_map(B: Subspace) -> FqMatrix:
 
     Writing x = b + w with b in B and w in the standard complement, Q reads
     off w's coordinates, so Q restricted to complement(B) is the identity.
+    Its rows are _null_vectors of B's canonical rows, so Q b = 0 for b in B.
     """
-    f = B.field
     K = B.ambient_dim
-    pivots = [next(i for i, x in enumerate(v) if x) for v in B.vectors]
-    free = [j for j in range(K) if j not in pivots]
-    entries = []
-    for j in free:
-        row = [0] * K
-        row[j] = 1
-        for k, pc in enumerate(pivots):
-            row[pc] = f.sub(row[pc], B.vectors[k][j])
-        entries.extend(row)
-    return FqMatrix(f, len(free), K, tuple(entries))
+    rows = _null_vectors(B.field, B.vectors, _pivots(B), K)
+    return FqMatrix(B.field, len(rows), K, tuple(e for row in rows for e in row))
 
 
 def image_subspace(Q: FqMatrix, S: Subspace) -> Subspace:

@@ -224,6 +224,20 @@ def test_code_command(fixture_path, capsys):
     assert data["defect"] <= 1
 
 
+def test_code_on_an_invalid_set_exits_1_with_the_verify_witness(near_miss_udmg, tmp_path,
+                                                                 capsys):
+    path = str(tmp_path / "near_miss.json")
+    save_matrixset(near_miss_udmg, path)
+    assert run(["--json", "verify", path]) == 1
+    want = json.loads(capsys.readouterr().out)["witness"]
+    assert want
+    for argv in (["--json", "code", path], ["--json", "code", path, "--min-distance"]):
+        assert run(argv) == 1
+        assert json.loads(capsys.readouterr().out) == {"valid": False, "witness": want}
+    assert run(["code", path]) == 1
+    assert capsys.readouterr().out == f"valid: False\nwitness: {want}\n"
+
+
 def test_bounds_command(capsys):
     assert run(["--json", "bounds", "--K", "4", "--q", "2", "--g", "2",
                 "--lengths", "4,4,4"]) == 0

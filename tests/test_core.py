@@ -613,6 +613,15 @@ def test_nondegeneracy_predicate(ref_udmg):
     assert not long_matrix.is_nondegenerate  # N_1 = 3 > K + g
 
 
+@pytest.mark.parametrize("K, g", [(True, 1), (3.0, 1), (3, True), (3, 1.0), (3, False)])
+def test_height_and_genus_are_ints_not_bools_or_floats(ref_udmg, K, g):
+    # "g": True was written to a file verify could not read; K = 3.0 failed in verify
+    with pytest.raises(TypeError):
+        Udmg(F5, K, g, ref_udmg.matrices)
+    assert Udmg(F5, 3, 1, ref_udmg.matrices) == ref_udmg
+    assert Udmg(F5, 3, 0, ref_udmg.matrices) == ref_udmg.with_genus(0)
+
+
 # -- truncation --------------------------------------------------------------------
 
 def test_truncate_identity_and_empty(ref_udmg):

@@ -7,6 +7,7 @@ from udmg.errors import FieldMismatchError, FieldTooLargeError, NonPrimeError
 from udmg.fields import (
     TABLE_MAX_ORDER,
     FieldSpec,
+    FqElement,
     _digits,
     _gf2_inv,
     _gf2_mul,
@@ -110,6 +111,32 @@ def test_arith_dispatch():
     assert arith(f, "pow", a, 3).rep == 3
     with pytest.raises(FieldMismatchError):
         arith(f, "add", a, make_field(3).element(1))
+
+
+@pytest.mark.parametrize("f", [make_field(5), make_field(2, 2), make_field(3, 2)],
+                         ids=lambda f: f"q{f.q}")
+def test_arith_agrees_with_the_field_methods_exhaustively(f):
+    # arith goes through FqElement's operators; the FieldSpec methods are the oracle
+    for x in f.elements():
+        a = f.element(x)
+        assert arith(f, "neg", a) == FqElement(f.neg(x), f)
+        for e in (-2, 0, 1, 3):
+            if x or e >= 0:
+                assert arith(f, "pow", a, e) == FqElement(f.pow_(x, e), f)
+        for y in f.elements():
+            b = f.element(y)
+            for op in ("add", "sub", "mul"):
+                assert arith(f, op, a, b) == FqElement(getattr(f, op)(x, y), f)
+    a = f.element(1)
+    with pytest.raises(ValueError):
+        arith(f, "div", a, a)
+    with pytest.raises(ValueError):
+        arith(f, "pow", a, 1.0)
+    with pytest.raises(FieldMismatchError):
+        arith(f, "neg", make_field(7).element(1))
+    for b in (1, None, make_field(7).element(1)):
+        with pytest.raises(FieldMismatchError):
+            arith(f, "mul", a, b)
 
 
 def test_field_from_order():

@@ -10,7 +10,6 @@ from udmg.linalg import (
     Subspace,
     complement,
     first_columns,
-    hstack,
     inverse,
     kernel_basis,
     quotient_map,
@@ -142,9 +141,7 @@ def test_non_integer_entries_refused_not_coerced():
 
 def test_hstack_and_prefix():
     A = mat(F3, [(1, 2), (0, 1)])
-    B = mat(F3, [(2,), (2,)])
-    H = hstack([A, B])
-    assert H.cols == 3 and H.col(2) == (2, 2)
+    H = mat(F3, [(1, 2, 2), (0, 1, 2)])
     assert H.prefix_cols(2).to_rows() == A.to_rows()
 
 
@@ -223,10 +220,46 @@ def test_prefix_cols_keeps_the_shape_of_zero_row_matrices():
     assert FqMatrix(F5, 2, 3, (1, 2, 3, 4, 0, 1)).prefix_cols(0) == FqMatrix(F5, 2, 0, ())
 
 
-def test_hstack_keeps_the_shape_of_zero_row_matrices():
-    H = hstack([FqMatrix(F5, 0, 2, ()), FqMatrix(F5, 0, 1, ())])
-    assert H == FqMatrix(F5, 0, 3, ())
-    assert hstack([FqMatrix(F5, 2, 0, ()), mat(F5, [[1], [2]])]) == mat(F5, [[1], [2]])
+@pytest.mark.parametrize("nrows, ncols, entries, error", [
+    (-1, -1, (1,), ValueError),  # (-1) * (-1) = 1 entry once passed the count
+    (-2, -3, (1,) * 6, ValueError),
+    (0, -1, (), ValueError),
+    (2, -1, (), ValueError),
+    (2.0, 1, (1, 1), TypeError),
+    (True, 1, (1,), TypeError),
+    (1, False, (), TypeError),
+])
+def test_matrix_shapes_are_non_negative_ints(nrows, ncols, entries, error):
+    with pytest.raises(error):
+        FqMatrix(F5, nrows, ncols, entries)
+    with pytest.raises(error):
+        FqMatrix.zeros(F5, nrows, ncols)
+    assert FqMatrix(F5, 1, 1, (1,)).entries == (1,)
+    assert FqMatrix(F5, 0, 0, ()) == FqMatrix.zeros(F5, 0, 0)
+
+
+def test_matvec_and_vecmat_refuse_wrong_lengths_and_reps():
+    M = mat(F5, [[1, 2, 3], [4, 0, 1]])
+    assert M.vecmat((1, 0)) == (1, 2, 3) and M.vecmat([1, 1]) == (0, 2, 4)
+    assert M.matvec((1, 0, 0)) == (1, 4) and M.matvec([1, 1, 1]) == (1, 0)
+    for v in [(), (1,), (1, 1, 1)]:  # vecmat needs rows = 2 entries
+        with pytest.raises(ValueError):
+            M.vecmat(v)
+    for v in [(), (1,), (1, 1), (1, 1, 1, 1)]:  # matvec needs cols = 3
+        with pytest.raises(ValueError):
+            M.matvec(v)
+    for v in [(6, 0), (5, 0), (-1, 0)]:  # (6, 0) once read as (1, 0)
+        with pytest.raises(ValueError):
+            M.vecmat(v)
+    with pytest.raises(ValueError):
+        M.matvec((0, 0, 5))
+    for bad in (True, 1.0, 1.5, None):
+        with pytest.raises(TypeError):
+            M.vecmat((bad, 0))
+        with pytest.raises(TypeError):
+            M.matvec((0, bad, 0))
+    assert FqMatrix(F5, 0, 2, ()).vecmat(()) == (0, 0)
+    assert FqMatrix(F5, 2, 0, ()).matvec(()) == (0, 0)
 
 
 def test_quotient_map_by_the_whole_space_has_zero_rows():
@@ -558,3 +591,55 @@ def test_right_divide_solves_index_by_index(data):
             for k in range(n):
                 acc = field.add(acc, field.mul(entry(X, i, k), entry(B, k, j)))
             assert acc == entry(A, i, j)
+
+
+def old_kernel_basis(M):
+    """Oracle: the null space read entry by entry off the rref matrix, eliminated again."""
+    R, _, pivots = rref(M)
+    vectors = []
+    for j in (j for j in range(M.cols) if j not in pivots):
+        v = [0] * M.cols
+        v[j] = 1
+        for r, pc in enumerate(pivots):
+            v[pc] = M.field.neg(R[r, j])
+        vectors.append(v)
+    return Subspace.from_vectors(M.field, M.cols, vectors)
+
+
+def old_quotient_map(B):
+    """Oracle: e_j minus the pivot entries of column j, by field.sub, for each free column j."""
+    f, K = B.field, B.ambient_dim
+    pivots = [next(i for i, x in enumerate(v) if x) for v in B.vectors]
+    entries = []
+    for j in (j for j in range(K) if j not in pivots):
+        row = [0] * K
+        row[j] = 1
+        for k, pc in enumerate(pivots):
+            row[pc] = f.sub(row[pc], B.vectors[k][j])
+        entries.extend(row)
+    return FqMatrix(f, K - len(pivots), K, tuple(entries))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_subspace_layer_matches_the_eliminating_routes(data):
+    # kernel_basis and quotient_map share one null-space builder; complement and
+    # full hold unit vectors without an elimination; the two containment tests
+    # share one rank test.  Each against an eliminating oracle.
+    field = data.draw(st.sampled_from(PRODUCT_FIELDS))
+    n, k = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 6))
+    M = draw_matrix(data, field, n, k)
+    B = kernel_basis(M)
+    assert B == old_kernel_basis(M)
+    S = Subspace.from_vectors(field, k, M.to_rows())
+    for X in (B, S):
+        assert quotient_map(X) == old_quotient_map(X)
+        W = complement(X)
+        assert W == Subspace.from_vectors(field, k, W.vectors)
+        assert subspace_sum([X, W]).dim == k
+    units = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
+    assert Subspace.full(field, k) == Subspace.from_vectors(field, k, units)
+    v = draw_matrix(data, field, 1, k).entries
+    assert S.contains_vector(v) == S.contains(Subspace.from_vectors(field, k, [v]))
+    assert S.contains_vector(v) == (rank(FqMatrix.from_rows(field, [*S.vectors, v])) == S.dim)
+    assert S.contains(B) == all(S.contains_vector(b) for b in B.vectors)

@@ -306,6 +306,18 @@ def test_build_scheme_reference(ref_udmg):
     assert s.rate_symbols == 3
 
 
+def test_encode_refuses_a_message_of_the_wrong_length_or_field(ref_udmg):
+    s = build_scheme(ref_udmg)
+    assert s.encode((1, 0, 0)) == [M.row(0) for M in ref_udmg.matrices]
+    for v in [(1,), (1, 0), (1, 0, 0, 0)]:  # (1,) once gave nine vectors at N = 3
+        with pytest.raises(ValueError):
+            s.encode(v)
+    with pytest.raises(ValueError):
+        s.encode((5, 0, 0))
+    with pytest.raises(TypeError):
+        s.encode((True, 0, 0))
+
+
 def test_build_scheme_rejections(ref_udmg):
     wide = Udmg(F2, 2, 0, (FqMatrix.from_rows(F2, [(1, 0, 1), (0, 1, 1)]),))
     with pytest.raises(NotSquareError):
