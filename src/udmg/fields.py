@@ -26,9 +26,12 @@ once, and a field above the table limit adds its products one at a time.
 
 row_ops(field) gives the rank scan and the elimination mul, div and a row
 update as closures built per call: integer expressions mod p on a prime field
-(div reads an inverse table up to TABLE_MAX_ORDER, pow above), the field's own
-methods elsewhere.  The lru_caches hold data only, never a closure or bound
-method, so nothing keeps a wrapper set on a FieldSpec method once it is removed.
+(div reads an inverse table up to TABLE_MAX_ORDER, pow above), lookups in the
+log tables on a table field (the update XORs for p = 2 and takes one Zech step
+per nonzero entry for odd p), so neither calls a FieldSpec method per entry,
+and the field's own methods above the table limit.  The lru_caches hold data
+only, never a closure or bound method, so nothing keeps a wrapper set on a
+FieldSpec method once it is removed.
 
 A modulus, canonical or given, is tested for irreducibility by trial
 division by monic factors of degree <= 2 and then Rabin's test, with
@@ -463,6 +466,8 @@ def row_ops(field: FieldSpec) -> tuple:
     """(mul, div, axpy) of field, built afresh, with axpy(t, ys, xs) the row update
     [x - t*y for x, y in zip(xs, ys)]; div(a, 0) raises ZeroDivisionError."""
     if field.m > 1:
+        if field._tables is not None:
+            return _table_ops(*(field._tables or field._build_tables()))
         sub, mul = field.sub, field.mul
         return (mul, field.div,
                 lambda t, ys, xs: [sub(x, mul(t, y)) if y else x for x, y in zip(xs, ys)])
@@ -476,6 +481,36 @@ def row_ops(field: FieldSpec) -> tuple:
 
     return (lambda a, b: a * b % p, div,
             lambda t, ys, xs: [(x - t * y) % p for x, y in zip(xs, ys)])
+
+
+def _table_ops(exp, log, zech, order) -> tuple:
+    """row_ops of a table field, reading its _log_tables: x - t*y is x XOR t*y for p = 2,
+    and for odd p one Zech step from log(-t*y), -t = t * alpha^((q-1)/2)."""
+
+    def div(a, b):
+        if not b:
+            raise ZeroDivisionError("inverse of zero")
+        return exp[log[a] - log[b] + order] if a else 0
+
+    def axpy(t, ys, xs):
+        if not t:
+            return [x for x, _ in zip(xs, ys)]
+        if zech is None:
+            lt = log[t]
+            return [x ^ exp[lt + log[y]] if y else x for x, y in zip(xs, ys)]
+        lt, out = (log[t] + (order >> 1)) % order, []  # % keeps lt + log[y] inside exp and zech
+        for x, y in zip(xs, ys):
+            if y:
+                n = lt + log[y]
+                if not x:
+                    x = exp[n]
+                else:
+                    z = zech[n - (lx := log[x])]
+                    x = 0 if z is None else exp[lx + z]
+            out.append(x)
+        return out
+
+    return lambda a, b: exp[log[a] + log[b]] if a and b else 0, div, axpy
 
 
 def make_field(p: int, m: int = 1) -> FieldSpec:
@@ -562,12 +597,12 @@ def arith(field: FieldSpec, op: str, a: FqElement, b=None) -> FqElement:
         raise ValueError(f"unknown op {op!r}")
     if a.field != field:
         raise FieldMismatchError("first operand not in the given field")
-    if op == "neg":
-        return -a
-    if op == "inv":
-        return FqElement(field.inv(a.rep), field)
+    if op in ("neg", "inv"):
+        if b is not None:
+            raise ValueError(f"{op} takes one operand")
+        return -a if op == "neg" else FqElement(field.inv(a.rep), field)
     if op == "pow":
-        if not isinstance(b, int):
+        if type(b) is not int:  # refuses bool and 2.0
             raise ValueError("pow takes an integer exponent")
         return a ** b
     if not isinstance(b, FqElement) or b.field != field:

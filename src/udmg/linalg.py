@@ -230,6 +230,12 @@ class Subspace:
     ambient_dim: int
     vectors: tuple
 
+    def __post_init__(self):
+        if type(self.ambient_dim) is not int:  # refuses bool and 2.0
+            raise TypeError(f"ambient dimension {self.ambient_dim!r} is not an integer")
+        if self.ambient_dim < 0:
+            raise ValueError(f"ambient dimension {self.ambient_dim} is negative")
+
     @classmethod
     def from_vectors(cls, field: FieldSpec, ambient_dim: int, vectors) -> "Subspace":
         rows = [list(v) for v in vectors]
@@ -245,7 +251,7 @@ class Subspace:
 
     @classmethod
     def full(cls, field: FieldSpec, ambient_dim: int) -> "Subspace":
-        return cls(field, ambient_dim, _units(ambient_dim, ()))
+        return complement(cls.trivial(field, ambient_dim))
 
     @property
     def dim(self) -> int:

@@ -36,7 +36,7 @@ from udmg.errors import (
     TooLargeError,
     TooShortError,
 )
-from udmg.fields import field_from_order, make_field, row_ops
+from udmg.fields import field_from_order, make_field
 from udmg.linalg import FqMatrix, kernel_basis, rank
 
 F2, F3, F5 = make_field(2), make_field(3), make_field(5)
@@ -413,7 +413,7 @@ def certificate_weights(code):
     """Weights of the codewords whose messages annihilate the failing witness's columns
     at g' - 1 (any k - 1 columns when g' = 0): by kernel_basis, and by the annihilator
     recursion the scan once carried, checked against each other's vanishing set."""
-    from test_core import _annihilate
+    from test_core import _annihilate, method_ops
 
     f, n, k, G = code.field, code.n, code.k, code.generator
     ones = one_column_set(code)
@@ -424,7 +424,7 @@ def certificate_weights(code):
         zeros = [j for j, v in enumerate(verify(ones.with_genus(g - 1)).witness) if v]
     cols = [G.col(j) for j in zeros]
     y = kernel_basis(FqMatrix(f, len(cols), k, tuple(e for c in cols for e in c))).vectors[0]
-    ann, ops = [[int(r == c) for c in range(k)] for r in range(k)], (f.dot, *row_ops(f))
+    ann, ops = [[int(r == c) for c in range(k)] for r in range(k)], method_ops(f)
     for c in cols:
         ann = _annihilate(ops, ann, c)
     words = [G.vecmat(y), G.vecmat(ann[0])]

@@ -23,7 +23,7 @@ from udmg.core import (
 )
 from udmg.core import VerifyReport, _count_allowable
 from udmg.errors import InvalidInputError, LengthMismatchError, NotProperSubError
-from udmg.fields import make_field, row_ops
+from udmg.fields import make_field
 from udmg.linalg import FqMatrix, Subspace, rref_rows
 
 F2, F3, F4, F5 = make_field(2), make_field(3), make_field(2, 2), make_field(5)
@@ -165,9 +165,17 @@ def profile(ops, ann, steps):
     return a, e, slope
 
 
+def method_ops(field):
+    """(dot, mul, div, axpy) from the FieldSpec methods, so the oracles share no
+    row_ops closure with the scan; axpy(t, ys, xs) is [x - t*y for x, y in zip(xs, ys)]."""
+    sub, mul = field.sub, field.mul
+    return (field.dot, mul, field.div,
+            lambda t, ys, xs: [sub(x, mul(t, y)) for x, y in zip(xs, ys)])
+
+
 def _annihilate(ops, ann: list, vec) -> list:
     """Basis of the annihilator of W + <vec>, given one (ann) of W's; ops are
-    (field.dot, *row_ops(field)).
+    method_ops(field).
 
     vec in W leaves ann as is.  Else the first phi with c = phi(vec) != 0 is
     dropped, and each later psi becomes psi - (psi(vec) / c) * phi.
@@ -192,7 +200,7 @@ def annihilator_scan(field, K, g, steps):
     checked = _count_allowable(lengths, K + g)
     if not checked:
         return VerifyReport(True, None, 0, vacuous=True)
-    ops = (field.dot, *row_ops(field))
+    ops = method_ops(field)
     L = len(steps)
     tails = [sum(lengths[i:]) for i in range(L + 1)]
 

@@ -113,6 +113,19 @@ def test_arith_dispatch():
         arith(f, "add", a, make_field(3).element(1))
 
 
+def test_arith_refuses_a_non_int_exponent_and_a_stray_operand():
+    f = make_field(5)
+    a = f.element(2)
+    for e in (True, False, 2.0, None):
+        with pytest.raises(ValueError, match="pow takes an integer exponent"):
+            arith(f, "pow", a, e)
+    for op in ("neg", "inv"):
+        for b in (7, 0, False, a):
+            with pytest.raises(ValueError, match=f"{op} takes one operand"):
+                arith(f, op, a, b)
+    assert arith(f, "neg", a).rep == 3 and arith(f, "inv", a).rep == 3
+
+
 @pytest.mark.parametrize("f", [make_field(5), make_field(2, 2), make_field(3, 2)],
                          ids=lambda f: f"q{f.q}")
 def test_arith_agrees_with_the_field_methods_exhaustively(f):
@@ -525,12 +538,15 @@ def test_dot_matches_loop(f, data):
     assert got == dot_by_loop(f, xs, ys) and 0 <= got < f.q
 
 
-# -- row ops: the scan's and the elimination's integer closures ------------------
+# -- row ops: the scan's and the elimination's closures ---------------------------
 
-ROW_OPS_FIELDS = [make_field(2), make_field(3), make_field(13), make_field(4093),  # prime, tabled
-                  field_from_order(1048573),                                      # prime, pow
-                  make_field(2, 2), make_field(2, 4), make_field(5, 2),           # log tables
-                  field_from_order(1 << 16)]                                      # packed GF(2^m)
+# Prime fields on both sides of the inverse table; table fields from GF(4) to the largest
+# two, GF(3^7) and GF(2^12); above the limit, packed GF(2^16) and digit-list GF(3^8).
+ROW_OPS_FIELDS = [make_field(2), make_field(3), make_field(13), make_field(4093),
+                  field_from_order(1048573),
+                  make_field(2, 2), make_field(2, 3), make_field(3, 2), make_field(2, 4),
+                  make_field(5, 2), make_field(3, 7), make_field(2, 12),
+                  field_from_order(1 << 16), make_field(3, 8)]
 
 
 def assert_row_ops_match(f, ops, a, b, xs, ys):
@@ -566,10 +582,26 @@ def test_row_ops_div_by_zero_raises(f):
 
 
 def test_row_ops_see_a_patch_of_the_field_class(monkeypatch):
-    # nothing caches the closures, so a wrapper on FieldSpec is seen while installed only
-    f, seen, mul = make_field(5, 2), [], FieldSpec.mul
+    # above the table limit row_ops binds the methods; nothing caches a closure or
+    # bound method, so a wrapper on FieldSpec is seen while installed only
+    f, seen, mul = field_from_order(1 << 16), [], FieldSpec.mul
     monkeypatch.setattr(FieldSpec, "mul", lambda self, a, b: seen.append((a, b)) or mul(self, a, b))
     assert row_ops(f)[0](2, 3) == mul(f, 2, 3)
     monkeypatch.undo()
     row_ops(f)[0](4, 5)
     assert seen == [(2, 3)]
+
+
+@pytest.mark.parametrize("q", [16, 25])
+def test_table_row_ops_call_no_field_method(monkeypatch, q):
+    # a table field's closures read its tables, with no FieldSpec call per entry
+    f = field_from_order(q)
+    mul, div, axpy = row_ops(f)
+    for name in ("add", "sub", "neg", "mul", "inv", "div", "dot"):
+        monkeypatch.setattr(FieldSpec, name, lambda *args, name=name: pytest.fail(name))
+    got = [(mul(a, b), div(a, b) if b else None, axpy(a, [b, a, 0], [a, 0, b]))
+           for a, b in product(range(q), repeat=2)]
+    monkeypatch.undo()
+    for (a, b), (m, d, row) in zip(product(range(q), repeat=2), got):
+        assert (m, d) == (f.mul(a, b), f.div(a, b) if b else None)
+        assert row == [f.sub(x, f.mul(a, y)) for x, y in zip([a, 0, b], [b, a, 0])]

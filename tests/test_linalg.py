@@ -238,6 +238,18 @@ def test_matrix_shapes_are_non_negative_ints(nrows, ncols, entries, error):
     assert FqMatrix(F5, 0, 0, ()) == FqMatrix.zeros(F5, 0, 0)
 
 
+@pytest.mark.parametrize("dim, error", [(-1, ValueError), (-2, ValueError), (2.0, TypeError),
+                                        (True, TypeError), (False, TypeError), ("2", TypeError)])
+def test_subspace_ambient_dims_are_non_negative_ints(dim, error):
+    for build in (Subspace.trivial, Subspace.full, lambda f, n: Subspace.from_vectors(f, n, [])):
+        with pytest.raises(error, match="ambient dimension"):
+            build(F5, dim)
+    with pytest.raises(error, match="ambient dimension"):
+        Subspace(F5, dim, ())
+    assert Subspace.full(F5, 0) == Subspace.trivial(F5, 0) == Subspace(F5, 0, ())
+    assert Subspace.full(F5, 2).vectors == ((1, 0), (0, 1))
+
+
 def test_matvec_and_vecmat_refuse_wrong_lengths_and_reps():
     M = mat(F5, [[1, 2, 3], [4, 0, 1]])
     assert M.vecmat((1, 0)) == (1, 2, 3) and M.vecmat([1, 1]) == (0, 2, 4)
