@@ -12,6 +12,8 @@ none is left.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 from .errors import (
     InvalidInputError,
     LengthMismatchError,
@@ -122,13 +124,14 @@ def _spans(u: Udmg, lam) -> bool:
 
 
 def _count_allowable(lengths, total: int) -> int:
-    """Number of allowable vectors, by a DP over capped compositions.  A total that is
-    negative or past sum(lengths) allows none: 0 at once, before any list of total + 1."""
+    """Number of allowable vectors: a member of n steps sums windows of n + 1 counts, by
+    running sums.  A total negative or past sum(lengths) allows none, at once."""
     if not 0 <= total <= sum(lengths):
         return 0
     ways = [1] + [0] * total
     for n in lengths:
-        ways = [sum(ways[t - v] for v in range(min(n, t) + 1)) for t in range(total + 1)]
+        run = list(accumulate(ways))
+        ways = run[:n + 1] + [a - b for a, b in zip(run[n + 1:], run)]
     return ways[total]
 
 
@@ -148,51 +151,56 @@ def _scan(field: FieldSpec, K: int, g: int, steps) -> VerifyReport:
     member i on under functionals vanishing on the span so far (at the root,
     _images' coordinates).  A new vector's first nonzero row is the pivot and
     is dropped, each later row nonzero there takes one axpy, and a dependent
-    vector none.  Once k <= 2 rows are left, the subtree is decided in one
-    pass: a completion fails iff its images lie on one line of F_q^k (k = 1:
-    are all zero).  Read off the rows per member, capped at the budget R left,
-    a counts the leading zero steps and, for k = 2, the first nonzero image
-    fixes the one line the member can stay on (keyed by slope, -1 if
-    vertical) and e counts the steps on it.  It fails iff sum(a) plus the e
-    on some line reaches R; the least failure, over such lines, takes from
-    each member only what later ones cannot cover.  Slopes and row updates
-    are fields.row_ops', built once per scan: no image is a dot product.
+    vector none.  A descent slices off the member left (at three rows, where no
+    row is updated again, it moves the column offset at instead).  Once k <= 2
+    rows are left, the subtree is decided in one pass: a completion fails iff
+    its images lie on one line of F_q^k (k = 1: are all zero).  A step ending
+    in the 3 -> 2 elimination hands the tail the pivot row and factors, and the
+    tail forms each image it reads by sub_mul.  Over each member's columns,
+    capped at the budget R left, a counts the leading zero steps and, for
+    k = 2, the first nonzero image fixes the one line the member can stay on
+    (keyed by slope, -1 if vertical) and e counts the steps on it, up to the
+    first image off it.  It fails iff sum(a) plus the e on some line reaches
+    R; the least failure, over such lines, takes from each member only what
+    later ones cannot cover.  Slopes and row updates are fields.row_ops',
+    built once per scan: no image is a dot product.
     """
     lengths = [len(s) for s in steps]
     checked = _count_allowable(lengths, K + g)
     if not checked:
         return VerifyReport(True, None, 0, vacuous=True)
-    mul, div, axpy = row_ops(field)
+    mul, div, axpy, sub_mul = row_ops(field)
     L = len(steps)
     tails = [sum(lengths[i:]) for i in range(L + 1)]
     bounds, at = [], 0  # bounds[i][k]: the root's first entry of member i's step k
     for member in steps:
         bounds.append([at] + [at := at + len(step) for step in member])
+    step_of = [k for member in steps for k, step in enumerate(member) for _ in step]
+    blank = [0] * at  # the pivot row of a tail with no elimination left to apply
 
-    def tail(i, v, rows, remaining):
-        """Least failing completion with member i at offset v, given k <= 2 rows."""
+    def tail(i, v, rows, remaining, at, pivot=blank, fs=(0, 0)):
+        """Least failing completion with member i at offset v, given k <= 2 rows less fs * pivot."""
         if not rows:
             return None
-        budget = remaining - v
-        phi, psi = rows[0], rows[1] if len(rows) == 2 else None
-        prof, o, zeros, along, base = [], v, 0, {}, bounds[i][0]
+        budget, line = remaining - v, len(rows) == 2
+        (phi, psi), (f, h) = (rows if line else (rows[0], blank)), fs
+        prof, o, zeros, along = [], v, 0, {}
         for j in range(i, L):
-            b, a, e, slope = bounds[j], 0, 0, None
-            for k in range(o, min(lengths[j], o + budget)):
-                for c in range(b[k] - base, b[k + 1] - base):
-                    x, y = phi[c], psi[c] if psi else 0
-                    if not (x or y):
-                        continue
-                    if slope is None and psi is not None:
-                        slope = div(y, x) if x else -1
-                    elif psi is None or (x if slope == -1 else mul(slope, x) != y):
-                        break  # a nonzero image for k = 1, or one off the line
-                else:
-                    a, e = (a + 1, e) if slope is None else (a, e + 1)
+            b, slope, top = bounds[j], None, min(lengths[j], o + budget)
+            for c in range(b[o] - at, b[top] - at):
+                x, y = phi[c], psi[c]
+                if t := pivot[c]:
+                    x, y = sub_mul(x, f, t), sub_mul(y, h, t)
+                if not (x or y):
                     continue
-                break
-            prof.append((a, e, slope))
-            zeros, along[slope], o = zeros + a, along.get(slope, 0) + e, 0
+                if slope is None and line:
+                    slope, first = (div(y, x) if x else -1), step_of[at + c]
+                elif not line or (x if slope == -1 else mul(slope, x) != y):
+                    top = step_of[at + c]  # a nonzero image for k = 1, or one off the line
+                    break
+            a = (top if slope is None else first) - o
+            prof.append((a, top - o - a, slope))
+            zeros, along[slope], o = zeros + a, along.get(slope, 0) + top - o - a, 0
         best = None
         for slope, run in along.items():
             if zeros + run < budget:
@@ -207,31 +215,35 @@ def _scan(field: FieldSpec, K: int, g: int, steps) -> VerifyReport:
             best = min(best or lam, lam)
         return None if best is None else tuple(best)
 
-    def walk(i, rows, remaining):
+    def walk(i, rows, remaining, at):
         """Least failing completion from member i on, or None, given k >= 3 rows."""
         if remaining == 0:
             return (0,) * (L - i)
         b = bounds[i]
         for v in range(min(lengths[i], remaining) + 1):
             if v:
-                for c in range(b[v - 1] - b[0], b[v] - b[0]):
+                for c in range(b[v - 1] - at, b[v] - at):
                     for k, pivot in enumerate(rows):
                         if t := pivot[c]:
                             break
                     else:
                         continue  # a dependent vector
-                    rows = rows[:k] + [axpy(div(d, t), pivot, row) if (d := row[c]) else row
-                                       for row in rows[k + 1:]]
+                    fs = [div(d, t) if (d := row[c]) else 0 for row in rows[k + 1:]]
+                    if len(rows) == 3 and c == b[v] - at - 1 and any(fs):
+                        return tail(i, v, rows[:k] + rows[k + 1:], remaining, at, pivot, [0] * k + fs)
+                    rows = rows[:k] + [axpy(f, pivot, row) if f else row
+                                       for f, row in zip(fs, rows[k + 1:])]
                 if len(rows) <= 2:
-                    return tail(i, v, rows, remaining)
+                    return tail(i, v, rows, remaining, at)
             if v >= remaining - tails[i + 1]:
-                rest = walk(i + 1, [row[b[-1] - b[0]:] for row in rows], remaining - v)
+                cut = b[-1] - at if len(rows) > 3 else 0
+                rest = walk(i + 1, [row[cut:] for row in rows] if cut else rows, remaining - v, at + cut)
                 if rest is not None:
                     return (v,) + rest
         return None
 
     rows = _images(K, steps)
-    witness = tail(0, 0, rows, K + g) if K <= 2 else walk(0, rows, K + g)
+    witness = tail(0, 0, rows, K + g, 0) if K <= 2 else walk(0, rows, K + g, 0)
     return VerifyReport(witness is None, witness, checked)
 
 

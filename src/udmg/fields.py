@@ -24,14 +24,14 @@ reads the tables once per sum: it XORs antilogs for p = 2 and takes one Zech
 step per nonzero term for odd p; a prime field sums integers and reduces
 once, and a field above the table limit adds its products one at a time.
 
-row_ops(field) gives the rank scan and the elimination mul, div and a row
-update as closures built per call: integer expressions mod p on a prime field
-(div reads an inverse table up to TABLE_MAX_ORDER, pow above), lookups in the
-log tables on a table field (the update XORs for p = 2 and takes one Zech step
-per nonzero entry for odd p), so neither calls a FieldSpec method per entry,
-and the field's own methods above the table limit.  The lru_caches hold data
-only, never a closure or bound method, so nothing keeps a wrapper set on a
-FieldSpec method once it is removed.
+row_ops(field) gives the rank scan and the elimination mul, div, a row update
+and its one-entry form x - t*y as closures built per call: integer
+expressions mod p on a prime field (div reads an inverse table up to
+TABLE_MAX_ORDER, pow above), lookups in the log tables on a table field (an
+update XORs for p = 2 and takes one Zech step per nonzero entry for odd p), so
+neither calls a FieldSpec method per entry, and the field's own methods above
+the table limit.  The lru_caches hold data only, never a closure or bound
+method, so nothing keeps a wrapper set on a FieldSpec method once it is removed.
 
 A modulus, canonical or given, is tested for irreducibility by trial
 division by monic factors of degree <= 2 and then Rabin's test, with
@@ -463,14 +463,15 @@ def _inverses(p: int) -> tuple:
 
 
 def row_ops(field: FieldSpec) -> tuple:
-    """(mul, div, axpy) of field, built afresh, with axpy(t, ys, xs) the row update
-    [x - t*y for x, y in zip(xs, ys)]; div(a, 0) raises ZeroDivisionError."""
+    """(mul, div, axpy, sub_mul) of field, built afresh: axpy(t, ys, xs) is [x - t*y for x, y
+    in zip(xs, ys)], sub_mul(x, t, y) one entry of it; div(a, 0) raises ZeroDivisionError."""
     if field.m > 1:
         if field._tables is not None:
             return _table_ops(*(field._tables or field._build_tables()))
         sub, mul = field.sub, field.mul
         return (mul, field.div,
-                lambda t, ys, xs: [sub(x, mul(t, y)) if y else x for x, y in zip(xs, ys)])
+                lambda t, ys, xs: [sub(x, mul(t, y)) if y else x for x, y in zip(xs, ys)],
+                lambda x, t, y: sub(x, mul(t, y)))
     p = field.p
     inv = _inverses(p) if p <= TABLE_MAX_ORDER else None
 
@@ -480,7 +481,8 @@ def row_ops(field: FieldSpec) -> tuple:
         return a * (inv[b] if inv else pow(b, -1, p)) % p
 
     return (lambda a, b: a * b % p, div,
-            lambda t, ys, xs: [(x - t * y) % p for x, y in zip(xs, ys)])
+            lambda t, ys, xs: [(x - t * y) % p for x, y in zip(xs, ys)],
+            lambda x, t, y: (x - t * y) % p)
 
 
 def _table_ops(exp, log, zech, order) -> tuple:
@@ -510,7 +512,18 @@ def _table_ops(exp, log, zech, order) -> tuple:
             out.append(x)
         return out
 
-    return lambda a, b: exp[log[a] + log[b]] if a and b else 0, div, axpy
+    def sub_mul(x, t, y):
+        if not (t and y):
+            return x
+        if zech is None:
+            return x ^ exp[log[t] + log[y]]
+        n = (log[t] + (order >> 1)) % order + log[y]
+        if not x:
+            return exp[n]
+        z = zech[n - (lx := log[x])]
+        return 0 if z is None else exp[lx + z]
+
+    return lambda a, b: exp[log[a] + log[b]] if a and b else 0, div, axpy, sub_mul
 
 
 def make_field(p: int, m: int = 1) -> FieldSpec:

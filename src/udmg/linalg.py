@@ -144,7 +144,7 @@ def echelon_rows(ops, rows, width: int) -> tuple:
     pivot rows' indices in pivot-column order, their pivot columns, and the
     indices of the rows that received no pivot.  ops is fields.row_ops(field).
     """
-    mul, div, axpy = ops
+    mul, div, axpy, _ = ops
     used, pivots, remaining = [], [], list(range(len(rows)))
     for col in range(width):
         for hit in remaining:

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from itertools import product
 
 import pytest
@@ -23,7 +24,7 @@ from udmg.core import (
 )
 from udmg.core import VerifyReport, _count_allowable
 from udmg.errors import InvalidInputError, LengthMismatchError, NotProperSubError
-from udmg.fields import make_field
+from udmg.fields import field_from_order, make_field
 from udmg.linalg import FqMatrix, Subspace, rref_rows
 
 F2, F3, F4, F5 = make_field(2), make_field(3), make_field(2, 2), make_field(5)
@@ -72,6 +73,30 @@ def test_allowable_count_identity():
                 for g in range(3):
                     got = sum(1 for _ in allowable_vectors(lengths, K, g))
                     assert got == _count_formula(lengths, K + g)
+
+
+def count_by_dp(lengths, total):
+    """The count of allowable vectors by the direct DP, one sum of up to n + 1 terms
+    per total and member: the oracle of core._count_allowable's running sums."""
+    if not 0 <= total <= sum(lengths):
+        return 0
+    ways = [1] + [0] * total
+    for n in lengths:
+        ways = [sum(ways[t - v] for v in range(min(n, t) + 1)) for t in range(total + 1)]
+    return ways[total]
+
+
+def test_count_by_running_sums_matches_the_dp():
+    rng = random.Random(17)
+    cases = [((), 0), ((), 1), ((0,), 0), ((0, 0), 1), ((3,), -1), ((3,), 4), ((2, 2), 5),
+             ((1,) * 40, 12), ((40,), 12), ((7, 0, 7), 7), ((5, 5), 10)]
+    cases += [([rng.randint(0, 8) for _ in range(rng.randint(1, 14))], rng.randint(-2, 40))
+              for _ in range(1500)]
+    for lengths, total in cases:
+        assert _count_allowable(lengths, total) == count_by_dp(lengths, total)
+    # exact integers past 2^53: 30 members of 30 steps, total 450
+    big = _count_allowable([30] * 30, 450)
+    assert type(big) is int and big == count_by_dp([30] * 30, 450) > 2 ** 53
 
 
 @given(st.lists(st.integers(1, 5), min_size=1, max_size=5),
@@ -389,6 +414,15 @@ def test_scan_matches_the_annihilator_oracle_exhaustive_gf4():
     assert seen == 4 * 2 * 4 ** 6
 
 
+class ReadLog(list):
+    """Root entries in the order read; tail_reads holds (entry, i, v, budget) for each
+    read the tail makes, i, v and budget being the tail's own locals."""
+
+    def __init__(self):
+        super().__init__()
+        self.tail_reads = []
+
+
 class LoggedRow(list):
     """A row the scan carries, logging the root entry of each single entry read."""
 
@@ -400,19 +434,23 @@ class LoggedRow(list):
         if isinstance(k, slice):  # a descent drops the entries of the member left
             return LoggedRow(super().__getitem__(k), self.log, self.at + k.indices(len(self))[0])
         self.log.append(self.at + k)
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "tail":
+            self.log.tail_reads.append((self.at + k, *map(caller.f_locals.get, ("i", "v", "budget"))))
         return super().__getitem__(k)
 
 
 def logged_reads(monkeypatch):
     """The root entries (one per step vector, members in order) whose images the
-    scan reads, in the order read; a read from each of k rows logs the entry k times."""
+    scan reads, in the order read; a read from each of k rows logs the entry k times.
+    An image the tail forms from the last elimination reads the pivot row too."""
     from udmg import core
 
-    log, images, row_ops_ = [], core._images, core.row_ops
+    log, images, row_ops_ = ReadLog(), core._images, core.row_ops
 
     def logged_row_ops(field):
-        mul, div, axpy = row_ops_(field)
-        return mul, div, lambda t, ys, xs: LoggedRow(axpy(t, ys, xs), log, xs.at)
+        mul, div, axpy, sub_mul = row_ops_(field)
+        return mul, div, lambda t, ys, xs: LoggedRow(axpy(t, ys, xs), log, xs.at), sub_mul
 
     monkeypatch.setattr(core, "_images", lambda K, steps: [LoggedRow(row, log)
                                                            for row in images(K, steps)])
@@ -433,6 +471,31 @@ def test_no_vector_is_reduced_once_the_span_is_full(monkeypatch):
         # one member, one column a step: entry c is column c
         assert set(range(K)) <= set(reads)
         assert not {K, K + 1} & set(reads)
+
+
+def test_tail_reads_only_its_windows(monkeypatch, ref_udmg):
+    # a tail at member i, offset v, with budget R left reads member i's steps v to
+    # v + R - 1 and each later member's first R steps, and nothing else, also where
+    # it forms its images from the elimination the walk left to it.  On the valid
+    # constructions every member leaves its line early; in the copy whose member 1
+    # has twice its first column as its second, that member stays on a line
+    # through a budget of two, so tails fail, reading windows to the end
+    from udmg.curves import genus0_udmg
+
+    reads = logged_reads(monkeypatch)
+    F13 = make_field(13)
+    line = genus0_udmg(F13, list(range(9)), 5).udmg
+    M0, M1 = line.matrices[:2]
+    bad = FqMatrix.from_rows(F13, [[r[0], 2 * r[0] % 13, *r[2:]] for r in M1.to_rows()])
+    corrupt = Udmg(F13, 5, 0, (M0, bad, *line.matrices[2:]))
+    for u, valid in ((ref_udmg, True), (line, True), (corrupt, False)):
+        reads.tail_reads.clear()
+        assert verify(u).valid is valid
+        where = [(j, k) for j, n in enumerate(u.lengths) for k in range(n)]
+        assert reads.tail_reads
+        for c, i, v, budget in reads.tail_reads:
+            j, k = where[c]
+            assert (j == i and v <= k < v + budget) or (j > i and k < budget), (c, i, v, budget)
 
 
 # -- the closed-form tail: subtrees with at most two functionals left ----------
@@ -520,6 +583,68 @@ def test_tail_agrees_on_perturbed_line_constructions():
                     assert_agrees_with_oracles(u.with_genus(g))
                     outcomes.add(verify(u.with_genus(g)).valid)
     assert outcomes == {True, False}
+
+
+def test_scan_matches_the_annihilator_oracle_on_perturbed_curve_constructions():
+    # genus-1 constructions pass, so at K >= 4 most subtrees reach three rows and
+    # are decided by tails that form their images from the walk's last elimination;
+    # a few changed entries make them fail deep in the walk
+    from udmg.curves import INFINITY, DivisorSpec, WeierstrassCurve, enumerate_points, goppa_udmg
+
+    rng = random.Random(61)
+    outcomes = set()
+    for q, a, b in ((11, 1, 3), (13, 1, 1), (25, 1, 1)):
+        curve = WeierstrassCurve(field_from_order(q), a, b)
+        affine = [P for P in enumerate_points(curve) if P is not INFINITY]
+        for K in (4, 5, 6):
+            points = rng.sample(affine, 6 if K < 6 else 5)
+            base = goppa_udmg(curve, points, DivisorSpec(K)).udmg
+            for count in (0, 1, 2):
+                u = perturbed(rng, base, count)
+                for g in (0, 1, 2):
+                    rep = verify(u.with_genus(g))
+                    assert rep == oracle_verify(u.with_genus(g))
+                    outcomes.add(rep.valid)
+    assert outcomes == {True, False}
+
+
+def test_chain_scan_keeps_the_row_update_inside_a_step():
+    # member 0's one vector leaves three rows; member 1's first step enters two, and
+    # the 3 -> 2 elimination falls on the first, so the rows are updated before the
+    # second is reduced (2 -> 1).  A tail handed the unreduced pair would see member
+    # 2's first step as a line and report (1, 1, 2)
+    span = lambda *vecs: Subspace.from_vectors(F3, 4, list(vecs))
+    e1, e2, e3, e4 = (tuple(int(r == c) for r in range(4)) for c in range(4))
+    chains = (Chain((span((1, 0, 2, 0)),)),
+              Chain((span((1, 0, 1, 1), e2), span((1, 0, 0, 1), e2, e3))),
+              Chain((span(e1, e3), span(e1, e3, e4))))
+    assert [tuple(x) for x in chains[1].subspaces[0].vectors] == [(1, 0, 1, 1), e2]
+    v = Udvsg(F3, 4, 0, chains)
+    assert verify_chains(v) == oracle_verify_chains(v) == VerifyReport(True, None, 3)
+    assert least_failure_by_rref(v) is None
+
+
+def test_chain_scan_with_empty_steps_matches_the_oracles():
+    # zero subspaces and repeats add no vector: steps of no column, which the tail's
+    # one pass over a member's columns counts by their step indices
+    rng = random.Random(67)
+    zero = Subspace.trivial(F3, 3)
+    seen = set()
+    for _ in range(150):
+        chains = []
+        for _ in range(rng.randint(1, 4)):
+            vecs = [tuple(rng.randrange(3) for _ in range(3)) for _ in range(3)]
+            subs = [zero] * rng.randint(0, 2)
+            for d in sorted(rng.choices(range(1, 4), k=rng.randint(1, 4))):
+                subs.append(Subspace.from_vectors(F3, 3, vecs[:d]))
+            chains.append(Chain(tuple(subs)))
+        v = Udvsg(F3, 3, rng.randint(0, 2), tuple(chains))
+        rep = verify_chains(v)
+        assert rep == oracle_verify_chains(v)
+        if not rep.vacuous:
+            assert rep.witness == least_failure_by_rref(v)
+        seen.add(rep.valid)
+    assert seen == {True, False}
 
 
 def test_tail_agrees_on_duplicated_families():

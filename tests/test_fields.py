@@ -550,11 +550,13 @@ ROW_OPS_FIELDS = [make_field(2), make_field(3), make_field(13), make_field(4093)
 
 
 def assert_row_ops_match(f, ops, a, b, xs, ys):
-    mul, div, axpy = ops
+    mul, div, axpy, sub_mul = ops
     assert mul(a, b) == f.mul(a, b)
     if b:
         assert div(a, b) == f.div(a, b)
     assert axpy(a, ys, xs) == [f.sub(x, f.mul(a, y)) for x, y in zip(xs, ys)]
+    # the one-entry update agrees with the row update entry by entry
+    assert [sub_mul(x, a, y) for x, y in zip(xs, ys)] == [axpy(a, [y], [x])[0] for x, y in zip(xs, ys)]
 
 
 @pytest.mark.parametrize("f", [f for f in ROW_OPS_FIELDS if f.q <= 16], ids=lambda f: f"q{f.q}")
@@ -562,6 +564,24 @@ def test_row_ops_match_field_exhaustively(f):
     ops = row_ops(f)
     for a, b, x, y in product(range(f.q), repeat=4):
         assert_row_ops_match(f, ops, a, b, [x, y], [y, b])
+
+
+@pytest.mark.parametrize("f", [f for f in ROW_OPS_FIELDS if f.q <= 16], ids=lambda f: f"q{f.q}")
+def test_sub_mul_is_one_entry_of_axpy_exhaustively(f):
+    _, _, axpy, sub_mul = row_ops(f)
+    for x, t, y in product(range(f.q), repeat=3):
+        assert sub_mul(x, t, y) == axpy(t, [y], [x])[0] == f.sub(x, f.mul(t, y))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from([f for f in ROW_OPS_FIELDS if f.q > 16]), st.data())
+def test_sub_mul_is_one_entry_of_axpy_sampled(f, data):
+    # GF(3^7) and GF(2^12), the largest table fields, GF(2^16) and GF(3^8) above the
+    # table limit, and primes on both sides of it; 0, 1 and -1 hit the edge cases
+    el = st.one_of(st.sampled_from([0, 1, f.neg(1)]), st.integers(0, f.q - 1))
+    x, t, y = (data.draw(el) for _ in range(3))
+    _, _, axpy, sub_mul = row_ops(f)
+    assert sub_mul(x, t, y) == axpy(t, [y], [x])[0] == f.sub(x, f.mul(t, y))
 
 
 @settings(deadline=None, max_examples=80)
@@ -596,12 +616,13 @@ def test_row_ops_see_a_patch_of_the_field_class(monkeypatch):
 def test_table_row_ops_call_no_field_method(monkeypatch, q):
     # a table field's closures read its tables, with no FieldSpec call per entry
     f = field_from_order(q)
-    mul, div, axpy = row_ops(f)
+    mul, div, axpy, sub_mul = row_ops(f)
     for name in ("add", "sub", "neg", "mul", "inv", "div", "dot"):
         monkeypatch.setattr(FieldSpec, name, lambda *args, name=name: pytest.fail(name))
-    got = [(mul(a, b), div(a, b) if b else None, axpy(a, [b, a, 0], [a, 0, b]))
+    got = [(mul(a, b), div(a, b) if b else None, axpy(a, [b, a, 0], [a, 0, b]),
+            [sub_mul(x, a, y) for x, y in zip([a, 0, b], [b, a, 0])])
            for a, b in product(range(q), repeat=2)]
     monkeypatch.undo()
-    for (a, b), (m, d, row) in zip(product(range(q), repeat=2), got):
+    for (a, b), (m, d, row, entries) in zip(product(range(q), repeat=2), got):
         assert (m, d) == (f.mul(a, b), f.div(a, b) if b else None)
-        assert row == [f.sub(x, f.mul(a, y)) for x, y in zip([a, 0, b], [b, a, 0])]
+        assert row == entries == [f.sub(x, f.mul(a, y)) for x, y in zip([a, 0, b], [b, a, 0])]
