@@ -248,18 +248,17 @@ def load_construction(path: str):
 
 # -- report helpers ---------------------------------------------------------------
 
-def _emit(payload: dict, as_json: bool, out=None) -> None:
-    out = out if out is not None else sys.stdout
+def _emit(payload: dict, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(payload, default=_plain), file=out)
+        print(json.dumps(payload, default=_plain))
         return
     for key, value in payload.items():
         if isinstance(value, (list, tuple)) and value and isinstance(value[0], (list, tuple)):
-            print(f"{key}:", file=out)
+            print(f"{key}:")
             for row in value:
-                print(f"  {row if isinstance(row, str) else list(row)}", file=out)
+                print(f"  {row if isinstance(row, str) else list(row)}")
         else:
-            print(f"{key}: {_plain(value)}", file=out)
+            print(f"{key}: {_plain(value)}")
 
 
 def _plain(x):
@@ -368,8 +367,9 @@ def _cmd_bounds(args) -> int:
 
     field_from_order(args.q)  # q must be the order of a supported field
     lengths = (tuple(_integer(x, "length") for x in args.lengths.split(","))
-               if args.lengths else None)
-    nks = tuple(_integer(x, "n,k,s entry") for x in args.nks.split(",")) if args.nks else None
+               if args.lengths is not None else None)
+    nks = (tuple(_integer(x, "n,k,s entry") for x in args.nks.split(","))
+           if args.nks is not None else None)
     rep = bounds_report(args.K, args.q, args.g, lengths=lengths, nks=nks)
     payload = {
         "K": rep.K, "q": rep.q, "g": rep.g,

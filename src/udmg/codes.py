@@ -3,19 +3,19 @@
 The first-column code of a valid matrix set with L >= K + g members is an
 [L, K] code of Singleton defect at most g.  Its n columns, read as one-column
 matrices, verify at genus g' exactly when d >= n - k + 1 - g', so the least
-such g' (at most g) gives d = n - k + 1 - g'; one codeword, whose message
-spans the kernel (linalg.kernel_basis) of the failing witness's columns at
-g' - 1, certifies that d is attained.  Any other full-rank code is valid at
-genus n - k, so min_distance reads every code this way.  The
-bounds report collects all the arithmetic caps on L in terms of (K, q, g) and
-the lengths.
+such g' (at most g), found by core's genus search as minimal_genus's is, gives
+d = n - k + 1 - g'; one codeword, whose message spans the kernel
+(linalg.kernel_basis) of the columns of the search's failing witness at g' - 1,
+certifies that d is attained.  Any other full-rank code is valid at genus n - k,
+so min_distance reads every code this way.  The bounds report collects all the
+arithmetic caps on L in terms of (K, q, g) and the lengths.
 """
 
 from __future__ import annotations
 
 import math
 
-from .core import Udmg, _verify_fast, verify
+from .core import Udmg, _least_genus, _verify_fast
 from .errors import (
     HypothesisUnmetError,
     InvalidInputError,
@@ -56,9 +56,9 @@ def min_distance(code: LinearCode, valid_at: int | None = None) -> int:
     The columns of G, read as n one-column matrices, verify at genus g' exactly
     when d >= n - k + 1 - g'.  valid_at is a genus at which they are known to
     verify (the convention of core.minimal_genus); it defaults to n - k, where
-    every full-rank G does.  Genera 0, 1, ... below it are scanned up to the
-    first valid one, g', and d = n - k + 1 - g'.  The scan's failing witness at
-    g' - 1 (any k - 1 columns when g' = 0) leaves one message y up to scale
+    every full-rank G does.  core's genus search scans genera 0, 1, ... below
+    it up to the first valid one, g', and d = n - k + 1 - g'.  Its failing witness
+    at g' - 1 (any k - 1 columns when g' = 0) leaves one message y up to scale
     whose codeword vanishes on it: the kernel (linalg.kernel_basis) of the
     matrix whose rows are the witness columns.  AssertionError is raised unless
     y*G has weight d, which proves d attained, while validity at g' bounds
@@ -73,12 +73,8 @@ def min_distance(code: LinearCode, valid_at: int | None = None) -> int:
         return n + 1
     cols = [G.col(j) for j in range(n)]
     ones = Udmg(f, k, 0, tuple(FqMatrix(f, k, 1, c) for c in cols))
-    g, zeros = 0, range(k - 1)
-    while g < (n - k if valid_at is None else valid_at):
-        rep = verify(ones.with_genus(g))
-        if rep.valid:
-            break
-        g, zeros = g + 1, [j for j, v in enumerate(rep.witness) if v]
+    g, failed = _least_genus(ones, n - k if valid_at is None else valid_at)
+    zeros = [j for j, v in enumerate(failed.witness) if v] if failed else range(k - 1)
     d = n - k + 1 - g
     witness = FqMatrix(f, len(zeros), k, tuple(e for j in zeros for e in cols[j]))
     y = kernel_basis(witness).vectors[0]
@@ -101,7 +97,7 @@ def first_column_code(u: Udmg, compute_distance: bool = True,
         raise HypothesisUnmetError("a code needs K >= 1")
     if u.L < u.K + u.g:
         raise TooShortError(f"need L >= K + g = {u.K + u.g}, have {u.L}")
-    if not (verified or _verify_fast(u)):
+    if not (verified or _verify_fast(u).valid):
         raise InvalidInputError("matrix set fails verification at its genus")
     G = first_columns(u.matrices)
     if rank(G) != u.K:
@@ -224,6 +220,10 @@ def bounds(K: int, q: int, g: int, lengths=None, nks=None) -> BoundReport:
     lengths, nks = (None if v is None else tuple(v) for v in (lengths, nks))
     if any(type(v) is not int for v in (K, q, g, *(lengths or ()), *(nks or ()))):
         raise TypeError("K, q, g, lengths and nks take integers only, not bool or float")
+    if lengths == ():
+        raise HypothesisUnmetError("lengths must hold at least one value")
+    if nks is not None and len(nks) != 3:
+        raise HypothesisUnmetError(f"nks must hold three values n, k, s, not {len(nks)}")
     if K < 2:
         raise HypothesisUnmetError("size bounds need K >= 2")
     if q < 2:

@@ -244,6 +244,7 @@ def _scan(field: FieldSpec, K: int, g: int, steps) -> VerifyReport:
 
     rows = _images(K, steps)
     witness = tail(0, 0, rows, K + g, 0) if K <= 2 else walk(0, rows, K + g, 0)
+    walk = None  # walk's own closure cell holds walk: cleared, the scan is freed without gc
     return VerifyReport(witness is None, witness, checked)
 
 
@@ -256,8 +257,7 @@ def verify(u: Udmg, threads: int = 1) -> VerifyReport:
     return _scan(u.field, u.K, u.g, steps)
 
 
-def _verify_fast(u: Udmg) -> bool:
-    return verify(u).valid
+_verify_fast = verify  # every scan of the genus search, by the name perfbench/tracer.py spans
 
 
 def verify_naive(u: Udmg) -> VerifyReport:
@@ -290,13 +290,19 @@ def minimal_genus(u: Udmg, valid_at: int | None = None, start: int = 0) -> tuple
     and once K + g exceeds the total length the check is vacuous, so the scan
     terminates.  A caller that already knows a genus valid_at to verify, or
     every genus below start to fail, passes it, and those genera are not
-    scanned again.
+    scanned again.  The search, _least_genus, is codes.min_distance's too.
     """
-    total = u.total_length
-    g = start
-    while g != valid_at and not _verify_fast(u.with_genus(g)):
-        g += 1
-    return g, u.K + g > total
+    g, _ = _least_genus(u, valid_at, start)
+    return g, u.K + g > u.total_length
+
+
+def _least_genus(u: Udmg, valid_at: int | None = None, start: int = 0) -> tuple:
+    """(g, failed): the least genus g >= start at which u verifies, or valid_at once
+    reached; failed is the report of the failing scan at g - 1, None when g == start."""
+    g, failed = start, None
+    while g != valid_at and not (rep := _verify_fast(u.with_genus(g))).valid:
+        g, failed = g + 1, rep
+    return g, failed
 
 
 def truncate(u: Udmg, new_lengths) -> Udmg:

@@ -119,8 +119,11 @@ def test_verify_min_genus_scans_each_genus_once(fixture_path, capsys, monkeypatc
     genera, scan = [], core._scan
     monkeypatch.setattr(core, "_scan", lambda field, K, g, steps: genera.append(g) or
                         scan(field, K, g, steps))
+    searched, fast = [], core._verify_fast
+    monkeypatch.setattr(core, "_verify_fast", lambda u: searched.append(u.g) or fast(u))
     assert run_both() == want
     assert genera == scanned * 2
+    assert searched == scanned[1:] * 2  # after the command's own scan, each through the search
     assert json.loads(want[1][1])["minimal_genus"] == 1
 
 
@@ -719,6 +722,18 @@ def test_integer_flags_are_ascii_decimal(capsys, argv, at):
     for text in other_forms(argv[at]):
         assert run(argv[:at] + [text] + argv[at + 1:]) == 2, text
         assert f"invalid integer value: {text!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--lengths", "", "length '' is not an integer"),
+    ("--nks", "", "n,k,s entry '' is not an integer"),
+    ("--nks", "9,3", "nks must hold three values n, k, s, not 2"),
+    ("--nks", "9,3,1,0", "nks must hold three values n, k, s, not 4"),
+])
+def test_bounds_refuses_empty_and_short_lists(capsys, flag, value, message):
+    # an empty --lengths or --nks was read as absent (exit 0); a short --nks failed to unpack
+    assert run(["bounds", "--K", "3", "--q", "5", "--g", "1", flag, value]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("argv,at,good", [

@@ -205,6 +205,18 @@ def test_bounds_refuse_non_integer_nks(nks):
         bounds(3, 5, 1, nks=nks)
 
 
+@pytest.mark.parametrize("kw,message", [
+    ({"lengths": ()}, "lengths must hold at least one value"),
+    ({"nks": ()}, "nks must hold three values n, k, s, not 0"),
+    ({"nks": (9, 3)}, "nks must hold three values n, k, s, not 2"),
+    ({"nks": (9, 3, 1, 0)}, "nks must hold three values n, k, s, not 4"),
+])
+def test_bounds_refuse_empty_lengths_and_nks_of_the_wrong_size(kw, message):
+    # these raised "min() arg is an empty sequence" and "not enough/too many values to unpack"
+    with pytest.raises(HypothesisUnmetError, match=message):
+        bounds(3, 5, 1, **kw)
+
+
 def test_partition_bound_monotone():
     assert partition_bound(4, 2, 2) == 8
     assert partition_bound(2, 5, 0) >= 1
@@ -383,12 +395,16 @@ def one_column_set(code):
 
 
 def check_column_route(code):
+    from test_core import genera_scanned
+
     g, _ = minimal_genus(one_column_set(code))
     d = min_distance(code, valid_at=g)
     assert d == code.n - code.k + 1 - g
     assert d == min_distance(code) == min_distance_by_gray(code) == min_distance_by_vecmat(code)
     for h in range(g, code.n - code.k + 1):
-        assert min_distance(code, valid_at=h) == d
+        with genera_scanned() as genera:
+            assert min_distance(code, valid_at=h) == d
+        assert genera == list(range(g + (g < h)))  # core's search, one scan per genus
 
 
 @pytest.mark.parametrize("q,n,k", [(2, 3, 1), (2, 4, 2), (2, 5, 2), (2, 4, 3), (3, 3, 2),

@@ -1,12 +1,14 @@
+import gc
 import math
 import random
 import sys
+from contextlib import contextmanager
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from udmg import reference
+from udmg import core, reference
 from udmg.core import (
     Chain,
     Udmg,
@@ -22,7 +24,7 @@ from udmg.core import (
     verify_chains,
     verify_naive,
 )
-from udmg.core import VerifyReport, _count_allowable
+from udmg.core import VerifyReport, _count_allowable, _least_genus
 from udmg.errors import InvalidInputError, LengthMismatchError, NotProperSubError
 from udmg.fields import field_from_order, make_field
 from udmg.linalg import FqMatrix, Subspace, rref_rows
@@ -725,6 +727,18 @@ def test_minimal_genus_cases(ref_udmg):
     assert minimal_genus(identity_udmg(F2, 2, copies=2)) == (1, False)
 
 
+@contextmanager
+def genera_scanned():
+    """The genus of every scan made through core._verify_fast, the name the genus
+    search calls for each genus (and the benchmark's tracer spans)."""
+    genera, fast = [], core._verify_fast
+    core._verify_fast = lambda u: genera.append(u.g) or fast(u)
+    try:
+        yield genera
+    finally:
+        core._verify_fast = fast
+
+
 def test_minimal_genus_from_known_genera():
     rng = random.Random(5)
     for _ in range(60):
@@ -733,10 +747,53 @@ def test_minimal_genus_from_known_genera():
         lengths = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
         u = random_udmg(rng, field, K, lengths, 0)
         want = minimal_genus(u)
-        for g in range(want[0], want[0] + 3):
-            assert minimal_genus(u, valid_at=g) == want
-        for g in range(want[0] + 1):
-            assert minimal_genus(u, start=g) == want
+        least = want[0]
+        for g in range(least, least + 3):
+            with genera_scanned() as genera:
+                assert minimal_genus(u, valid_at=g) == want
+            assert genera == list(range(least + (least < g)))  # a known valid genus is not rescanned
+        for g in range(least + 1):
+            with genera_scanned() as genera:
+                assert minimal_genus(u, start=g) == want
+            assert genera == list(range(g, least + 1))
+
+
+def test_least_genus_returns_the_failing_scan_below_it():
+    rng = random.Random(8)
+    for _ in range(60):
+        field = rng.choice([F2, F3, F4])
+        K = rng.randint(1, 4)
+        lengths = [rng.randint(1, 3) for _ in range(rng.randint(1, 4))]
+        u = random_udmg(rng, field, K, lengths, 0)
+        least = minimal_genus(u)[0]
+        for start in range(least + 1):
+            for valid_at in (None, least, least + 1):
+                g, failed = _least_genus(u, valid_at, start)
+                assert g == least
+                assert (failed is None) == (g == start)
+                assert failed is None or failed == verify(u.with_genus(g - 1))
+
+
+def test_scans_leave_no_reference_cycle(ref_udmg):
+    # walk's closure cell held walk itself, so every scan waited for the cyclic collector
+    # (4,100 objects per 100 verify calls of this set)
+    from udmg.codes import first_column_code
+
+    v = realize(ref_udmg)
+    calls = (lambda: verify(ref_udmg), lambda: verify(ref_udmg.with_genus(0)),
+             lambda: verify_chains(v), lambda: minimal_genus(ref_udmg),
+             lambda: first_column_code(ref_udmg))
+    for call in calls:
+        call()
+    gc.collect()
+    gc.disable()
+    try:
+        for call in calls:
+            for _ in range(100):
+                call()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_nondegeneracy_predicate(ref_udmg):
