@@ -63,8 +63,15 @@ def matrixset_to_text(u: Udmg) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json(text: str, what: str):
+    try:  # nesting too deep for the parser is bad input, not a crash
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{what} is nested too deeply to read") from None
+
+
 def matrixset_from_text(text: str) -> Udmg:
-    data = json.loads(text)
+    data = _json(text, "matrix-set file")
     for key in ("p", "m", "K", "g", "matrices"):
         if key not in data:
             raise ValueError(f"matrix-set file missing key {key!r}")
@@ -243,7 +250,7 @@ def construction_from_data(data: dict):
 
 def load_construction(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return construction_from_data(json.load(fh))
+        return construction_from_data(_json(fh.read(), "construction file"))
 
 
 # -- report helpers ---------------------------------------------------------------

@@ -31,6 +31,16 @@ from .linalg import (
 from .records import record
 
 
+def _check_height_and_genus(K, g) -> None:
+    """The height and genus rule of Udmg and Udvsg alike."""
+    if type(K) is not int or type(g) is not int:  # refuses bool and 3.0, not coerced
+        raise TypeError(f"K = {K!r} and g = {g!r} must be integers")
+    if g < 0:
+        raise ValueError("genus must be non-negative")
+    if K < 0:
+        raise ValueError("height K must be non-negative")
+
+
 @record
 class Udmg:
     """An ordered set of K-row matrices over one field with a declared genus.
@@ -44,12 +54,7 @@ class Udmg:
     matrices: tuple
 
     def __post_init__(self):
-        if type(self.K) is not int or type(self.g) is not int:  # refuses bool and 3.0, not coerced
-            raise TypeError(f"K = {self.K!r} and g = {self.g!r} must be integers")
-        if self.g < 0:
-            raise ValueError("genus must be non-negative")
-        if self.K < 0:
-            raise ValueError("height K must be non-negative")
+        _check_height_and_genus(self.K, self.g)
         for M in self.matrices:
             if M.rows != self.K:
                 raise LengthMismatchError("matrix height differs from K")
@@ -135,48 +140,43 @@ def _count_allowable(lengths, total: int) -> int:
     return ways[total]
 
 
-def _images(K: int, steps) -> list:
-    """The scan's root rows: entry c of row r is coordinate r of the c-th step vector."""
-    vecs = [vec for member in steps for step in member for vec in step]
-    return [[vec[r] for vec in vecs] for r in range(K)]
+def _images(K: int, matrices) -> list:
+    """The scan's root rows: row r holds row r of every member, so entry c is coordinate r
+    of the c-th column, members in order."""
+    return [[x for M in matrices for x in M.row(r)] for r in range(K)]
 
 
-def _scan(field: FieldSpec, K: int, g: int, steps) -> VerifyReport:
+def _scan(field: FieldSpec, K: int, g: int, matrices) -> VerifyReport:
     """Rank check of every allowable vector, sharing work between prefixes.
 
-    steps[i][k] holds the vectors that enter when member i's prefix grows
-    from k to k + 1 (one column of a matrix, or the basis of V_{k+1} of a
-    nested chain).  Allowable vectors are walked depth-first in lexicographic
-    order.  Each depth carries K - rank rows, the images of every vector from
+    Allowable vectors are walked depth-first in lexicographic order, one column a
+    step.  Each depth carries K - rank rows, the images of every column from
     member i on under functionals vanishing on the span so far (at the root,
-    _images' coordinates).  A new vector's first nonzero row is the pivot and
+    _images' coordinates).  A new column's first nonzero row is the pivot and
     is dropped, each later row nonzero there takes one axpy, and a dependent
-    vector none.  A descent slices off the member left (at three rows, where no
+    column none.  A descent slices off the member left (at three rows, where no
     row is updated again, it moves the column offset at instead).  Once k <= 2
     rows are left, the subtree is decided in one pass: a completion fails iff
-    its images lie on one line of F_q^k (k = 1: are all zero).  A step ending
-    in the 3 -> 2 elimination hands the tail the pivot row and factors, and the
-    tail forms each image it reads by sub_mul.  Over each member's columns,
-    capped at the budget R left, a counts the leading zero steps and, for
-    k = 2, the first nonzero image fixes the one line the member can stay on
-    (keyed by slope, -1 if vertical) and e counts the steps on it, up to the
-    first image off it.  It fails iff sum(a) plus the e on some line reaches
-    R; the least failure, over such lines, takes from each member only what
-    later ones cannot cover.  Slopes and row updates are fields.row_ops',
-    built once per scan: no image is a dot product.
+    its images lie on one line of F_q^k (k = 1: are all zero).  The 3 -> 2
+    elimination hands the tail the pivot row and factors, and the tail forms
+    each image it reads by sub_mul.  Over each member's columns, capped at the
+    budget R left, a counts the leading zero images and, for k = 2, the first
+    nonzero image fixes the one line the member can stay on (keyed by slope, -1
+    if vertical) and e counts the columns on it, up to the first image off it.
+    It fails iff sum(a) plus the e on some line reaches R; the least failure,
+    over such lines, takes from each member only what later ones cannot cover.
+    Slopes and row updates are fields.row_ops', built once per scan: no image
+    is a dot product.
     """
-    lengths = [len(s) for s in steps]
+    lengths = [M.cols for M in matrices]
     checked = _count_allowable(lengths, K + g)
     if not checked:
         return VerifyReport(True, None, 0, vacuous=True)
     mul, div, axpy, sub_mul = row_ops(field)
-    L = len(steps)
+    L = len(matrices)
     tails = [sum(lengths[i:]) for i in range(L + 1)]
-    bounds, at = [], 0  # bounds[i][k]: the root's first entry of member i's step k
-    for member in steps:
-        bounds.append([at] + [at := at + len(step) for step in member])
-    step_of = [k for member in steps for k, step in enumerate(member) for _ in step]
-    blank = [0] * at  # the pivot row of a tail with no elimination left to apply
+    starts = [0, *accumulate(lengths)]  # starts[i]: the root's first entry of member i
+    blank = [0] * starts[-1]  # the pivot row of a tail with no elimination left to apply
 
     def tail(i, v, rows, remaining, at, pivot=blank, fs=(0, 0)):
         """Least failing completion with member i at offset v, given k <= 2 rows less fs * pivot."""
@@ -186,17 +186,17 @@ def _scan(field: FieldSpec, K: int, g: int, steps) -> VerifyReport:
         (phi, psi), (f, h) = (rows if line else (rows[0], blank)), fs
         prof, o, zeros, along = [], v, 0, {}
         for j in range(i, L):
-            b, slope, top = bounds[j], None, min(lengths[j], o + budget)
-            for c in range(b[o] - at, b[top] - at):
+            base, slope, top = starts[j] - at, None, min(lengths[j], o + budget)
+            for c in range(base + o, base + top):
                 x, y = phi[c], psi[c]
                 if t := pivot[c]:
                     x, y = sub_mul(x, f, t), sub_mul(y, h, t)
                 if not (x or y):
                     continue
                 if slope is None and line:
-                    slope, first = (div(y, x) if x else -1), step_of[at + c]
+                    slope, first = (div(y, x) if x else -1), c - base
                 elif not line or (x if slope == -1 else mul(slope, x) != y):
-                    top = step_of[at + c]  # a nonzero image for k = 1, or one off the line
+                    top = c - base  # a nonzero image for k = 1, or one off the line
                     break
             a = (top if slope is None else first) - o
             prof.append((a, top - o - a, slope))
@@ -219,30 +219,28 @@ def _scan(field: FieldSpec, K: int, g: int, steps) -> VerifyReport:
         """Least failing completion from member i on, or None, given k >= 3 rows."""
         if remaining == 0:
             return (0,) * (L - i)
-        b = bounds[i]
+        base = starts[i] - at
         for v in range(min(lengths[i], remaining) + 1):
             if v:
-                for c in range(b[v - 1] - at, b[v] - at):
-                    for k, pivot in enumerate(rows):
-                        if t := pivot[c]:
-                            break
-                    else:
-                        continue  # a dependent vector
-                    fs = [div(d, t) if (d := row[c]) else 0 for row in rows[k + 1:]]
-                    if len(rows) == 3 and c == b[v] - at - 1 and any(fs):
-                        return tail(i, v, rows[:k] + rows[k + 1:], remaining, at, pivot, [0] * k + fs)
-                    rows = rows[:k] + [axpy(f, pivot, row) if f else row
-                                       for f, row in zip(fs, rows[k + 1:])]
-                if len(rows) <= 2:
-                    return tail(i, v, rows, remaining, at)
+                c = base + v - 1
+                for k, pivot in enumerate(rows):
+                    if t := pivot[c]:  # else the column is dependent
+                        fs = [div(d, t) if (d := row[c]) else 0 for row in rows[k + 1:]]
+                        if len(rows) == 3 and any(fs):
+                            return tail(i, v, rows[:k] + rows[k + 1:], remaining, at, pivot, [0] * k + fs)
+                        rows = rows[:k] + [axpy(f, pivot, row) if f else row
+                                           for f, row in zip(fs, rows[k + 1:])]
+                        if len(rows) == 2:
+                            return tail(i, v, rows, remaining, at)
+                        break
             if v >= remaining - tails[i + 1]:
-                cut = b[-1] - at if len(rows) > 3 else 0
+                cut = starts[i + 1] - at if len(rows) > 3 else 0
                 rest = walk(i + 1, [row[cut:] for row in rows] if cut else rows, remaining - v, at + cut)
                 if rest is not None:
                     return (v,) + rest
         return None
 
-    rows = _images(K, steps)
+    rows = _images(K, matrices)
     witness = tail(0, 0, rows, K + g, 0) if K <= 2 else walk(0, rows, K + g, 0)
     walk = None  # walk's own closure cell holds walk: cleared, the scan is freed without gc
     return VerifyReport(witness is None, witness, checked)
@@ -253,8 +251,7 @@ def verify(u: Udmg, threads: int = 1) -> VerifyReport:
 
     threads is accepted for compatibility and ignored.
     """
-    steps = [[(M.col(j),) for j in range(M.cols)] for M in u.matrices]
-    return _scan(u.field, u.K, u.g, steps)
+    return _scan(u.field, u.K, u.g, u.matrices)
 
 
 _verify_fast = verify  # every scan of the genus search, by the name perfbench/tracer.py spans
@@ -343,22 +340,28 @@ class Chain:
 
     def is_closely_nested(self) -> bool:
         dims = self.dims
-        if dims[0] > 1:
+        if dims[0] > 1 or any(not 0 <= b - a <= 1 for a, b in zip(dims, dims[1:])):
             return False
-        for a, b in zip(dims, dims[1:]):
-            if not 0 <= b - a <= 1:
-                return False
         return all(b.contains(a) for a, b in zip(self.subspaces, self.subspaces[1:]))
 
 
 @record
 class Udvsg:
-    """Coordinate-free form: one closely nested chain per matrix."""
+    """Coordinate-free form: one closely nested chain per matrix, the only chains of
+    F_q^K that a matrix's column-prefix spans make (chain_matrix builds one)."""
 
     field: FieldSpec
     K: int
     g: int
     chains: tuple
+
+    def __post_init__(self):
+        _check_height_and_genus(self.K, self.g)
+        for chain in self.chains:
+            foreign = any(V.field != self.field or V.ambient_dim != self.K for V in chain.subspaces)
+            if foreign or not chain.is_closely_nested():
+                raise InvalidInputError(f"no matrix of height {self.K} over the collection's field"
+                                        f" realizes the chain of dimensions {chain.dims}")
 
     @property
     def L(self) -> int:
@@ -374,10 +377,8 @@ def realize(u: Udmg) -> Udvsg:
     chains = []
     for M in u.matrices:
         cols = [M.col(j) for j in range(M.cols)]
-        subs = []
-        for j in range(1, M.cols + 1):
-            subs.append(Subspace.from_vectors(u.field, u.K, cols[:j]))
-        chains.append(Chain(tuple(subs)))
+        chains.append(Chain(tuple(Subspace.from_vectors(u.field, u.K, cols[:j])
+                                  for j in range(1, M.cols + 1))))
     return Udvsg(u.field, u.K, u.g, tuple(chains))
 
 
@@ -398,9 +399,9 @@ def prune(chain: Chain, mode: str = "reduced") -> Chain:
 
 
 def verify_chains(v: Udvsg) -> VerifyReport:
-    """UDVSG check: allowable partial sums of chain subspaces fill F_q^K."""
-    steps = [[V.vectors for V in chain.subspaces] for chain in v.chains]
-    return _scan(v.field, v.K, v.g, steps)
+    """UDVSG check: allowable partial sums of chain subspaces fill F_q^K, read off the
+    matrix realization, whose column-prefix spans the chains are."""
+    return verify(matrices_from_chains(v))
 
 
 @record
@@ -422,32 +423,25 @@ def quotient(v: Udvsg, truncation, check: bool = True) -> QuotientResult:
     if len(truncation) != v.L:
         raise NotProperSubError("truncation vector has wrong length")
     for n, old in zip(truncation, v.lengths):
+        if type(n) is not int:  # refuses bool and 1.0, as Udmg and FqMatrix do
+            raise TypeError(f"truncated length {n!r} is not an integer")
         if not 0 <= n < old:
             raise NotProperSubError("each truncated length must stay below the original")
     if check and not verify_chains(v).valid:
         raise InvalidInputError("input fails verification at its declared genus")
 
-    heads = []
-    for chain, n in zip(v.chains, truncation):
-        if n > 0:
-            heads.append(chain.subspaces[n - 1])
-    if heads:
-        B = subspace_sum(heads)
-    else:
-        B = Subspace.trivial(v.field, v.K)
+    heads = [chain.subspaces[n - 1] for chain, n in zip(v.chains, truncation) if n > 0]
+    B = subspace_sum(heads) if heads else Subspace.trivial(v.field, v.K)
     r = max(v.K - sum(truncation), 0)
     d = (v.K - r) - B.dim
+    if check and not 0 <= d <= min(v.K - r, v.g):
+        raise AssertionError("quotient defect outside the guaranteed range")
     Q = quotient_map(B)
-    new_chains = []
-    for chain, n in zip(v.chains, truncation):
-        subs = [image_subspace(Q, V) for V in chain.subspaces[n:]]
-        new_chains.append(Chain(tuple(subs)))
-    out = Udvsg(v.field, d + r, v.g - d, tuple(new_chains))
-    if check:
-        if not (0 <= d <= min(v.K - r, v.g)):
-            raise AssertionError("quotient defect outside the guaranteed range")
-        if not verify_chains(out).valid:
-            raise AssertionError("quotient failed re-verification")
+    new_chains = tuple(Chain(tuple(image_subspace(Q, V) for V in chain.subspaces[n:]))
+                       for chain, n in zip(v.chains, truncation))
+    out = Udvsg(v.field, d + r, v.g - d, new_chains)  # d > g, unchecked, is refused here
+    if check and not verify_chains(out).valid:
+        raise AssertionError("quotient failed re-verification")
     return QuotientResult(out, d, r, B.dim)
 
 
@@ -459,17 +453,12 @@ def chain_matrix(chain: Chain, field: FieldSpec) -> FqMatrix:
     lies in the current space as required.
     """
     K = chain.ambient_dim
-    cols = []
-    prev = Subspace.trivial(field, K)
+    cols, prev = [], Subspace.trivial(field, K)
     for V in chain.subspaces:
-        if V.dim == prev.dim:
-            cols.append((0,) * K)
-        else:
-            vec = next(r for r in V.vectors if not prev.contains_vector(r))
-            cols.append(tuple(vec))
+        cols.append((0,) * K if V.dim == prev.dim
+                    else next(r for r in V.vectors if not prev.contains_vector(r)))
         prev = V
-    entries = tuple(c[i] for i in range(K) for c in cols)
-    return FqMatrix(field, K, len(cols), entries)
+    return FqMatrix(field, K, len(cols), tuple(c[i] for i in range(K) for c in cols))
 
 
 def matrices_from_chains(v: Udvsg) -> Udmg:

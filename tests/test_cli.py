@@ -117,8 +117,8 @@ def test_verify_min_genus_scans_each_genus_once(fixture_path, capsys, monkeypatc
     want = run_both()
     monkeypatch.undo()
     genera, scan = [], core._scan
-    monkeypatch.setattr(core, "_scan", lambda field, K, g, steps: genera.append(g) or
-                        scan(field, K, g, steps))
+    monkeypatch.setattr(core, "_scan", lambda field, K, g, matrices: genera.append(g) or
+                        scan(field, K, g, matrices))
     searched, fast = [], core._verify_fast
     monkeypatch.setattr(core, "_verify_fast", lambda u: searched.append(u.g) or fast(u))
     assert run_both() == want
@@ -146,8 +146,8 @@ def test_commands_scan_each_genus_once(fixture_path, tmp_path, capsys, monkeypat
 
     argv = [a.format(fixture=fixture_path, out=tmp_path / "out.json") for a in argv]
     scans, scan = [], core._scan
-    monkeypatch.setattr(core, "_scan", lambda field, K, g, steps: scans.append(
-        ((K, tuple(map(len, steps))), g)) or scan(field, K, g, steps))
+    monkeypatch.setattr(core, "_scan", lambda field, K, g, matrices: scans.append(
+        ((K, tuple(M.cols for M in matrices)), g)) or scan(field, K, g, matrices))
 
     def run_both():
         scans.clear()
@@ -627,6 +627,28 @@ def test_exponent_tower_exits_2_fast(tmp_path):
                           "-o", str(tmp_path / "out.json")],
                          capture_output=True, text=True, timeout=10)
     assert res.returncode == 2 and "error:" in res.stderr and "exponent" in res.stderr
+
+
+def nested(depth: int) -> str:
+    return "[" * depth + "]" * depth
+
+
+@pytest.mark.parametrize("command, text", [
+    ("verify", '{"p": 5, "m": 1, "K": 1, "g": 0, "matrices": ' + nested(1100) + "}"),
+    ("construct", '{"q": 5, "genus": 0, "K": 2, "points": ' + nested(50000) + "}"),
+])
+def test_deeply_nested_json_exits_2(tmp_path, command, text):
+    # json's parser raised RecursionError, and the command exited 1, the exit code of an
+    # invalid set, with a traceback
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    out = ["-o", str(tmp_path / "out.json")] if command == "construct" else []
+    res = subprocess.run([sys.executable, "-m", "udmg.cli", command, str(path), *out],
+                         capture_output=True, text=True, timeout=10)
+    assert res.returncode == 2 and res.stderr.startswith("error:"), res.stderr
+    assert "Traceback" not in res.stderr
+    with pytest.raises(ValueError, match="matrix-set file is nested too deeply"):
+        matrixset_from_text('{"matrices": ' + nested(50000) + "}")
 
 
 GENUS0_DESC = {"q": 5, "genus": 0, "K": 2, "points": [0, "1", "inf"]}

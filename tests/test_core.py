@@ -3,7 +3,7 @@ import math
 import random
 import sys
 from contextlib import contextmanager
-from itertools import product
+from itertools import accumulate, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -388,17 +388,21 @@ def test_scan_matches_the_annihilator_oracle(field, data):
 @settings(deadline=None, max_examples=200)
 @given(st.sampled_from(SCAN_FIELDS), st.data())
 def test_chain_scan_matches_the_annihilator_oracle(field, data):
-    # chains that start at 0, repeat a subspace or grow by two at once enter
-    # steps of no vector, and steps of several, which no matrix makes
+    # closely nested chains: spans of prefixes of drawn vectors that grow by at most one
+    # vector a step, so chains start at 0, repeat a subspace and hold dependent vectors;
+    # the oracle adds each subspace's whole basis
     K = data.draw(st.integers(1, 5))
     entry = special_entries(field)
     chains = []
     for _ in range(data.draw(st.integers(1, 4))):
-        vecs = data.draw(st.lists(st.tuples(*[entry] * K), min_size=1, max_size=K + 1))
-        dims = sorted(data.draw(st.lists(st.integers(0, len(vecs)), min_size=1, max_size=K + 2)))
-        chains.append(Chain(tuple(Subspace.from_vectors(field, K, vecs[:d]) for d in dims)))
+        vecs = data.draw(st.lists(st.tuples(*[entry] * K), min_size=1, max_size=K + 2))
+        grows = data.draw(st.lists(st.integers(0, 1), min_size=1, max_size=len(vecs)))
+        chains.append(Chain(tuple(Subspace.from_vectors(field, K, vecs[:n])
+                                  for n in accumulate(grows))))
     v = Udvsg(field, K, data.draw(st.integers(0, 3)), tuple(chains))
-    assert verify_chains(v) == oracle_verify_chains(v)
+    rep = verify_chains(v)
+    assert rep == oracle_verify_chains(v)
+    assert rep.vacuous or rep.witness == least_failure_by_rref(v)
 
 
 def test_scan_matches_the_annihilator_oracle_exhaustive_gf4():
@@ -443,7 +447,7 @@ class LoggedRow(list):
 
 
 def logged_reads(monkeypatch):
-    """The root entries (one per step vector, members in order) whose images the
+    """The root entries (one per column, members in order) whose images the
     scan reads, in the order read; a read from each of k rows logs the entry k times.
     An image the tail forms from the last elimination reads the pivot row too."""
     from udmg import core
@@ -454,8 +458,8 @@ def logged_reads(monkeypatch):
         mul, div, axpy, sub_mul = row_ops_(field)
         return mul, div, lambda t, ys, xs: LoggedRow(axpy(t, ys, xs), log, xs.at), sub_mul
 
-    monkeypatch.setattr(core, "_images", lambda K, steps: [LoggedRow(row, log)
-                                                           for row in images(K, steps)])
+    monkeypatch.setattr(core, "_images", lambda K, matrices: [LoggedRow(row, log)
+                                                              for row in images(K, matrices)])
     monkeypatch.setattr(core, "row_ops", logged_row_ops)
     return log
 
@@ -476,8 +480,8 @@ def test_no_vector_is_reduced_once_the_span_is_full(monkeypatch):
 
 
 def test_tail_reads_only_its_windows(monkeypatch, ref_udmg):
-    # a tail at member i, offset v, with budget R left reads member i's steps v to
-    # v + R - 1 and each later member's first R steps, and nothing else, also where
+    # a tail at member i, offset v, with budget R left reads member i's columns v to
+    # v + R - 1 and each later member's first R columns, and nothing else, also where
     # it forms its images from the elimination the walk left to it.  On the valid
     # constructions every member leaves its line early; in the copy whose member 1
     # has twice its first column as its second, that member stays on a line
@@ -610,25 +614,9 @@ def test_scan_matches_the_annihilator_oracle_on_perturbed_curve_constructions():
     assert outcomes == {True, False}
 
 
-def test_chain_scan_keeps_the_row_update_inside_a_step():
-    # member 0's one vector leaves three rows; member 1's first step enters two, and
-    # the 3 -> 2 elimination falls on the first, so the rows are updated before the
-    # second is reduced (2 -> 1).  A tail handed the unreduced pair would see member
-    # 2's first step as a line and report (1, 1, 2)
-    span = lambda *vecs: Subspace.from_vectors(F3, 4, list(vecs))
-    e1, e2, e3, e4 = (tuple(int(r == c) for r in range(4)) for c in range(4))
-    chains = (Chain((span((1, 0, 2, 0)),)),
-              Chain((span((1, 0, 1, 1), e2), span((1, 0, 0, 1), e2, e3))),
-              Chain((span(e1, e3), span(e1, e3, e4))))
-    assert [tuple(x) for x in chains[1].subspaces[0].vectors] == [(1, 0, 1, 1), e2]
-    v = Udvsg(F3, 4, 0, chains)
-    assert verify_chains(v) == oracle_verify_chains(v) == VerifyReport(True, None, 3)
-    assert least_failure_by_rref(v) is None
-
-
 def test_chain_scan_with_empty_steps_matches_the_oracles():
-    # zero subspaces and repeats add no vector: steps of no column, which the tail's
-    # one pass over a member's columns counts by their step indices
+    # zero subspaces and repeats are realized by zero columns, which the walk and the
+    # tail's one pass over a member's columns read as dependent or zero images
     rng = random.Random(67)
     zero = Subspace.trivial(F3, 3)
     seen = set()
@@ -637,8 +625,10 @@ def test_chain_scan_with_empty_steps_matches_the_oracles():
         for _ in range(rng.randint(1, 4)):
             vecs = [tuple(rng.randrange(3) for _ in range(3)) for _ in range(3)]
             subs = [zero] * rng.randint(0, 2)
-            for d in sorted(rng.choices(range(1, 4), k=rng.randint(1, 4))):
-                subs.append(Subspace.from_vectors(F3, 3, vecs[:d]))
+            n = 0
+            for _ in range(rng.randint(1, 4)):
+                n = min(n + rng.randint(n == 0, 1), 3)  # the first subspace takes one vector
+                subs.append(Subspace.from_vectors(F3, 3, vecs[:n]))
             chains.append(Chain(tuple(subs)))
         v = Udvsg(F3, 3, rng.randint(0, 2), tuple(chains))
         rep = verify_chains(v)
@@ -698,14 +688,6 @@ def test_tail_entered_partway_through_a_member(monkeypatch):
     assert tail[::2] == tail[1::2] == list(range(1, 7))
     assert [[entries[c] for c in tail[::2] if lo <= c < hi] for lo, hi in ((0, 4), (4, 6), (6, 7))] \
         == [[E2, (0, 2, 0), E3], [(1, 1, 0), E3], [E3]]
-
-
-def test_tail_decides_by_leading_zeros_when_no_member_has_a_line():
-    # each chain's first nonzero entry is all of F_5^2, so no member can stay
-    # on a line and the two leading zero entries of chain 0 decide
-    zero, full = Subspace.trivial(F5, 2), Subspace.full(F5, 2)
-    v = Udvsg(F5, 2, 1, (Chain((zero, zero, full)), Chain((zero, full))))
-    assert verify_chains(v).witness == least_failure_by_rref(v) == (2, 1)
 
 
 def test_monotone_genus():
@@ -924,6 +906,14 @@ def test_quotient_rejections(ref_udmg):
     v = realize(ref_udmg)
     with pytest.raises(NotProperSubError):
         quotient(v, (3,) + (0,) * 8)  # not entrywise smaller
+    for head in (True, 1.0):  # True was read as 1, where Udmg and FqMatrix refuse bools
+        with pytest.raises(TypeError):
+            quotient(v, (head,) + (0,) * 8)
+    # unchecked, an invalid collection's defect can pass its genus (d = 2 > g = 0 here):
+    # the quotient's negative genus is refused, as Udvsg refuses it
+    line = FqMatrix.from_rows(F3, [(1, 1), (0, 0), (0, 0)])
+    with pytest.raises(ValueError, match="genus must be non-negative"):
+        quotient(realize(Udmg(F3, 3, 0, (line,) * 3)), (1, 1, 1), check=False)
     bad = realize(ref_udmg.with_genus(0))
     with pytest.raises(InvalidInputError):
         quotient(bad, (0,) * 9)
@@ -959,8 +949,8 @@ def with_genus(v, g):
 
 
 def test_verify_chains_of_quotients_matches_naive():
-    # quotient chains take every basis vector of V_{k+1} at step k, most of
-    # them already in the span, so the dependent path is exercised too
+    # quotient chains hold subspaces of several dimensions, with repeats, which
+    # chain_matrix realizes one new vector or one zero column at a time
     rng = random.Random(41)
     done = multi = 0
     while done < 25:
@@ -993,21 +983,31 @@ def least_failure_by_rref(v):
     return None
 
 
-def test_verify_chains_with_jumps_of_several_dimensions():
-    rng = random.Random(43)
-    outcomes, jumps = set(), 0
-    for _ in range(80):
-        field = rng.choice([F2, F3, F5])
-        K = rng.randint(2, 4)
-        chains = []
-        for _ in range(rng.randint(1, 3)):
-            dims = sorted(rng.sample(range(K + 1), rng.randint(1, min(3, K + 1))))
-            vecs = [tuple(rng.randrange(field.q) for _ in range(K)) for _ in range(dims[-1])]
-            chains.append(Chain(tuple(Subspace.from_vectors(field, K, vecs[:d]) for d in dims)))
-        v = Udvsg(field, K, 0, tuple(chains))
-        jumps += any(b - a > 1 for c in chains for a, b in zip((0,) + c.dims, c.dims))
-        for g in range(3):
-            rep, want = verify_chains(with_genus(v, g)), least_failure_by_rref(with_genus(v, g))
-            assert (rep.valid, rep.witness) == (want is None, want)
-            outcomes.add((rep.valid, rep.vacuous))
-    assert jumps > 40 and outcomes == {(True, True), (True, False), (False, False)}
+def test_udvsg_refuses_chains_no_matrix_realizes(ref_udmg):
+    # a matrix's prefix spans start at dimension <= 1, grow by at most one and nest, in
+    # F_q^K over its field; any other chain, and K and g as Udmg refuses them, raise here,
+    # before verify_chains, matrices_from_chains or quotient sees them
+    span = lambda field, K, *vecs: Subspace.from_vectors(field, K, list(vecs))
+    e1, e2, e3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    zero2, full2 = Subspace.trivial(F5, 2), Subspace.full(F5, 2)
+    good = Chain((span(F3, 3, e1), span(F3, 3, e1, e2)))
+    refused = [
+        (F5, 2, 1, (Chain((zero2, zero2, full2)), Chain((zero2, full2)))),  # a jump of two
+        (F3, 3, 0, (good, Chain((span(F3, 3, e1, e2), span(F3, 3, e1, e2, e3))))),  # first dim 2
+        (F3, 3, 0, (good, Chain((span(F3, 3, e1), span(F3, 3, e2, e3))))),  # not nested
+        (F3, 2, 0, (good,)),  # ambient dimension 3 in a collection of height 2
+        (F3, 3, 0, (good, Chain((span(F3, 2, (1, 0)),)))),  # chains of two ambient dimensions
+        (F5, 3, 0, (good,)),  # a chain over another field
+    ]
+    for field, K, g, chains in refused:
+        with pytest.raises(InvalidInputError):
+            Udvsg(field, K, g, chains)
+    for K, g, error in ((3, -1, ValueError), (-1, 0, ValueError), (3, True, TypeError),
+                        (3.0, 0, TypeError)):
+        with pytest.raises(error):
+            Udvsg(F3, K, g, (good,))
+        with pytest.raises(error):
+            Udmg(F3, K, g, ())
+    v = realize(ref_udmg)
+    assert Udvsg(v.field, v.K, v.g, v.chains) == v
+    assert verify_chains(Udvsg(F3, 3, 0, (good, good))) == VerifyReport(False, (1, 2), 2)
