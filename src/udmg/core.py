@@ -23,10 +23,8 @@ from .fields import FieldSpec, row_ops
 from .linalg import (
     FqMatrix,
     Subspace,
-    image_subspace,
     quotient_map,
     rref_rows,
-    subspace_sum,
 )
 from .records import record
 
@@ -415,9 +413,10 @@ class QuotientResult:
 def quotient(v: Udvsg, truncation, check: bool = True) -> QuotientResult:
     """Quotient of a chain collection by the proper sub-collection at truncation.
 
-    B is the sum of the truncated heads V^i_{N'_i}; every chain is pushed to
-    F_q^K / B and the first N'_i entries are dropped, giving a collection with
-    parameters (L, N - N', d + r, q, g - d) where dim B = (K - r) - d.
+    On the matrix realization M_i: B, the sum of the truncated heads V^i_{N'_i}, is the
+    span of the first N'_i columns of each M_i.  Q kills B, so Q M_i less those columns
+    realizes the image chain Q(V^i_{N'_i + 1}) <= ..., and realize returns the chains:
+    parameters (L, N - N', d + r, q, g - d), where dim B = (K - r) - d.
     """
     truncation = tuple(truncation)
     if len(truncation) != v.L:
@@ -427,22 +426,27 @@ def quotient(v: Udvsg, truncation, check: bool = True) -> QuotientResult:
             raise TypeError(f"truncated length {n!r} is not an integer")
         if not 0 <= n < old:
             raise NotProperSubError("each truncated length must stay below the original")
-    if check and not verify_chains(v).valid:
+    if check and not (rep := verify_chains(v)).valid:
         raise InvalidInputError("input fails verification at its declared genus")
 
-    heads = [chain.subspaces[n - 1] for chain, n in zip(v.chains, truncation) if n > 0]
-    B = subspace_sum(heads) if heads else Subspace.trivial(v.field, v.K)
+    u = matrices_from_chains(v)
+    B = Subspace.from_vectors(v.field, v.K, [M.col(j) for M, n in zip(u.matrices, truncation)
+                                             for j in range(n)])
     r = max(v.K - sum(truncation), 0)
     d = (v.K - r) - B.dim
     if check and not 0 <= d <= min(v.K - r, v.g):
+        if rep.vacuous:  # valid only for want of allowable vectors: the law does not hold
+            raise InvalidInputError(f"input is valid only vacuously (total length below K + g ="
+                                    f" {v.K + v.g}), and its quotient defect {d} passes g = {v.g}")
         raise AssertionError("quotient defect outside the guaranteed range")
     Q = quotient_map(B)
-    new_chains = tuple(Chain(tuple(image_subspace(Q, V) for V in chain.subspaces[n:]))
-                       for chain, n in zip(v.chains, truncation))
-    out = Udvsg(v.field, d + r, v.g - d, new_chains)  # d > g, unchecked, is refused here
-    if check and not verify_chains(out).valid:
+    mats = tuple(FqMatrix(v.field, Q.rows, M.cols - n, tuple(  # explicit shape: Q may have no rows
+        v.field.dot(Q.row(i), M.col(j)) for i in range(Q.rows) for j in range(n, M.cols)))
+        for M, n in zip(u.matrices, truncation))
+    out = Udmg(v.field, d + r, v.g - d, mats)  # d > g, unchecked, is refused here
+    if check and not verify(out).valid:
         raise AssertionError("quotient failed re-verification")
-    return QuotientResult(out, d, r, B.dim)
+    return QuotientResult(realize(out), d, r, B.dim)
 
 
 def chain_matrix(chain: Chain, field: FieldSpec) -> FqMatrix:

@@ -356,8 +356,3 @@ def quotient_map(B: Subspace) -> FqMatrix:
     rows = _null_vectors(B.field, B.vectors, _pivots(B), K)
     return FqMatrix(B.field, len(rows), K, tuple(e for row in rows for e in row))
 
-
-def image_subspace(Q: FqMatrix, S: Subspace) -> Subspace:
-    """Image of S under the linear map given by Q (columns indexed by ambient)."""
-    vectors = [Q.matvec(v) for v in S.vectors]
-    return Subspace.from_vectors(Q.field, Q.rows, vectors)

@@ -478,6 +478,19 @@ def test_huge_genus_is_vacuous_at_once(tmp_path):
         assert json.loads(res.stdout)["vacuous" if argv[0] == "verify" else "valid"] is True
 
 
+def test_vacuous_quotient_past_its_genus_exits_2(tmp_path):
+    # valid only vacuously (total length 3 < K + g = 4), and the zero head column makes
+    # d = 1 > g: this stopped on an internal AssertionError, exit 1 with a traceback
+    path = tmp_path / "vacuous.json"
+    path.write_text(json.dumps({"p": 2, "m": 1, "K": 4, "g": 0,
+                                "matrices": [[[0, 1, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0]]]}))
+    res = subprocess.run([sys.executable, "-m", "udmg.cli", "quotient", str(path), "--truncate", "1"],
+                         capture_output=True, text=True, timeout=10)
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr.startswith("error:") and "vacuous" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_audit_of_huge_message_space_exits_2_fast(tmp_path):
     # GF(2^16) with K = 3 has 2^48 messages: the pair guard must come before enumeration
     modulus = [1, 1, 0, 1, 0, 1] + [0] * 10 + [1]

@@ -4,6 +4,7 @@ import random
 import sys
 from contextlib import contextmanager
 from itertools import accumulate, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,12 +25,14 @@ from udmg.core import (
     verify_chains,
     verify_naive,
 )
-from udmg.core import VerifyReport, _count_allowable, _least_genus
+from udmg.cli import matrixset_to_text
+from udmg.core import QuotientResult, VerifyReport, _count_allowable, _least_genus
 from udmg.errors import InvalidInputError, LengthMismatchError, NotProperSubError
 from udmg.fields import field_from_order, make_field
-from udmg.linalg import FqMatrix, Subspace, rref_rows
+from udmg.linalg import FqMatrix, Subspace, quotient_map, rref_rows, subspace_sum
 
 F2, F3, F4, F5 = make_field(2), make_field(3), make_field(2, 2), make_field(5)
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def identity_udmg(field, K, g=0, copies=1):
@@ -709,6 +712,51 @@ def test_minimal_genus_cases(ref_udmg):
     assert minimal_genus(identity_udmg(F2, 2, copies=2)) == (1, False)
 
 
+def minimal_genus_by_messages(u):
+    """Oracle from the message side, with no allowable vector and no elimination.
+
+    The chosen columns miss F_q^K iff some y != 0 is orthogonal to all of them,
+    that is iff lambda_i <= z_i(y) for every i, where z_i(y) counts the leading
+    zeros of y^T M_i.  So genus g fails iff some y has sum z_i(y) >= K + g, and
+    the least valid genus is max(0, max_y sum z_i(y) - K + 1), over one y a line.
+    """
+    dot, worst = u.field.dot, 0
+    for y in product(range(u.field.q), repeat=u.K):
+        if next((x for x in y if x), 0) != 1:
+            continue  # y = 0, or not the line's representative leading with 1
+        zeros = 0
+        for M in u.matrices:
+            j = 0
+            while j < M.cols and not dot(y, M.col(j)):
+                j += 1
+            zeros += j
+        worst = max(worst, zeros - u.K + 1)
+    return worst
+
+
+def test_minimal_genus_by_messages_pinned(ref_udmg):
+    from udmg.cli import load_matrixset
+    from udmg.curves import INFINITY, genus0_udmg
+
+    gf25_line = genus0_udmg(field_from_order(25), [INFINITY, *range(25)], 4).udmg
+    for u, want in ((load_matrixset(str(FIXTURES / "genus0_gf16.json")), 0),
+                    (load_matrixset(str(FIXTURES / "genus1_gf3.json")), 1),
+                    (ref_udmg, 1), (gf25_line, 0)):
+        assert minimal_genus_by_messages(u) == want == minimal_genus(u)[0]
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from([F2, F3, F4, F5, make_field(7)]), st.data())
+def test_minimal_genus_matches_the_message_oracle(field, data):
+    # empty members, members longer than K and zero columns included
+    K = data.draw(st.integers(0, 4))
+    entry = special_entries(field)
+    mats = tuple(FqMatrix(field, K, n, tuple(data.draw(entry) for _ in range(K * n)))
+                 for n in data.draw(st.lists(st.integers(0, K + 2), min_size=1, max_size=5)))
+    u = Udmg(field, K, 0, mats)
+    assert minimal_genus(u)[0] == minimal_genus_by_messages(u)
+
+
 @contextmanager
 def genera_scanned():
     """The genus of every scan made through core._verify_fast, the name the genus
@@ -942,6 +990,94 @@ def test_quotient_law_sampled():
         assert all(c.is_closely_nested() for c in res.quotient.chains)
         assert verify_chains(res.quotient).valid
         done += 1
+
+
+def quotient_by_images(v, truncation):
+    """Oracle: the quotient in the subspace picture, unchecked.  B is the sum of the heads,
+    and every chain subspace past its head is mapped through Q, one elimination each."""
+    heads = [chain.subspaces[n - 1] for chain, n in zip(v.chains, truncation) if n > 0]
+    B = subspace_sum(heads) if heads else Subspace.trivial(v.field, v.K)
+    r = max(v.K - sum(truncation), 0)
+    d = (v.K - r) - B.dim
+    Q = quotient_map(B)
+    image = lambda V: Subspace.from_vectors(v.field, Q.rows, [Q.matvec(x) for x in V.vectors])
+    chains = tuple(Chain(tuple(image(V) for V in chain.subspaces[n:]))
+                   for chain, n in zip(v.chains, truncation))
+    return QuotientResult(Udvsg(v.field, d + r, v.g - d, chains), d, r, B.dim)
+
+
+def assert_quotients_agree(got, want):
+    assert (got.d, got.r, got.B_dim) == (want.d, want.r, want.B_dim)
+    assert got.quotient == want.quotient  # canonical subspaces: the chains are equal
+    u, u_want = matrices_from_chains(got.quotient), matrices_from_chains(want.quotient)
+    assert u == u_want
+    if u.K:  # a height-0 set with columns has no file form
+        assert matrixset_to_text(u) == matrixset_to_text(u_want)
+
+
+def test_quotient_matches_the_chain_image_oracle():
+    # valid, non-vacuous sets at their least genus or one above, with random truncations,
+    # covering ones (height 0) and ones with dependent heads (d >= 1) among them
+    rng = random.Random(37)
+    done = covering = defect = 0
+    while done < 240:
+        field = rng.choice([F2, F3, F5, F4])
+        K = rng.randint(1, 4)
+        lengths = [rng.randint(1, K + 2) for _ in range(rng.randint(1, 4))]
+        u = random_udmg(rng, field, K, lengths, 0)
+        g_min, vac = minimal_genus(u)
+        g = g_min + rng.randint(0, 1)
+        if vac or K + g > sum(lengths):
+            continue
+        v = realize(u.with_genus(g))
+        for trunc in (tuple(rng.randrange(n) for n in lengths), tuple(n - 1 for n in lengths)):
+            res = quotient(v, trunc)
+            assert_quotients_agree(res, quotient_by_images(v, trunc))
+            assert minimal_genus_by_messages(matrices_from_chains(res.quotient)) <= g - res.d
+            covering += res.quotient.K == 0
+            defect += res.d >= 1
+        done += 1
+    assert covering >= 20 and defect >= 20
+
+
+def test_unchecked_quotient_matches_the_oracle_on_invalid_sets():
+    # check=False skips both verifications: an invalid set's quotient agrees with the
+    # oracle's, and a defect past the genus is refused by both, as a negative genus
+    rng = random.Random(43)
+    done = refused = 0
+    while done < 120:
+        field = rng.choice([F2, F3, F4])
+        K = rng.randint(2, 4)
+        lengths = [rng.randint(1, K + 1) for _ in range(rng.randint(1, 4))]
+        u = random_udmg(rng, field, K, lengths, rng.randint(0, 1))
+        if verify(u).valid:
+            continue
+        v = realize(u)
+        trunc = tuple(rng.randrange(n) for n in lengths)
+        try:
+            want = quotient_by_images(v, trunc)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                quotient(v, trunc, check=False)
+            refused += 1
+        else:
+            assert_quotients_agree(quotient(v, trunc, check=False), want)
+        done += 1
+    assert refused >= 10
+
+
+def test_vacuous_quotient_past_its_genus_is_refused():
+    # total length 3 < K + g = 4 allows no vector, so the set verifies vacuously; the head
+    # column is zero, so d = 1 passes g = 0, outside the range the law guarantees
+    M = FqMatrix.from_rows(F2, [(0, 1, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0)])
+    v = realize(Udmg(F2, 4, 0, (M,)))
+    assert verify_chains(v).vacuous
+    with pytest.raises(InvalidInputError, match="vacuous"):
+        quotient(v, (1,))
+    # with d <= g a vacuous set still has its quotient, vacuous as well
+    res = quotient(with_genus(v, 1), (1,))
+    assert (res.d, res.r, res.quotient.K, res.quotient.g) == (1, 3, 4, 0)
+    assert verify_chains(res.quotient).vacuous
 
 
 def with_genus(v, g):
