@@ -88,15 +88,19 @@ def first_column_code(u: Udmg, compute_distance: bool = True,
                       verified: bool = False) -> LinearCode:
     """[L, K] code generated by the first columns of a valid matrix set.
 
-    Requires L >= K + g; the generator then has rank K, which is asserted.
-    The first columns verify at genus g too, so min_distance scans only the
-    genera below g and the Singleton defect is at most g.  verified=True
-    skips the scan of a set the caller has already verified at its genus.
+    Requires L >= K + g and a column in every member; the generator then has
+    rank K, which is asserted.  The first columns verify at genus g too, so
+    min_distance scans only the genera below g and the Singleton defect is at
+    most g.  verified=True skips the scan of a set the caller has already
+    verified at its genus.
     """
     if u.K < 1:
         raise HypothesisUnmetError("a code needs K >= 1")
     if u.L < u.K + u.g:
         raise TooShortError(f"need L >= K + g = {u.K + u.g}, have {u.L}")
+    empty = next((j for j, M in enumerate(u.matrices) if M.cols == 0), None)
+    if empty is not None:
+        raise HypothesisUnmetError(f"matrix {empty} has no columns, so no first column")
     if not (verified or _verify_fast(u).valid):
         raise InvalidInputError("matrix set fails verification at its genus")
     G = first_columns(u.matrices)

@@ -14,8 +14,11 @@ total agreement sum at N + g - 1.  That cap is what the product-distance
 audit leans on.  Encoding is linear, so two messages agree on a channel in
 exactly the leading zeros of their difference's encoding: the audit reads
 every pair's agreement off the nonzero messages' own encodings and seeks the
-least product one difference class at a time.  The gap lemma it rests on is
-an exact identity in the weights, checked once per modulator (_lex_steps).
+least product one difference class at a time.  Each message's scaled value,
+agreement and class bound on a channel are looked up in tables over the
+symbols of a block of coordinates (_block_tables), built once per audit and
+shared by every channel.  The gap lemma it rests on is an exact identity in
+the weights, checked once per modulator (_lex_steps).
 """
 
 from __future__ import annotations
@@ -314,8 +317,12 @@ def audit_product_distance(scheme: CodeScheme) -> AuditReport:
     - Encoding is linear, so only the basis messages are encoded, and a pair
       agrees on channel c in exactly the leading zeros of encode(v_j - v_i)[c]:
       the nonzero messages' own encodings give every agreement sum.
-    - Symbols are built column-wise (span_columns): one backward pass over the N coordinates
-      gives each message's scaled value, leading zeros and class bound, with no symbol tuple.
+    - Symbols are built column-wise (span_columns) and read in blocks of w = dim(W)
+      coordinates from N - 1 down, the last block maybe narrower (_read_messages): a
+      block's symbols index its tables (q^w <= n entries each, _block_tables), built once
+      per audit and shared by the L channels, which give each message's scaled value,
+      leading zeros and class bound with no symbol tuple.  At delta = 0 there is one
+      block and the work is lookups only.
     - By the gap lemma, an identity (_lex_steps), distinct symbol vectors with
       common prefix m differ by more than q^(N-m-1)/N, so a pair with no equal
       channel symbols clears its own floor, the product of squared channel
@@ -334,18 +341,7 @@ def audit_product_distance(scheme: CodeScheme) -> AuditReport:
     _lex_steps(scheme.modulator)
     C, offset = _scaled_form(scheme.modulator)
     images = [scheme.encode(b) for b in scheme.message_space.vectors]
-    lo, hi = _step_bounds(f)
-    cols, lam, bounds = [], [0] * n, [1] * n
-    for c in range(L):  # one backward pass over the coordinates of encode(message i)[c]
-        val, lead, tail, bnd = [-offset] * n, [N] * n, [0] * n, [0] * n
-        for k, col in reversed(list(enumerate(span_columns(f, [im[c] for im in images], N)))):
-            c2, lo2, hi2 = 2 * C[k], [2 * C[k] * x for x in lo], [2 * C[k] * x for x in hi]
-            val = [v + c2 * x for v, x in zip(val, col)]
-            lead = [k if x else z for x, z in zip(col, lead)]  # first nonzero k: leading zeros
-            bnd = [lo2[x] - t if x else b for x, t, b in zip(col, tail, bnd)]
-            tail = list(map(add, tail, map(hi2.__getitem__, col)))  # 2 sum_{j>=k} C_j hi(x_j)
-        cols.append(val)
-        lam, bounds = list(map(add, lam, lead)), list(map(mul, bounds, bnd))
+    cols, lam, bounds = _read_messages(f, C, offset, scheme.message_space.dim, images)
     agreement_cap = N + g - 1
     max_agree = max(lam[1:])
     if max_agree > agreement_cap:  # message 0 is zero, so row 0 holds the first such pair
@@ -358,6 +354,34 @@ def audit_product_distance(scheme: CodeScheme) -> AuditReport:
     min_product = Fraction(best * best, scale)
     return AuditReport(n * (n - 1) // 2, min_product, floor, min_product >= floor,
                        (_message(scheme, wi), _message(scheme, wj)), max_agree, False)
+
+
+def _read_messages(field, C, offset, dim, images) -> tuple:
+    """(cols, lam, bounds) for the messages sum_j c_j images[j] at index sum_j c_j q^j:
+    cols[c] their scaled values on channel c, lam their leading zeros summed over the
+    channels, bounds their class bounds multiplied over the channels (_least_product).
+
+    Each channel's symbols are read block by block from coordinate N - 1 down, through
+    tables built here once for every channel and dropped on return (_block_tables).
+    """
+    q, N = field.q, len(C)
+    top, *lower = _block_tables(field, C, offset, dim)
+    n = q ** dim
+    cols, lam, bounds = [], [0] * n, [1] * n
+    for c in range(len(images[0])):
+        syms = span_columns(field, [im[c] for im in images], N)
+        a, b, *tables = top
+        idx = _block_index(q, syms[a:b])
+        val, lead, bnd, tail = (list(map(t.__getitem__, idx)) for t in tables)
+        for a, b, tval, tlead, tbnd, ttail in lower:
+            idx = _block_index(q, syms[a:b])
+            val = list(map(add, val, map(tval.__getitem__, idx)))
+            lead = [tlead[i] if i else z for i, z in zip(idx, lead)]  # first nonzero k
+            bnd = [tbnd[i] - t if i else z for i, t, z in zip(idx, tail, bnd)]
+            tail = list(map(add, tail, map(ttail.__getitem__, idx)))
+        cols.append(val)
+        lam, bounds = list(map(add, lam, lead)), list(map(mul, bounds, bnd))
+    return cols, lam, bounds
 
 
 def _message(scheme, index) -> tuple:
@@ -374,19 +398,27 @@ def _least_product(field, dim, cols, bounds) -> tuple:
     differ by e = encode(d)[c]; with m the first nonzero entry of e, |t(a + e) - t(a)| >=
     2 (C_m lo(e_m) - sum_{k>m} C_k hi(e_k)), at least step_m > 0 as lo(x) >= 1 and
     hi(x) <= q - 1 (_step_bounds), and 0 where e = 0.  bounds[d] is the product of these
-    channel bounds; classes (d and -d as one) are scanned in ascending bound until it
-    exceeds the least product.
+    channel bounds; classes (d and -d as one) are scanned in ascending (bound, d) until the
+    bound exceeds the least product.  The first class's least product caps every later
+    one scanned, so only the classes with bounds at most that cap are sorted.
     """
     q, n = field.q, len(cols[0])
     negs = _digit_map(q, [[field.neg(c) for c in range(q)]] * dim)
-    best = pair = None
-    for d in sorted((d for d in range(1, n) if d <= negs[d]), key=bounds.__getitem__):
-        if best is not None and bounds[d] > best:
-            break
+
+    def scan(d):
         digits = [d // q ** k % q for k in range(dim)]
         shift = _digit_map(q, [[field.add(c, x) for c in range(q)] for x in digits])  # v -> v + d
-        least, key = _scan_class(cols, shift)
-        if best is None or (least, key) < (best, pair):
+        return _scan_class(cols, shift)
+
+    classes = [d for d in range(1, n) if d <= negs[d]]
+    first = min(classes, key=bounds.__getitem__)
+    best, pair = scan(first)
+    for d in sorted((d for d in classes if bounds[d] <= best and d != first),
+                    key=bounds.__getitem__):
+        if bounds[d] > best:
+            break
+        least, key = scan(d)
+        if (least, key) < (best, pair):
             best, pair = least, key
     return best, pair
 
@@ -408,6 +440,41 @@ def _step_bounds(field) -> tuple:
         lo.append(min(steps[:2]))
         hi.append(max(steps[2:]))
     return lo, hi
+
+
+def _block_tables(field, C, offset, width) -> list:
+    """The audit's lookup tables [(a, b, val, lead, bnd, tail)], one per block [a, b) of
+    width coordinates from b = N down; the last block may be narrower.  Each table has
+    q^(b-a) entries, indexed by the block's symbols x as sum_k x_k q^(k-a):
+      val   2 sum_k C_k x_k, less the offset in the first block;
+      lead  the first k with x_k != 0, N if none;
+      bnd   2 (C_lead lo(x_lead) - sum_{k>lead} C_k hi(x_k)), 0 if none;
+      tail  2 sum_k C_k hi(x_k).
+    Built one coordinate at a time from b - 1 down, each step taking every symbol at once.
+    """
+    q, N = field.q, len(C)
+    lo, hi = _step_bounds(field)
+    blocks = []
+    for b in range(N, 0, -width):
+        a = max(b - width, 0)
+        val, lead, bnd, tail = [0 if blocks else -offset], [N], [0], [0]
+        for k in reversed(range(a, b)):  # x_k becomes the lowest digit
+            c2 = 2 * C[k]
+            lo2, hi2 = [c2 * x for x in lo], [c2 * x for x in hi]
+            val = [v + c2 * x for v in val for x in range(q)]
+            lead = [k if x else z for z in lead for x in range(q)]
+            bnd = [lo2[x] - t if x else z for z, t in zip(bnd, tail) for x in range(q)]
+            tail = [t + h for t in tail for h in hi2]
+        blocks.append((a, b, val, lead, bnd, tail))
+    return blocks
+
+
+def _block_index(q, cols) -> list:
+    """[sum_k cols[k][i] q^k for each i]: each message's index into its block's tables."""
+    idx = cols[-1]
+    for col in reversed(cols[:-1]):
+        idx = list(map(add, map(q.__mul__, idx), col))
+    return idx
 
 
 def _digit_map(q, tables) -> list:

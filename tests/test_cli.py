@@ -241,6 +241,23 @@ def test_code_on_an_invalid_set_exits_1_with_the_verify_witness(near_miss_udmg, 
     assert capsys.readouterr().out == f"valid: False\nwitness: {want}\n"
 
 
+@pytest.mark.parametrize("text", [
+    '{"p": 2, "m": 1, "K": 1, "g": 0, "matrices": [[[1]], [[]]]}',
+    '{"p": 2, "m": 3, "modulus": [1, 1, 0, 1], "K": 1, "g": 1, "matrices": [[[0]], [[]], [[5]]]}',
+], ids=["gf2", "gf8"])
+@pytest.mark.parametrize("extra", [[], ["--min-distance"]], ids=["code", "min-distance"])
+def test_code_on_a_set_with_an_empty_member_exits_2(tmp_path, text, extra):
+    # valid sets whose second member has no columns: reading its first column raised
+    # IndexError, exit 1 with a traceback
+    path = tmp_path / "empty_member.json"
+    path.write_text(text)
+    assert run(["verify", str(path)]) == 0
+    res = subprocess.run([sys.executable, "-m", "udmg.cli", "code", str(path), *extra],
+                         capture_output=True, text=True, timeout=10)
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr == "error: matrix 1 has no columns, so no first column\n"
+
+
 def test_bounds_command(capsys):
     assert run(["--json", "bounds", "--K", "4", "--q", "2", "--g", "2",
                 "--lengths", "4,4,4"]) == 0

@@ -123,6 +123,18 @@ def test_first_column_code_refusals_name_their_cause():
         first_column_code(Udmg(F2, 2, 0, (eye, eye)), verified=True)
 
 
+@pytest.mark.parametrize("verified", [False, True])
+def test_first_column_code_refuses_a_member_with_no_columns(verified):
+    # valid sets whose member 1 has no columns: reading its first column raised IndexError
+    F8 = field_from_order(8)
+    for u in (Udmg(F2, 1, 0, (FqMatrix.identity(F2, 1), FqMatrix(F2, 1, 0, ()))),
+              Udmg(F8, 1, 1, tuple(FqMatrix(F8, 1, n, (x,) * n)
+                                   for n, x in ((1, 0), (0, 0), (1, 5))))):
+        assert verify(u).valid
+        with pytest.raises(HypothesisUnmetError, match="^matrix 1 has no columns"):
+            first_column_code(u, verified=verified)
+
+
 def test_min_distance_basics():
     rep = LinearCode(F5, 4, 1, FqMatrix.from_rows(F5, [(1, 1, 1, 1)]))
     assert min_distance(rep) == 4

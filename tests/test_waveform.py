@@ -3,10 +3,12 @@ import random
 from fractions import Fraction
 from itertools import compress, product, repeat
 from operator import mul, sub
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from udmg.cli import load_matrixset
 from udmg.codes import duplicated
 from udmg.core import Udmg
 from udmg.curves import DivisorSpec, INFINITY, curve_new, enumerate_points, genus0_udmg, goppa_udmg
@@ -20,7 +22,7 @@ from udmg.errors import (
 )
 from udmg.fields import field_from_order, make_field
 from udmg.linalg import FqMatrix, Subspace
-from udmg import waveform
+from udmg import reference, waveform
 from udmg.waveform import (
     MAX_PAIR_SQUARE,
     AuditReport,
@@ -40,6 +42,7 @@ from udmg.waveform import (
 )
 
 F2, F3, F5 = make_field(2), make_field(3), make_field(5)
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_weights_worked_out():
@@ -753,11 +756,12 @@ def audit_by_rows(scheme):
 
 @pytest.fixture
 def classes_scanned(monkeypatch):
-    """A list that gains one entry per difference class the audit scans."""
+    """A list that gains each difference class the audit scans, as its message index d
+    (shift sends v to v + d, and message 0 is zero)."""
     scanned = []
     scan_class = waveform._scan_class
     monkeypatch.setattr(waveform, "_scan_class",
-                        lambda cols, shift: scanned.append(1) or scan_class(cols, shift))
+                        lambda cols, shift: scanned.append(shift[0]) or scan_class(cols, shift))
     return scanned
 
 
@@ -776,21 +780,22 @@ def line_scheme(q, K, count):
 
 def delta_scheme():
     """GF(9), K = 4, genus 2, a member of rank 3: delta = 1, 729 messages."""
-    f = field_from_order(9)
-    rows = [[(3, 5, 7, 8), (5, 5, 5, 5), (5, 4, 4, 4), (2, 1, 8, 3)],
-            [(5, 3, 4, 6), (4, 7, 2, 7), (0, 0, 0, 0), (8, 7, 0, 1)]]
-    return build_scheme(Udmg(f, 4, 2, tuple(FqMatrix.from_rows(f, r) for r in rows)))
+    return build_scheme(load_matrixset(str(FIXTURES / "delta1_gf9.json")))
 
 
-@pytest.mark.parametrize("make", [
+PRUNED_SCHEMES = [
     lambda: genus1_scheme(POINTS11[:3]),
     lambda: genus1_scheme(POINTS11[:4]),
     lambda: line_scheme(11, 3, 5),
     lambda: line_scheme(8, 3, 5),   # characteristic 2: d = -d
     lambda: line_scheme(9, 3, 5),   # an extension field with d != -d
     delta_scheme,
-], ids=["genus1-q11-3pts", "genus1-q11-4pts", "line-q11-K3", "line-q8-K3", "line-q9-K3",
-        "delta1-q9-K4"])
+]
+PRUNED_IDS = ["genus1-q11-3pts", "genus1-q11-4pts", "line-q11-K3", "line-q8-K3", "line-q9-K3",
+              "delta1-q9-K4"]
+
+
+@pytest.mark.parametrize("make", PRUNED_SCHEMES, ids=PRUNED_IDS)
 def test_audit_matches_rows_where_classes_are_pruned(make, classes_scanned):
     scheme = make()
     n = len(scheme.messages())
@@ -857,29 +862,114 @@ def test_messages_unchanged_element_for_element():
         assert scheme.messages() == span_by_vectors(space.field, space.vectors, space.ambient_dim)
 
 
-def test_audit_reads_values_and_class_bounds_off_each_message(monkeypatch):
-    # cols and bounds as _least_product receives them, against the formulas applied to
-    # every message's own symbol tuples; equal bounds keep the class order
+def values_and_class_bounds(scheme):
+    """(cols, bounds) from every message's own symbol tuples: cols[c][i] the scaled value of
+    message i on channel c, bounds[i] the product over channels of the class bound of
+    encode(message i)[c]."""
+    lo, hi = waveform._step_bounds(scheme.udmg.field)
+    C, _ = waveform._scaled_form(scheme.modulator)
+
+    def channel_bound(e):
+        m = next((k for k, x in enumerate(e) if x), None)
+        if m is None:
+            return 0
+        return 2 * (C[m] * lo[e[m]] - sum(C[k] * hi[e[k]] for k in range(m + 1, len(e))))
+
+    syms = [scheme.encode(v) for v in scheme.messages()]
+    values = [[mu0_scaled(scheme.modulator, s[c]) for s in syms] for c in range(scheme.L)]
+    return values, [math.prod(map(channel_bound, s)) for s in syms]
+
+
+@pytest.fixture
+def least_product_inputs(monkeypatch):
+    """A list that gains (cols, bounds) each time the audit seeks its least product."""
     seen = []
     least = waveform._least_product
     monkeypatch.setattr(waveform, "_least_product", lambda f, dim, cols, bounds:
                         seen.append((cols, bounds)) or least(f, dim, cols, bounds))
+    return seen
+
+
+def test_audit_reads_values_and_class_bounds_off_each_message(least_product_inputs):
+    # cols and bounds as _least_product receives them, against the formulas applied to
+    # every message's own symbol tuples; equal bounds keep the class order
     for scheme in (genus1_scheme(POINTS11[:3]), line_scheme(8, 3, 5), line_scheme(9, 3, 5),
                    delta_scheme()):
-        lo, hi = waveform._step_bounds(scheme.udmg.field)
-        C, _ = waveform._scaled_form(scheme.modulator)
-
-        def channel_bound(e):
-            m = next((k for k, x in enumerate(e) if x), None)
-            if m is None:
-                return 0
-            return 2 * (C[m] * lo[e[m]] - sum(C[k] * hi[e[k]] for k in range(m + 1, len(e))))
-
-        syms = [scheme.encode(v) for v in scheme.messages()]
-        seen.clear()
+        least_product_inputs.clear()
         audit_product_distance(scheme)
-        values = [[mu0_scaled(scheme.modulator, s[c]) for s in syms] for c in range(scheme.L)]
-        assert seen == [(values, [math.prod(map(channel_bound, s)) for s in syms])]
+        assert least_product_inputs == [values_and_class_bounds(scheme)]
+
+
+def random_message_scheme(rng, q, N, w, L):
+    """L random N x N members over GF(q) and a random message space of dimension w, at a
+    genus so large that no agreement sum exceeds N + g - 1."""
+    f = field_from_order(q)
+    mats = tuple(FqMatrix(f, N, N, tuple(rng.randrange(q) for _ in range(N * N)))
+                 for _ in range(L))
+    space = Subspace.trivial(f, N)
+    while space.dim < w:
+        space = Subspace.from_vectors(f, N, [[rng.randrange(q) for _ in range(N)]
+                                             for _ in range(w)])
+    return CodeScheme(Udmg(f, N, (L - 1) * N + 1, mats), Modulator(q, N), (),
+                      Subspace.trivial(f, N), N - w, space)
+
+
+# (q, N, w): message dimension w in 1..N, at most 256 messages
+SHAPES = st.tuples(st.sampled_from([2, 3, 4, 5, 7, 8, 9]), st.integers(2, 5)).flatmap(
+    lambda qN: st.tuples(st.just(qN[0]), st.just(qN[1]),
+                         st.integers(1, max(w for w in range(1, qN[1] + 1) if qN[0] ** w <= 256))))
+
+
+def test_audit_over_every_block_shape(least_product_inputs):
+    # the audit's tables cover w = message-dimension coordinates each: one block at w = N
+    # (delta = 0), several with a narrower last one when w does not divide N, and blocks of
+    # width 1; the report against the row-by-row oracle, cols and bounds against each
+    # message's own symbols
+    shapes = set()
+
+    @given(SHAPES, st.integers(1, 3), st.integers(0, 2 ** 32))
+    @example((2, 4, 4), 2, 0)
+    @example((3, 5, 2), 2, 1)
+    @example((5, 3, 1), 3, 2)
+    @settings(max_examples=60, deadline=None)
+    def check(qNw, L, seed):
+        q, N, w = qNw
+        scheme = random_message_scheme(random.Random(seed), q, N, w, L)
+        least_product_inputs.clear()
+        assert audit_product_distance(scheme) == audit_by_rows(scheme)
+        assert least_product_inputs == [values_and_class_bounds(scheme)]
+        shapes.add("one" if w == N else "width-1" if w == 1 else "short-last" if N % w else "even")
+
+    check()
+    assert {"one", "short-last", "width-1"} <= shapes
+
+
+def class_sequence(scheme):
+    """Oracle: the classes the audit must scan.  Every class, d and -d as one at the lesser
+    index d, sorted by (bound, d) and taken until a bound exceeds the least product of the
+    classes taken before it."""
+    f, msgs = scheme.udmg.field, scheme.messages()
+    index = {v: i for i, v in enumerate(msgs)}
+    cols, bounds = values_and_class_bounds(scheme)
+    classes = [d for d in range(1, len(msgs)) if d <= index[tuple(map(f.neg, msgs[d]))]]
+    best, taken = None, []
+    for d in sorted(classes, key=lambda d: (bounds[d], d)):
+        if best is not None and bounds[d] > best:
+            break
+        taken.append(d)
+        shift = [index[tuple(map(f.add, v, msgs[d]))] for v in msgs]
+        least = min(abs(math.prod(col[shift[v]] - col[v] for col in cols))
+                    for v in range(len(msgs)))
+        best = least if best is None else min(best, least)
+    return taken
+
+
+@pytest.mark.parametrize("make", PRUNED_SCHEMES + [lambda: build_scheme(reference.matrix_set())],
+                         ids=PRUNED_IDS + ["reference-f5"])
+def test_audit_scans_the_classes_of_a_full_sort(make, classes_scanned):
+    scheme = make()
+    audit_product_distance(scheme)
+    assert classes_scanned == class_sequence(scheme)
 
 
 def test_audit_prune_scans_under_one_percent(classes_scanned):
