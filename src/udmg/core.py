@@ -15,6 +15,7 @@ from __future__ import annotations
 from itertools import accumulate
 
 from .errors import (
+    HypothesisUnmetError,
     InvalidInputError,
     LengthMismatchError,
     NotProperSubError,
@@ -371,9 +372,11 @@ class Udvsg:
 
 
 def realize(u: Udmg) -> Udvsg:
-    """Chains of spans of column prefixes, one per matrix."""
+    """Chains of spans of column prefixes, one per matrix; a matrix with no columns has none."""
     chains = []
-    for M in u.matrices:
+    for i, M in enumerate(u.matrices):
+        if not M.cols:
+            raise HypothesisUnmetError(f"matrix {i} has no columns, so no chain")
         cols = [M.col(j) for j in range(M.cols)]
         chains.append(Chain(tuple(Subspace.from_vectors(u.field, u.K, cols[:j])
                                   for j in range(1, M.cols + 1))))

@@ -319,10 +319,11 @@ def audit_product_distance(scheme: CodeScheme) -> AuditReport:
       the nonzero messages' own encodings give every agreement sum.
     - Symbols are built column-wise (span_columns) and read in blocks of w = dim(W)
       coordinates from N - 1 down, the last block maybe narrower (_read_messages): a
-      block's symbols index its tables (q^w <= n entries each, _block_tables), built once
-      per audit and shared by the L channels, which give each message's scaled value,
-      leading zeros and class bound with no symbol tuple.  At delta = 0 there is one
-      block and the work is lookups only.
+      block's symbols fold into one index (_block_index) into its tables (q^w <= n
+      entries each, _block_tables), built once per audit and shared by the L channels,
+      which give each message's scaled value, leading zeros and class bound with no
+      symbol tuple.  The lowest block carries no tail, so at delta = 0 (one block) a
+      channel costs one span, one fold and three lookups.
     - By the gap lemma, an identity (_lex_steps), distinct symbol vectors with
       common prefix m differ by more than q^(N-m-1)/N, so a pair with no equal
       channel symbols clears its own floor, the product of squared channel
@@ -362,25 +363,28 @@ def _read_messages(field, C, offset, dim, images) -> tuple:
     channels, bounds their class bounds multiplied over the channels (_least_product).
 
     Each channel's symbols are read block by block from coordinate N - 1 down, through
-    tables built here once for every channel and dropped on return (_block_tables).
+    tables built here once for every channel and dropped on return (_block_tables): a
+    block folds its symbols into one index (_block_index) and looks up val, lead, bnd and,
+    above the lowest block, tail, so at delta = 0 a channel costs one span, one fold and
+    three lookups.  lam and bounds start as channel 0's lists.
     """
     q, N = field.q, len(C)
     top, *lower = _block_tables(field, C, offset, dim)
-    n = q ** dim
-    cols, lam, bounds = [], [0] * n, [1] * n
+    cols = []
     for c in range(len(images[0])):
         syms = span_columns(field, [im[c] for im in images], N)
         a, b, *tables = top
         idx = _block_index(q, syms[a:b])
-        val, lead, bnd, tail = (list(map(t.__getitem__, idx)) for t in tables)
+        val, lead, bnd, tail = (t and list(map(t.__getitem__, idx)) for t in tables)
         for a, b, tval, tlead, tbnd, ttail in lower:
             idx = _block_index(q, syms[a:b])
             val = list(map(add, val, map(tval.__getitem__, idx)))
             lead = [tlead[i] if i else z for i, z in zip(idx, lead)]  # first nonzero k
             bnd = [tbnd[i] - t if i else z for i, t, z in zip(idx, tail, bnd)]
-            tail = list(map(add, tail, map(ttail.__getitem__, idx)))
+            if ttail:  # None in the lowest block
+                tail = list(map(add, tail, map(ttail.__getitem__, idx)))
         cols.append(val)
-        lam, bounds = list(map(add, lam, lead)), list(map(mul, bounds, bnd))
+        lam, bounds = (list(map(add, lam, lead)), list(map(mul, bounds, bnd))) if c else (lead, bnd)
     return cols, lam, bounds
 
 
@@ -449,7 +453,8 @@ def _block_tables(field, C, offset, width) -> list:
       val   2 sum_k C_k x_k, less the offset in the first block;
       lead  the first k with x_k != 0, N if none;
       bnd   2 (C_lead lo(x_lead) - sum_{k>lead} C_k hi(x_k)), 0 if none;
-      tail  2 sum_k C_k hi(x_k).
+      tail  2 sum_k C_k hi(x_k), read only by the blocks below, so None in the lowest
+            block (a = 0), the only one at delta = 0.
     Built one coordinate at a time from b - 1 down, each step taking every symbol at once.
     """
     q, N = field.q, len(C)
@@ -464,16 +469,18 @@ def _block_tables(field, C, offset, width) -> list:
             val = [v + c2 * x for v in val for x in range(q)]
             lead = [k if x else z for z in lead for x in range(q)]
             bnd = [lo2[x] - t if x else z for z, t in zip(bnd, tail) for x in range(q)]
-            tail = [t + h for t in tail for h in hi2]
-        blocks.append((a, b, val, lead, bnd, tail))
+            if k:  # at k = 0 no later step or block reads the tail
+                tail = [t + h for t in tail for h in hi2]
+        blocks.append((a, b, val, lead, bnd, tail if a else None))
     return blocks
 
 
 def _block_index(q, cols) -> list:
-    """[sum_k cols[k][i] q^k for each i]: each message's index into its block's tables."""
+    """[sum_k cols[k][i] q^k for each i]: each message's index into its block's tables,
+    folded from the top coordinate down as x * q + y, one list per coordinate."""
     idx = cols[-1]
     for col in reversed(cols[:-1]):
-        idx = list(map(add, map(q.__mul__, idx), col))
+        idx = [x * q + y for x, y in zip(idx, col)]
     return idx
 
 

@@ -258,6 +258,19 @@ def test_code_on_a_set_with_an_empty_member_exits_2(tmp_path, text, extra):
     assert res.stderr == "error: matrix 1 has no columns, so no first column\n"
 
 
+@pytest.mark.parametrize("truncate", ["0,0", "1,0"])
+def test_quotient_on_a_set_with_an_empty_member_exits_2(tmp_path, truncate):
+    # a valid set whose second member has no columns: the refusal named a chain with no
+    # subspace, which the input never states
+    path = tmp_path / "empty_member.json"
+    path.write_text('{"p": 2, "m": 1, "K": 1, "g": 0, "matrices": [[[1]], [[]]]}')
+    assert run(["verify", str(path)]) == 0
+    res = subprocess.run([sys.executable, "-m", "udmg.cli", "quotient", str(path),
+                          "--truncate", truncate], capture_output=True, text=True, timeout=10)
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr == "error: matrix 1 has no columns, so no chain\n"
+
+
 def test_bounds_command(capsys):
     assert run(["--json", "bounds", "--K", "4", "--q", "2", "--g", "2",
                 "--lengths", "4,4,4"]) == 0

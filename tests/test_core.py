@@ -27,7 +27,7 @@ from udmg.core import (
 )
 from udmg.cli import matrixset_to_text
 from udmg.core import QuotientResult, VerifyReport, _count_allowable, _least_genus
-from udmg.errors import InvalidInputError, LengthMismatchError, NotProperSubError
+from udmg.errors import HypothesisUnmetError, InvalidInputError, LengthMismatchError, NotProperSubError
 from udmg.fields import field_from_order, make_field
 from udmg.linalg import FqMatrix, Subspace, quotient_map, rref_rows, subspace_sum
 
@@ -594,14 +594,12 @@ def test_tail_agrees_on_perturbed_line_constructions():
     assert outcomes == {True, False}
 
 
-def test_scan_matches_the_annihilator_oracle_on_perturbed_curve_constructions():
-    # genus-1 constructions pass, so at K >= 4 most subtrees reach three rows and
-    # are decided by tails that form their images from the walk's last elimination;
-    # a few changed entries make them fail deep in the walk
+def perturbed_curve_constructions():
+    """Genus-1 constructions over GF(11), GF(13) and GF(25) at K = 4, 5, 6, each with 0, 1
+    and 2 entries changed, always drawn in the same order."""
     from udmg.curves import INFINITY, DivisorSpec, WeierstrassCurve, enumerate_points, goppa_udmg
 
     rng = random.Random(61)
-    outcomes = set()
     for q, a, b in ((11, 1, 3), (13, 1, 1), (25, 1, 1)):
         curve = WeierstrassCurve(field_from_order(q), a, b)
         affine = [P for P in enumerate_points(curve) if P is not INFINITY]
@@ -609,11 +607,19 @@ def test_scan_matches_the_annihilator_oracle_on_perturbed_curve_constructions():
             points = rng.sample(affine, 6 if K < 6 else 5)
             base = goppa_udmg(curve, points, DivisorSpec(K)).udmg
             for count in (0, 1, 2):
-                u = perturbed(rng, base, count)
-                for g in (0, 1, 2):
-                    rep = verify(u.with_genus(g))
-                    assert rep == oracle_verify(u.with_genus(g))
-                    outcomes.add(rep.valid)
+                yield perturbed(rng, base, count)
+
+
+def test_scan_matches_the_annihilator_oracle_on_perturbed_curve_constructions():
+    # genus-1 constructions pass, so at K >= 4 most subtrees reach three rows and
+    # are decided by tails that form their images from the walk's last elimination;
+    # a few changed entries make them fail deep in the walk
+    outcomes = set()
+    for u in perturbed_curve_constructions():
+        for g in (0, 1, 2):
+            rep = verify(u.with_genus(g))
+            assert rep == oracle_verify(u.with_genus(g))
+            outcomes.add(rep.valid)
     assert outcomes == {True, False}
 
 
@@ -743,6 +749,17 @@ def test_minimal_genus_by_messages_pinned(ref_udmg):
                     (load_matrixset(str(FIXTURES / "genus1_gf3.json")), 1),
                     (ref_udmg, 1), (gf25_line, 0)):
         assert minimal_genus_by_messages(u) == want == minimal_genus(u)[0]
+
+
+def test_minimal_genus_by_messages_on_perturbed_curve_constructions():
+    # valid and invalid sets past verify_naive, kept to cells of at most 20,000 projective y
+    pinned = set()
+    for u in perturbed_curve_constructions():
+        q, K = u.field.q, u.K
+        if (q ** K - 1) // (q - 1) <= 20_000:
+            assert minimal_genus_by_messages(u) == minimal_genus(u)[0]
+            pinned.add((q, K))
+    assert pinned == {(11, 4), (11, 5), (13, 4), (25, 4)}
 
 
 @settings(deadline=None, max_examples=300)
@@ -1064,6 +1081,18 @@ def test_unchecked_quotient_matches_the_oracle_on_invalid_sets():
             assert_quotients_agree(quotient(v, trunc, check=False), want)
         done += 1
     assert refused >= 10
+
+
+def test_realize_refuses_a_member_with_no_columns():
+    # valid sets whose member 1 has no columns: its chain would hold no subspace, and the
+    # refusal spoke of chains the input never states
+    F8 = field_from_order(8)
+    for u in (Udmg(F2, 1, 0, (FqMatrix.identity(F2, 1), FqMatrix(F2, 1, 0, ()))),
+              Udmg(F8, 1, 1, tuple(FqMatrix(F8, 1, n, (x,) * n)
+                                   for n, x in ((1, 0), (0, 0), (1, 5))))):
+        assert verify(u).valid
+        with pytest.raises(HypothesisUnmetError, match="^matrix 1 has no columns, so no chain$"):
+            realize(u)
 
 
 def test_vacuous_quotient_past_its_genus_is_refused():

@@ -139,7 +139,9 @@ def test_gf3_constructions_on_every_point_have_minimal_genus_1():
 
 def test_gf9_constructions_on_every_point_have_minimal_genus_1():
     # s^2 = r^3 + r has 16 points, the Hasse-Weil maximum over GF(9); the construction
-    # certifies genus 1 by valuations, and the scan agrees
+    # certifies genus 1 by valuations, and the scan and the message-side oracle agree
+    from test_core import minimal_genus_by_messages
+
     curve = curve_new(make_field(3, 2), 1, 0)
     points = enumerate_points(curve)
     assert len(points) == 16
@@ -147,6 +149,7 @@ def test_gf9_constructions_on_every_point_have_minimal_genus_1():
         u = goppa_udmg(curve, points, DivisorSpec(n)).udmg
         assert (u.K, u.L, u.g) == (n, 16, 1)
         assert minimal_genus(u) == (1, False)
+        assert minimal_genus_by_messages(u) == 1
 
 
 def test_point_census(ref_curve):
