@@ -83,8 +83,8 @@ def matrixset_from_text(text: str) -> Udmg:
         if type(modulus) is not list:
             raise ValueError(f"modulus {modulus!r} is not a list")
         field = FieldSpec(data["p"], data["m"], tuple(modulus))
-    else:
-        field = FieldSpec(data["p"])
+    else:  # a stated modulus is refused, as the library refuses it
+        field = FieldSpec(data["p"], 1, data.get("modulus"))
     mats = tuple(FqMatrix.from_rows(field, rows) for rows in data["matrices"])
     return Udmg(field, data["K"], data["g"], mats)
 

@@ -18,8 +18,9 @@ modulus bits, and inv the extended Euclidean algorithm on binary polynomials
 (Hankerson, Menezes & Vanstone, Guide to Elliptic Curve Cryptography,
 Alg. 2.47).  An odd-characteristic field there multiplies digit-list
 polynomials modulo the modulus and inverts by the extended Euclidean
-algorithm over F_p[x]; the tables are built with that multiplication, and
-tests use it, and Fermat's a^(q-2) for the inverse, as the reference.  dot
+algorithm over F_p[x].  The tables are built with the same products: the
+packed one for p = 2, the digit-list one for odd p, which tests use, and
+Fermat's a^(q-2) for the inverse, as the reference.  dot
 reads the tables once per sum: it XORs antilogs for p = 2 and takes one Zech
 step per nonzero term for odd p; a prime field sums integers and reduces
 once, and a field above the table limit adds its products one at a time.
@@ -33,15 +34,18 @@ neither calls a FieldSpec method per entry, and the field's own methods above
 the table limit.  The lru_caches hold data only, never a closure or bound
 method, so nothing keeps a wrapper set on a FieldSpec method once it is removed.
 
-A modulus, canonical or given, is tested for irreducibility by trial
-division by monic factors of degree <= 2 and then Rabin's test, with
+The canonical modulus of each GF(p^m), the monic irreducible with the
+smallest packed lower part, is read from one committed constant, _CANONICAL,
+which tests check against the search smallest_irreducible.  A given modulus
+equal to it is accepted as it stands; any other is tested for irreducibility
+by trial division by monic factors of degree <= 2 and then Rabin's test, with
 x^(p^k) mod f built by the Frobenius map; trial division by every factor of
 degree up to m/2 is the test oracle.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from itertools import zip_longest
 from math import isqrt
 from operator import index, mul as _int_mul
@@ -219,14 +223,19 @@ def _log_tables(p: int, m: int, modulus: tuple) -> tuple:
     so a sum of two logs needs no reduction.  log[a] is in [0, q-1) (log[0] is unused).
     zech[n] = Z(n mod (q-1)), None where 1 + alpha^n = 0, for n < 2(q-1); a
     negative index in [-(q-1), 0) wraps to the same value.  Characteristic 2
-    adds by XOR and gets zech = None.
+    forms the powers by the packed product _gf2_mul and adds by XOR, so it gets
+    zech = None; odd p forms them on digit lists.
     """
     q = p ** m
+    if p == 2:
+        mul = partial(_gf2_mul, m=m, modulus=_pack(modulus, 2))
+    else:
+        mul = partial(_poly_field_mul, p=p, m=m, modulus=modulus)
     for g in range(2, q):
         powers, x = [1], g
         while x != 1:
             powers.append(x)
-            x = _poly_field_mul(x, g, p, m, modulus)
+            x = mul(x, g)
         if len(powers) == q - 1:
             break
     log = [0] * q
@@ -251,13 +260,52 @@ def smallest_irreducible(p: int, m: int) -> tuple:
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
+# The canonical modulus smallest_irreducible(p, m) of every GF(p^m) with m >= 2 and
+# p^m <= MAX_CARDINALITY, as " p^m:t" with t the packed rep of its lower part.  One
+# string literal, not a dict: a process that compiles this module from source pays
+# 1-2 ms for a 242-entry dict literal.  Tests check each entry against the search.
+_CANONICAL = (
+    " 2^2:3 2^3:3 2^4:3 2^5:5 2^6:3 2^7:3 2^8:27 2^9:3 2^10:9 2^11:5 2^12:9 2^13:27"
+    " 2^14:33 2^15:3 2^16:43 2^17:9 2^18:9 2^19:39 2^20:9 3^2:1 3^3:7 3^4:5 3^5:7 3^6:5"
+    " 3^7:11 3^8:11 3^9:64 3^10:19 3^11:11 3^12:11 5^2:2 5^3:6 5^4:2 5^5:21 5^6:7 5^7:6"
+    " 5^8:2 7^2:1 7^3:2 7^4:8 7^5:10 7^6:2 7^7:43 11^2:1 11^3:15 11^4:13 11^5:2 13^2:2"
+    " 13^3:2 13^4:2 13^5:54 17^2:3 17^3:20 17^4:3 19^2:1 19^3:2 19^4:27 23^2:1 23^3:26"
+    " 23^4:25 29^2:2 29^3:33 29^4:2 31^2:1 31^3:3 31^4:32 37^2:2 37^3:2 41^2:3 41^3:42"
+    " 43^2:1 43^3:3 47^2:1 47^3:51 53^2:2 53^3:58 59^2:1 59^3:60 61^2:2 61^3:2 67^2:1"
+    " 67^3:2 71^2:1 71^3:72 73^2:5 73^3:2 79^2:1 79^3:2 83^2:1 83^3:88 89^2:3 89^3:93"
+    " 97^2:5 97^3:2 101^2:2 101^3:102 103^2:1 107^2:1 109^2:2 113^2:3 127^2:1 131^2:1"
+    " 137^2:3 139^2:1 149^2:2 151^2:1 157^2:2 163^2:1 167^2:1 173^2:2 179^2:1 181^2:2"
+    " 191^2:1 193^2:5 197^2:2 199^2:1 211^2:1 223^2:1 227^2:1 229^2:2 233^2:3 239^2:1"
+    " 241^2:7 251^2:1 257^2:3 263^2:1 269^2:2 271^2:1 277^2:2 281^2:3 283^2:1 293^2:2"
+    " 307^2:1 311^2:1 313^2:5 317^2:2 331^2:1 337^2:5 347^2:1 349^2:2 353^2:3 359^2:1"
+    " 367^2:1 373^2:2 379^2:1 383^2:1 389^2:2 397^2:2 401^2:3 409^2:7 419^2:1 421^2:2"
+    " 431^2:1 433^2:5 439^2:1 443^2:1 449^2:3 457^2:5 461^2:2 463^2:1 467^2:1 479^2:1"
+    " 487^2:1 491^2:1 499^2:1 503^2:1 509^2:2 521^2:3 523^2:1 541^2:2 547^2:1 557^2:2"
+    " 563^2:1 569^2:3 571^2:1 577^2:5 587^2:1 593^2:3 599^2:1 601^2:7 607^2:1 613^2:2"
+    " 617^2:3 619^2:1 631^2:1 641^2:3 643^2:1 647^2:1 653^2:2 659^2:1 661^2:2 673^2:5"
+    " 677^2:2 683^2:1 691^2:1 701^2:2 709^2:2 719^2:1 727^2:1 733^2:2 739^2:1 743^2:1"
+    " 751^2:1 757^2:2 761^2:3 769^2:7 773^2:2 787^2:1 797^2:2 809^2:3 811^2:1 821^2:2"
+    " 823^2:1 827^2:1 829^2:2 839^2:1 853^2:2 857^2:3 859^2:1 863^2:1 877^2:2 881^2:3"
+    " 883^2:1 887^2:1 907^2:1 911^2:1 919^2:1 929^2:3 937^2:5 941^2:2 947^2:1 953^2:3"
+    " 967^2:1 971^2:1 977^2:3 983^2:1 991^2:1 997^2:2 1009^2:11 1013^2:2 1019^2:1"
+    " 1021^2:2 "
+)
+
+
+def _canonical_modulus(p: int, m: int) -> tuple:
+    """smallest_irreducible(p, m), read from _CANONICAL; p prime, m >= 2, p^m <= 2^20."""
+    key = f" {p}^{m}:"
+    at = _CANONICAL.index(key) + len(key)
+    return _digits(int(_CANONICAL[at:_CANONICAL.index(" ", at)]), p, m) + (1,)
+
+
 @record
 class FieldSpec:
     """A finite field GF(p^m) with a fixed monic irreducible modulus.
 
     The modulus tuple lists coefficients in ascending degree and is present
-    iff m > 1; it defaults to the canonical (smallest packed) irreducible so
-    that independent runs agree bit for bit.
+    iff m > 1; it defaults to the canonical (smallest packed) irreducible, read
+    from _CANONICAL, so that independent runs agree bit for bit.
     """
 
     p: int
@@ -278,8 +326,9 @@ class FieldSpec:
             if self.modulus is not None:
                 raise ValueError("prime fields carry no modulus")
         else:
+            canonical = _canonical_modulus(self.p, self.m)
             if self.modulus is None:
-                object.__setattr__(self, "modulus", smallest_irreducible(self.p, self.m))
+                object.__setattr__(self, "modulus", canonical)
             else:
                 mod = tuple(self.modulus)
                 if any(type(c) is not int for c in mod):
@@ -288,7 +337,7 @@ class FieldSpec:
                     raise ValueError(f"modulus coefficients must lie in [0, {self.p})")
                 if len(mod) != self.m + 1 or mod[-1] != 1:
                     raise ValueError("modulus must be monic of degree m")
-                if not _is_irreducible(mod, self.p):
+                if mod != canonical and not _is_irreducible(mod, self.p):
                     raise ValueError("modulus is reducible")
                 object.__setattr__(self, "modulus", mod)
         # _log_tables for an extension field with q <= TABLE_MAX_ORDER, () until the

@@ -469,13 +469,14 @@ def test_malformed_inputs_exit_2(tmp_path):
         assert run(["verify", str(odd)]) == 2
     assert run(["bounds", "--K", "4", "--q", "6", "--g", "1"]) == 2  # not a prime power
     # Header values once coerced: g = true verified as genus 1, m = 1.0 read as a
-    # prime field, and each modulus below read as x^4 + x + 1 by int(c) % p.
+    # prime field, each GF(16) modulus below read as x^4 + x + 1 by int(c) % p,
+    # and a prime-field modulus dropped unread.
     gf16 = {"p": 2, "m": 4, "modulus": [1, 1, 0, 0, 1], "K": 1, "g": 0, "matrices": [[[1]]]}
     f5 = {"p": 5, "m": 1, "K": 2, "g": 0, "matrices": [[[1, 0], [0, 1]], [[1, 1], [1, 2]]]}
     for base, key, value in ((f5, "g", True), (f5, "m", 1.0), (gf16, "K", True),
                              (gf16, "modulus", [1.9, 1, 0, 0, 1]), (gf16, "modulus", "11001"),
                              (gf16, "modulus", [1, True, 0, 0, 1]),
-                             (gf16, "modulus", [1, 3, 0, 0, 1])):
+                             (gf16, "modulus", [1, 3, 0, 0, 1]), (f5, "modulus", [1, 2])):
         odd = tmp_path / "odd_header.json"
         odd.write_text(json.dumps({**base, key: value}))
         assert run(["verify", str(odd)]) == 2, (key, value)

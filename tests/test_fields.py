@@ -4,14 +4,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from udmg.errors import FieldMismatchError, FieldTooLargeError, NonPrimeError
+import udmg.fields as fields_module
 from udmg.fields import (
+    _CANONICAL,
+    MAX_CARDINALITY,
     TABLE_MAX_ORDER,
     FieldSpec,
     FqElement,
     _digits,
     _gf2_inv,
     _gf2_mul,
+    _canonical_modulus,
     _is_irreducible,
+    _log_tables,
     _pack,
     _poly_field_mul,
     _poly_mod_p,
@@ -101,6 +106,40 @@ def test_smallest_irreducible_unchanged():
         assert smallest_irreducible(p, m) == want, (p, m)
     assert smallest_irreducible(2, 16) == (1, 1, 0, 1, 0, 1) + (0,) * 10 + (1,)
     assert smallest_irreducible(2, 20) == (1, 0, 0, 1) + (0,) * 16 + (1,)
+
+
+ALL_EXTENSIONS = [(p, m) for p in range(2, 1 << 10) if is_prime(p)
+                  for m in range(2, 21) if p ** m <= MAX_CARDINALITY]
+
+
+def test_canonical_constant_matches_the_search():
+    assert len(ALL_EXTENSIONS) == 242 == len(_CANONICAL.split())
+    for p, m in ALL_EXTENSIONS:
+        assert _canonical_modulus(p, m) == smallest_irreducible(p, m), (p, m)
+
+
+def count_irreducibility_tests(monkeypatch):
+    calls = []
+    test = fields_module._is_irreducible
+    monkeypatch.setattr(fields_module, "_is_irreducible",
+                        lambda coeffs, p: calls.append((coeffs, p)) or test(coeffs, p))
+    return calls
+
+
+def test_canonical_modulus_given_is_not_retested(monkeypatch):
+    calls = count_irreducibility_tests(monkeypatch)
+    for p, m in ALL_EXTENSIONS:
+        f = FieldSpec(p, m)
+        given = FieldSpec(p, m, list(f.modulus))
+        assert f == given and hash(f) == hash(given) and repr(f) == repr(given), (p, m)
+        assert type(given.modulus) is tuple
+    assert calls == []
+
+
+def test_field_build_runs_no_search(monkeypatch):
+    monkeypatch.setattr(fields_module, "smallest_irreducible", lambda p, m: pytest.fail("search"))
+    assert field_from_order(1 << 16).modulus == (1, 1, 0, 1, 0, 1) + (0,) * 10 + (1,)
+    assert field_from_order(31 ** 4).modulus == (1, 1, 0, 0, 1)
 
 
 def test_arith_dispatch():
@@ -325,9 +364,12 @@ def test_tables_match_polynomial_sampled(pm, data):
 
 
 @pytest.mark.parametrize("p,m,modulus", [(2, 4, (1, 0, 0, 1, 1)), (3, 2, (2, 1, 1))])
-def test_noncanonical_modulus_gets_its_own_tables(p, m, modulus):
-    f, canonical = FieldSpec(p, m, modulus), make_field(p, m)
-    assert f != canonical
+def test_noncanonical_modulus_gets_its_own_tables(p, m, modulus, monkeypatch):
+    calls = count_irreducibility_tests(monkeypatch)
+    f = FieldSpec(p, m, modulus)
+    assert calls == [(modulus, p)]
+    canonical = make_field(p, m)
+    assert f != canonical and len(calls) == 1
     f.mul(1, 1), canonical.mul(1, 1)
     assert f._tables and canonical._tables and f._tables != canonical._tables
     poly = polynomial_twin(f)
@@ -359,6 +401,23 @@ def test_tables_do_not_change_identity():
     assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
     assert repr(used) == "FieldSpec(p=5, m=2, modulus=(2, 0, 1))"
     assert {used: 1}[fresh] == 1
+
+
+@pytest.mark.parametrize("m", range(2, 13))
+def test_binary_tables_match_a_digit_list_build(m):
+    mod = smallest_irreducible(2, m)
+    q = 1 << m
+    for g in range(2, q):  # the least primitive rep, its powers by digit-list products
+        powers, x = [1], g
+        while x != 1:
+            powers.append(x)
+            x = _poly_field_mul(x, g, 2, m, mod)
+        if len(powers) == q - 1:
+            break
+    log = [0] * q
+    for i, x in enumerate(powers):
+        log[x] = i
+    assert _log_tables(2, m, mod) == (tuple(powers + powers), tuple(log), None, q - 1)
 
 
 # -- packed characteristic-2 arithmetic above the table limit ------------------
